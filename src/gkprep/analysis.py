@@ -14,14 +14,21 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .distributions import NoiseParams, pauli_rate_ideal, pauli_rate_physical
+from .distributions import (
+    NoiseParams,
+    pauli_rate_ideal,
+    pauli_rate_physical,
+    pauli_rate_physical_report,
+)
 from .repetition import (
     DEFAULT_QUADRATURE,
+    FailureBreakdown,
     QuadratureConfig,
     failure_rate,
     failure_rate_no_gkp_ec,
     overall_failure_biased,
 )
+from .wigner import GkpEnvelope, wigner_point
 
 
 class AmbiguousCrossingError(RuntimeError):
@@ -44,6 +51,7 @@ class CrossingQuery:
     tol: float = 1e-4
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bracket", tuple(self.bracket))
         lo, hi = self.bracket
         if not (0.0 < lo < hi):
             raise ValueError("bracket must satisfy 0 < lo < hi")
@@ -184,18 +192,6 @@ def optimal_bias(
     )
 
 
-SWEEP_QUANTITIES = (
-    "px",
-    "pf",
-    "pfrep",
-    "pfrep_noec",
-    "pfail",
-    "delta_nm",
-    "r_opt",
-    "wigner_grid",
-)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Declarative parameter sweep: a quantity, ordered axes, fixed bindings."""
@@ -203,12 +199,13 @@ class SweepSpec:
     quantity: str
     axes: tuple[tuple[str, tuple[float, ...]], ...]
     fixed: dict[str, Any] = field(default_factory=dict)
-    output: str | None = None
 
     def __post_init__(self) -> None:
-        if self.quantity not in SWEEP_QUANTITIES:
+        axes = tuple((name, tuple(values)) for name, values in self.axes)
+        object.__setattr__(self, "axes", axes)
+        if self.quantity not in QUANTITIES:
             raise ValueError(
-                f"unknown quantity {self.quantity!r}; expected one of {SWEEP_QUANTITIES}"
+                f"unknown quantity {self.quantity!r}; expected one of {tuple(QUANTITIES)}"
             )
         if not self.axes:
             raise ValueError("at least one axis is required")
@@ -240,48 +237,88 @@ class CurveTable:
         return buf.getvalue()
 
 
-def _eval_quantity(quantity: str, p: dict[str, Any], cfg: QuadratureConfig) -> float:
-    if quantity == "px":
-        return pauli_rate_ideal(p["delta"])
-    if quantity == "pf":
-        return pauli_rate_physical(NoiseParams(p["delta"], p["delta_tilde"]))
-    if quantity == "pfrep":
-        params = NoiseParams(p["delta"], p["delta_tilde"])
-        return failure_rate(int(p["n"]), params, cfg).total
-    if quantity == "pfrep_noec":
-        params = NoiseParams(p["delta"], p["delta_tilde"])
-        return failure_rate_no_gkp_ec(int(p["n"]), params, cfg).total
-    if quantity == "pfail":
-        params = NoiseParams(p["delta"], p.get("delta_tilde", 0.0), r=p.get("r", 1.0))
-        return overall_failure_biased(int(p["n"]), params, cfg)
-    if quantity == "delta_nm":
-        query = CrossingQuery(
-            delta=p["delta"],
-            left_size=int(p["n"]),
-            right_size=int(p["m"]),
-            bracket=(p.get("bracket_lo", 0.02), p.get("bracket_hi", 0.8)),
-            tol=p.get("tol", 1e-4),
-        )
-        result = critical_ancilla_spread(query, cfg)
-        if result.status != "found":
-            raise RuntimeError(f"no crossing for {p}")
-        return float(result.value)
-    if quantity == "r_opt":
-        opt = optimal_bias(
-            int(p["n"]),
-            p["delta"],
-            p.get("delta_tilde", 0.0),
-            (p.get("r_lo", 1.0), p.get("r_hi", 6.0)),
-            cfg,
-        )
-        return opt.r_opt
-    if quantity == "wigner_grid":
-        from .wigner import GkpEnvelope, wigner_point
+@dataclass(frozen=True)
+class Quantity:
+    """A computed quantity: its parameters and its evaluator.
 
-        return wigner_point(
-            GkpEnvelope(delta=p["delta"], kappa=p["kappa"]), p["q"], p["p"]
-        )
-    raise ValueError(f"unknown quantity {quantity!r}")
+    ``params`` are the parameter names in ``gkprep rate --out`` column order.
+    ``evaluate(point, cfg)`` returns the value and the detail fields that
+    ``gkprep rate`` prints beside it.
+    """
+
+    params: tuple[str, ...]
+    evaluate: Callable[[dict[str, Any], QuadratureConfig], tuple[float, dict]]
+
+
+# The evaluators look each rate function up as a module global at call time,
+# so a caller that rebinds one here (a profiler, a test) sees it used.
+def _px(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
+    return pauli_rate_ideal(p["delta"]), {}
+
+
+def _pf(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
+    report = pauli_rate_physical_report(NoiseParams(p["delta"], p["delta_tilde"]))
+    return report["value"], {
+        "two_cell": report["two_cell"],
+        "two_cell_difference": report["difference"],
+    }
+
+
+def _rep_code(rate: Callable[..., FailureBreakdown], p: dict[str, Any],
+              cfg: QuadratureConfig) -> tuple[float, dict]:
+    breakdown = rate(int(p["n"]), NoiseParams(p["delta"], p["delta_tilde"]), cfg)
+    return breakdown.total, {"breakdown": dict(breakdown.per_case)}
+
+
+def _pfail(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
+    params = NoiseParams(p["delta"], p.get("delta_tilde", 0.0), r=p.get("r", 1.0))
+    return overall_failure_biased(int(p["n"]), params, cfg), {}
+
+
+def _delta_nm(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
+    query = CrossingQuery(
+        delta=p["delta"],
+        left_size=int(p["n"]),
+        right_size=int(p["m"]),
+        bracket=(p.get("bracket_lo", 0.02), p.get("bracket_hi", 0.8)),
+        tol=p.get("tol", 1e-4),
+    )
+    result = critical_ancilla_spread(query, cfg)
+    if result.status != "found":
+        raise RuntimeError(f"no crossing for {p}")
+    return float(result.value), {}
+
+
+def _r_opt(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
+    opt = optimal_bias(
+        int(p["n"]),
+        p["delta"],
+        p.get("delta_tilde", 0.0),
+        (p.get("r_lo", 1.0), p.get("r_hi", 6.0)),
+        cfg,
+    )
+    return opt.r_opt, {}
+
+
+def _wigner_grid(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
+    envelope = GkpEnvelope(delta=p["delta"], kappa=p["kappa"])
+    return wigner_point(envelope, p["q"], p["p"]), {}
+
+
+QUANTITIES: dict[str, Quantity] = {
+    "px": Quantity(("delta",), _px),
+    "pf": Quantity(("delta", "delta_tilde"), _pf),
+    "pfrep": Quantity(
+        ("delta", "delta_tilde", "n"), lambda p, cfg: _rep_code(failure_rate, p, cfg)
+    ),
+    "pfrep_noec": Quantity(
+        ("delta", "delta_tilde", "n"), lambda p, cfg: _rep_code(failure_rate_no_gkp_ec, p, cfg)
+    ),
+    "pfail": Quantity(("delta", "delta_tilde", "n", "r"), _pfail),
+    "delta_nm": Quantity(("delta", "n", "m"), _delta_nm),
+    "r_opt": Quantity(("delta", "delta_tilde", "n"), _r_opt),
+    "wigner_grid": Quantity(("delta", "kappa", "q", "p"), _wigner_grid),
+}
 
 
 def run_sweep(
@@ -300,7 +337,7 @@ def run_sweep(
         point = dict(zip(axis_names, combo))
         point.update(spec.fixed)
         try:
-            value = _eval_quantity(spec.quantity, point, cfg)
+            value, _ = QUANTITIES[spec.quantity].evaluate(point, cfg)
             row = list(combo) + [spec.fixed[k] for k in fixed_names] + [value, "", "ok"]
         except Exception as exc:  # noqa: BLE001 - cell failures stay in-row
             row = list(combo) + [spec.fixed[k] for k in fixed_names] + ["", "", f"error:{type(exc).__name__}"]

@@ -9,6 +9,8 @@ and figure recipes write CSV files with the schema
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -17,6 +19,7 @@ import sys
 import numpy as np
 
 from .analysis import (
+    QUANTITIES,
     AmbiguousCrossingError,
     CrossingQuery,
     CurveTable,
@@ -25,21 +28,15 @@ from .analysis import (
     optimal_bias,
     run_sweep,
 )
-from .distributions import (
-    NoiseParams,
-    pauli_rate_ideal,
-    pauli_rate_physical_report,
-)
+from .distributions import NoiseParams
 from .lattice import TruncationError
 from .montecarlo import Mode, ShotConfig, run_tally
-from .repetition import (
-    QuadratureConfig,
-    QuadratureError,
-    failure_rate,
-    failure_rate_no_gkp_ec,
-    overall_failure_biased,
-)
+from .repetition import QuadratureConfig, QuadratureError
 from .wigner import GkpEnvelope, GridSpec, grid_to_binary, grid_to_csv, wigner_physical_zero
+
+# Not called here; bound so that perfbench/tracing.py can wrap this lookup site.
+from .distributions import pauli_rate_ideal, pauli_rate_physical_report  # noqa: F401
+from .repetition import failure_rate, failure_rate_no_gkp_ec, overall_failure_biased  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,59 +54,43 @@ def _emit_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _single_row_csv(params: dict[str, float], value: float, path: str) -> None:
-    columns = list(params) + ["value", "std_err", "status"]
-    rows = (tuple(params.values()) + (value, "", "ok"),)
-    CurveTable(columns=tuple(columns), rows=rows).to_csv(path)
-
-
-def _quadrature_config(args) -> QuadratureConfig:
-    return QuadratureConfig(
+def cmd_rate(args) -> int:
+    cfg = QuadratureConfig(
         nodes_per_dim=args.nodes, method=args.method, window_neighbors=args.neighbors
+    )
+    quantity = QUANTITIES[args.quantity.replace("-", "_")]
+    point = {name: getattr(args, name) for name in quantity.params}
+    for name, value in point.items():
+        if value is None:
+            raise ValueError(f"--{name} is required for {args.quantity}")
+    value, detail = quantity.evaluate(point, cfg)
+    if args.out:
+        columns = (*point, "value", "std_err", "status")
+        CurveTable(columns, ((*point.values(), value, "", "ok"),)).to_csv(args.out)
+    _emit_json({"quantity": args.quantity, **point, **detail, "value": value}, None)
+    return EXIT_OK
+
+
+def _shot_config(
+    n: int, delta: float, shots: int, delta_tilde: float = 0.0, r: float = 1.0,
+    seed: int = 0, mode: str = "position", gkp_ec: bool = True,
+) -> ShotConfig:
+    params = NoiseParams(delta, delta_tilde, r=r)
+    return ShotConfig(
+        n=n, params=params, shots=shots, seed=seed, mode=Mode(mode), gkp_ec=gkp_ec
     )
 
 
-def cmd_rate(args) -> int:
-    cfg = _quadrature_config(args)
-    quantity = args.quantity
-    payload: dict = {"quantity": quantity, "delta": args.delta}
-    if quantity == "px":
-        value = pauli_rate_ideal(args.delta)
-    elif quantity == "pf":
-        report = pauli_rate_physical_report(NoiseParams(args.delta, args.delta_tilde))
-        value = report["value"]
-        payload.update(
-            delta_tilde=args.delta_tilde,
-            two_cell=report["two_cell"],
-            two_cell_difference=report["difference"],
-        )
-    elif quantity in ("pfrep", "pfrep-noec"):
-        if args.n is None:
-            raise ValueError(f"--n is required for {quantity}")
-        params = NoiseParams(args.delta, args.delta_tilde)
-        fn = failure_rate if quantity == "pfrep" else failure_rate_no_gkp_ec
-        breakdown = fn(args.n, params, cfg)
-        value = breakdown.total
-        payload.update(
-            n=args.n,
-            delta_tilde=args.delta_tilde,
-            breakdown={label: v for label, v in breakdown.per_case},
-        )
-    elif quantity == "pfail":
-        if args.n is None:
-            raise ValueError("--n is required for pfail")
-        params = NoiseParams(args.delta, args.delta_tilde, r=args.r)
-        value = overall_failure_biased(args.n, params, cfg)
-        payload.update(n=args.n, delta_tilde=args.delta_tilde, r=args.r)
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    payload["value"] = value
-
-    if args.out:
-        params_out = {k: payload[k] for k in ("delta", "delta_tilde", "n", "r") if k in payload}
-        _single_row_csv(params_out, value, args.out)
-    _emit_json(payload, None)
-    return EXIT_OK
+def _mc_payload(cfg: ShotConfig, trace=None, workers: int = 1) -> dict:
+    tally = run_tally(cfg, partitions=workers, trace=trace)
+    return {
+        "rate": tally.rate,
+        "std_err": tally.std_err,
+        "failures": tally.failures,
+        "shots": tally.shots,
+        "seed": cfg.seed,
+        "breakdown": tally.breakdown,
+    }
 
 
 def cmd_mc(args) -> int:
@@ -117,14 +98,9 @@ def cmd_mc(args) -> int:
     cap = os.environ.get("GKPREP_MAX_WORKERS")
     if cap is not None:
         workers = min(workers, max(int(cap), 1))
-    params = NoiseParams(args.delta, args.delta_tilde, r=args.r)
-    cfg = ShotConfig(
-        n=args.n,
-        params=params,
-        shots=args.shots,
-        seed=args.seed,
-        mode=Mode.BIASED_FULL if args.mode == "biased" else Mode.POSITION_ONLY,
-        gkp_ec=not args.no_gkp_ec,
+    cfg = _shot_config(
+        n=args.n, delta=args.delta, shots=args.shots, delta_tilde=args.delta_tilde,
+        r=args.r, seed=args.seed, mode=args.mode, gkp_ec=not args.no_gkp_ec,
     )
     trace_fh = open(args.trace, "w") if args.trace else None
 
@@ -145,200 +121,141 @@ def cmd_mc(args) -> int:
             trace_fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     try:
-        tally = run_tally(cfg, partitions=workers, trace=trace if trace_fh else None)
+        payload = _mc_payload(cfg, trace if trace_fh else None, workers)
     finally:
         if trace_fh:
             trace_fh.close()
-
-    payload = {
-        "rate": tally.rate,
-        "std_err": tally.std_err,
-        "failures": tally.failures,
-        "shots": tally.shots,
-        "seed": args.seed,
-        "breakdown": tally.breakdown,
-    }
     _emit_json(payload, args.out)
     return EXIT_OK
 
 
-def _sweep_to_files(spec: SweepSpec, path: str, cfg: QuadratureConfig) -> None:
-    run_sweep(spec, cfg).to_csv(path)
+def _wigner_figure(outdir: str) -> None:
+    delta = 0.25
+    for tag, r in (("r1", 1.0), ("rsqrt2", math.sqrt(2.0))):
+        env = GkpEnvelope(delta=r * delta, kappa=delta / r)
+        span = 2.0 * math.sqrt(math.pi)
+        spec = GridSpec((-span, span), (-span, span), 129, 129)
+        grid = wigner_physical_zero(env, spec)
+        grid_to_csv(grid, os.path.join(outdir, f"fig1_{tag}.csv"))
+        grid_to_binary(grid, os.path.join(outdir, f"fig1_{tag}.bin"))
+
+
+def _curve(quantity: str, axis: str, values, **fixed) -> SweepSpec:
+    return SweepSpec(quantity, ((axis, values),), fixed)
+
+
+_DT60 = np.linspace(0.02, 0.5, 60)
+_DT30 = np.linspace(0.02, 0.5, 30)
+
+# figure id -> (CSV name, sweep) pairs; fig1 is the Wigner grid export above
+FIGURES: dict[str, tuple[tuple[str, SweepSpec], ...]] = {
+    "fig4": (("fig4_px.csv", _curve("px", "delta", np.linspace(0.1, 1.0, 50))),),
+    "fig5": tuple(
+        (f"fig5_delta{delta}.csv",
+         _curve("pf", "delta_tilde", np.linspace(0.02, 0.6, 40), delta=delta))
+        for delta in (0.3, 0.4, 0.5, 0.6)
+    ),
+    "fig6": (
+        ("fig6_pf.csv", _curve("pf", "delta_tilde", _DT60, delta=0.5)),
+        ("fig6_p3rep.csv", _curve("pfrep", "delta_tilde", _DT60, delta=0.5, n=3)),
+    ),
+    "fig8": tuple(
+        (f"fig8_n{n}.csv", _curve("pfrep", "delta_tilde", _DT60, delta=0.5, n=n))
+        for n in (3, 5, 7, 9)
+    ),
+    "fig9": tuple(
+        (f"fig9_{n}{m}.csv", _curve("delta_nm", "delta", (0.3, 0.4, 0.5, 0.6), n=n, m=m))
+        for n, m in ((5, 3), (7, 5), (9, 7))
+    ),
+    "fig10": tuple(
+        (f"fig10_{kind}_n{n}.csv", _curve(quantity, "delta_tilde", _DT30, delta=0.5, n=n))
+        for n in (3, 5, 7, 9)
+        for kind, quantity in (("ec", "pfrep"), ("noec", "pfrep_noec"))
+    ),
+    "fig11": tuple(
+        (f"fig11_n{n}.csv",
+         _curve("pfail", "r", np.linspace(1.0, 5.0, 40), delta=0.5, delta_tilde=0.0, n=n))
+        for n in (3, 5, 7, 9)
+    ),
+}
 
 
 def cmd_figure(args) -> int:
-    outdir = args.outdir
-    os.makedirs(outdir, exist_ok=True)
-    cfg = QuadratureConfig()
-    fig = args.id
-
-    def path(name: str) -> str:
-        return os.path.join(outdir, name)
-
-    if fig == "fig1":
-        delta = 0.25
-        for tag, r in (("r1", 1.0), ("rsqrt2", math.sqrt(2.0))):
-            env = GkpEnvelope(delta=r * delta, kappa=delta / r)
-            span = 2.0 * math.sqrt(math.pi)
-            spec = GridSpec((-span, span), (-span, span), 129, 129)
-            grid = wigner_physical_zero(env, spec)
-            grid_to_csv(grid, path(f"fig1_{tag}.csv"))
-            grid_to_binary(grid, path(f"fig1_{tag}.bin"))
-    elif fig == "fig4":
-        deltas = tuple(np.linspace(0.1, 1.0, 50))
-        spec = SweepSpec("px", (("delta", deltas),))
-        _sweep_to_files(spec, path("fig4_px.csv"), cfg)
-    elif fig == "fig5":
-        dts = tuple(np.linspace(0.02, 0.6, 40))
-        for delta in (0.3, 0.4, 0.5, 0.6):
-            spec = SweepSpec("pf", (("delta_tilde", dts),), {"delta": delta})
-            _sweep_to_files(spec, path(f"fig5_delta{delta}.csv"), cfg)
-    elif fig == "fig6":
-        dts = tuple(np.linspace(0.02, 0.5, 60))
-        _sweep_to_files(
-            SweepSpec("pf", (("delta_tilde", dts),), {"delta": 0.5}),
-            path("fig6_pf.csv"), cfg,
-        )
-        _sweep_to_files(
-            SweepSpec("pfrep", (("delta_tilde", dts),), {"delta": 0.5, "n": 3}),
-            path("fig6_p3rep.csv"), cfg,
-        )
-    elif fig == "fig8":
-        dts = tuple(np.linspace(0.02, 0.5, 60))
-        for n in (3, 5, 7, 9):
-            spec = SweepSpec("pfrep", (("delta_tilde", dts),), {"delta": 0.5, "n": n})
-            _sweep_to_files(spec, path(f"fig8_n{n}.csv"), cfg)
-    elif fig == "fig9":
-        deltas = (0.3, 0.4, 0.5, 0.6)
-        for n, m in ((5, 3), (7, 5), (9, 7)):
-            spec = SweepSpec("delta_nm", (("delta", deltas),), {"n": n, "m": m})
-            _sweep_to_files(spec, path(f"fig9_{n}{m}.csv"), cfg)
-    elif fig == "fig10":
-        dts = tuple(np.linspace(0.02, 0.5, 30))
-        for n in (3, 5, 7, 9):
-            _sweep_to_files(
-                SweepSpec("pfrep", (("delta_tilde", dts),), {"delta": 0.5, "n": n}),
-                path(f"fig10_ec_n{n}.csv"), cfg,
-            )
-            _sweep_to_files(
-                SweepSpec("pfrep_noec", (("delta_tilde", dts),), {"delta": 0.5, "n": n}),
-                path(f"fig10_noec_n{n}.csv"), cfg,
-            )
-    elif fig == "fig11":
-        rs = tuple(np.linspace(1.0, 5.0, 40))
-        for n in (3, 5, 7, 9):
-            spec = SweepSpec(
-                "pfail", (("r", rs),), {"delta": 0.5, "delta_tilde": 0.0, "n": n}
-            )
-            _sweep_to_files(spec, path(f"fig11_n{n}.csv"), cfg)
-    else:
-        raise ValueError(f"unknown figure id {fig!r}")
+    os.makedirs(args.outdir, exist_ok=True)
+    if args.id == "fig1":
+        _wigner_figure(args.outdir)
+    for name, spec in FIGURES.get(args.id, ()):
+        run_sweep(spec).to_csv(os.path.join(args.outdir, name))
     return EXIT_OK
 
 
-_RUNFILE_KEYS = {"schema_version", "sweep", "mc", "crossing", "optimal_bias", "engine"}
+def _bias_args(
+    n: int, delta: float, delta_tilde: float = 0.0,
+    r_bracket: tuple[float, float] = (1.0, 6.0),
+) -> tuple:
+    return n, delta, delta_tilde, tuple(r_bracket)
 
 
-def _load_runfile(path: str) -> dict:
-    with open(path) as fh:
+def _sweep_to_csv(spec: SweepSpec, cfg: QuadratureConfig, output: str | None) -> None:
+    if output is None:
+        raise ValueError("sweep requires an output path")
+    run_sweep(spec, cfg).to_csv(output)
+
+
+def _crossing_to_json(query: CrossingQuery, cfg: QuadratureConfig, output: str | None) -> None:
+    result = critical_ancilla_spread(query, cfg)
+    _emit_json({"status": result.status, "value": result.value}, output)
+
+
+def _mc_to_json(shot_cfg: ShotConfig, cfg: QuadratureConfig, output: str | None) -> None:
+    _emit_json(_mc_payload(shot_cfg), output)
+
+
+def _bias_to_json(bias_args: tuple, cfg: QuadratureConfig, output: str | None) -> None:
+    _emit_json(dataclasses.asdict(optimal_bias(*bias_args, cfg)), output)
+
+
+# run-file kind -> (builder whose parameters are the kind's fields and
+# defaults, runner that computes and writes the result)
+RUN_KINDS = {
+    "sweep": (SweepSpec, _sweep_to_csv),
+    "mc": (_shot_config, _mc_to_json),
+    "crossing": (CrossingQuery, _crossing_to_json),
+    "optimal_bias": (_bias_args, _bias_to_json),
+}
+
+
+def _from_fields(builder, fields: dict, what: str):
+    """``builder(**fields)``, with unknown or missing fields as usage errors."""
+    params = inspect.signature(builder).parameters
+    unknown = set(fields) - set(params)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = [name for name, p in params.items() if p.default is p.empty and name not in fields]
+    if missing:
+        raise ValueError(f"missing {what} fields: {missing}")
+    return builder(**fields)
+
+
+def cmd_sweep(args) -> int:
+    with open(args.spec) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("run file must be a JSON object")
-    unknown = set(doc) - _RUNFILE_KEYS
+    unknown = set(doc) - {"schema_version", "engine", *RUN_KINDS}
     if unknown:
         raise ValueError(f"unknown run-file fields: {sorted(unknown)}")
     if doc.get("schema_version") != 1:
         raise ValueError("run file must declare schema_version = 1")
-    kinds = [k for k in ("sweep", "mc", "crossing", "optimal_bias") if k in doc]
+    kinds = [kind for kind in RUN_KINDS if kind in doc]
     if len(kinds) != 1:
-        raise ValueError("run file must contain exactly one of sweep/mc/crossing/optimal_bias")
-    return doc
-
-
-def cmd_sweep(args) -> int:
-    doc = _load_runfile(args.spec)
-    engine = doc.get("engine", {})
-    cfg = QuadratureConfig(**engine) if engine else QuadratureConfig()
-
-    if "sweep" in doc:
-        body = dict(doc["sweep"])
-        output = body.pop("output", None) or args.out
-        if output is None:
-            raise ValueError("sweep requires an output path")
-        spec = SweepSpec(
-            quantity=body.pop("quantity"),
-            axes=tuple((name, tuple(values)) for name, values in body.pop("axes")),
-            fixed=body.pop("fixed", {}),
-        )
-        if body:
-            raise ValueError(f"unknown sweep fields: {sorted(body)}")
-        run_sweep(spec, cfg).to_csv(output)
-        return EXIT_OK
-    if "mc" in doc:
-        body = dict(doc["mc"])
-        output = body.pop("output", None) or args.out
-        params = NoiseParams(
-            body.pop("delta"),
-            body.pop("delta_tilde", 0.0),
-            r=body.pop("r", 1.0),
-        )
-        cfg_mc = ShotConfig(
-            n=body.pop("n"),
-            params=params,
-            shots=body.pop("shots"),
-            seed=body.pop("seed", 0),
-            mode=Mode.BIASED_FULL if body.pop("mode", "position") == "biased" else Mode.POSITION_ONLY,
-            gkp_ec=body.pop("gkp_ec", True),
-        )
-        if body:
-            raise ValueError(f"unknown mc fields: {sorted(body)}")
-        tally = run_tally(cfg_mc)
-        _emit_json(
-            {
-                "rate": tally.rate,
-                "std_err": tally.std_err,
-                "failures": tally.failures,
-                "shots": tally.shots,
-                "breakdown": tally.breakdown,
-            },
-            output,
-        )
-        return EXIT_OK
-    if "crossing" in doc:
-        body = dict(doc["crossing"])
-        output = body.pop("output", None) or args.out
-        query = CrossingQuery(
-            delta=body.pop("delta"),
-            left_size=body.pop("left_size"),
-            right_size=body.pop("right_size"),
-            bracket=tuple(body.pop("bracket", (0.05, 0.6))),
-            tol=body.pop("tol", 1e-4),
-        )
-        if body:
-            raise ValueError(f"unknown crossing fields: {sorted(body)}")
-        result = critical_ancilla_spread(query, cfg)
-        _emit_json({"status": result.status, "value": result.value}, output)
-        return EXIT_OK
-    body = dict(doc["optimal_bias"])
-    output = body.pop("output", None) or args.out
-    opt = optimal_bias(
-        body.pop("n"),
-        body.pop("delta"),
-        body.pop("delta_tilde", 0.0),
-        tuple(body.pop("r_bracket", (1.0, 6.0))),
-        cfg,
-    )
-    if body:
-        raise ValueError(f"unknown optimal_bias fields: {sorted(body)}")
-    _emit_json(
-        {
-            "r_opt": opt.r_opt,
-            "p_min": opt.p_min,
-            "unimodal": opt.unimodal,
-            "interior": opt.interior,
-        },
-        output,
-    )
+        raise ValueError(f"run file must contain exactly one of {'/'.join(RUN_KINDS)}")
+    kind = kinds[0]
+    cfg = _from_fields(QuadratureConfig, doc.get("engine", {}), "engine")
+    build, run = RUN_KINDS[kind]
+    fields = dict(doc[kind])
+    output = fields.pop("output", None) or args.out
+    run(_from_fields(build, fields, kind), cfg, output)
     return EXIT_OK
 
 
@@ -380,11 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.set_defaults(func=cmd_mc)
 
     figure = sub.add_parser("figure", help="canned sweep recipes")
-    figure.add_argument(
-        "--id",
-        required=True,
-        choices=["fig1", "fig4", "fig5", "fig6", "fig8", "fig9", "fig10", "fig11"],
-    )
+    figure.add_argument("--id", required=True, choices=["fig1", *FIGURES])
     figure.add_argument("--outdir", required=True)
     figure.set_defaults(func=cmd_figure)
 

@@ -19,7 +19,6 @@ import numpy as np
 
 SQRT_PI = math.sqrt(math.pi)
 HALF_CELL = SQRT_PI / 2.0
-STABILIZER_PERIOD = 2.0 * SQRT_PI
 
 
 class TruncationError(RuntimeError):
@@ -89,11 +88,6 @@ def erf(x: float) -> float:
     Odd symmetry is exact by construction of the underlying libm routine.
     """
     return math.erf(_check_finite(x))
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, relative accuracy preserved for large x."""
-    return math.erfc(_check_finite(x))
 
 
 def nearest_multiple_offset(x: float) -> float:

@@ -242,7 +242,19 @@ def success_product(
     return product
 
 
-class _ResidualCellEngine:
+class _CellEngine:
+    """Nodes, weights, density values and masses of the NPZ and PZ cells."""
+
+    def mass(self, cell: str) -> float:
+        return self.mass_npz if cell == "npz" else self.mass_pz
+
+    def nodes(self, cell: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if cell == "npz":
+            return self.x_npz, self.w_npz, self.f_npz
+        return self.x_pz, self.w_pz, self.f_pz
+
+
+class _ResidualCellEngine(_CellEngine):
     """Per-cell nodes, densities and inner integrals for the post-EC density."""
 
     def __init__(self, params: NoiseParams, n_nodes: int, neighbors: int,
@@ -256,14 +268,6 @@ class _ResidualCellEngine:
         self.f_pz = dist.density(self.x_pz)
         self.mass_npz = float(np.dot(self.w_npz, self.f_npz))
         self.mass_pz = float(np.dot(self.w_pz, self.f_pz))
-
-    def mass(self, cell: str) -> float:
-        return self.mass_npz if cell == "npz" else self.mass_pz
-
-    def nodes(self, cell: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if cell == "npz":
-            return self.x_npz, self.w_npz, self.f_npz
-        return self.x_pz, self.w_pz, self.f_pz
 
     def miss(self, outer_x: np.ndarray, cell: str,
              window: tuple[float, float], reflect: bool = False) -> np.ndarray:
@@ -279,7 +283,7 @@ class _ResidualCellEngine:
         return 0.5 * (q @ (w * f))
 
 
-class _IntrinsicCellEngine:
+class _IntrinsicCellEngine(_CellEngine):
     """Same interface for the raw (no GKP EC) Gaussian data density.
 
     Cell masses are closed-form erf differences and the inner integrals are
@@ -324,14 +328,6 @@ class _IntrinsicCellEngine:
         self.f_pz = gauss.pdf(self.x_pz)
         self.mass_npz = 0.5 * (math.erf(HALF_CELL / self.delta) - math.erf(-HALF_CELL / self.delta))
         self.mass_pz = 0.5 * (math.erf(3.0 * HALF_CELL / self.delta) - math.erf(HALF_CELL / self.delta))
-
-    def mass(self, cell: str) -> float:
-        return self.mass_npz if cell == "npz" else self.mass_pz
-
-    def nodes(self, cell: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if cell == "npz":
-            return self.x_npz, self.w_npz, self.f_npz
-        return self.x_pz, self.w_pz, self.f_pz
 
     def miss(self, outer_x: np.ndarray, cell: str,
              window: tuple[float, float], reflect: bool = False) -> np.ndarray:
@@ -416,7 +412,7 @@ def _case_blocks(m: int, n: int) -> list[_BlockSpec]:
     return blocks
 
 
-def _factorized_cases(engine, size: CodeSize) -> list[float]:
+def _factorized_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
     """Per-flip-count contributions via the 1-D reduction over u1'.
 
     Factor group g (count c, cell mass a, miss M) contributes A = a^c to the
@@ -464,8 +460,7 @@ def _factorized_cases(engine, size: CodeSize) -> list[float]:
     return cases
 
 
-def _tensor_cases(engine, size: CodeSize, params: NoiseParams,
-                  neighbors: int) -> list[float]:
+def _tensor_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
     """Direct grid summation of the block integrands (independent oracle).
 
     Materializes the pointwise failure probability -expm1(sum_k log1p(-q_k/2))
@@ -474,7 +469,6 @@ def _tensor_cases(engine, size: CodeSize, params: NoiseParams,
     contraction.
     """
     n = size.n
-    dt = params.delta_tilde
     cases = []
     for m in range((n + 1) // 2):
         total = 0.0
@@ -497,7 +491,7 @@ def _tensor_cases(engine, size: CodeSize, params: NoiseParams,
                     sh = [1] * len(dims)
                     sh[axis] = len(x)
                     arg = u1 - x if reflect else u1 + x
-                    q = _window_complement(arg, window, dt, neighbors)
+                    q = _window_complement(arg, window, engine.dt, engine.neighbors)
                     with np.errstate(divide="ignore"):  # log1p(-1) = -inf is exact
                         log_keep = log_keep + np.log1p(-0.5 * q).reshape(sh)
                 block_total -= w1[i] * f1[i] * float(
@@ -522,7 +516,7 @@ def _ideal_breakdown(size: CodeSize, p: float) -> FailureBreakdown:
 
 
 def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int,
-                 neighbors: int, budget: TruncationBudget):
+                 neighbors: int, budget: TruncationBudget) -> _CellEngine:
     if gkp_ec:
         return _ResidualCellEngine(params, n_nodes, neighbors, budget)
     return _IntrinsicCellEngine(params, n_nodes, neighbors)
@@ -546,16 +540,17 @@ def _failure_rate_impl(
         else pauli_rate_ideal(params.delta, budget)
     )
     tail = classical_failure(size, tail_p)
+    engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors, budget)
     if cfg.method == "tensor":
         if size.n > 5:
             raise ValueError("tensor method is cost-guarded to n <= 5")
-        if size.n == 5 and cfg.nodes_per_dim > 40:
-            raise ValueError("tensor with n=5 requires nodes_per_dim <= 40")
-        engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors, budget)
-        cases = _tensor_cases(engine, size, params, cfg.window_neighbors)
-        return _breakdown(cases, tail, size)
+        if params.delta_tilde == 0.0:
+            # fixed nodes cannot integrate the sharp windows, which move with u1'
+            raise ValueError("tensor method requires delta_tilde > 0")
+        if size.n == 5 and max(len(engine.nodes(c)[0]) for c in ("npz", "pz")) > 40:
+            raise ValueError("tensor with n=5 allows at most 40 nodes per cell")
+        return _breakdown(_tensor_cases(engine, size), tail, size)
 
-    engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors, budget)
     cases = _factorized_cases(engine, size)
     if cfg.refine:
         fine_engine = _make_engine(

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -289,3 +290,78 @@ class TestRunFiles:
         payload = json.loads(run_cli("sweep", "--spec", path).stdout)
         assert payload["status"] == "found"
         assert 0.27 <= payload["value"] <= 0.33
+
+    def test_bad_mc_mode_rejected(self, tmp_path):
+        spec = {
+            "schema_version": 1,
+            "mc": {"n": 3, "delta": 0.5, "shots": 10, "mode": "bogus"},
+        }
+        path = str(tmp_path / "run.json")
+        json.dump(spec, open(path, "w"))
+        proc = run_cli("sweep", "--spec", path, check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert proc.stdout == ""
+
+    def test_unknown_engine_field_rejected(self, tmp_path):
+        spec = {
+            "schema_version": 1,
+            "sweep": {"quantity": "px", "axes": [["delta", [0.5]]]},
+            "engine": {"nodes": 64},
+        }
+        path = str(tmp_path / "run.json")
+        json.dump(spec, open(path, "w"))
+        proc = run_cli("sweep", "--spec", path, "--out", str(tmp_path / "out.csv"), check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert not (tmp_path / "out.csv").exists()
+
+
+# rate flags for one point of each rate quantity; the sweep run file binds
+# the same values under the registry spelling
+RATE_POINTS = {
+    "px": {"delta": 0.45},
+    "pf": {"delta": 0.5, "delta_tilde": 0.3},
+    "pfrep": {"delta": 0.5, "delta_tilde": 0.2, "n": 3},
+    "pfrep-noec": {"delta": 0.5, "delta_tilde": 0.2, "n": 3},
+    "pfail": {"delta": 0.5, "delta_tilde": 0.1, "n": 3, "r": 1.5},
+}
+
+
+class TestQuantityRegistry:
+    @pytest.mark.parametrize("quantity", sorted(RATE_POINTS))
+    def test_rate_matches_one_cell_sweep(self, quantity, tmp_path):
+        from gkprep.analysis import QUANTITIES
+
+        key = quantity.replace("-", "_")
+        point = RATE_POINTS[quantity]
+        flags = []
+        for name, value in point.items():
+            flags += ["--" + name.replace("_", "-"), str(value)]
+        rate_csv = tmp_path / "rate.csv"
+        payload = json.loads(
+            run_cli("rate", "--quantity", quantity, *flags, "--out", str(rate_csv)).stdout
+        )
+        assert payload["quantity"] == quantity
+        header = rate_csv.read_text().splitlines()[0]
+        assert header == ",".join(QUANTITIES[key].params + ("value", "std_err", "status"))
+        assert tuple(point) == QUANTITIES[key].params
+
+        sweep_csv = tmp_path / "sweep.csv"
+        fixed = dict(point)
+        spec = {
+            "schema_version": 1,
+            "sweep": {
+                "quantity": key,
+                "axes": [["delta", [fixed.pop("delta")]]],
+                "fixed": fixed,
+                "output": str(sweep_csv),
+            },
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(spec))
+        run_cli("sweep", "--spec", str(path))
+        with open(sweep_csv) as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["status"] == "ok"
+        assert float(row["value"]) == payload["value"]

@@ -193,6 +193,16 @@ class TestFailureRate:
                 QuadratureConfig(method="tensor", nodes_per_dim=64),
             )
 
+    def test_tensor_cost_guard_counts_built_nodes(self):
+        # the no-EC engine builds 48 nodes per cell at nodes_per_dim = 32
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="nodes per cell"):
+            failure_rate_no_gkp_ec(
+                5, NoiseParams(0.4, 0.1),
+                QuadratureConfig(method="tensor", nodes_per_dim=32),
+            )
+        assert time.perf_counter() - start < 1.0
+
     def test_code_size_cap(self):
         with pytest.raises(ValueError):
             failure_rate(17, NoiseParams(0.5, 0.2))
@@ -241,6 +251,15 @@ class TestFailureRateNoGkpEc:
         near = failure_rate_no_gkp_ec(3, NoiseParams(0.5, 1e-5)).total
         assert sharp == pytest.approx(near, abs=1e-6)
         assert 0.0 < sharp < 1.0
+
+    def test_tensor_rejects_sharp_windows(self):
+        # fixed nodes cannot integrate indicator windows that move with u1';
+        # at delta = 0.3 the tensor sum gave s1 = 8.2e-3 against 6.0e-3
+        with pytest.raises(ValueError, match="delta_tilde"):
+            failure_rate_no_gkp_ec(
+                3, NoiseParams(0.3, 0.0),
+                QuadratureConfig(nodes_per_dim=32, method="tensor"),
+            )
 
     def test_factorized_matches_tensor(self):
         params = NoiseParams(0.5, 0.25)
