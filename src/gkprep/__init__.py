@@ -27,7 +27,6 @@ from .distributions import (
     pauli_rate_physical,
     pauli_rate_physical_report,
     residual_cdf,
-    residual_density,
 )
 from .lattice import (
     SQRT_PI,
@@ -36,9 +35,6 @@ from .lattice import (
     Zone,
     ZoneKind,
     classify_zone,
-    erf,
-    nearest_multiple_offset,
-    truncated_gaussian_comb,
 )
 from .montecarlo import (
     Mode,
@@ -104,13 +100,11 @@ __all__ = [
     "classical_failure",
     "classify_zone",
     "critical_ancilla_spread",
-    "erf",
     "failure_rate",
     "failure_rate_no_gkp_ec",
     "grid_to_binary",
     "grid_to_csv",
     "intrinsic_density",
-    "nearest_multiple_offset",
     "optimal_bias",
     "overall_failure_biased",
     "pauli_rate_ideal",
@@ -118,13 +112,11 @@ __all__ = [
     "pauli_rate_physical_report",
     "read_binary_grid",
     "residual_cdf",
-    "residual_density",
     "run_shot",
     "run_sweep",
     "run_tally",
     "sample_residual",
     "success_product",
-    "truncated_gaussian_comb",
     "wavefunction",
     "wigner_after_gdc",
     "wigner_physical_zero",

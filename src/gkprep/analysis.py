@@ -209,6 +209,8 @@ class SweepSpec:
             )
         if not self.axes:
             raise ValueError("at least one axis is required")
+        if not isinstance(self.fixed, dict):
+            raise ValueError("fixed must map parameter names to values")
 
 
 @dataclass(frozen=True)

@@ -226,7 +226,7 @@ RUN_KINDS = {
 
 
 def _from_fields(builder, fields: dict, what: str):
-    """``builder(**fields)``, with unknown or missing fields as usage errors."""
+    """``builder(**fields)``, with unknown, missing or wrongly typed fields as usage errors."""
     params = inspect.signature(builder).parameters
     unknown = set(fields) - set(params)
     if unknown:
@@ -234,7 +234,10 @@ def _from_fields(builder, fields: dict, what: str):
     missing = [name for name, p in params.items() if p.default is p.empty and name not in fields]
     if missing:
         raise ValueError(f"missing {what} fields: {missing}")
-    return builder(**fields)
+    try:
+        return builder(**fields)
+    except TypeError as exc:
+        raise ValueError(f"wrongly typed {what} field: {exc}") from exc
 
 
 def cmd_sweep(args) -> int:
@@ -251,10 +254,16 @@ def cmd_sweep(args) -> int:
     if len(kinds) != 1:
         raise ValueError(f"run file must contain exactly one of {'/'.join(RUN_KINDS)}")
     kind = kinds[0]
-    cfg = _from_fields(QuadratureConfig, doc.get("engine", {}), "engine")
+    engine = doc.get("engine", {})
+    for name, block in ((kind, doc[kind]), ("engine", engine)):
+        if not isinstance(block, dict):
+            raise ValueError(f"run-file {name} must be a JSON object")
+    cfg = _from_fields(QuadratureConfig, engine, "engine")
     build, run = RUN_KINDS[kind]
     fields = dict(doc[kind])
     output = fields.pop("output", None) or args.out
+    if not isinstance(output, (str, type(None))):
+        raise ValueError(f"run-file output must be a path string, got {output!r}")
     run(_from_fields(build, fields, kind), cfg, output)
     return EXIT_OK
 

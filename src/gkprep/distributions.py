@@ -170,17 +170,13 @@ class ResidualDistribution:
         return sp.erf((u + HALF_CELL) / self.delta) - sp.erf((u - HALF_CELL) / self.delta)
 
     def density(self, u) -> float | np.ndarray:
+        """F(u'), the residual displacement density (even, unit mass)."""
         u_arr = np.asarray(u, dtype=np.float64)
         comb = gaussian_comb_array(
             u_arr, SQRT_PI, self.delta_tilde**2, self.budget
         )
         out = self.modulating(u_arr) * comb / (2.0 * SQRT_PI * self.delta_tilde)
         return out if out.ndim else float(out)
-
-
-def residual_density(dist: ResidualDistribution, u_prime) -> float | np.ndarray:
-    """F(u'), the residual displacement density (even, unit mass)."""
-    return dist.density(u_prime)
 
 
 def residual_cdf(dist: ResidualDistribution, x: float) -> float:
@@ -190,7 +186,8 @@ def residual_cdf(dist: ResidualDistribution, x: float) -> float:
     cells entirely below the threshold contribute their closed-form mass (a
     Gaussian of spread sqrt(delta^2 + delta_tilde^2) over the cell), the at
     most few straddling cells are integrated numerically over the ancilla
-    displacement.  Serves as the test oracle for :func:`residual_density`.
+    displacement.  Serves as the test oracle for
+    :meth:`ResidualDistribution.density`.
     """
     from scipy.integrate import quad
 

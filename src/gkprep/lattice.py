@@ -1,4 +1,4 @@
-"""Lattice geometry and scalar special functions for the square-lattice GKP code.
+"""Lattice geometry and the truncated Gaussian comb for the square-lattice GKP code.
 
 The code lattice has half-period sqrt(pi) (full stabilizer period 2*sqrt(pi)).
 A real displacement is classified by which width-sqrt(pi) cell it falls in:
@@ -82,28 +82,13 @@ def _check_finite(x: float) -> float:
     return x
 
 
-def erf(x: float) -> float:
-    """Gauss error function, accurate to better than 1e-14.
-
-    Odd symmetry is exact by construction of the underlying libm routine.
-    """
-    return math.erf(_check_finite(x))
-
-
-def nearest_multiple_offset(x: float) -> float:
-    """Distance from ``x`` to its nearest multiple of sqrt(pi).
+def nearest_multiple_offset_array(x: np.ndarray) -> np.ndarray:
+    """Distance from each ``x`` to its nearest multiple of sqrt(pi).
 
     Returns ``x - k*sqrt(pi)`` for the unique integer ``k`` with
     ``(k - 1/2)*sqrt(pi) <= x < (k + 1/2)*sqrt(pi)``; the result lies in
     ``[-sqrt(pi)/2, sqrt(pi)/2)``.
     """
-    x = _check_finite(x)
-    k = math.floor(x / SQRT_PI + 0.5)
-    return x - k * SQRT_PI
-
-
-def nearest_multiple_offset_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`nearest_multiple_offset`."""
     x = np.asarray(x, dtype=np.float64)
     k = np.floor(x / SQRT_PI + 0.5)
     return x - k * SQRT_PI
@@ -153,32 +138,21 @@ def _comb_term_count(
     )
 
 
-def truncated_gaussian_comb(
-    x: float,
-    spacing: float,
-    sigma_sq: float,
-    budget: TruncationBudget = DEFAULT_BUDGET,
-) -> float:
-    """Sum_t exp(-(x - t*spacing)^2 / sigma_sq) with a certified tail.
-
-    The sum is truncated symmetrically around the lattice index nearest to
-    ``x`` so accuracy is uniform in ``x``.
-    """
-    x = _check_finite(x)
-    if not spacing > 0.0:
-        raise ValueError("spacing must be positive")
-    if not sigma_sq > 0.0:
-        raise ValueError("sigma_sq must be positive")
-    return float(gaussian_comb_array(np.array([x]), spacing, sigma_sq, budget)[0])
-
-
 def gaussian_comb_array(
     x: np.ndarray,
     spacing: float,
     sigma_sq: float,
     budget: TruncationBudget = DEFAULT_BUDGET,
 ) -> np.ndarray:
-    """Vectorized :func:`truncated_gaussian_comb`."""
+    """Sum_t exp(-(x - t*spacing)^2 / sigma_sq) at each ``x``, with a certified tail.
+
+    The sum is truncated symmetrically around the lattice index nearest to
+    ``x`` so accuracy is uniform in ``x``.
+    """
+    if not spacing > 0.0:
+        raise ValueError("spacing must be positive")
+    if not sigma_sq > 0.0:
+        raise ValueError("sigma_sq must be positive")
     x = np.asarray(x, dtype=np.float64)
     n_terms = _comb_term_count(spacing, sigma_sq, budget)
     t0 = np.round(x / spacing)

@@ -6,7 +6,8 @@ CDF rather than rejection sampling, so a shot's draws never depend on any
 other shot.  Tallies are therefore bit-identical under any partitioning of
 the shot range, which is the whole reproducibility contract.
 
-Slot layout per shot (64 slots reserved, n <= 15):
+Slot layout per shot (64 slots reserved; ``CodeSize`` enforces n <= 15, so
+the 4n - 1 slots of a shot never reach the next shot's counters):
   [0, n)        data displacements u_i
   [n, 2n)       GKP-EC ancilla displacements
   [2n, 3n-1)    syndrome ancilla displacements alpha_i

@@ -75,13 +75,17 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class CodeSize:
-    """Odd repetition-code size n >= 3."""
+    """Odd repetition-code size 3 <= n <= 15.
+
+    The cap bounds both routes: the Monte Carlo slot layout draws 4n - 1
+    slots per shot out of 64, and the quadrature is checked up to n = 15.
+    """
 
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 3 or self.n % 2 == 0:
-            raise ValueError(f"code size must be an odd integer >= 3, got {self.n}")
+        if not (3 <= self.n <= 15 and self.n % 2 == 1):
+            raise ValueError(f"code size must be an odd integer from 3 to 15, got {self.n}")
 
     @property
     def correctable_weight(self) -> int:
@@ -110,7 +114,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-8
     refine: bool = True
     window_neighbors: int = 0
-    max_n: int = 15
 
     def __post_init__(self) -> None:
         if self.nodes_per_dim < 8:
@@ -160,21 +163,17 @@ def _erf_window(
 
     Ranges over [0, 2]; equals twice the probability that y plus a
     spread-``delta_tilde`` ancilla displacement lands in the window (or any
-    of its ``neighbors`` lattice translates).  ``delta_tilde == 0`` gives
-    the sharp indicator limit.
+    of its ``neighbors`` lattice translates).
     """
     lo, hi = window
     y = np.asarray(y, dtype=np.float64)
     out = np.zeros_like(y)
     for t in range(-neighbors, neighbors + 1):
         shift = 2.0 * t * SQRT_PI
-        if delta_tilde == 0.0:
-            out = out + 2.0 * ((y > lo + shift) & (y < hi + shift))
-        else:
-            out = out + (
-                sp.erf((hi + shift - y) / delta_tilde)
-                - sp.erf((lo + shift - y) / delta_tilde)
-            )
+        out = out + (
+            sp.erf((hi + shift - y) / delta_tilde)
+            - sp.erf((lo + shift - y) / delta_tilde)
+        )
     return out
 
 
@@ -192,10 +191,7 @@ def _window_complement(
     """
     lo, hi = window
     y = np.asarray(y, dtype=np.float64)
-    if delta_tilde == 0.0:
-        out = 2.0 * ((y <= lo) | (y >= hi))
-    else:
-        out = sp.erfc((hi - y) / delta_tilde) + sp.erfc((y - lo) / delta_tilde)
+    out = sp.erfc((hi - y) / delta_tilde) + sp.erfc((y - lo) / delta_tilde)
     for t in range(-neighbors, neighbors + 1):
         if t:
             shift = 2.0 * t * SQRT_PI
@@ -242,34 +238,36 @@ def success_product(
     return product
 
 
-class _CellEngine:
-    """Nodes, weights, density values and masses of the NPZ and PZ cells."""
+@dataclass(frozen=True)
+class _Cell:
+    """Quadrature nodes ``x``, weights ``w``, density values ``f`` and mass of one cell."""
 
-    def mass(self, cell: str) -> float:
-        return self.mass_npz if cell == "npz" else self.mass_pz
-
-    def nodes(self, cell: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if cell == "npz":
-            return self.x_npz, self.w_npz, self.f_npz
-        return self.x_pz, self.w_pz, self.f_pz
+    x: np.ndarray
+    w: np.ndarray
+    f: np.ndarray
+    mass: float
 
 
-class _ResidualCellEngine(_CellEngine):
-    """Per-cell nodes, densities and inner integrals for the post-EC density."""
+class _ResidualCellEngine:
+    """Per-cell nodes, densities and inner integrals for the post-EC density.
+
+    ``cells`` maps the NPZ_CELL and PZ_CELL bounds to their :class:`_Cell`.
+    """
 
     def __init__(self, params: NoiseParams, n_nodes: int, neighbors: int,
                  budget: TruncationBudget) -> None:
         self.dt = params.delta_tilde
         self.neighbors = neighbors
         dist = ResidualDistribution(params.delta, params.delta_tilde, budget)
-        self.x_npz, self.w_npz = peaked_cell_nodes(0.0, HALF_CELL, self.dt, n_nodes)
-        self.x_pz, self.w_pz = peaked_cell_nodes(SQRT_PI, HALF_CELL, self.dt, n_nodes)
-        self.f_npz = dist.density(self.x_npz)
-        self.f_pz = dist.density(self.x_pz)
-        self.mass_npz = float(np.dot(self.w_npz, self.f_npz))
-        self.mass_pz = float(np.dot(self.w_pz, self.f_pz))
 
-    def miss(self, outer_x: np.ndarray, cell: str,
+        def cell(center: float) -> _Cell:
+            x, w = peaked_cell_nodes(center, HALF_CELL, self.dt, n_nodes)
+            f = dist.density(x)
+            return _Cell(x, w, f, float(np.dot(w, f)))
+
+        self.cells = {NPZ_CELL: cell(0.0), PZ_CELL: cell(SQRT_PI)}
+
+    def miss(self, outer_x: np.ndarray, bounds: tuple[float, float],
              window: tuple[float, float], reflect: bool = False) -> np.ndarray:
         """M(u1) = integral over the cell of F(x) * (1 - window(u1 +/- x)/2) dx.
 
@@ -277,13 +275,14 @@ class _ResidualCellEngine(_CellEngine):
         window directly.  ``reflect=True`` evaluates the window at u1 - x,
         which is the even-density image of integrating over the mirrored cell.
         """
-        x, w, f = self.nodes(cell)
+        cell = self.cells[bounds]
+        x = cell.x
         arg = outer_x[:, None] - x[None, :] if reflect else outer_x[:, None] + x[None, :]
         q = _window_complement(arg, window, self.dt, self.neighbors)
-        return 0.5 * (q @ (w * f))
+        return 0.5 * (q @ (cell.w * cell.f))
 
 
-class _IntrinsicCellEngine(_CellEngine):
+class _IntrinsicCellEngine:
     """Same interface for the raw (no GKP EC) Gaussian data density.
 
     Cell masses are closed-form erf differences and the inner integrals are
@@ -298,7 +297,7 @@ class _IntrinsicCellEngine(_CellEngine):
         gauss = GaussianDisplacement(params.delta)
         scale = max(params.delta / 2.0, (2.0 * HALF_CELL) / (n_nodes // 4))
 
-        def split_cell(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        def cell(lo: float, hi: float) -> _Cell:
             # the syndrome-window transitions sweep past the cell edges when
             # the outer variable crosses the cell centre, kinking the inner
             # integrals there over a width of a few ancilla spreads; an own
@@ -317,19 +316,14 @@ class _IntrinsicCellEngine(_CellEngine):
                 smooth_cell_nodes(a, b, s, budget)
                 for a, b, s in zip(edges, edges[1:], scales)
             ]
-            return (
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-            )
+            x = np.concatenate([p[0] for p in parts])
+            w = np.concatenate([p[1] for p in parts])
+            mass = 0.5 * (math.erf(hi / self.delta) - math.erf(lo / self.delta))
+            return _Cell(x, w, gauss.pdf(x), mass)
 
-        self.x_npz, self.w_npz = split_cell(*NPZ_CELL)
-        self.x_pz, self.w_pz = split_cell(*PZ_CELL)
-        self.f_npz = gauss.pdf(self.x_npz)
-        self.f_pz = gauss.pdf(self.x_pz)
-        self.mass_npz = 0.5 * (math.erf(HALF_CELL / self.delta) - math.erf(-HALF_CELL / self.delta))
-        self.mass_pz = 0.5 * (math.erf(3.0 * HALF_CELL / self.delta) - math.erf(HALF_CELL / self.delta))
+        self.cells = {NPZ_CELL: cell(*NPZ_CELL), PZ_CELL: cell(*PZ_CELL)}
 
-    def miss(self, outer_x: np.ndarray, cell: str,
+    def miss(self, outer_x: np.ndarray, bounds: tuple[float, float],
              window: tuple[float, float], reflect: bool = False) -> np.ndarray:
         """P(x in cell, u1 +/- x + ancilla outside the window and its translates).
 
@@ -337,22 +331,24 @@ class _IntrinsicCellEngine(_CellEngine):
         overlaps with the ``neighbors`` translates, kept >= 0.
         """
         lo, hi = window
-        cell_bounds = NPZ_CELL if cell == "npz" else PZ_CELL
 
-        def bounds(shift: float) -> tuple[np.ndarray, np.ndarray]:
+        def limits(shift: float) -> tuple[np.ndarray, np.ndarray]:
             if reflect:
                 return outer_x - (hi + shift), outer_x - (lo + shift)
             return lo + shift - outer_x, hi + shift - outer_x
 
         out = gaussian_window_overlap(
-            cell_bounds, *bounds(0.0), self.delta, self.dt, outside=True
+            bounds, *limits(0.0), self.delta, self.dt, outside=True
         )
         for t in range(-self.neighbors, self.neighbors + 1):
             if t:
                 out = out - gaussian_window_overlap(
-                    cell_bounds, *bounds(2.0 * t * SQRT_PI), self.delta, self.dt
+                    bounds, *limits(2.0 * t * SQRT_PI), self.delta, self.dt
                 )
         return np.maximum(out, 0.0)
+
+
+_Engine = _ResidualCellEngine | _IntrinsicCellEngine
 
 
 @dataclass(frozen=True)
@@ -360,13 +356,14 @@ class _BlockSpec:
     """One exchange-symmetric class of flip patterns.
 
     ``factors`` lists (count, cell, window, reflect) for the n-1 inner
-    coordinates; ``reflect`` marks flipped qubits sitting in the mirrored PZ
-    cell, folded onto the positive cell through the even density.
+    coordinates, each cell named by its NPZ_CELL or PZ_CELL bounds;
+    ``reflect`` marks flipped qubits sitting in the mirrored PZ cell, folded
+    onto the positive cell through the even density.
     """
 
     multiplicity: float
-    outer_cell: str
-    factors: tuple[tuple[int, str, tuple[float, float], bool], ...]
+    outer_cell: tuple[float, float]
+    factors: tuple[tuple[int, tuple[float, float], tuple[float, float], bool], ...]
 
 
 def _case_blocks(m: int, n: int) -> list[_BlockSpec]:
@@ -378,41 +375,41 @@ def _case_blocks(m: int, n: int) -> list[_BlockSpec]:
     j of the flipped qubits in the negative cell).
     """
     if m == 0:
-        return [_BlockSpec(1.0, "npz", ((n - 1, "npz", WIN_NPZ0, False),))]
+        return [_BlockSpec(1.0, NPZ_CELL, ((n - 1, NPZ_CELL, WIN_NPZ0, False),))]
     blocks = []
     for j in range(m):
         factors = []
         if m - 1 - j:
-            factors.append((m - 1 - j, "pz", WIN_NPZ1, False))
+            factors.append((m - 1 - j, PZ_CELL, WIN_NPZ1, False))
         if j:
-            factors.append((j, "pz", WIN_NPZ0, True))
-        factors.append((n - m, "npz", WIN_PZ1, False))
+            factors.append((j, PZ_CELL, WIN_NPZ0, True))
+        factors.append((n - m, NPZ_CELL, WIN_PZ1, False))
         blocks.append(
             _BlockSpec(
                 2.0 * math.comb(n - 1, m - 1) * math.comb(m - 1, j),
-                "pz",
+                PZ_CELL,
                 tuple(factors),
             )
         )
     for j in range(m + 1):
         factors = []
         if m - j:
-            factors.append((m - j, "pz", WIN_PZ1, False))
+            factors.append((m - j, PZ_CELL, WIN_PZ1, False))
         if j:
-            factors.append((j, "pz", WIN_PZ1_NEG, True))
+            factors.append((j, PZ_CELL, WIN_PZ1_NEG, True))
         if n - 1 - m:
-            factors.append((n - 1 - m, "npz", WIN_NPZ0, False))
+            factors.append((n - 1 - m, NPZ_CELL, WIN_NPZ0, False))
         blocks.append(
             _BlockSpec(
                 float(math.comb(n - 1, m) * math.comb(m, j)),
-                "npz",
+                NPZ_CELL,
                 tuple(factors),
             )
         )
     return blocks
 
 
-def _factorized_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
+def _factorized_cases(engine: _Engine, size: CodeSize) -> list[float]:
     """Per-flip-count contributions via the 1-D reduction over u1'.
 
     Factor group g (count c, cell mass a, miss M) contributes A = a^c to the
@@ -424,11 +421,11 @@ def _factorized_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
     n = size.n
 
     @cache
-    def log_keep(outer_cell: str, cell: str, window: tuple[float, float],
-                 reflect: bool) -> np.ndarray:
+    def log_keep(outer_cell: tuple[float, float], cell: tuple[float, float],
+                 window: tuple[float, float], reflect: bool) -> np.ndarray:
         """log(1 - M/a) on the outer nodes; -inf where the cell misses entirely."""
-        x = engine.nodes(outer_cell)[0]
-        mass = engine.mass(cell)
+        x = engine.cells[outer_cell].x
+        mass = engine.cells[cell].mass
         if mass > 0.0:
             ratio = np.clip(engine.miss(x, cell, window, reflect) / mass, 0.0, 1.0)
         else:
@@ -437,10 +434,10 @@ def _factorized_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
             return np.log1p(-ratio)
 
     @cache
-    def group(outer_cell: str, count: int, cell: str, window: tuple[float, float],
-              reflect: bool) -> tuple[float, np.ndarray, np.ndarray]:
+    def group(outer_cell: tuple[float, float], count: int, cell: tuple[float, float],
+              window: tuple[float, float], reflect: bool) -> tuple[float, np.ndarray, np.ndarray]:
         """(A, A - B, B) of one factor group on the outer nodes."""
-        full = engine.mass(cell) ** count
+        full = engine.cells[cell].mass ** count
         log_b = count * log_keep(outer_cell, cell, window, reflect)
         return full, -full * np.expm1(log_b), full * np.exp(log_b)
 
@@ -448,19 +445,19 @@ def _factorized_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
     for m in range((n + 1) // 2):
         total = 0.0
         for block in _case_blocks(m, n):
-            _, w, f = engine.nodes(block.outer_cell)
+            outer = engine.cells[block.outer_cell]
             groups = [group(block.outer_cell, *factor) for factor in block.factors]
             # the telescoped sum, accumulated from the last group down
             full, value, _ = groups[-1]
             for a, drop, keep in reversed(groups[:-1]):
                 value = drop * full + keep * value
                 full *= a
-            total += block.multiplicity * float(np.dot(w * f, value))
+            total += block.multiplicity * float(np.dot(outer.w * outer.f, value))
         cases.append(total)
     return cases
 
 
-def _tensor_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
+def _tensor_cases(engine: _Engine, size: CodeSize) -> list[float]:
     """Direct grid summation of the block integrands (independent oracle).
 
     Materializes the pointwise failure probability -expm1(sum_k log1p(-q_k/2))
@@ -473,11 +470,11 @@ def _tensor_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
     for m in range((n + 1) // 2):
         total = 0.0
         for block in _case_blocks(m, n):
-            x1, w1, f1 = engine.nodes(block.outer_cell)
+            outer = engine.cells[block.outer_cell]
             dims: list[tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float], bool]] = []
-            for count, cell, window, reflect in block.factors:
-                x, w, f = engine.nodes(cell)
-                dims.extend([(x, w, f, window, reflect)] * count)
+            for count, bounds, window, reflect in block.factors:
+                cell = engine.cells[bounds]
+                dims.extend([(cell.x, cell.w, cell.f, window, reflect)] * count)
             shape = tuple(len(d[0]) for d in dims)
             weight_grid = np.ones(shape)
             for axis, (x, w, f, _, _) in enumerate(dims):
@@ -485,7 +482,7 @@ def _tensor_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
                 sh[axis] = len(x)
                 weight_grid = weight_grid * (w * f).reshape(sh)
             block_total = 0.0
-            for i, u1 in enumerate(x1):
+            for i, u1 in enumerate(outer.x):
                 log_keep = 0.0
                 for axis, (x, _, _, window, reflect) in enumerate(dims):
                     sh = [1] * len(dims)
@@ -494,11 +491,11 @@ def _tensor_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
                     q = _window_complement(arg, window, engine.dt, engine.neighbors)
                     with np.errstate(divide="ignore"):  # log1p(-1) = -inf is exact
                         log_keep = log_keep + np.log1p(-0.5 * q).reshape(sh)
-                block_total -= w1[i] * f1[i] * float(
+                block_total -= outer.w[i] * outer.f[i] * float(
                     np.sum(weight_grid * np.expm1(log_keep))
                 )
             total += block.multiplicity * block_total
-        cases.append(total)
+        cases.append(float(total))
     return cases
 
 
@@ -516,7 +513,7 @@ def _ideal_breakdown(size: CodeSize, p: float) -> FailureBreakdown:
 
 
 def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int,
-                 neighbors: int, budget: TruncationBudget) -> _CellEngine:
+                 neighbors: int, budget: TruncationBudget) -> _Engine:
     if gkp_ec:
         return _ResidualCellEngine(params, n_nodes, neighbors, budget)
     return _IntrinsicCellEngine(params, n_nodes, neighbors)
@@ -530,8 +527,6 @@ def _failure_rate_impl(
     gkp_ec: bool,
 ) -> FailureBreakdown:
     size = _as_size(n)
-    if size.n > cfg.max_n:
-        raise ValueError(f"n={size.n} exceeds the configured cap max_n={cfg.max_n}")
     if gkp_ec and params.ideal_ancilla:
         return _ideal_breakdown(size, pauli_rate_ideal(params.delta, budget))
     tail_p = (
@@ -547,7 +542,7 @@ def _failure_rate_impl(
         if params.delta_tilde == 0.0:
             # fixed nodes cannot integrate the sharp windows, which move with u1'
             raise ValueError("tensor method requires delta_tilde > 0")
-        if size.n == 5 and max(len(engine.nodes(c)[0]) for c in ("npz", "pz")) > 40:
+        if size.n == 5 and max(len(cell.x) for cell in engine.cells.values()) > 40:
             raise ValueError("tensor with n=5 allows at most 40 nodes per cell")
         return _breakdown(_tensor_cases(engine, size), tail, size)
 

@@ -20,7 +20,6 @@ from gkprep.distributions import (
     pauli_rate_ideal,
     pauli_rate_physical,
     residual_cdf,
-    residual_density,
 )
 from gkprep.lattice import SQRT_PI
 from gkprep.montecarlo import ShotConfig, run_tally, sample_residual
@@ -189,7 +188,7 @@ def test_criterion_11_distribution_correctness():
     worst = 0.0
     for x in xs:
         oracle = (residual_cdf(dist, x + h) - residual_cdf(dist, x - h)) / (2 * h)
-        worst = max(worst, abs(residual_density(dist, float(x)) - oracle))
+        worst = max(worst, abs(dist.density(float(x)) - oracle))
     assert worst < 1e-6
 
     shots = 1_000_000

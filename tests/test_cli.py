@@ -141,6 +141,15 @@ class TestMc:
         ).stdout
         assert proc.stdout == plain
 
+    def test_code_size_beyond_slot_layout_is_usage_error(self):
+        proc = run_cli(
+            "mc", "--n", "17", "--delta", "0.5", "--delta-tilde", "0.2",
+            "--shots", "10", "--mode", "biased", check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert proc.stdout == ""
+
     def test_single_shot_rate_is_binary(self):
         payload = json.loads(
             run_cli(
@@ -315,6 +324,31 @@ class TestRunFiles:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "kind, block",
+        [
+            ("sweep", {"quantity": "px", "axes": [["delta", [0.5]]], "fixed": None}),
+            ("sweep", {"quantity": "px", "axes": 5}),
+            ("sweep", {"quantity": "px", "axes": [["delta", 0.5]]}),
+            ("mc", {"n": 3, "delta": 0.5, "shots": "100"}),
+            ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3, "bracket": 5}),
+            ("optimal_bias", {"n": 3, "delta": 0.5, "r_bracket": 3}),
+            ("mc", [1]),
+            ("sweep", {"quantity": "px", "axes": [["delta", [0.5]]], "output": 5}),
+            ("mc", {"n": 3, "delta": 0.5, "shots": 10, "output": True}),
+        ],
+        ids=["fixed-null", "axes-int", "axis-scalar", "shots-str", "bracket-int",
+             "r-bracket-int", "mc-list", "output-int", "output-bool"],
+    )
+    def test_wrongly_typed_field_is_usage_error(self, kind, block, tmp_path):
+        spec = {"schema_version": 1, kind: block}
+        path = str(tmp_path / "run.json")
+        json.dump(spec, open(path, "w"))
+        proc = run_cli("sweep", "--spec", path, "--out", str(tmp_path / "out.csv"), check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert proc.stdout == ""
 
 
 # rate flags for one point of each rate quantity; the sweep run file binds

@@ -14,7 +14,6 @@ from gkprep.distributions import (
     pauli_rate_physical,
     pauli_rate_physical_report,
     residual_cdf,
-    residual_density,
 )
 from gkprep.lattice import HALF_CELL, SQRT_PI
 from gkprep.montecarlo import normal_draws
@@ -135,12 +134,12 @@ class TestResidualDistribution:
         h = 1e-4
         for x in (0.0, 0.3, 1.0, SQRT_PI):
             oracle = (residual_cdf(dist, x + h) - residual_cdf(dist, x - h)) / (2 * h)
-            assert residual_density(dist, x) == pytest.approx(oracle, abs=1e-6)
+            assert dist.density(x) == pytest.approx(oracle, abs=1e-6)
 
     def test_unit_mass(self):
         dist = ResidualDistribution(0.5, 0.2)
         mass, _ = integrate.quad(
-            lambda u: residual_density(dist, u),
+            dist.density,
             -3 * SQRT_PI,
             3 * SQRT_PI,
             limit=400,
@@ -152,8 +151,8 @@ class TestResidualDistribution:
         dist = ResidualDistribution(0.4, 0.3)
         rng = np.random.default_rng(3)
         for u in rng.uniform(0.0, 3.0, 25):
-            assert residual_density(dist, u) == pytest.approx(
-                residual_density(dist, -u), rel=1e-13
+            assert dist.density(u) == pytest.approx(
+                dist.density(-u), rel=1e-13
             )
 
     def test_cdf_limits(self):
@@ -168,7 +167,7 @@ class TestResidualDistribution:
         h = 1e-4
         for x in xs:
             oracle = (residual_cdf(dist, x + h) - residual_cdf(dist, x - h)) / (2 * h)
-            assert residual_density(dist, float(x)) == pytest.approx(oracle, abs=1e-6)
+            assert dist.density(float(x)) == pytest.approx(oracle, abs=1e-6)
 
 
 class TestPauliRatePhysical:
@@ -219,7 +218,7 @@ class TestPauliRatePhysical:
     def test_two_cell_matches_direct_quadrature(self):
         dist = ResidualDistribution(0.5, 0.3)
         want, _ = integrate.quad(
-            lambda u: residual_density(dist, u),
+            dist.density,
             HALF_CELL,
             3 * HALF_CELL,
             limit=300,

@@ -13,11 +13,8 @@ from gkprep.lattice import (
     Zone,
     ZoneKind,
     classify_zone,
-    erf,
     gaussian_comb_array,
-    nearest_multiple_offset,
     nearest_multiple_offset_array,
-    truncated_gaussian_comb,
 )
 
 finite_reals = st.floats(
@@ -25,72 +22,30 @@ finite_reals = st.floats(
 )
 
 
-def erf_series(x: float, terms: int = 60) -> float:
-    """Maclaurin-series reference: erf(x) = 2/sqrt(pi) sum (-1)^k x^(2k+1)/(k!(2k+1))."""
-    total = 0.0
-    term = x
-    for k in range(terms):
-        total += term / (2 * k + 1)
-        term *= -x * x / (k + 1)
-    return 2.0 / math.sqrt(math.pi) * total
-
-
-class TestErf:
-    def test_zero(self):
-        assert erf(0.0) == 0.0
-
-    def test_saturation(self):
-        assert abs(erf(6.0) - 1.0) <= 1e-15
-
-    def test_table_value(self):
-        # frozen from the series oracle below (and standard tables)
-        assert erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-15)
-
-    @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 1.7, 2.5])
-    def test_against_series_oracle(self, x):
-        assert erf(x) == pytest.approx(erf_series(x), abs=1e-14)
-
-    @given(finite_reals)
-    def test_odd_symmetry_exact(self, x):
-        assert erf(-x) == -erf(x)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            erf(float("nan"))
-        with pytest.raises(ValueError):
-            erf(float("inf"))
-
-
 class TestNearestMultipleOffset:
     def test_lattice_point(self):
-        assert nearest_multiple_offset(0.0) == 0.0
+        assert nearest_multiple_offset_array(0.0) == 0.0
 
     def test_just_past_peak(self):
-        assert nearest_multiple_offset(1.1 * SQRT_PI) == pytest.approx(
+        assert nearest_multiple_offset_array(1.1 * SQRT_PI) == pytest.approx(
             0.1 * SQRT_PI, abs=1e-12
         )
 
     def test_half_cell_boundary_maps_to_itself(self):
         # the half-open convention keeps -sqrt(pi)/2 in the k=0 cell
-        assert nearest_multiple_offset(-0.5 * SQRT_PI) == -0.5 * SQRT_PI
+        assert nearest_multiple_offset_array(-0.5 * SQRT_PI) == -0.5 * SQRT_PI
 
     @given(finite_reals)
     def test_result_in_half_open_cell(self, x):
-        off = nearest_multiple_offset(x)
+        off = nearest_multiple_offset_array(x)
         assert -HALF_CELL <= off < HALF_CELL
 
     @given(finite_reals)
     @settings(max_examples=200)
     def test_periodicity(self, x):
-        a = nearest_multiple_offset(x + SQRT_PI)
-        b = nearest_multiple_offset(x)
+        a = nearest_multiple_offset_array(x + SQRT_PI)
+        b = nearest_multiple_offset_array(x)
         assert a == pytest.approx(b, abs=1e-9)
-
-    def test_array_matches_scalar(self):
-        xs = np.linspace(-9.7, 9.7, 101)
-        arr = nearest_multiple_offset_array(xs)
-        for x, a in zip(xs, arr):
-            assert a == nearest_multiple_offset(float(x))
 
 
 class TestClassifyZone:
@@ -138,15 +93,15 @@ class TestClassifyZone:
 
 class TestTruncatedGaussianComb:
     def test_single_dominant_term(self):
-        assert truncated_gaussian_comb(0.0, SQRT_PI, 1e-6) == pytest.approx(
+        assert gaussian_comb_array(0.0, SQRT_PI, 1e-6) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_midpoint_symmetry(self):
         # halfway between lattice points the t=0 and t=1 terms are equal
         for sigma_sq in (0.05, 0.25, 1.0):
-            a = truncated_gaussian_comb(HALF_CELL, SQRT_PI, sigma_sq)
-            b = truncated_gaussian_comb(SQRT_PI - HALF_CELL, SQRT_PI, sigma_sq)
+            a = gaussian_comb_array(HALF_CELL, SQRT_PI, sigma_sq)
+            b = gaussian_comb_array(SQRT_PI - HALF_CELL, SQRT_PI, sigma_sq)
             assert a == pytest.approx(b, rel=1e-13)
 
     def test_against_wide_brute_force(self):
@@ -156,7 +111,7 @@ class TestTruncatedGaussianComb:
             math.exp(-((x - t * spacing) ** 2) / sigma_sq) for t in range(-50, 51)
         )
         assert brute == pytest.approx(1.0000069746847124, abs=1e-15)
-        assert truncated_gaussian_comb(x, spacing, sigma_sq) == pytest.approx(
+        assert gaussian_comb_array(x, spacing, sigma_sq) == pytest.approx(
             brute, abs=1e-12
         )
 
@@ -167,25 +122,19 @@ class TestTruncatedGaussianComb:
         ts = np.arange(-200, 201)
         for x, s2 in zip(xs, sigma_sqs):
             brute = float(np.sum(np.exp(-((x - ts * SQRT_PI) ** 2) / s2)))
-            got = truncated_gaussian_comb(float(x), SQRT_PI, float(s2))
+            got = gaussian_comb_array(float(x), SQRT_PI, float(s2))
             assert got == pytest.approx(brute, abs=1e-10)
-
-    def test_vectorized_matches_scalar(self):
-        xs = np.linspace(-3.0, 3.0, 17)
-        arr = gaussian_comb_array(xs, SQRT_PI, 0.09)
-        for x, a in zip(xs, arr):
-            assert a == truncated_gaussian_comb(float(x), SQRT_PI, 0.09)
 
     def test_budget_exhaustion_raises(self):
         tight = TruncationBudget(abs_tail_bound=1e-12, max_terms=2)
         with pytest.raises(TruncationError):
-            truncated_gaussian_comb(0.0, 0.05, 4.0, tight)
+            gaussian_comb_array(0.0, 0.05, 4.0, tight)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            truncated_gaussian_comb(0.0, -1.0, 0.2)
+            gaussian_comb_array(0.0, -1.0, 0.2)
         with pytest.raises(ValueError):
-            truncated_gaussian_comb(0.0, 1.0, 0.0)
+            gaussian_comb_array(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             TruncationBudget(abs_tail_bound=-1.0)
         with pytest.raises(ValueError):

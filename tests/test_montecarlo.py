@@ -7,6 +7,7 @@ from scipy import stats
 from gkprep.distributions import NoiseParams, pauli_rate_physical, ResidualDistribution
 from gkprep.lattice import SQRT_PI, is_pauli_zone
 from gkprep.montecarlo import (
+    _SLOT_BITS,
     Mode,
     ShotConfig,
     ShotOverrides,
@@ -49,6 +50,15 @@ class TestCounterRng:
         assert not np.array_equal(
             normal_draws(5, idx, 2, 0.7), normal_draws(6, idx, 2, 0.7)
         )
+
+    def test_largest_code_fits_the_slots_of_one_shot(self):
+        # biased mode draws slots 0 .. 4n-2 of each shot
+        ShotConfig(15, NoiseParams(0.5, 0.2), shots=10, mode=Mode.BIASED_FULL)
+        assert 4 * 15 - 1 <= 2**_SLOT_BITS
+
+    def test_code_beyond_the_slots_of_one_shot_rejected(self):
+        with pytest.raises(ValueError, match="3 to 15"):
+            ShotConfig(17, NoiseParams(0.5, 0.2), shots=10, mode=Mode.BIASED_FULL)
 
 
 class TestDecoder:

@@ -225,6 +225,13 @@ class TestFailureRate:
         failure_rate(9, NoiseParams(0.5, 0.2))
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("rate", [failure_rate, failure_rate_no_gkp_ec])
+    @pytest.mark.parametrize("method", ["factorized", "tensor"])
+    def test_per_case_values_are_floats(self, rate, method):
+        cfg = QuadratureConfig(nodes_per_dim=16, method=method, refine=False)
+        breakdown = rate(3, NoiseParams(0.5, 0.2), cfg)
+        assert all(type(value) is float for _, value in breakdown.per_case)
+
 
 class TestFailureRateNoGkpEc:
     def test_worse_than_with_ec(self):
