@@ -79,8 +79,7 @@ def _rate_curve(
 ) -> Callable[[float], float]:
     if size == "single":
         return lambda dt: pauli_rate_physical(NoiseParams(delta, dt))
-    n = int(size)
-    return lambda dt: failure_rate(n, NoiseParams(delta, dt), cfg).total
+    return lambda dt: failure_rate(size, NoiseParams(delta, dt), cfg).total
 
 
 def critical_ancilla_spread(
@@ -268,20 +267,20 @@ def _pf(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
 
 def _rep_code(rate: Callable[..., FailureBreakdown], p: dict[str, Any],
               cfg: QuadratureConfig) -> tuple[float, dict]:
-    breakdown = rate(int(p["n"]), NoiseParams(p["delta"], p["delta_tilde"]), cfg)
+    breakdown = rate(p["n"], NoiseParams(p["delta"], p["delta_tilde"]), cfg)
     return breakdown.total, {"breakdown": dict(breakdown.per_case)}
 
 
 def _pfail(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
     params = NoiseParams(p["delta"], p.get("delta_tilde", 0.0), r=p.get("r", 1.0))
-    return overall_failure_biased(int(p["n"]), params, cfg), {}
+    return overall_failure_biased(p["n"], params, cfg), {}
 
 
 def _delta_nm(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
     query = CrossingQuery(
         delta=p["delta"],
-        left_size=int(p["n"]),
-        right_size=int(p["m"]),
+        left_size=p["n"],
+        right_size=p["m"],
         bracket=(p.get("bracket_lo", 0.02), p.get("bracket_hi", 0.8)),
         tol=p.get("tol", 1e-4),
     )
@@ -293,7 +292,7 @@ def _delta_nm(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
 
 def _r_opt(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
     opt = optimal_bias(
-        int(p["n"]),
+        p["n"],
         p["delta"],
         p.get("delta_tilde", 0.0),
         (p.get("r_lo", 1.0), p.get("r_hi", 6.0)),

@@ -13,16 +13,16 @@ it.  Mixing up s and sigma is the classic silent bug in this domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
 
 from .lattice import (
-    DEFAULT_BUDGET,
+    ABS_TAIL_BOUND,
     HALF_CELL,
+    MAX_TERMS,
     SQRT_PI,
-    TruncationBudget,
     TruncationError,
     gaussian_comb_array,
 )
@@ -103,18 +103,7 @@ class GaussianDisplacement:
         return out if out.ndim else float(out)
 
 
-def intrinsic_density(params: NoiseParams, quadrature: str, x) -> float | np.ndarray:
-    """Biased intrinsic displacement density f_q (spread r*delta) or f_p (kappa/r)."""
-    if quadrature == "position":
-        return GaussianDisplacement(params.position_spread).pdf(x)
-    if quadrature == "momentum":
-        return GaussianDisplacement(params.momentum_spread).pdf(x)
-    raise ValueError(f"quadrature must be 'position' or 'momentum', got {quadrature!r}")
-
-
-def pauli_rate_ideal(
-    delta_eff: float, budget: TruncationBudget = DEFAULT_BUDGET
-) -> float:
+def pauli_rate_ideal(delta_eff: float) -> float:
     """Logical flip rate of one round of GKP error correction, ideal ancilla.
 
     Probability that a spread-``delta_eff`` displacement lands in a Pauli
@@ -130,15 +119,15 @@ def pauli_rate_ideal(
         raise ValueError("delta_eff must be a positive finite real")
     a = SQRT_PI / (2.0 * delta_eff)
     total = 0.0
-    for n in range(budget.max_terms):
+    for n in range(MAX_TERMS):
         lo = math.erfc((4 * n + 1) * a)
         hi = math.erfc((4 * n + 3) * a)
         total += lo - hi
-        if lo <= budget.abs_tail_bound:
+        if lo <= ABS_TAIL_BOUND:
             return total
     raise TruncationError(
-        f"pauli_rate_ideal tail not below {budget.abs_tail_bound:g} within "
-        f"{budget.max_terms} terms (delta_eff={delta_eff:g})"
+        f"pauli_rate_ideal tail not below {ABS_TAIL_BOUND:g} within "
+        f"{MAX_TERMS} terms (delta_eff={delta_eff:g})"
     )
 
 
@@ -153,7 +142,6 @@ class ResidualDistribution:
 
     delta: float
     delta_tilde: float
-    budget: TruncationBudget = field(default=DEFAULT_BUDGET)
 
     def __post_init__(self) -> None:
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
@@ -172,9 +160,7 @@ class ResidualDistribution:
     def density(self, u) -> float | np.ndarray:
         """F(u'), the residual displacement density (even, unit mass)."""
         u_arr = np.asarray(u, dtype=np.float64)
-        comb = gaussian_comb_array(
-            u_arr, SQRT_PI, self.delta_tilde**2, self.budget
-        )
+        comb = gaussian_comb_array(u_arr, SQRT_PI, self.delta_tilde**2)
         out = self.modulating(u_arr) * comb / (2.0 * SQRT_PI * self.delta_tilde)
         return out if out.ndim else float(out)
 
@@ -236,12 +222,7 @@ def _pz_cell_integral(dist: ResidualDistribution, m: int, n_nodes: int = 128) ->
     return float(np.dot(w, dist.density(x)))
 
 
-def pauli_rate_physical(
-    params: NoiseParams,
-    budget: TruncationBudget = DEFAULT_BUDGET,
-    *,
-    two_cell: bool = False,
-) -> float:
+def pauli_rate_physical(params: NoiseParams, *, two_cell: bool = False) -> float:
     """Logical flip rate P_F after one round of GKP EC with a noisy ancilla.
 
     Integrates the residual density over the Pauli error zones.  The lattice
@@ -251,8 +232,8 @@ def pauli_rate_physical(
     formula is returned (the density is singular there).
     """
     if params.ideal_ancilla:
-        return pauli_rate_ideal(params.delta, budget)
-    dist = ResidualDistribution(params.delta, params.delta_tilde, budget)
+        return pauli_rate_ideal(params.delta)
+    dist = ResidualDistribution(params.delta, params.delta_tilde)
     if two_cell:
         return 2.0 * _pz_cell_integral(dist, 0)
     total = 0.0
@@ -264,12 +245,10 @@ def pauli_rate_physical(
     raise TruncationError("PZ lattice sum did not converge within 64 cells")
 
 
-def pauli_rate_physical_report(
-    params: NoiseParams, budget: TruncationBudget = DEFAULT_BUDGET
-) -> dict[str, float]:
+def pauli_rate_physical_report(params: NoiseParams) -> dict[str, float]:
     """Full lattice sum and two-cell approximation of P_F, with their gap."""
-    full = pauli_rate_physical(params, budget)
+    full = pauli_rate_physical(params)
     if params.ideal_ancilla:
         return {"value": full, "two_cell": full, "difference": 0.0}
-    approx = pauli_rate_physical(params, budget, two_cell=True)
+    approx = pauli_rate_physical(params, two_cell=True)
     return {"value": full, "two_cell": approx, "difference": full - approx}

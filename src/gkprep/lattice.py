@@ -12,8 +12,6 @@ here once: every cell is half-open, [lo, hi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -22,64 +20,13 @@ HALF_CELL = SQRT_PI / 2.0
 
 
 class TruncationError(RuntimeError):
-    """A truncated lattice sum could not certify its tail bound in budget."""
+    """A truncated lattice sum could not certify its tail bound within MAX_TERMS terms."""
 
 
-@dataclass(frozen=True)
-class TruncationBudget:
-    """Controls for truncated infinite sums.
-
-    Every truncated sum either certifies an a-posteriori tail bound of at
-    most ``abs_tail_bound`` or raises :class:`TruncationError`.
-    """
-
-    abs_tail_bound: float = 1e-12
-    max_terms: int = 64
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tail_bound > 0.0 and math.isfinite(self.abs_tail_bound)):
-            raise ValueError("abs_tail_bound must be a positive finite real")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be a positive integer")
-
-
-DEFAULT_BUDGET = TruncationBudget()
-
-
-class ZoneKind(Enum):
-    NPZ = "NPZ"
-    PZ = "PZ"
-
-
-@dataclass(frozen=True)
-class Zone:
-    """One width-sqrt(pi) cell of the real line.
-
-    NPZ_m covers [2m*sqrt(pi) - sqrt(pi)/2, 2m*sqrt(pi) + sqrt(pi)/2); the PZ
-    cells tile the complement, serially numbered so that PZ_1 is centred on
-    +sqrt(pi), PZ_{-1} on -sqrt(pi), PZ_2 on +3*sqrt(pi), and so on.  There is
-    no PZ_0.
-    """
-
-    kind: ZoneKind
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.kind is ZoneKind.PZ and self.index == 0:
-            raise ValueError("PZ_0 does not exist")
-
-    @property
-    def center(self) -> float:
-        if self.kind is ZoneKind.NPZ:
-            return 2.0 * self.index * SQRT_PI
-        return (2.0 * self.index - math.copysign(1.0, self.index)) * SQRT_PI
-
-
-def _check_finite(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"expected a finite real, got {x!r}")
-    return x
+# Every truncated sum certifies an a-posteriori tail bound of at most
+# ABS_TAIL_BOUND within MAX_TERMS terms or raises TruncationError.
+ABS_TAIL_BOUND = 1e-12
+MAX_TERMS = 64
 
 
 def nearest_multiple_offset_array(x: np.ndarray) -> np.ndarray:
@@ -94,20 +41,6 @@ def nearest_multiple_offset_array(x: np.ndarray) -> np.ndarray:
     return x - k * SQRT_PI
 
 
-def classify_zone(x: float) -> Zone:
-    """Classify a displacement into its NPZ_m / PZ_m cell.
-
-    The classification is total and disjoint: cell j (centred on j*sqrt(pi))
-    is NPZ_{j/2} for even j and PZ with serial index (j + sign(j))/2 for odd j.
-    """
-    x = _check_finite(x)
-    j = math.floor(x / SQRT_PI + 0.5)
-    if j % 2 == 0:
-        return Zone(ZoneKind.NPZ, j // 2)
-    m = (j + 1) // 2 if j > 0 else (j - 1) // 2
-    return Zone(ZoneKind.PZ, m)
-
-
 def is_pauli_zone(x: np.ndarray) -> np.ndarray:
     """Vectorized PZ membership test (True where the cell index is odd)."""
     x = np.asarray(x, dtype=np.float64)
@@ -115,35 +48,28 @@ def is_pauli_zone(x: np.ndarray) -> np.ndarray:
     return (j & 1) == 1
 
 
-def _comb_term_count(
-    spacing: float, sigma_sq: float, budget: TruncationBudget
-) -> int:
-    """Smallest half-width K with a certified comb tail below budget.
+def _comb_term_count(spacing: float, sigma_sq: float) -> int:
+    """Smallest half-width K with a certified comb tail below ABS_TAIL_BOUND.
 
     Terms beyond the K nearest neighbours on each side are bounded by the
     geometric-majorant tail 2*exp(-a^2/s^2) / (1 - exp(-2*a*spacing/s^2))
     with a = (K - 1/2)*spacing, valid for any evaluation point inside the
     central cell.
     """
-    for k in range(1, budget.max_terms + 1):
+    for k in range(1, MAX_TERMS + 1):
         a = (k - 0.5) * spacing
         lead = math.exp(-min(a * a / sigma_sq, 745.0))
         ratio = math.exp(-min(2.0 * a * spacing / sigma_sq, 745.0))
         tail = 2.0 * lead / (1.0 - ratio) if ratio < 1.0 else math.inf
-        if tail <= budget.abs_tail_bound:
+        if tail <= ABS_TAIL_BOUND:
             return k
     raise TruncationError(
-        f"comb tail bound {budget.abs_tail_bound:g} not reached within "
-        f"{budget.max_terms} terms (spacing={spacing:g}, sigma_sq={sigma_sq:g})"
+        f"comb tail bound {ABS_TAIL_BOUND:g} not reached within "
+        f"{MAX_TERMS} terms (spacing={spacing:g}, sigma_sq={sigma_sq:g})"
     )
 
 
-def gaussian_comb_array(
-    x: np.ndarray,
-    spacing: float,
-    sigma_sq: float,
-    budget: TruncationBudget = DEFAULT_BUDGET,
-) -> np.ndarray:
+def gaussian_comb_array(x: np.ndarray, spacing: float, sigma_sq: float) -> np.ndarray:
     """Sum_t exp(-(x - t*spacing)^2 / sigma_sq) at each ``x``, with a certified tail.
 
     The sum is truncated symmetrically around the lattice index nearest to
@@ -154,7 +80,7 @@ def gaussian_comb_array(
     if not sigma_sq > 0.0:
         raise ValueError("sigma_sq must be positive")
     x = np.asarray(x, dtype=np.float64)
-    n_terms = _comb_term_count(spacing, sigma_sq, budget)
+    n_terms = _comb_term_count(spacing, sigma_sq)
     t0 = np.round(x / spacing)
     total = np.zeros_like(x)
     for dt in range(-n_terms, n_terms + 1):

@@ -39,6 +39,7 @@ value therefore keeps its relative accuracy deep in the tail.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -52,7 +53,7 @@ from .distributions import (
     pauli_rate_ideal,
     pauli_rate_physical,
 )
-from .lattice import DEFAULT_BUDGET, HALF_CELL, SQRT_PI, TruncationBudget
+from .lattice import HALF_CELL, SQRT_PI
 from .quadrature import gaussian_window_overlap, peaked_cell_nodes, smooth_cell_nodes
 
 NPZ_CELL = (-HALF_CELL, HALF_CELL)
@@ -79,13 +80,17 @@ class CodeSize:
 
     The cap bounds both routes: the Monte Carlo slot layout draws 4n - 1
     slots per shot out of 64, and the quadrature is checked up to n = 15.
+    An integral value of any real type (3, 3.0, a numpy integer) is stored
+    as ``int``; a fractional or non-numeric one raises ``ValueError``.
     """
 
     n: int
 
     def __post_init__(self) -> None:
-        if not (3 <= self.n <= 15 and self.n % 2 == 1):
-            raise ValueError(f"code size must be an odd integer from 3 to 15, got {self.n}")
+        n = self.n
+        if not (isinstance(n, numbers.Real) and 3 <= n <= 15 and n % 2 == 1):
+            raise ValueError(f"code size must be an odd integer from 3 to 15, got {n!r}")
+        object.__setattr__(self, "n", int(n))
 
     @property
     def correctable_weight(self) -> int:
@@ -97,7 +102,7 @@ class CodeSize:
 
 
 def _as_size(n: int | CodeSize) -> CodeSize:
-    return n if isinstance(n, CodeSize) else CodeSize(int(n))
+    return n if isinstance(n, CodeSize) else CodeSize(n)
 
 
 @dataclass(frozen=True)
@@ -199,45 +204,6 @@ def _window_complement(
     return np.clip(out, 0.0, 2.0)
 
 
-def _case_windows(s: int, n: int) -> list[tuple[float, float]]:
-    """Syndrome window per pair (qubit 1, qubit k) for k = 2..n in case s."""
-    if s == 1:
-        return [WIN_NPZ0] * (n - 1)
-    return [WIN_NPZ1] * (s - 2) + [WIN_PZ1] * (n - s + 1)
-
-
-def success_product(
-    s: int,
-    u: np.ndarray,
-    params: NoiseParams,
-    n: int | CodeSize | None = None,
-    *,
-    window_neighbors: int = 0,
-) -> float:
-    """Probability that all n-1 syndromes match the case-s flip pattern.
-
-    Case s means qubits 1..s-1 flipped (s = 1: none); ``u`` holds the n
-    residual displacements.  The product keeps a single lattice term per
-    window unless ``window_neighbors`` adds translates.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    size = _as_size(n if n is not None else len(u))
-    if len(u) != size.n:
-        raise ValueError(f"expected {size.n} residuals, got {len(u)}")
-    if not 1 <= s <= (size.n + 1) // 2:
-        raise ValueError(f"case index s={s} outside 1..{(size.n + 1) // 2}")
-    if params.delta_tilde <= 0.0:
-        raise ValueError("success_product requires delta_tilde > 0")
-    windows = _case_windows(s, size.n)
-    pair_sums = u[0] + u[1:]
-    product = 1.0 / 2 ** (size.n - 1)
-    for win, y in zip(windows, pair_sums):
-        product *= float(
-            _erf_window(np.asarray(y), win, params.delta_tilde, window_neighbors)
-        )
-    return product
-
-
 @dataclass(frozen=True)
 class _Cell:
     """Quadrature nodes ``x``, weights ``w``, density values ``f`` and mass of one cell."""
@@ -254,11 +220,10 @@ class _ResidualCellEngine:
     ``cells`` maps the NPZ_CELL and PZ_CELL bounds to their :class:`_Cell`.
     """
 
-    def __init__(self, params: NoiseParams, n_nodes: int, neighbors: int,
-                 budget: TruncationBudget) -> None:
+    def __init__(self, params: NoiseParams, n_nodes: int, neighbors: int) -> None:
         self.dt = params.delta_tilde
         self.neighbors = neighbors
-        dist = ResidualDistribution(params.delta, params.delta_tilde, budget)
+        dist = ResidualDistribution(params.delta, params.delta_tilde)
 
         def cell(center: float) -> _Cell:
             x, w = peaked_cell_nodes(center, HALF_CELL, self.dt, n_nodes)
@@ -512,10 +477,9 @@ def _ideal_breakdown(size: CodeSize, p: float) -> FailureBreakdown:
     return _breakdown(cases, classical_failure(size, p), size)
 
 
-def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int,
-                 neighbors: int, budget: TruncationBudget) -> _Engine:
+def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
     if gkp_ec:
-        return _ResidualCellEngine(params, n_nodes, neighbors, budget)
+        return _ResidualCellEngine(params, n_nodes, neighbors)
     return _IntrinsicCellEngine(params, n_nodes, neighbors)
 
 
@@ -523,34 +487,33 @@ def _failure_rate_impl(
     n: int | CodeSize,
     params: NoiseParams,
     cfg: QuadratureConfig,
-    budget: TruncationBudget,
     gkp_ec: bool,
 ) -> FailureBreakdown:
     size = _as_size(n)
     if gkp_ec and params.ideal_ancilla:
-        return _ideal_breakdown(size, pauli_rate_ideal(params.delta, budget))
-    tail_p = (
-        pauli_rate_physical(params, budget)
-        if gkp_ec
-        else pauli_rate_ideal(params.delta, budget)
-    )
+        return _ideal_breakdown(size, pauli_rate_ideal(params.delta))
+    tail_p = pauli_rate_physical(params) if gkp_ec else pauli_rate_ideal(params.delta)
     tail = classical_failure(size, tail_p)
-    engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors, budget)
+    engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors)
     if cfg.method == "tensor":
         if size.n > 5:
             raise ValueError("tensor method is cost-guarded to n <= 5")
-        if params.delta_tilde == 0.0:
-            # fixed nodes cannot integrate the sharp windows, which move with u1'
-            raise ValueError("tensor method requires delta_tilde > 0")
+        spacing = max(float(np.max(np.diff(cell.x))) for cell in engine.cells.values())
+        if spacing > params.delta_tilde:
+            # fixed nodes cannot integrate windows of edge width delta_tilde
+            # that move with u1' unless the node spacing resolves them
+            raise ValueError(
+                f"tensor method needs node spacing <= delta_tilde = "
+                f"{params.delta_tilde:g}, got {spacing:.3g}; raise nodes_per_dim "
+                f"or use the factorized method"
+            )
         if size.n == 5 and max(len(cell.x) for cell in engine.cells.values()) > 40:
             raise ValueError("tensor with n=5 allows at most 40 nodes per cell")
         return _breakdown(_tensor_cases(engine, size), tail, size)
 
     cases = _factorized_cases(engine, size)
     if cfg.refine:
-        fine_engine = _make_engine(
-            gkp_ec, params, 2 * cfg.nodes_per_dim, cfg.window_neighbors, budget
-        )
+        fine_engine = _make_engine(gkp_ec, params, 2 * cfg.nodes_per_dim, cfg.window_neighbors)
         fine = _factorized_cases(fine_engine, size)
         gap = max(abs(a - b) for a, b in zip(cases, fine))
         if gap > cfg.abs_tol:
@@ -566,7 +529,6 @@ def failure_rate(
     n: int | CodeSize,
     params: NoiseParams,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    budget: TruncationBudget = DEFAULT_BUDGET,
 ) -> FailureBreakdown:
     """P_f,n-rep: failure probability of the n-qubit GKP repetition code.
 
@@ -574,14 +536,13 @@ def failure_rate(
     below 1e-6 reduce exactly to the classical majority-vote formula with
     the ideal-ancilla flip rate.
     """
-    return _failure_rate_impl(n, params, cfg, budget, gkp_ec=True)
+    return _failure_rate_impl(n, params, cfg, gkp_ec=True)
 
 
 def failure_rate_no_gkp_ec(
     n: int | CodeSize,
     params: NoiseParams,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    budget: TruncationBudget = DEFAULT_BUDGET,
 ) -> FailureBreakdown:
     """P'_f,n-rep: same code but skipping the round of GKP error correction.
 
@@ -591,14 +552,13 @@ def failure_rate_no_gkp_ec(
     delta_tilde -> 0: the syndrome windows become sharp but the data
     density stays wide.
     """
-    return _failure_rate_impl(n, params, cfg, budget, gkp_ec=False)
+    return _failure_rate_impl(n, params, cfg, gkp_ec=False)
 
 
 def overall_failure_biased(
     n: int | CodeSize,
     params: NoiseParams,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    budget: TruncationBudget = DEFAULT_BUDGET,
 ) -> float:
     """Overall logical failure rate under biased noise.
 
@@ -614,10 +574,10 @@ def overall_failure_biased(
     mom_first = math.sqrt(mom**2 + size.n * dt**2)
     mom_rest = math.sqrt(mom**2 + 2.0 * dt**2)
     pos_params = NoiseParams(delta=params.position_spread, delta_tilde=dt)
-    p_rep = failure_rate(size, pos_params, cfg, budget).total
+    p_rep = failure_rate(size, pos_params, cfg).total
     keep = (
-        (1.0 - pauli_rate_ideal(mom_rest, budget)) ** (size.n - 1)
-        * (1.0 - pauli_rate_ideal(mom_first, budget))
+        (1.0 - pauli_rate_ideal(mom_rest)) ** (size.n - 1)
+        * (1.0 - pauli_rate_ideal(mom_first))
         * (1.0 - p_rep)
     )
     return 1.0 - keep

@@ -111,6 +111,16 @@ class TestRunSweep:
         b = run_sweep(spec).to_csv_text()
         assert a == b
 
+    def test_non_integral_code_size_is_a_value_error_cell(self):
+        spec = SweepSpec(
+            "pfrep", (("n", (3, 3.9, 5.5)),), {"delta": 0.5, "delta_tilde": 0.2}
+        )
+        table = run_sweep(spec)
+        assert table.rows[0] == (
+            3, 0.5, 0.2, failure_rate(3, NoiseParams(0.5, 0.2)).total, "", "ok"
+        )
+        assert [row[-1] for row in table.rows[1:]] == ["error:ValueError"] * 2
+
     def test_errors_recorded_in_row(self):
         spec = SweepSpec(
             "delta_nm",

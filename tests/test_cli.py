@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,12 @@ def run_cli(*args, check=True):
             f"cli failed ({proc.returncode}): {proc.stderr}\n{proc.stdout}"
         )
     return proc
+
+
+def write_run_file(tmp_path, spec) -> str:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
 
 
 class TestExitCodes:
@@ -101,7 +108,7 @@ class TestRate:
             "rate", "--quantity", "pfrep", "--n", "3", "--delta", "0.5",
             "--delta-tilde", "0.2", "--out", out,
         )
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "delta,delta_tilde,n,value,std_err,status"
         assert lines[1].endswith(",ok")
 
@@ -192,7 +199,7 @@ class TestMc:
             "mc", "--n", "3", "--delta", "0.5", "--delta-tilde", "0.2",
             "--shots", "50", "--seed", "1", "--trace", trace,
         )
-        lines = open(trace).read().splitlines()
+        lines = Path(trace).read_text().splitlines()
         assert len(lines) == 50
         rec = json.loads(lines[0])
         assert set(rec) == {
@@ -224,7 +231,7 @@ class TestFigures:
         run_cli("figure", "--id", fig_id, "--outdir", outdir)
         for name, n_lines in FIGURE_EXPECTATIONS[fig_id].items():
             path = os.path.join(outdir, name)
-            lines = open(path).read().splitlines()
+            lines = Path(path).read_text().splitlines()
             assert len(lines) == n_lines, name
             if fig_id == "fig1":
                 assert lines[0] == "q,p,value"
@@ -256,23 +263,20 @@ class TestRunFiles:
                 "output": out,
             },
         }
-        path = str(tmp_path / "run.json")
-        json.dump(spec, open(path, "w"))
+        path = write_run_file(tmp_path, spec)
         run_cli("sweep", "--spec", path)
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "delta,value,std_err,status"
         assert len(lines) == 3
 
     def test_unknown_field_rejected(self, tmp_path):
         spec = {"schema_version": 1, "sweep": {"quantity": "px", "axes": []}, "bogus": 1}
-        path = str(tmp_path / "run.json")
-        json.dump(spec, open(path, "w"))
+        path = write_run_file(tmp_path, spec)
         assert run_cli("sweep", "--spec", path, check=False).returncode == 2
 
     def test_wrong_schema_version_rejected(self, tmp_path):
         spec = {"schema_version": 2, "sweep": {"quantity": "px", "axes": [["delta", [0.5]]]}}
-        path = str(tmp_path / "run.json")
-        json.dump(spec, open(path, "w"))
+        path = write_run_file(tmp_path, spec)
         assert run_cli("sweep", "--spec", path, check=False).returncode == 2
 
     def test_mc_runfile(self, tmp_path):
@@ -280,8 +284,7 @@ class TestRunFiles:
             "schema_version": 1,
             "mc": {"n": 3, "delta": 0.5, "delta_tilde": 0.2, "shots": 1000, "seed": 9},
         }
-        path = str(tmp_path / "run.json")
-        json.dump(spec, open(path, "w"))
+        path = write_run_file(tmp_path, spec)
         proc = run_cli("sweep", "--spec", path)
         payload = json.loads(proc.stdout)
         assert payload["shots"] == 1000
@@ -294,8 +297,7 @@ class TestRunFiles:
                 "bracket": [0.15, 0.45],
             },
         }
-        path = str(tmp_path / "run.json")
-        json.dump(spec, open(path, "w"))
+        path = write_run_file(tmp_path, spec)
         payload = json.loads(run_cli("sweep", "--spec", path).stdout)
         assert payload["status"] == "found"
         assert 0.27 <= payload["value"] <= 0.33
@@ -305,8 +307,7 @@ class TestRunFiles:
             "schema_version": 1,
             "mc": {"n": 3, "delta": 0.5, "shots": 10, "mode": "bogus"},
         }
-        path = str(tmp_path / "run.json")
-        json.dump(spec, open(path, "w"))
+        path = write_run_file(tmp_path, spec)
         proc = run_cli("sweep", "--spec", path, check=False)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
@@ -318,8 +319,7 @@ class TestRunFiles:
             "sweep": {"quantity": "px", "axes": [["delta", [0.5]]]},
             "engine": {"nodes": 64},
         }
-        path = str(tmp_path / "run.json")
-        json.dump(spec, open(path, "w"))
+        path = write_run_file(tmp_path, spec)
         proc = run_cli("sweep", "--spec", path, "--out", str(tmp_path / "out.csv"), check=False)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
@@ -337,14 +337,16 @@ class TestRunFiles:
             ("mc", [1]),
             ("sweep", {"quantity": "px", "axes": [["delta", [0.5]]], "output": 5}),
             ("mc", {"n": 3, "delta": 0.5, "shots": 10, "output": True}),
+            ("mc", {"n": 3.9, "delta": 0.5, "shots": 10}),
+            ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3.9}),
         ],
         ids=["fixed-null", "axes-int", "axis-scalar", "shots-str", "bracket-int",
-             "r-bracket-int", "mc-list", "output-int", "output-bool"],
+             "r-bracket-int", "mc-list", "output-int", "output-bool", "n-fraction",
+             "right-size-fraction"],
     )
     def test_wrongly_typed_field_is_usage_error(self, kind, block, tmp_path):
         spec = {"schema_version": 1, kind: block}
-        path = str(tmp_path / "run.json")
-        json.dump(spec, open(path, "w"))
+        path = write_run_file(tmp_path, spec)
         proc = run_cli("sweep", "--spec", path, "--out", str(tmp_path / "out.csv"), check=False)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
@@ -392,9 +394,7 @@ class TestQuantityRegistry:
                 "output": str(sweep_csv),
             },
         }
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(spec))
-        run_cli("sweep", "--spec", str(path))
+        run_cli("sweep", "--spec", write_run_file(tmp_path, spec))
         with open(sweep_csv) as fh:
             (row,) = list(csv.DictReader(fh))
         assert row["status"] == "ok"

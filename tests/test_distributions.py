@@ -9,7 +9,6 @@ from gkprep.distributions import (
     GaussianDisplacement,
     NoiseParams,
     ResidualDistribution,
-    intrinsic_density,
     pauli_rate_ideal,
     pauli_rate_physical,
     pauli_rate_physical_report,
@@ -55,31 +54,27 @@ class TestGaussianDisplacement:
 
 class TestIntrinsicDensity:
     def test_unbiased_peak(self):
-        got = intrinsic_density(NoiseParams(0.5), "position", 0.0)
+        got = GaussianDisplacement(NoiseParams(0.5).position_spread).pdf(0.0)
         assert got == pytest.approx(1.0 / (SQRT_PI * 0.5), rel=1e-14)
 
     def test_biased_peak(self):
-        got = intrinsic_density(NoiseParams(0.5, r=math.sqrt(2.0)), "position", 0.0)
+        params = NoiseParams(0.5, r=math.sqrt(2.0))
+        got = GaussianDisplacement(params.position_spread).pdf(0.0)
         assert got == pytest.approx(1.0 / (SQRT_PI * 0.5 * math.sqrt(2.0)), rel=1e-14)
 
     def test_momentum_suppressed(self):
         p = NoiseParams(0.25, r=math.sqrt(2.0))
-        q0 = intrinsic_density(p, "position", 0.0)
-        p0 = intrinsic_density(p, "momentum", 0.0)
+        q0 = GaussianDisplacement(p.position_spread).pdf(0.0)
+        p0 = GaussianDisplacement(p.momentum_spread).pdf(0.0)
         assert p0 == pytest.approx(q0 * 2.0, rel=1e-12)  # spreads differ by r^2
 
     def test_normalization(self):
         p = NoiseParams(0.5, r=1.3)
-        for quad in ("position", "momentum"):
-            spread = p.position_spread if quad == "position" else p.momentum_spread
+        for spread in (p.position_spread, p.momentum_spread):
             mass, _ = integrate.quad(
-                lambda x: intrinsic_density(p, quad, x), -6 * spread, 6 * spread
+                GaussianDisplacement(spread).pdf, -6 * spread, 6 * spread
             )
             assert mass == pytest.approx(1.0, abs=1e-9)
-
-    def test_unknown_quadrature(self):
-        with pytest.raises(ValueError):
-            intrinsic_density(NoiseParams(0.5), "charge", 0.0)
 
 
 class TestPauliRateIdeal:

@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from gkprep.lattice import (
     HALF_CELL,
     SQRT_PI,
-    TruncationBudget,
     TruncationError,
-    Zone,
-    ZoneKind,
-    classify_zone,
     gaussian_comb_array,
+    is_pauli_zone,
     nearest_multiple_offset_array,
 )
 
@@ -50,45 +47,40 @@ class TestNearestMultipleOffset:
 
 class TestClassifyZone:
     def test_origin(self):
-        assert classify_zone(0.0) == Zone(ZoneKind.NPZ, 0)
+        assert not is_pauli_zone(0.0)
 
     def test_first_pauli_cell(self):
-        assert classify_zone(SQRT_PI) == Zone(ZoneKind.PZ, 1)
-        assert classify_zone(-SQRT_PI) == Zone(ZoneKind.PZ, -1)
+        assert is_pauli_zone(SQRT_PI)
+        assert is_pauli_zone(-SQRT_PI)
 
     def test_first_stabilizer_cell(self):
-        assert classify_zone(2 * SQRT_PI) == Zone(ZoneKind.NPZ, 1)
+        assert not is_pauli_zone(2 * SQRT_PI)
 
     def test_serial_numbering(self):
-        assert classify_zone(3 * SQRT_PI) == Zone(ZoneKind.PZ, 2)
-        assert classify_zone(-3 * SQRT_PI) == Zone(ZoneKind.PZ, -2)
-
-    def test_pz_zero_does_not_exist(self):
-        with pytest.raises(ValueError):
-            Zone(ZoneKind.PZ, 0)
+        # the second PZ cell on each side of the origin
+        assert is_pauli_zone(3 * SQRT_PI)
+        assert is_pauli_zone(-3 * SQRT_PI)
 
     @given(finite_reals)
     def test_cell_contains_point(self, x):
-        zone = classify_zone(x)
-        assert zone.center - HALF_CELL <= x < zone.center + HALF_CELL + 1e-9
+        # x lies in the half-open cell centred on its nearest multiple of
+        # sqrt(pi), and is PZ exactly when that multiple is odd
+        center = x - nearest_multiple_offset_array(x)
+        assert center - HALF_CELL <= x < center + HALF_CELL + 1e-9
+        assert is_pauli_zone(x) == (round(center / SQRT_PI) % 2 == 1)
 
     @given(st.floats(min_value=-30.0, max_value=30.0))
     @settings(max_examples=200)
     def test_stabilizer_periodicity(self, x):
-        a = classify_zone(x)
-        b = classify_zone(x + 2 * SQRT_PI)
-        assert a.kind == b.kind
-        if a.kind == ZoneKind.NPZ:
-            assert b.index == a.index + 1
+        assert is_pauli_zone(x) == is_pauli_zone(x + 2 * SQRT_PI)
 
     @given(finite_reals)
     @settings(max_examples=200)
     def test_npz_iff_near_even_multiple(self, x):
-        zone = classify_zone(x)
         k = round(x / (2 * SQRT_PI))
         near_even = abs(x - 2 * k * SQRT_PI) < HALF_CELL
         if abs(abs(x - 2 * k * SQRT_PI) - HALF_CELL) > 1e-9:  # skip boundaries
-            assert (zone.kind == ZoneKind.NPZ) == near_even
+            assert (not is_pauli_zone(x)) == near_even
 
 
 class TestTruncatedGaussianComb:
@@ -126,16 +118,11 @@ class TestTruncatedGaussianComb:
             assert got == pytest.approx(brute, abs=1e-10)
 
     def test_budget_exhaustion_raises(self):
-        tight = TruncationBudget(abs_tail_bound=1e-12, max_terms=2)
         with pytest.raises(TruncationError):
-            gaussian_comb_array(0.0, 0.05, 4.0, tight)
+            gaussian_comb_array(0.0, 0.05, 4.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             gaussian_comb_array(0.0, -1.0, 0.2)
         with pytest.raises(ValueError):
             gaussian_comb_array(0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            TruncationBudget(abs_tail_bound=-1.0)
-        with pytest.raises(ValueError):
-            TruncationBudget(max_terms=0)

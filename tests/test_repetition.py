@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gkprep.distributions import NoiseParams, pauli_rate_ideal, pauli_rate_physical
-from gkprep.lattice import HALF_CELL, SQRT_PI
 from gkprep.repetition import (
     CodeSize,
     QuadratureConfig,
@@ -15,7 +14,6 @@ from gkprep.repetition import (
     failure_rate,
     failure_rate_no_gkp_ec,
     overall_failure_biased,
-    success_product,
 )
 
 
@@ -30,6 +28,24 @@ class TestCodeSize:
         size = CodeSize(7)
         assert size.correctable_weight == 3
         assert size.syndrome_count == 64
+
+    @pytest.mark.parametrize(
+        "n", [3, 3.0, np.int64(3), np.float64(3.0)],
+        ids=["int", "float", "numpy-int", "numpy-float"],
+    )
+    def test_integral_values_accepted(self, n):
+        size = CodeSize(n)
+        assert size.n == 3 and type(size.n) is int
+
+    @pytest.mark.parametrize(
+        "n", [3.9, 5.5, np.float64(4.5), "3", math.inf, math.nan],
+        ids=["3.9", "5.5", "numpy-4.5", "str", "inf", "nan"],
+    )
+    def test_non_integral_values_rejected(self, n):
+        with pytest.raises(ValueError, match="odd integer"):
+            CodeSize(n)
+        with pytest.raises(ValueError, match="odd integer"):
+            classical_failure(n, 0.1)
 
 
 class TestClassicalFailure:
@@ -57,54 +73,6 @@ class TestClassicalFailure:
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             classical_failure(3, 1.2)
-
-
-class TestSuccessProduct:
-    def test_concentrated_ancilla(self):
-        got = success_product(1, np.zeros(3), NoiseParams(0.5, 1e-3), 3)
-        assert got == pytest.approx(1.0, abs=1e-6)
-
-    def test_window_edge_closed_form(self):
-        dt = 0.25
-        # an edge residual on qubit 2 puts the first pair sum on the window
-        # edge (factor erf(sqrt(pi)/dt), half the centred value) and leaves
-        # the second pair centred
-        u = np.array([0.0, HALF_CELL, 0.0])
-        got = success_product(1, u, NoiseParams(0.5, dt), 3)
-        first = math.erf(SQRT_PI / dt) - math.erf(0.0)
-        second = 2.0 * math.erf(HALF_CELL / dt)
-        assert got == pytest.approx(first * second / 4.0, rel=1e-12)
-        # an edge residual on qubit 1 moves both pair sums to the edge
-        u = np.array([HALF_CELL, 0.0, 0.0])
-        got = success_product(1, u, NoiseParams(0.5, dt), 3)
-        assert got == pytest.approx(first * first / 4.0, rel=1e-12)
-
-    def test_single_flip_against_2d_quadrature(self):
-        # oracle: integrate the ancilla density over the full PZ set on a
-        # fine grid, for both syndromes, at the fixed point u = (sqrt(pi),0,0)
-        dt = 0.2
-        u = np.array([SQRT_PI, 0.0, 0.0])
-        alphas = np.linspace(-8 * dt, 8 * dt, 4001)
-        dens = np.exp(-((alphas / dt) ** 2)) / (SQRT_PI * dt)
-        from gkprep.lattice import is_pauli_zone
-
-        probs = []
-        for k in (1, 2):
-            m = u[0] + u[k] + alphas
-            probs.append(np.trapezoid(dens * is_pauli_zone(m), alphas))
-        want = probs[0] * probs[1]
-        got = success_product(2, u, NoiseParams(0.5, dt), 3)
-        assert got == pytest.approx(want, abs=1e-6)
-
-    def test_case_index_validation(self):
-        with pytest.raises(ValueError):
-            success_product(3, np.zeros(3), NoiseParams(0.5, 0.2), 3)
-        with pytest.raises(ValueError):
-            success_product(0, np.zeros(3), NoiseParams(0.5, 0.2), 3)
-
-    def test_requires_noisy_ancilla(self):
-        with pytest.raises(ValueError):
-            success_product(1, np.zeros(3), NoiseParams(0.5, 0.0), 3)
 
 
 class TestFailureRate:
@@ -259,12 +227,14 @@ class TestFailureRateNoGkpEc:
         assert sharp == pytest.approx(near, abs=1e-6)
         assert 0.0 < sharp < 1.0
 
-    def test_tensor_rejects_sharp_windows(self):
-        # fixed nodes cannot integrate indicator windows that move with u1';
-        # at delta = 0.3 the tensor sum gave s1 = 8.2e-3 against 6.0e-3
+    @pytest.mark.parametrize("dt", [0.0, 1e-3, 1e-2])
+    def test_tensor_rejects_sharp_windows(self, dt):
+        # fixed nodes cannot integrate windows that move with u1' and are
+        # narrower than the node spacing; at delta = 0.3 the tensor sum gave
+        # s1 = 8.2e-3 / 7.53e-3 / 6.55e-3 against the factorized 6.0e-3
         with pytest.raises(ValueError, match="delta_tilde"):
             failure_rate_no_gkp_ec(
-                3, NoiseParams(0.3, 0.0),
+                3, NoiseParams(0.3, dt),
                 QuadratureConfig(nodes_per_dim=32, method="tensor"),
             )
 
