@@ -82,15 +82,7 @@ def _shot_config(
 
 
 def _mc_payload(cfg: ShotConfig, trace=None, workers: int = 1) -> dict:
-    tally = run_tally(cfg, partitions=workers, trace=trace)
-    return {
-        "rate": tally.rate,
-        "std_err": tally.std_err,
-        "failures": tally.failures,
-        "shots": tally.shots,
-        "seed": cfg.seed,
-        "breakdown": tally.breakdown,
-    }
+    return dataclasses.asdict(run_tally(cfg, partitions=workers, trace=trace))
 
 
 def cmd_mc(args) -> int:
@@ -104,20 +96,8 @@ def cmd_mc(args) -> int:
     )
     trace_fh = open(args.trace, "w") if args.trace else None
 
-    def trace(first_shot: int, out: dict) -> None:
-        n_rows = len(out["failed"])
-        for i in range(n_rows):
-            record = {
-                "shot": first_shot + i,
-                "u": out["u"][i].tolist(),
-                "u_resid": out["u_resid"][i].tolist(),
-                "alpha": out["alpha"][i].tolist(),
-                "syndromes": ["PZ" if b else "NPZ" for b in out["syndromes"][i]],
-                "true_pattern": [int(b) for b in out["true_pattern"][i]],
-                "inferred_pattern": [int(b) for b in out["inferred_pattern"][i]],
-                "position_failed": bool(out["position_failed"][i]),
-                "momentum_failed": bool(out["momentum_failed"][i]),
-            }
+    def trace(records) -> None:
+        for record in records:
             trace_fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     try:

@@ -5,9 +5,12 @@ Spread convention
 All spreads ``s`` in this package parameterize densities proportional to
 exp(-x^2/s^2), i.e. f(x) = exp(-x^2/s^2) / (sqrt(pi)*s).  The variance of
 such a density is s^2/2, so the standard deviation of the equivalent normal
-distribution is s/sqrt(2).  That single conversion lives in
-:class:`GaussianDisplacement.sigma`; samplers and everything else go through
-it.  Mixing up s and sigma is the classic silent bug in this domain.
+distribution is s/sqrt(2).  That conversion lives in
+:class:`GaussianDisplacement.sigma`; the Monte Carlo sampler and everything
+else go through it, except ``quadrature.gaussian_window_overlap``, which
+cannot import this module (this module imports ``quadrature``) and divides by
+sqrt(2) itself.  Mixing up s and sigma is the classic silent bug in this
+domain.
 """
 
 from __future__ import annotations
@@ -80,6 +83,17 @@ class NoiseParams:
     @property
     def ideal_ancilla(self) -> bool:
         return self.delta_tilde < IDEAL_ANCILLA_CUTOFF
+
+    def biased_momentum_spreads(self, n: int) -> tuple[float, float]:
+        """Momentum spreads of qubit 1 and of every other qubit of an n-qubit code.
+
+        Each syndrome coupling leaks ancilla noise into the momentum
+        quadrature, so qubit 1's spread grows to sqrt((kappa/r)^2 + n*dt^2)
+        and every other qubit's to sqrt((kappa/r)^2 + 2*dt^2).
+        """
+        mom = self.momentum_spread
+        dt = self.delta_tilde
+        return math.sqrt(mom**2 + n * dt**2), math.sqrt(mom**2 + 2.0 * dt**2)
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,15 @@ the 4n - 1 slots of a shot never reach the next shot's counters):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy import special as sp
 
-from .distributions import NoiseParams
+from .distributions import GaussianDisplacement, NoiseParams
 from .lattice import is_pauli_zone, nearest_multiple_offset_array
 from .repetition import CodeSize, _as_size
 
@@ -59,7 +60,7 @@ def normal_draws(
     """Zero-mean draws with density exp(-x^2/spread^2) (sigma = spread/sqrt(2))."""
     if spread == 0.0:
         return np.zeros(len(shot_indices))
-    return sp.ndtri(uniform_draws(seed, shot_indices, slot)) * (spread / math.sqrt(2.0))
+    return sp.ndtri(uniform_draws(seed, shot_indices, slot)) * GaussianDisplacement(spread).sigma
 
 
 class Mode(Enum):
@@ -69,7 +70,12 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class ShotConfig:
-    """One Monte Carlo experiment; (config, seed) fully determine the output."""
+    """One Monte Carlo experiment; (config, seed) fully determine the output.
+
+    ``shots`` and ``seed`` follow ``CodeSize``'s rule: an integral value of
+    any real type is stored as ``int``; a fractional, non-numeric or ``bool``
+    value raises ``ValueError``.
+    """
 
     n: int | CodeSize
     params: NoiseParams
@@ -80,9 +86,14 @@ class ShotConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _as_size(self.n))
+        for name in ("shots", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
     @property
@@ -104,21 +115,6 @@ class ShotOverrides:
     raw_ancilla: np.ndarray | None = None
     residuals: np.ndarray | None = None
     alphas: np.ndarray | None = None
-    momenta: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """Full trace of a single trajectory."""
-
-    u: np.ndarray
-    u_resid: np.ndarray
-    alpha: np.ndarray
-    syndromes: tuple[str, ...]
-    true_pattern: tuple[int, ...]
-    inferred_pattern: tuple[int, ...]
-    position_failed: bool
-    momentum_failed: bool
 
 
 @dataclass(frozen=True)
@@ -127,6 +123,7 @@ class TallyResult:
 
     failures: int
     shots: int
+    seed: int
     rate: float
     std_err: float
     breakdown: dict[str, int] = field(default_factory=dict)
@@ -208,11 +205,10 @@ def _simulate(
     n = size.n
     shots = len(shot_indices)
     params = cfg.params
-    seed = int(cfg.seed)
     ov = overrides or ShotOverrides()
 
     def draw(slot: int, spread: float) -> np.ndarray:
-        return normal_draws(seed, shot_indices, slot, spread)
+        return normal_draws(cfg.seed, shot_indices, slot, spread)
 
     def injected(values: np.ndarray | None, count: int) -> np.ndarray | None:
         if values is None:
@@ -253,16 +249,10 @@ def _simulate(
 
     momentum_failed = np.zeros(shots, dtype=bool)
     if cfg.mode is Mode.BIASED_FULL:
-        mom = params.momentum_spread
-        dt = params.delta_tilde
-        spread_first = math.sqrt(mom**2 + n * dt**2)
-        spread_rest = math.sqrt(mom**2 + 2.0 * dt**2)
-        momenta = injected(ov.momenta, n)
-        if momenta is None:
-            spreads = [spread_first] + [spread_rest] * (n - 1)
-            momenta = np.column_stack(
-                [draw(3 * n - 1 + i, spreads[i]) for i in range(n)]
-            )
+        spread_first, spread_rest = params.biased_momentum_spreads(n)
+        momenta = np.column_stack(
+            [draw(3 * n - 1 + i, spread_rest if i else spread_first) for i in range(n)]
+        )
         momentum_failed = np.any(is_pauli_zone(momenta), axis=1)
 
     return {
@@ -280,40 +270,46 @@ def _simulate(
     }
 
 
+def _shot_records(first_shot: int, out: dict[str, np.ndarray]) -> Iterator[dict]:
+    """The trace-schema record of each shot of one ``_simulate`` chunk, built lazily."""
+    for i in range(len(out["failed"])):
+        yield {
+            "shot": first_shot + i,
+            "u": out["u"][i].tolist(),
+            "u_resid": out["u_resid"][i].tolist(),
+            "alpha": out["alpha"][i].tolist(),
+            "syndromes": ["PZ" if b else "NPZ" for b in out["syndromes"][i]],
+            "true_pattern": [int(b) for b in out["true_pattern"][i]],
+            "inferred_pattern": [int(b) for b in out["inferred_pattern"][i]],
+            "position_failed": bool(out["position_failed"][i]),
+            "momentum_failed": bool(out["momentum_failed"][i]),
+        }
+
+
 def run_shot(
     cfg: ShotConfig,
     shot_index: int = 0,
     overrides: ShotOverrides | None = None,
-) -> ShotRecord:
-    """Run a single trajectory and return its full record."""
+) -> dict:
+    """Run a single trajectory and return its record, the line ``--trace`` writes for it."""
     out = _simulate(cfg, np.asarray([shot_index], dtype=np.uint64), overrides)
-    kinds = tuple("PZ" if b else "NPZ" for b in out["syndromes"][0])
-    return ShotRecord(
-        u=out["u"][0],
-        u_resid=out["u_resid"][0],
-        alpha=out["alpha"][0],
-        syndromes=kinds,
-        true_pattern=tuple(int(b) for b in out["true_pattern"][0]),
-        inferred_pattern=tuple(int(b) for b in out["inferred_pattern"][0]),
-        position_failed=bool(out["position_failed"][0]),
-        momentum_failed=bool(out["momentum_failed"][0]),
-    )
+    return next(_shot_records(shot_index, out))
 
 
 def run_tally(
     cfg: ShotConfig,
     partitions: int = 1,
     chunk_size: int = 1 << 16,
-    trace: Callable[[int, dict[str, np.ndarray]], None] | None = None,
+    trace: Callable[[Iterator[dict]], None] | None = None,
 ) -> TallyResult:
     """Aggregate ``cfg.shots`` trajectories into a failure tally.
 
     ``partitions`` splits the shot range into independently evaluated
     stretches (order-independent aggregation); the result is identical for
     any partition count because the per-shot randomness is stateless.
+    ``trace`` receives, chunk by chunk in shot order, an iterator over the
+    chunk's shot records (see :func:`run_shot`).
     """
-    if cfg.shots < 1:
-        raise ValueError("shots must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     partitions = max(1, min(int(partitions), cfg.shots))
@@ -333,7 +329,7 @@ def run_tally(
             counts["misidentified"] += int(out["misidentified"].sum())
             counts["momentum"] += int(out["momentum_failed"].sum())
             if trace is not None:
-                trace(pos, out)
+                trace(_shot_records(pos, out))
             pos = hi
 
     rate = failures / cfg.shots
@@ -341,6 +337,7 @@ def run_tally(
     return TallyResult(
         failures=failures,
         shots=cfg.shots,
+        seed=cfg.seed,
         rate=rate,
         std_err=std_err,
         breakdown=counts,

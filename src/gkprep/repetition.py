@@ -563,17 +563,13 @@ def overall_failure_biased(
     """Overall logical failure rate under biased noise.
 
     Position errors (amplified to spread r*delta) are handled by the
-    repetition code; each syndrome coupling leaks ancilla noise into the
-    momentum quadrature, so the momentum spread of qubit 1 grows to
-    sqrt((kappa/r)^2 + n*dt^2) and of every other qubit to
-    sqrt((kappa/r)^2 + 2*dt^2).  Failure events are composed as independent.
+    repetition code; momentum errors are single-qubit flips at the spreads
+    of :meth:`NoiseParams.biased_momentum_spreads`.  Failure events are
+    composed as independent.
     """
     size = _as_size(n)
-    dt = params.delta_tilde
-    mom = params.momentum_spread
-    mom_first = math.sqrt(mom**2 + size.n * dt**2)
-    mom_rest = math.sqrt(mom**2 + 2.0 * dt**2)
-    pos_params = NoiseParams(delta=params.position_spread, delta_tilde=dt)
+    mom_first, mom_rest = params.biased_momentum_spreads(size.n)
+    pos_params = NoiseParams(delta=params.position_spread, delta_tilde=params.delta_tilde)
     p_rep = failure_rate(size, pos_params, cfg).total
     keep = (
         (1.0 - pauli_rate_ideal(mom_rest)) ** (size.n - 1)

@@ -208,6 +208,23 @@ class TestMc:
         }
         assert len(rec["u"]) == 3 and len(rec["alpha"]) == 2
 
+    @pytest.mark.parametrize("mode", ["position", "biased"])
+    def test_trace_lines_are_run_shot_records(self, mode, tmp_path):
+        from gkprep.distributions import NoiseParams
+        from gkprep.montecarlo import Mode, ShotConfig, run_shot
+
+        trace = tmp_path / "trace.jsonl"
+        payload = json.loads(run_cli(
+            "mc", "--n", "3", "--delta", "0.6", "--delta-tilde", "0.3", "--r", "1.5",
+            "--shots", "300", "--seed", "3", "--mode", mode, "--trace", str(trace),
+        ).stdout)
+        cfg = ShotConfig(3, NoiseParams(0.6, 0.3, r=1.5), shots=300, seed=3, mode=Mode(mode))
+        lines = trace.read_text().splitlines()
+        assert lines == [json.dumps(run_shot(cfg, k), sort_keys=True) for k in range(300)]
+        records = [json.loads(line) for line in lines]
+        failed = sum(r["position_failed"] or r["momentum_failed"] for r in records)
+        assert failed == payload["failures"] > 0
+
 
 FIGURE_EXPECTATIONS = {
     "fig1": {"fig1_r1.csv": 1 + 129 * 129, "fig1_rsqrt2.csv": 1 + 129 * 129},
@@ -339,10 +356,15 @@ class TestRunFiles:
             ("mc", {"n": 3, "delta": 0.5, "shots": 10, "output": True}),
             ("mc", {"n": 3.9, "delta": 0.5, "shots": 10}),
             ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3.9}),
+            ("mc", {"n": 3, "delta": 0.5, "shots": 10, "seed": 3.9}),
+            ("mc", {"n": 3, "delta": 0.5, "shots": 10.5}),
+            ("mc", {"n": 3, "delta": 0.5, "shots": True}),
+            ("mc", {"n": 3, "delta": 0.5, "shots": 10, "seed": True}),
         ],
         ids=["fixed-null", "axes-int", "axis-scalar", "shots-str", "bracket-int",
              "r-bracket-int", "mc-list", "output-int", "output-bool", "n-fraction",
-             "right-size-fraction"],
+             "right-size-fraction", "seed-fraction", "shots-fraction", "shots-bool",
+             "seed-bool"],
     )
     def test_wrongly_typed_field_is_usage_error(self, kind, block, tmp_path):
         spec = {"schema_version": 1, kind: block}

@@ -93,10 +93,10 @@ class TestDecoder:
                         residuals=resid, alphas=np.zeros(n - 1)
                     ),
                 )
-                true = tuple(1 if i in flipped else 0 for i in range(n))
-                assert rec.true_pattern == true
-                assert rec.inferred_pattern == true
-                assert not rec.position_failed
+                true = [1 if i in flipped else 0 for i in range(n)]
+                assert rec["true_pattern"] == true
+                assert rec["inferred_pattern"] == true
+                assert not rec["position_failed"]
 
 
 class TestSampleResidual:
@@ -150,10 +150,10 @@ class TestRunShot:
                 raw_data=np.zeros(3), raw_ancilla=np.zeros(3), alphas=np.zeros(2)
             ),
         )
-        assert rec.syndromes == ("NPZ", "NPZ")
-        assert rec.true_pattern == (0, 0, 0)
-        assert rec.inferred_pattern == (0, 0, 0)
-        assert not rec.position_failed
+        assert rec["syndromes"] == ["NPZ", "NPZ"]
+        assert rec["true_pattern"] == [0, 0, 0]
+        assert rec["inferred_pattern"] == [0, 0, 0]
+        assert not rec["position_failed"]
 
     def test_misidentified_single_flip(self):
         # u1' = sqrt(pi) flips qubit 1, but matching ancilla displacements
@@ -166,10 +166,10 @@ class TestRunShot:
                 alphas=np.array([SQRT_PI / 3, SQRT_PI / 3]),
             ),
         )
-        assert rec.syndromes == ("NPZ", "NPZ")
-        assert rec.true_pattern == (1, 0, 0)
-        assert rec.inferred_pattern == (0, 0, 0)
-        assert rec.position_failed
+        assert rec["syndromes"] == ["NPZ", "NPZ"]
+        assert rec["true_pattern"] == [1, 0, 0]
+        assert rec["inferred_pattern"] == [0, 0, 0]
+        assert rec["position_failed"]
 
     def test_antithetic_symmetry(self):
         # negating every displacement flips no zone classification
@@ -180,21 +180,21 @@ class TestRunShot:
             alphas = rng.normal(0.0, 0.3, 4)
             a = run_shot(cfg, overrides=ShotOverrides(residuals=resid, alphas=alphas))
             b = run_shot(cfg, overrides=ShotOverrides(residuals=-resid, alphas=-alphas))
-            assert a.syndromes == b.syndromes
-            assert a.true_pattern == b.true_pattern
-            assert a.inferred_pattern == b.inferred_pattern
-            assert a.position_failed == b.position_failed
+            assert a["syndromes"] == b["syndromes"]
+            assert a["true_pattern"] == b["true_pattern"]
+            assert a["inferred_pattern"] == b["inferred_pattern"]
+            assert a["position_failed"] == b["position_failed"]
 
     def test_reproducible(self):
         cfg = ShotConfig(3, NoiseParams(0.5, 0.2), shots=10, seed=4)
         a = run_shot(cfg, shot_index=7)
         b = run_shot(cfg, shot_index=7)
-        assert np.array_equal(a.u, b.u)
-        assert np.array_equal(a.u_resid, b.u_resid)
-        assert np.array_equal(a.alpha, b.alpha)
-        assert a.syndromes == b.syndromes
-        assert a.inferred_pattern == b.inferred_pattern
-        assert a.position_failed == b.position_failed
+        assert a["u"] == b["u"]
+        assert a["u_resid"] == b["u_resid"]
+        assert a["alpha"] == b["alpha"]
+        assert a["syndromes"] == b["syndromes"]
+        assert a["inferred_pattern"] == b["inferred_pattern"]
+        assert a["position_failed"] == b["position_failed"]
 
 
 class TestRunTally:

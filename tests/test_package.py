@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import gkprep
+import gkprep.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -37,14 +38,42 @@ def test_documented_and_benchmark_names_are_exported():
     assert missing == []
 
 
-def test_benchmark_tracer_sites_are_bound(monkeypatch):
-    # the tracer patches these module attributes by name; a deleted or
-    # renamed one would only show when the benchmark runs
+def _load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_sites_are_bound(monkeypatch):
+    # the tracer patches these module attributes by name; a deleted or
+    # renamed one would only show when the benchmark runs
+    tracing = _load_tracing(monkeypatch)
     sites = [site[:2] for site in tracing.SPAN_SITES + tracing.COUNT_SITES]
     unbound = [(path, attr) for path, attr in sites if attr not in vars(tracing._owner(path))]
     assert sites
     assert unbound == []
+
+
+def test_benchmark_trace_callback_span_nests_in_run_tally(monkeypatch, tmp_path):
+    # the tracer wraps the callback cli passes to run_tally as trace=; a
+    # callback passed another way would drop the benchmark's cli.trace span
+    tracing = _load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = gkprep.cli.main([
+            "mc", "--n", "3", "--delta", "0.5", "--delta-tilde", "0.2", "--shots", "20",
+            "--out", str(tmp_path / "mc.json"), "--trace", str(tmp_path / "trace.jsonl"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    spans = tracer.spans
+    nested = [
+        s for s in spans
+        if s.name == "cli.trace" and s.parent >= 0
+        and spans[s.parent].name == "montecarlo.run_tally"
+    ]
+    assert nested
