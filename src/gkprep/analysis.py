@@ -27,6 +27,7 @@ from .repetition import (
     failure_rate,
     failure_rate_no_gkp_ec,
     overall_failure_biased,
+    shared_engines,
 )
 from .wigner import GkpEnvelope, wigner_point
 
@@ -82,6 +83,7 @@ def _rate_curve(
     return lambda dt: failure_rate(size, NoiseParams(delta, dt), cfg).total
 
 
+@shared_engines()
 def critical_ancilla_spread(
     q: CrossingQuery, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> CrossingResult:
@@ -89,7 +91,8 @@ def critical_ancilla_spread(
 
     Samples 8 interior points first: no sign change is reported as a
     no-crossing result, more than one sign change raises
-    :class:`AmbiguousCrossingError` with the samples attached.
+    :class:`AmbiguousCrossingError` with the samples attached.  Both curves
+    share each sampled point's engines.
     """
     left = _rate_curve(q.left_size, q.delta, cfg)
     right = _rate_curve(q.right_size, q.delta, cfg)
@@ -210,6 +213,10 @@ class SweepSpec:
             raise ValueError("at least one axis is required")
         if not isinstance(self.fixed, dict):
             raise ValueError("fixed must map parameter names to values")
+        names = [name for name, _ in axes] + list(self.fixed)
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"parameters named twice in axes and fixed: {repeated}")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .analysis import (
 from .distributions import NoiseParams
 from .lattice import TruncationError
 from .montecarlo import Mode, ShotConfig, run_tally
-from .repetition import QuadratureConfig, QuadratureError
+from .repetition import QuadratureConfig, QuadratureError, shared_engines
 from .wigner import GkpEnvelope, GridSpec, grid_to_binary, grid_to_csv, wigner_physical_zero
 
 # Not called here; bound so that perfbench/tracing.py can wrap this lookup site.
@@ -302,7 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with shared_engines():
+            return args.func(args)
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

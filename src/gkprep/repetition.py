@@ -34,14 +34,25 @@ complement window erfc((hi-y)/dt) + erfc((y-lo)/dt), the factorized blocks
 telescope the difference of products into non-negative terms, and the
 tensor oracle sums -expm1(sum log1p(-miss)) pointwise.  Every per-case
 value therefore keeps its relative accuracy deep in the tail.
+
+The miss integrals do not depend on n.  Each cell engine keeps the
+log(1 - M/a) it has computed, and inside :func:`shared_engines` (one
+``gkprep`` command, one crossing search) the engines and the overweight
+tail of a noise point are built once and reused by every code size and by
+both sides of a crossing.  Every call still contracts the blocks at both
+node counts and checks the refine certificate.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache
+from typing import Any
 
 import numpy as np
 from scipy import special as sp
@@ -214,15 +225,42 @@ class _Cell:
     mass: float
 
 
-class _ResidualCellEngine:
-    """Per-cell nodes, densities and inner integrals for the post-EC density.
+class _CellEngine:
+    """Cells of one density at one node count, and their miss ratios.
 
-    ``cells`` maps the NPZ_CELL and PZ_CELL bounds to their :class:`_Cell`.
+    Subclasses fill ``cells`` (the NPZ_CELL and PZ_CELL bounds mapped to
+    their :class:`_Cell`) and implement ``miss``.  ``log_keep`` memoizes
+    what it derives from ``miss``, which does not depend on the code size.
     """
 
-    def __init__(self, params: NoiseParams, n_nodes: int, neighbors: int) -> None:
+    cells: dict[tuple[float, float], _Cell]
+
+    def __init__(self, params: NoiseParams, neighbors: int) -> None:
         self.dt = params.delta_tilde
         self.neighbors = neighbors
+        self._log_keep: dict[tuple, np.ndarray] = {}
+
+    def log_keep(self, outer_cell: tuple[float, float], cell: tuple[float, float],
+                 window: tuple[float, float], reflect: bool) -> np.ndarray:
+        """log(1 - M/a) on the outer nodes; -inf where the cell misses entirely."""
+        key = (outer_cell, cell, window, reflect)
+        if key not in self._log_keep:
+            x = self.cells[outer_cell].x
+            mass = self.cells[cell].mass
+            if mass > 0.0:
+                ratio = np.clip(self.miss(x, cell, window, reflect) / mass, 0.0, 1.0)
+            else:
+                ratio = np.zeros_like(x)
+            with np.errstate(divide="ignore"):
+                self._log_keep[key] = np.log1p(-ratio)
+        return self._log_keep[key]
+
+
+class _ResidualCellEngine(_CellEngine):
+    """Per-cell nodes, densities and inner integrals for the post-EC density."""
+
+    def __init__(self, params: NoiseParams, n_nodes: int, neighbors: int) -> None:
+        super().__init__(params, neighbors)
         dist = ResidualDistribution(params.delta, params.delta_tilde)
 
         def cell(center: float) -> _Cell:
@@ -247,7 +285,7 @@ class _ResidualCellEngine:
         return 0.5 * (q @ (cell.w * cell.f))
 
 
-class _IntrinsicCellEngine:
+class _IntrinsicCellEngine(_CellEngine):
     """Same interface for the raw (no GKP EC) Gaussian data density.
 
     Cell masses are closed-form erf differences and the inner integrals are
@@ -256,9 +294,8 @@ class _IntrinsicCellEngine:
     """
 
     def __init__(self, params: NoiseParams, n_nodes: int, neighbors: int) -> None:
+        super().__init__(params, neighbors)
         self.delta = params.delta
-        self.dt = params.delta_tilde
-        self.neighbors = neighbors
         gauss = GaussianDisplacement(params.delta)
         scale = max(params.delta / 2.0, (2.0 * HALF_CELL) / (n_nodes // 4))
 
@@ -313,7 +350,6 @@ class _IntrinsicCellEngine:
         return np.maximum(out, 0.0)
 
 
-_Engine = _ResidualCellEngine | _IntrinsicCellEngine
 
 
 @dataclass(frozen=True)
@@ -331,7 +367,8 @@ class _BlockSpec:
     factors: tuple[tuple[int, tuple[float, float], tuple[float, float], bool], ...]
 
 
-def _case_blocks(m: int, n: int) -> list[_BlockSpec]:
+@cache
+def _case_blocks(m: int, n: int) -> tuple[_BlockSpec, ...]:
     """Pattern classes with exactly m flipped qubits.
 
     Class A has qubit 1 flipped (C(n-1, m-1) flip sets, overall sign pair
@@ -371,10 +408,10 @@ def _case_blocks(m: int, n: int) -> list[_BlockSpec]:
                 tuple(factors),
             )
         )
-    return blocks
+    return tuple(blocks)
 
 
-def _factorized_cases(engine: _Engine, size: CodeSize) -> list[float]:
+def _factorized_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
     """Per-flip-count contributions via the 1-D reduction over u1'.
 
     Factor group g (count c, cell mass a, miss M) contributes A = a^c to the
@@ -386,24 +423,11 @@ def _factorized_cases(engine: _Engine, size: CodeSize) -> list[float]:
     n = size.n
 
     @cache
-    def log_keep(outer_cell: tuple[float, float], cell: tuple[float, float],
-                 window: tuple[float, float], reflect: bool) -> np.ndarray:
-        """log(1 - M/a) on the outer nodes; -inf where the cell misses entirely."""
-        x = engine.cells[outer_cell].x
-        mass = engine.cells[cell].mass
-        if mass > 0.0:
-            ratio = np.clip(engine.miss(x, cell, window, reflect) / mass, 0.0, 1.0)
-        else:
-            ratio = np.zeros_like(x)
-        with np.errstate(divide="ignore"):
-            return np.log1p(-ratio)
-
-    @cache
     def group(outer_cell: tuple[float, float], count: int, cell: tuple[float, float],
               window: tuple[float, float], reflect: bool) -> tuple[float, np.ndarray, np.ndarray]:
         """(A, A - B, B) of one factor group on the outer nodes."""
         full = engine.cells[cell].mass ** count
-        log_b = count * log_keep(outer_cell, cell, window, reflect)
+        log_b = count * engine.log_keep(outer_cell, cell, window, reflect)
         return full, -full * np.expm1(log_b), full * np.exp(log_b)
 
     cases = []
@@ -422,7 +446,7 @@ def _factorized_cases(engine: _Engine, size: CodeSize) -> list[float]:
     return cases
 
 
-def _tensor_cases(engine: _Engine, size: CodeSize) -> list[float]:
+def _tensor_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
     """Direct grid summation of the block integrands (independent oracle).
 
     Materializes the pointwise failure probability -expm1(sum_k log1p(-q_k/2))
@@ -477,10 +501,52 @@ def _ideal_breakdown(size: CodeSize, p: float) -> FailureBreakdown:
     return _breakdown(cases, classical_failure(size, p), size)
 
 
-def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
-    if gkp_ec:
-        return _ResidualCellEngine(params, n_nodes, neighbors)
-    return _IntrinsicCellEngine(params, n_nodes, neighbors)
+# The memo of the open shared_engines() block; None outside one.
+_SHARED: ContextVar[dict[tuple, Any] | None] = ContextVar("gkprep_shared_engines", default=None)
+
+# Entries (engines and tail rates) one block keeps, oldest dropped first.  A
+# fine engine with its miss integrals takes about 17 kB, so a sweep over any
+# number of noise points holds at most about 17 MB here.
+_SHARED_MAX = 1024
+
+
+@contextmanager
+def shared_engines() -> Iterator[None]:
+    """Build each noise point's engines and tail rate once inside the block.
+
+    Rate calls in the block reuse the cell engines (nodes, densities, miss
+    integrals) and the overweight tail of any noise point an earlier call
+    built.  A nested block joins the outer one; the memo is dropped when
+    the outermost block exits.
+    """
+    if _SHARED.get() is not None:
+        yield
+        return
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _shared(key: tuple, build: Callable[[], Any]) -> Any:
+    """``build()``, memoized under ``key`` inside :func:`shared_engines`."""
+    memo = _SHARED.get()
+    if memo is None:
+        return build()
+    if key not in memo:
+        if len(memo) >= _SHARED_MAX:
+            del memo[next(iter(memo))]
+        memo[key] = build()
+    return memo[key]
+
+
+def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int, neighbors: int) -> _CellEngine:
+    engine = _ResidualCellEngine if gkp_ec else _IntrinsicCellEngine
+    return _shared(
+        ("engine", gkp_ec, params.delta, params.delta_tilde, n_nodes, neighbors),
+        lambda: engine(params, n_nodes, neighbors),
+    )
 
 
 def _failure_rate_impl(
@@ -492,7 +558,12 @@ def _failure_rate_impl(
     size = _as_size(n)
     if gkp_ec and params.ideal_ancilla:
         return _ideal_breakdown(size, pauli_rate_ideal(params.delta))
-    tail_p = pauli_rate_physical(params) if gkp_ec else pauli_rate_ideal(params.delta)
+    if gkp_ec:
+        tail_p = _shared(
+            ("tail", params.delta, params.delta_tilde), lambda: pauli_rate_physical(params)
+        )
+    else:
+        tail_p = pauli_rate_ideal(params.delta)
     tail = classical_failure(size, tail_p)
     engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors)
     if cfg.method == "tensor":

@@ -111,6 +111,14 @@ class TestRunSweep:
         b = run_sweep(spec).to_csv_text()
         assert a == b
 
+    @pytest.mark.parametrize("axes, fixed", [
+        ((("delta_tilde", (0.1, 0.3)),), {"delta": 0.5, "delta_tilde": 0.2}),
+        ((("delta_tilde", (0.1,)), ("delta", (0.5,)), ("delta_tilde", (0.3,))), {}),
+    ])
+    def test_parameter_named_twice_rejected(self, axes, fixed):
+        with pytest.raises(ValueError, match=r"named twice.*\['delta_tilde'\]"):
+            SweepSpec("pf", axes, fixed)
+
     def test_non_integral_code_size_is_a_value_error_cell(self):
         spec = SweepSpec(
             "pfrep", (("n", (3, 3.9, 5.5)),), {"delta": 0.5, "delta_tilde": 0.2}

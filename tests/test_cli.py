@@ -1,12 +1,16 @@
 import csv
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
+
+from gkprep import cli, repetition
 
 CLI = [sys.executable, "-m", "gkprep.cli"]
 
@@ -51,6 +55,29 @@ class TestExitCodes:
         )
         assert proc.returncode == 3
         assert "numerical" in proc.stderr
+
+
+class TestEngineLifetime:
+    @pytest.mark.parametrize("nodes, code", [("64", 0), ("16", 3)])
+    def test_no_engine_outlives_main(self, nodes, code, monkeypatch, capsys):
+        engines = []
+        init = repetition._ResidualCellEngine.__init__
+
+        def recording_init(self, *args):
+            engines.append(weakref.ref(self))
+            init(self, *args)
+
+        monkeypatch.setattr(repetition._ResidualCellEngine, "__init__", recording_init)
+        argv = [
+            "rate", "--quantity", "pfrep", "--n", "3", "--delta", "0.5",
+            "--delta-tilde", "0.3", "--nodes", nodes,
+        ]
+        # the second call builds its own coarse and fine engines
+        for calls in (1, 2):
+            assert cli.main(argv) == code
+            gc.collect()
+            assert len(engines) == 2 * calls
+            assert all(ref() is None for ref in engines)
 
 
 class TestRate:

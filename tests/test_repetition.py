@@ -1,10 +1,12 @@
 import itertools
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from gkprep import repetition
 from gkprep.distributions import NoiseParams, pauli_rate_ideal, pauli_rate_physical
 from gkprep.repetition import (
     CodeSize,
@@ -14,6 +16,7 @@ from gkprep.repetition import (
     failure_rate,
     failure_rate_no_gkp_ec,
     overall_failure_biased,
+    shared_engines,
 )
 
 
@@ -247,6 +250,92 @@ class TestFailureRateNoGkpEc:
             3, params, QuadratureConfig(nodes_per_dim=48, method="tensor")
         )
         assert fact.total == pytest.approx(tens.total, abs=2e-6)
+
+
+class TestSharedEngines:
+    @staticmethod
+    def _count_engines(monkeypatch, engine_cls=repetition._ResidualCellEngine):
+        """Record each built engine's node count and count its miss calls."""
+        built, misses = [], Counter()
+        init, miss = engine_cls.__init__, engine_cls.miss
+
+        def counting_init(self, params, n_nodes, neighbors):
+            built.append(n_nodes)
+            init(self, params, n_nodes, neighbors)
+
+        def counting_miss(self, *args):
+            misses[id(self)] += 1
+            return miss(self, *args)
+
+        monkeypatch.setattr(engine_cls, "__init__", counting_init)
+        monkeypatch.setattr(engine_cls, "miss", counting_miss)
+        return built, misses
+
+    @pytest.mark.parametrize("rate", [failure_rate, failure_rate_no_gkp_ec])
+    def test_per_case_values_identical_inside_and_outside_a_scope(self, rate):
+        calls = [
+            (n, NoiseParams(delta, dt), repetition.DEFAULT_QUADRATURE)
+            for delta in (0.3, 0.5) for dt in (0.08, 0.3) for n in (3, 5, 7, 9)
+        ]
+        # the tensor oracle, then a 32-node call whose fine engine is the
+        # coarse engine of the 64-node call after it
+        calls += [
+            (3, NoiseParams(0.5, 0.3), QuadratureConfig(method="tensor")),
+            (3, NoiseParams(0.5, 0.3), QuadratureConfig(nodes_per_dim=32)),
+            (3, NoiseParams(0.5, 0.3), QuadratureConfig(nodes_per_dim=64)),
+        ]
+        fresh = [rate(*call).per_case for call in calls]
+        with shared_engines():
+            shared = [rate(*call).per_case for call in calls]
+        assert shared == fresh
+
+    def test_one_engine_pair_per_noise_point(self, monkeypatch):
+        built, misses = self._count_engines(monkeypatch)
+        tails = []
+        tail = repetition.pauli_rate_physical
+        monkeypatch.setattr(
+            repetition, "pauli_rate_physical", lambda params: tails.append(params) or tail(params)
+        )
+        with shared_engines():
+            for n in (3, 5, 7, 9):
+                failure_rate(n, NoiseParams(0.5, 0.2))
+        assert sorted(built) == [64, 128]
+        assert len(misses) == 2 and max(misses.values()) <= 6
+        assert len(tails) == 1
+
+    def test_nested_scope_joins_the_outer_one(self, monkeypatch):
+        built, _ = self._count_engines(monkeypatch, repetition._IntrinsicCellEngine)
+        with shared_engines():
+            failure_rate_no_gkp_ec(3, NoiseParams(0.5, 0.2))
+            with shared_engines():
+                failure_rate_no_gkp_ec(5, NoiseParams(0.5, 0.2))
+            failure_rate_no_gkp_ec(7, NoiseParams(0.5, 0.2))
+        assert sorted(built) == [64, 128]
+
+    def test_fresh_engines_outside_a_scope(self, monkeypatch):
+        built, _ = self._count_engines(monkeypatch)
+        for n in (3, 5):
+            failure_rate(n, NoiseParams(0.5, 0.2))
+        assert sorted(built) == [64, 64, 128, 128]
+
+    def test_oldest_entries_dropped_at_the_cap(self, monkeypatch):
+        built, _ = self._count_engines(monkeypatch)
+        monkeypatch.setattr(repetition, "_SHARED_MAX", 3)
+        with shared_engines():
+            # each point holds a coarse engine, a fine engine and a tail
+            for dt in (0.2, 0.3, 0.3, 0.2):
+                failure_rate(3, NoiseParams(0.5, dt))
+        assert built == [64, 128, 64, 128, 64, 128]
+
+    def test_certificate_checked_on_a_memo_hit(self, monkeypatch):
+        # 16 nodes per cell cannot certify 1e-8 at dt = 0.3
+        built, _ = self._count_engines(monkeypatch)
+        cfg = QuadratureConfig(nodes_per_dim=16)
+        with shared_engines():
+            for n in (3, 3, 5):
+                with pytest.raises(QuadratureError, match="abs_tol"):
+                    failure_rate(n, NoiseParams(0.5, 0.3), cfg)
+        assert sorted(built) == [16, 32]
 
 
 class TestOverallFailureBiased:
