@@ -14,22 +14,21 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .distributions import (
-    NoiseParams,
-    pauli_rate_ideal,
-    pauli_rate_physical,
-    pauli_rate_physical_report,
-)
+from .distributions import NoiseParams, pauli_rate_ideal, pauli_rate_physical_report
 from .repetition import (
     DEFAULT_QUADRATURE,
     FailureBreakdown,
     QuadratureConfig,
+    _shared_pauli_rate,
     failure_rate,
     failure_rate_no_gkp_ec,
     overall_failure_biased,
     shared_engines,
 )
 from .wigner import GkpEnvelope, wigner_point
+
+# Not called here; bound so that perfbench/tracing.py can wrap this lookup site.
+from .distributions import pauli_rate_physical  # noqa: F401
 
 
 class AmbiguousCrossingError(RuntimeError):
@@ -79,7 +78,7 @@ def _rate_curve(
     size: int | str, delta: float, cfg: QuadratureConfig
 ) -> Callable[[float], float]:
     if size == "single":
-        return lambda dt: pauli_rate_physical(NoiseParams(delta, dt))
+        return lambda dt: _shared_pauli_rate(NoiseParams(delta, dt))
     return lambda dt: failure_rate(size, NoiseParams(delta, dt), cfg).total
 
 

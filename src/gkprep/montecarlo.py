@@ -12,12 +12,13 @@ the 4n - 1 slots of a shot never reach the next shot's counters):
   [n, 2n)       GKP-EC ancilla displacements
   [2n, 3n-1)    syndrome ancilla displacements alpha_i
   [3n-1, 4n-1)  momentum displacements (biased mode only)
+Each stage draws its slot range as one (shots, slots) counter block, which
+hashes to the same bits as drawing the slots one at a time.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
@@ -27,7 +28,7 @@ from scipy import special as sp
 
 from .distributions import GaussianDisplacement, NoiseParams
 from .lattice import is_pauli_zone, nearest_multiple_offset_array
-from .repetition import CodeSize, _as_size
+from .repetition import CodeSize, _as_size, _integral
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -46,20 +47,25 @@ def _derive_key(seed: int) -> np.uint64:
                              dtype=np.uint64))[0]
 
 
-def uniform_draws(seed: int, shot_indices: np.ndarray, slot: int) -> np.ndarray:
-    """Uniforms in (0, 1), one per shot index, for a fixed slot."""
-    counters = (shot_indices.astype(np.uint64) << np.uint64(_SLOT_BITS)) | np.uint64(slot)
+def uniform_draws(seed: int, shot_indices: np.ndarray, slot: int | range) -> np.ndarray:
+    """Uniforms in (0, 1) for each shot index at one slot, or a (shots, k) block for k slots."""
+    counters = np.bitwise_or.outer(
+        shot_indices.astype(np.uint64) << np.uint64(_SLOT_BITS), np.asarray(slot, dtype=np.uint64)
+    )
     key = _derive_key(seed)
     bits = _mix64(key + _GOLDEN * (counters + np.uint64(1)))
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
 
 
 def normal_draws(
-    seed: int, shot_indices: np.ndarray, slot: int, spread: float
+    seed: int, shot_indices: np.ndarray, slot: int | range, spread: float
 ) -> np.ndarray:
-    """Zero-mean draws with density exp(-x^2/spread^2) (sigma = spread/sqrt(2))."""
+    """Zero-mean draws with density exp(-x^2/spread^2) (sigma = spread/sqrt(2)).
+
+    Shaped as :func:`uniform_draws`; zeros (never -0.0) at spread 0.
+    """
     if spread == 0.0:
-        return np.zeros(len(shot_indices))
+        return np.zeros((len(shot_indices), *np.shape(slot)))
     return sp.ndtri(uniform_draws(seed, shot_indices, slot)) * GaussianDisplacement(spread).sigma
 
 
@@ -72,9 +78,8 @@ class Mode(Enum):
 class ShotConfig:
     """One Monte Carlo experiment; (config, seed) fully determine the output.
 
-    ``shots`` and ``seed`` follow ``CodeSize``'s rule: an integral value of
-    any real type is stored as ``int``; a fractional, non-numeric or ``bool``
-    value raises ``ValueError``.
+    ``shots`` and ``seed`` follow ``CodeSize``'s integer rule; ``gkp_ec``
+    must be a ``bool``.  Any other value raises ``ValueError``.
     """
 
     n: int | CodeSize
@@ -87,10 +92,12 @@ class ShotConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _as_size(self.n))
         for name in ("shots", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            value = _integral(getattr(self, name))
+            if value is None:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
+        if not isinstance(self.gkp_ec, bool):
+            raise ValueError(f"gkp_ec must be a boolean, got {self.gkp_ec!r}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -207,35 +214,22 @@ def _simulate(
     params = cfg.params
     ov = overrides or ShotOverrides()
 
-    def draw(slot: int, spread: float) -> np.ndarray:
-        return normal_draws(cfg.seed, shot_indices, slot, spread)
-
-    def injected(values: np.ndarray | None, count: int) -> np.ndarray | None:
+    def stage(slots: range, spread: float, values: np.ndarray | None) -> np.ndarray:
+        """The injected ``values`` broadcast over shots, else the slot block's draws."""
         if values is None:
-            return None
-        return np.broadcast_to(np.asarray(values, dtype=np.float64), (shots, count)).copy()
+            return normal_draws(cfg.seed, shot_indices, slots, spread)
+        return np.broadcast_to(np.asarray(values, dtype=np.float64), (shots, len(slots))).copy()
 
-    u = injected(ov.raw_data, n)
-    if u is None:
-        u = np.column_stack([draw(i, cfg.position_spread) for i in range(n)])
-
-    resid = injected(ov.residuals, n)
-    if resid is None:
-        if cfg.gkp_ec:
-            u2 = injected(ov.raw_ancilla, n)
-            if u2 is None:
-                u2 = np.column_stack(
-                    [draw(n + i, params.delta_tilde) for i in range(n)]
-                )
-            resid = u - nearest_multiple_offset_array(u + u2)
-        else:
-            resid = u
-
-    alpha = injected(ov.alphas, n - 1)
-    if alpha is None:
-        alpha = np.column_stack(
-            [draw(2 * n + i, params.delta_tilde) for i in range(n - 1)]
+    u = stage(range(n), cfg.position_spread, ov.raw_data)
+    if ov.residuals is not None:
+        resid = stage(range(n), 0.0, ov.residuals)
+    elif cfg.gkp_ec:
+        resid = u - nearest_multiple_offset_array(
+            u + stage(range(n, 2 * n), params.delta_tilde, ov.raw_ancilla)
         )
+    else:
+        resid = u
+    alpha = stage(range(2 * n, 3 * n - 1), params.delta_tilde, ov.alphas)
 
     measured = resid[:, :1] + resid[:, 1:] + alpha
     syndromes = is_pauli_zone(measured)
@@ -250,10 +244,9 @@ def _simulate(
     momentum_failed = np.zeros(shots, dtype=bool)
     if cfg.mode is Mode.BIASED_FULL:
         spread_first, spread_rest = params.biased_momentum_spreads(n)
-        momenta = np.column_stack(
-            [draw(3 * n - 1 + i, spread_rest if i else spread_first) for i in range(n)]
-        )
-        momentum_failed = np.any(is_pauli_zone(momenta), axis=1)
+        first = normal_draws(cfg.seed, shot_indices, 3 * n - 1, spread_first)
+        rest = normal_draws(cfg.seed, shot_indices, range(3 * n, 4 * n - 1), spread_rest)
+        momentum_failed = is_pauli_zone(first) | np.any(is_pauli_zone(rest), axis=1)
 
     return {
         "u": u,

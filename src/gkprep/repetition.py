@@ -51,7 +51,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from typing import Any
 
 import numpy as np
@@ -85,23 +85,33 @@ class QuadratureError(RuntimeError):
     """A rate quadrature could not certify the requested tolerance."""
 
 
+def _integral(value: Any) -> int | None:
+    """``value`` as ``int`` if it is integral (3, 3.0, a numpy integer), else None.
+
+    A fractional, non-finite, non-numeric or ``bool`` value is not integral.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
+        return None
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CodeSize:
     """Odd repetition-code size 3 <= n <= 15.
 
     The cap bounds both routes: the Monte Carlo slot layout draws 4n - 1
     slots per shot out of 64, and the quadrature is checked up to n = 15.
-    An integral value of any real type (3, 3.0, a numpy integer) is stored
-    as ``int``; a fractional or non-numeric one raises ``ValueError``.
+    Stored as ``int`` by :func:`_integral`'s rule; any other value raises
+    ``ValueError``.
     """
 
     n: int
 
     def __post_init__(self) -> None:
-        n = self.n
-        if not (isinstance(n, numbers.Real) and 3 <= n <= 15 and n % 2 == 1):
-            raise ValueError(f"code size must be an odd integer from 3 to 15, got {n!r}")
-        object.__setattr__(self, "n", int(n))
+        n = _integral(self.n)
+        if n is None or not (3 <= n <= 15 and n % 2 == 1):
+            raise ValueError(f"code size must be an odd integer from 3 to 15, got {self.n!r}")
+        object.__setattr__(self, "n", n)
 
     @property
     def correctable_weight(self) -> int:
@@ -123,6 +133,8 @@ class QuadratureConfig:
     ``nodes_per_dim`` is the per-cell node count along each dimension.  The
     tensor method is an n <= 5 cost-guarded oracle; ``refine`` re-evaluates
     the factorized blocks at doubled node count and certifies ``abs_tol``.
+    The integer fields follow :func:`_integral`; ``refine`` must be a
+    ``bool``.  Any other value raises ``ValueError``.
     """
 
     nodes_per_dim: int = 64
@@ -132,6 +144,13 @@ class QuadratureConfig:
     window_neighbors: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("nodes_per_dim", "window_neighbors"):
+            value = _integral(getattr(self, name))
+            if value is None:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
+        if not isinstance(self.refine, bool):
+            raise ValueError(f"refine must be a boolean, got {self.refine!r}")
         if self.nodes_per_dim < 8:
             raise ValueError("nodes_per_dim must be at least 8")
         if self.method not in ("factorized", "tensor"):
@@ -169,41 +188,19 @@ def classical_failure(n: int | CodeSize, p: float) -> float:
     return total
 
 
-def _erf_window(
-    y: np.ndarray,
-    window: tuple[float, float],
-    delta_tilde: float,
-    neighbors: int = 0,
-) -> np.ndarray:
-    """erf((hi-y)/dt) - erf((lo-y)/dt), summed over 2*sqrt(pi) translates.
-
-    Ranges over [0, 2]; equals twice the probability that y plus a
-    spread-``delta_tilde`` ancilla displacement lands in the window (or any
-    of its ``neighbors`` lattice translates).
-    """
-    lo, hi = window
-    y = np.asarray(y, dtype=np.float64)
-    out = np.zeros_like(y)
-    for t in range(-neighbors, neighbors + 1):
-        shift = 2.0 * t * SQRT_PI
-        out = out + (
-            sp.erf((hi + shift - y) / delta_tilde)
-            - sp.erf((lo + shift - y) / delta_tilde)
-        )
-    return out
-
-
 def _window_complement(
     y: np.ndarray,
     window: tuple[float, float],
     delta_tilde: float,
     neighbors: int = 0,
 ) -> np.ndarray:
-    """2 - _erf_window(y, ...), computed without cancellation.
+    """Twice the probability that y plus the ancilla displacement misses the window.
 
-    The central window contributes erfc((hi-y)/dt) + erfc((y-lo)/dt), twice
-    the probability that y plus the ancilla displacement misses it; the
-    ``neighbors`` translates are then subtracted.  Clipped to [0, 2].
+    The ancilla displacement has spread ``delta_tilde``; the window counts
+    with its ``neighbors`` 2*sqrt(pi) translates on each side.  The central
+    window contributes erfc((hi-y)/dt) + erfc((y-lo)/dt), computed without
+    cancellation; each translate's erf((hi-y)/dt) - erf((lo-y)/dt) is then
+    subtracted.  Clipped to [0, 2].
     """
     lo, hi = window
     y = np.asarray(y, dtype=np.float64)
@@ -211,7 +208,9 @@ def _window_complement(
     for t in range(-neighbors, neighbors + 1):
         if t:
             shift = 2.0 * t * SQRT_PI
-            out = out - _erf_window(y, (lo + shift, hi + shift), delta_tilde)
+            out = out - (
+                sp.erf((hi + shift - y) / delta_tilde) - sp.erf((lo + shift - y) / delta_tilde)
+            )
     return np.clip(out, 0.0, 2.0)
 
 
@@ -350,8 +349,6 @@ class _IntrinsicCellEngine(_CellEngine):
         return np.maximum(out, 0.0)
 
 
-
-
 @dataclass(frozen=True)
 class _BlockSpec:
     """One exchange-symmetric class of flip patterns.
@@ -460,26 +457,22 @@ def _tensor_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
         total = 0.0
         for block in _case_blocks(m, n):
             outer = engine.cells[block.outer_cell]
-            dims: list[tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float], bool]] = []
-            for count, bounds, window, reflect in block.factors:
-                cell = engine.cells[bounds]
-                dims.extend([(cell.x, cell.w, cell.f, window, reflect)] * count)
-            shape = tuple(len(d[0]) for d in dims)
-            weight_grid = np.ones(shape)
-            for axis, (x, w, f, _, _) in enumerate(dims):
-                sh = [1] * len(dims)
-                sh[axis] = len(x)
-                weight_grid = weight_grid * (w * f).reshape(sh)
+            axes = [
+                (engine.cells[bounds], window, reflect)
+                for count, bounds, window, reflect in block.factors
+                for _ in range(count)
+            ]
+            weight_grid = reduce(np.multiply.outer, [cell.w * cell.f for cell, _, _ in axes])
             block_total = 0.0
             for i, u1 in enumerate(outer.x):
-                log_keep = 0.0
-                for axis, (x, _, _, window, reflect) in enumerate(dims):
-                    sh = [1] * len(dims)
-                    sh[axis] = len(x)
-                    arg = u1 - x if reflect else u1 + x
-                    q = _window_complement(arg, window, engine.dt, engine.neighbors)
-                    with np.errstate(divide="ignore"):  # log1p(-1) = -inf is exact
-                        log_keep = log_keep + np.log1p(-0.5 * q).reshape(sh)
+                with np.errstate(divide="ignore"):  # log1p(-1) = -inf is exact
+                    log_keep = reduce(np.add.outer, [
+                        np.log1p(-0.5 * _window_complement(
+                            u1 - cell.x if reflect else u1 + cell.x,
+                            window, engine.dt, engine.neighbors,
+                        ))
+                        for cell, window, reflect in axes
+                    ])
                 block_total -= outer.w[i] * outer.f[i] * float(
                     np.sum(weight_grid * np.expm1(log_keep))
                 )
@@ -549,6 +542,13 @@ def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int, neighbors: int
     )
 
 
+def _shared_pauli_rate(params: NoiseParams) -> float:
+    """P_F at ``params``, computed once per noise point inside :func:`shared_engines`."""
+    return _shared(
+        ("tail", params.delta, params.delta_tilde), lambda: pauli_rate_physical(params)
+    )
+
+
 def _failure_rate_impl(
     n: int | CodeSize,
     params: NoiseParams,
@@ -558,12 +558,7 @@ def _failure_rate_impl(
     size = _as_size(n)
     if gkp_ec and params.ideal_ancilla:
         return _ideal_breakdown(size, pauli_rate_ideal(params.delta))
-    if gkp_ec:
-        tail_p = _shared(
-            ("tail", params.delta, params.delta_tilde), lambda: pauli_rate_physical(params)
-        )
-    else:
-        tail_p = pauli_rate_ideal(params.delta)
+    tail_p = _shared_pauli_rate(params) if gkp_ec else pauli_rate_ideal(params.delta)
     tail = classical_failure(size, tail_p)
     engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors)
     if cfg.method == "tensor":

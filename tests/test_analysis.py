@@ -36,6 +36,29 @@ class TestCriticalAncillaSpread:
         ) / (2 * h)
         assert abs(left - right) < 10.0 * q.tol * max(slope, 1e-6)
 
+    def test_single_curve_computes_pf_once_per_sample(self, monkeypatch):
+        # the "single" curve and the code's overweight tail share one P_F
+        # computation at each sampled ancilla spread
+        import gkprep.repetition as repetition
+
+        sampled, computed = [], []
+
+        def counted_rate(n, params, cfg):
+            sampled.append(params.delta_tilde)
+            return failure_rate(n, params, cfg)
+
+        def counted_pf(params):
+            computed.append(params.delta_tilde)
+            return pauli_rate_physical(params)
+
+        monkeypatch.setattr(analysis, "failure_rate", counted_rate)
+        for module in (analysis, repetition):
+            monkeypatch.setattr(module, "pauli_rate_physical", counted_pf)
+        q = CrossingQuery(delta=0.5, left_size="single", right_size=3, bracket=(0.15, 0.45))
+        assert critical_ancilla_spread(q).status == "found"
+        assert len(sampled) > 10
+        assert sorted(computed) == sorted(sampled)
+
     def test_no_crossing_reported_not_raised(self):
         q = CrossingQuery(delta=0.5, left_size="single", right_size=3, bracket=(0.02, 0.1))
         result = critical_ancilla_spread(q)

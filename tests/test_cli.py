@@ -370,36 +370,68 @@ class TestRunFiles:
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(
-        "kind, block",
+        "kind, block, engine",
         [
-            ("sweep", {"quantity": "px", "axes": [["delta", [0.5]]], "fixed": None}),
-            ("sweep", {"quantity": "px", "axes": 5}),
-            ("sweep", {"quantity": "px", "axes": [["delta", 0.5]]}),
-            ("mc", {"n": 3, "delta": 0.5, "shots": "100"}),
-            ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3, "bracket": 5}),
-            ("optimal_bias", {"n": 3, "delta": 0.5, "r_bracket": 3}),
-            ("mc", [1]),
-            ("sweep", {"quantity": "px", "axes": [["delta", [0.5]]], "output": 5}),
-            ("mc", {"n": 3, "delta": 0.5, "shots": 10, "output": True}),
-            ("mc", {"n": 3.9, "delta": 0.5, "shots": 10}),
-            ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3.9}),
-            ("mc", {"n": 3, "delta": 0.5, "shots": 10, "seed": 3.9}),
-            ("mc", {"n": 3, "delta": 0.5, "shots": 10.5}),
-            ("mc", {"n": 3, "delta": 0.5, "shots": True}),
-            ("mc", {"n": 3, "delta": 0.5, "shots": 10, "seed": True}),
+            ("sweep", {"quantity": "px", "axes": [["delta", [0.5]]], "fixed": None}, {}),
+            ("sweep", {"quantity": "px", "axes": 5}, {}),
+            ("sweep", {"quantity": "px", "axes": [["delta", 0.5]]}, {}),
+            ("mc", {"n": 3, "delta": 0.5, "shots": "100"}, {}),
+            ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3, "bracket": 5}, {}),
+            ("optimal_bias", {"n": 3, "delta": 0.5, "r_bracket": 3}, {}),
+            ("mc", [1], {}),
+            ("sweep", {"quantity": "px", "axes": [["delta", [0.5]]], "output": 5}, {}),
+            ("mc", {"n": 3, "delta": 0.5, "shots": 10, "output": True}, {}),
+            ("mc", {"n": 3.9, "delta": 0.5, "shots": 10}, {}),
+            ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3.9}, {}),
+            ("mc", {"n": 3, "delta": 0.5, "shots": 10, "seed": 3.9}, {}),
+            ("mc", {"n": 3, "delta": 0.5, "shots": 10.5}, {}),
+            ("mc", {"n": 3, "delta": 0.5, "shots": True}, {}),
+            ("mc", {"n": 3, "delta": 0.5, "shots": 10, "seed": True}, {}),
+            ("mc", {"n": 3, "delta": 0.5, "shots": 10, "gkp_ec": "no"}, {}),
+            ("mc", {"n": 3, "delta": 0.5, "shots": 10, "gkp_ec": 1}, {}),
+            ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3},
+             {"nodes_per_dim": 64.5}),
+            ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3},
+             {"nodes_per_dim": True}),
+            ("sweep", {"quantity": "pfrep", "axes": [["delta", [0.5]]],
+                       "fixed": {"delta_tilde": 0.2, "n": 3}}, {"nodes_per_dim": "64"}),
+            ("optimal_bias", {"n": 3, "delta": 0.5}, {"window_neighbors": 0.5}),
+            ("sweep", {"quantity": "px", "axes": [["delta", [0.5]]]}, {"refine": "no"}),
         ],
         ids=["fixed-null", "axes-int", "axis-scalar", "shots-str", "bracket-int",
              "r-bracket-int", "mc-list", "output-int", "output-bool", "n-fraction",
              "right-size-fraction", "seed-fraction", "shots-fraction", "shots-bool",
-             "seed-bool"],
+             "seed-bool", "gkp-ec-str", "gkp-ec-int", "nodes-fraction", "nodes-bool",
+             "nodes-str", "neighbors-fraction", "refine-str"],
     )
-    def test_wrongly_typed_field_is_usage_error(self, kind, block, tmp_path):
-        spec = {"schema_version": 1, kind: block}
+    def test_wrongly_typed_field_is_usage_error(self, kind, block, engine, tmp_path):
+        spec = {"schema_version": 1, kind: block, "engine": engine}
         path = write_run_file(tmp_path, spec)
         proc = run_cli("sweep", "--spec", path, "--out", str(tmp_path / "out.csv"), check=False)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("kind", ["sweep", "optimal_bias"])
+    def test_integral_engine_fields_run_as_integers(self, kind, tmp_path):
+        block = {
+            "sweep": {"quantity": "pfrep", "axes": [["delta_tilde", [0.2]]],
+                      "fixed": {"delta": 0.5, "n": 3}},
+            "optimal_bias": {"n": 3, "delta": 0.5, "delta_tilde": 0.1, "r_bracket": [1.0, 2.0]},
+        }[kind]
+        outputs = []
+        for nodes, neighbors in ((64, 1), (64.0, 1.0)):
+            out = tmp_path / f"out_{nodes!r}.txt"
+            spec = {
+                "schema_version": 1,
+                kind: {**block, "output": str(out)},
+                "engine": {"nodes_per_dim": nodes, "window_neighbors": neighbors},
+            }
+            path = write_run_file(tmp_path, spec)
+            run_cli("sweep", "--spec", path)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"error:" not in outputs[0]
 
 
 # rate flags for one point of each rate quantity; the sweep run file binds

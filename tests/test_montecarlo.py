@@ -17,6 +17,7 @@ from gkprep.montecarlo import (
     run_shot,
     run_tally,
     sample_residual,
+    uniform_draws,
 )
 from gkprep.quadrature import panel_nodes
 from gkprep.repetition import (
@@ -32,6 +33,21 @@ class TestCounterRng:
         draws = normal_draws(9, np.arange(500_000, dtype=np.uint64), 3, 0.5)
         assert draws.var() == pytest.approx(0.5**2 / 2.0, rel=5e-3)
         assert abs(draws.mean()) < 3.0 * 0.5 / math.sqrt(2 * 500_000)
+
+    @pytest.mark.parametrize("spread", [0.0, 0.37])
+    @pytest.mark.parametrize("first_shot", [0, 2**57 - 3])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_slot_range_block_equals_per_slot_draws(self, seed, first_shot, spread):
+        idx = np.arange(first_shot, first_shot + 7, dtype=np.uint64)
+        slots = range(5, 9)
+        block = normal_draws(seed, idx, slots, spread)
+        per_slot = np.column_stack([normal_draws(seed, idx, s, spread) for s in slots])
+        assert block.shape == (7, 4)
+        assert block.tobytes() == per_slot.tobytes()
+        uniforms = np.column_stack([uniform_draws(seed, idx, s) for s in slots])
+        assert uniform_draws(seed, idx, slots).tobytes() == uniforms.tobytes()
+        if spread == 0.0:
+            assert not np.signbit(block).any()
 
     def test_slots_are_independent_streams(self):
         idx = np.arange(100_000, dtype=np.uint64)

@@ -51,6 +51,22 @@ class TestCodeSize:
             classical_failure(n, 0.1)
 
 
+class TestQuadratureConfig:
+    def test_integral_fields_stored_as_int(self):
+        cfg = QuadratureConfig(nodes_per_dim=64.0, window_neighbors=np.int64(1))
+        assert cfg == QuadratureConfig(nodes_per_dim=64, window_neighbors=1)
+        assert type(cfg.nodes_per_dim) is int and type(cfg.window_neighbors) is int
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("nodes_per_dim", 64.5), ("nodes_per_dim", True), ("nodes_per_dim", "64"),
+         ("window_neighbors", 0.5), ("refine", "no"), ("refine", 1)],
+    )
+    def test_wrongly_typed_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            QuadratureConfig(**{field: value})
+
+
 class TestClassicalFailure:
     def test_zero_error_rate(self):
         assert classical_failure(3, 0.0) == 0.0
