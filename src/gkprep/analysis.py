@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .distributions import NoiseParams, pauli_rate_ideal, pauli_rate_physical_report
+from .distributions import NoiseParams, _require_real, pauli_rate_ideal, pauli_rate_physical_report
 from .repetition import (
     DEFAULT_QUADRATURE,
     FailureBreakdown,
@@ -53,6 +53,7 @@ class CrossingQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "bracket", tuple(self.bracket))
         lo, hi = self.bracket
+        _require_real(delta=self.delta, bracket_low=lo, bracket_high=hi, tol=self.tol)
         if not (0.0 < lo < hi):
             raise ValueError("bracket must satisfy 0 < lo < hi")
         if not (self.tol > 0.0):

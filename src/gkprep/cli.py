@@ -86,10 +86,14 @@ def _mc_payload(cfg: ShotConfig, trace=None, workers: int = 1) -> dict:
 
 
 def cmd_mc(args) -> int:
+    # run_tally caps this further at the available cores
     workers = args.workers
     cap = os.environ.get("GKPREP_MAX_WORKERS")
     if cap is not None:
-        workers = min(workers, max(int(cap), 1))
+        try:
+            workers = min(workers, max(int(cap), 1))
+        except ValueError:
+            raise ValueError(f"GKPREP_MAX_WORKERS must be an integer, got {cap!r}") from None
     cfg = _shot_config(
         n=args.n, delta=args.delta, shots=args.shots, delta_tilde=args.delta_tilde,
         r=args.r, seed=args.seed, mode=args.mode, gkp_ec=not args.no_gkp_ec,
@@ -280,7 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--mode", choices=["position", "biased"], default="position")
     mc.add_argument("--no-gkp-ec", action="store_true")
-    mc.add_argument("--workers", type=int, default=1)
+    mc.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes; min(this, GKPREP_MAX_WORKERS, available cores) are used",
+    )
     mc.add_argument("--out")
     mc.add_argument("--trace")
     mc.set_defaults(func=cmd_mc)

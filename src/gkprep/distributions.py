@@ -16,7 +16,9 @@ domain.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 from scipy import special as sp
@@ -35,6 +37,27 @@ from .quadrature import peaked_cell_nodes
 # density degenerates to a lattice comb of delta functions and the closed
 # ideal-ancilla formulas apply.
 IDEAL_ANCILLA_CUTOFF = 1e-6
+
+
+def _integral(value: Any) -> int | None:
+    """``value`` as ``int`` if it is integral (3, 3.0, a numpy integer), else None.
+
+    A fractional, non-finite, non-numeric or ``bool`` value is not integral.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
+        return None
+    return int(value)
+
+
+def _require_real(**fields: Any) -> None:
+    """Raise ``ValueError`` naming the first field that is not a real number.
+
+    Ints, floats and numpy reals are real; a ``bool`` or non-numeric value is
+    not, although Python's ``bool`` is an ``int``.
+    """
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 class DegenerateDistributionError(ValueError):
@@ -61,15 +84,16 @@ class NoiseParams:
     kappa: float | None = None
 
     def __post_init__(self) -> None:
+        if self.kappa is None:
+            object.__setattr__(self, "kappa", self.delta)
+        _require_real(delta=self.delta, delta_tilde=self.delta_tilde, r=self.r, kappa=self.kappa)
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ValueError("delta must be a positive finite real")
         if not (self.delta_tilde >= 0.0 and math.isfinite(self.delta_tilde)):
             raise ValueError("delta_tilde must be a non-negative finite real")
         if not (self.r > 0.0 and math.isfinite(self.r)):
             raise ValueError("r must be a positive finite real")
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", self.delta)
-        elif not (self.kappa > 0.0 and math.isfinite(self.kappa)):
+        if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
             raise ValueError("kappa must be a positive finite real")
 
     @property

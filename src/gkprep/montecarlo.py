@@ -14,11 +14,18 @@ the 4n - 1 slots of a shot never reach the next shot's counters):
   [3n-1, 4n-1)  momentum displacements (biased mode only)
 Each stage draws its slot range as one (shots, slots) counter block, which
 hashes to the same bits as drawing the slots one at a time.
+
+:func:`run_tally` splits the shot range into contiguous stretches, one per
+worker (``partitions``, capped at the available cores).  On POSIX it forks
+a child process for every stretch but the first, which the calling process
+tallies itself, then sums the counts.  A traced tally runs serially in shot
+order.  The worker count never changes a tally.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
@@ -26,9 +33,9 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy import special as sp
 
-from .distributions import GaussianDisplacement, NoiseParams
+from .distributions import GaussianDisplacement, NoiseParams, _integral
 from .lattice import is_pauli_zone, nearest_multiple_offset_array
-from .repetition import CodeSize, _as_size, _integral
+from .repetition import CodeSize, _as_size
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -37,9 +44,13 @@ _SLOT_BITS = 6  # 64 slots per shot
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 finalizer, applied to ``z`` in place."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _derive_key(seed: int) -> np.uint64:
@@ -49,12 +60,18 @@ def _derive_key(seed: int) -> np.uint64:
 
 def uniform_draws(seed: int, shot_indices: np.ndarray, slot: int | range) -> np.ndarray:
     """Uniforms in (0, 1) for each shot index at one slot, or a (shots, k) block for k slots."""
-    counters = np.bitwise_or.outer(
+    z = np.bitwise_or.outer(
         shot_indices.astype(np.uint64) << np.uint64(_SLOT_BITS), np.asarray(slot, dtype=np.uint64)
     )
-    key = _derive_key(seed)
-    bits = _mix64(key + _GOLDEN * (counters + np.uint64(1)))
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    z += np.uint64(1)
+    z *= _GOLDEN
+    z += _derive_key(seed)
+    _mix64(z)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    u += 2.0**-54
+    return u
 
 
 def normal_draws(
@@ -66,7 +83,10 @@ def normal_draws(
     """
     if spread == 0.0:
         return np.zeros((len(shot_indices), *np.shape(slot)))
-    return sp.ndtri(uniform_draws(seed, shot_indices, slot)) * GaussianDisplacement(spread).sigma
+    x = uniform_draws(seed, shot_indices, slot)
+    sp.ndtri(x, out=x)
+    x *= GaussianDisplacement(spread).sigma
+    return x
 
 
 class Mode(Enum):
@@ -289,6 +309,27 @@ def run_shot(
     return next(_shot_records(shot_index, out))
 
 
+def _tally_range(
+    cfg: ShotConfig,
+    span: tuple[int, int],
+    chunk_size: int,
+    trace: Callable[[Iterator[dict]], None] | None = None,
+) -> tuple[int, dict[str, int]]:
+    """Failures and breakdown counts of the shots in ``span`` = (start, stop), chunk by chunk."""
+    start, stop = span
+    failures = 0
+    counts = {"overweight": 0, "misidentified": 0, "momentum": 0}
+    for pos in range(start, stop, chunk_size):
+        out = _simulate(cfg, np.arange(pos, min(pos + chunk_size, stop), dtype=np.uint64))
+        failures += int(out["failed"].sum())
+        counts["overweight"] += int(out["overweight"].sum())
+        counts["misidentified"] += int(out["misidentified"].sum())
+        counts["momentum"] += int(out["momentum_failed"].sum())
+        if trace is not None:
+            trace(_shot_records(pos, out))
+    return failures, counts
+
+
 def run_tally(
     cfg: ShotConfig,
     partitions: int = 1,
@@ -297,33 +338,36 @@ def run_tally(
 ) -> TallyResult:
     """Aggregate ``cfg.shots`` trajectories into a failure tally.
 
-    ``partitions`` splits the shot range into independently evaluated
-    stretches (order-independent aggregation); the result is identical for
-    any partition count because the per-shot randomness is stateless.
+    The tally uses ``min(partitions, shots, available cores)`` workers, each
+    on one contiguous stretch of the shot range: the calling process tallies
+    the first stretch and, on POSIX, a forked child each other one.
     ``trace`` receives, chunk by chunk in shot order, an iterator over the
-    chunk's shot records (see :func:`run_shot`).
+    chunk's shot records (see :func:`run_shot`); a traced tally runs
+    serially in this process.  The result is identical for any worker
+    count because the per-shot randomness is stateless.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    partitions = max(1, min(int(partitions), cfg.shots))
-    bounds = np.linspace(0, cfg.shots, partitions + 1, dtype=np.int64)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = max(1, min(int(partitions), cfg.shots, cores))
+    if trace is not None or workers == 1 or not hasattr(os, "fork"):
+        results = [_tally_range(cfg, (0, cfg.shots), chunk_size, trace)]
+    else:
+        # fork, not spawn: a spawned child would re-import numpy and scipy,
+        # which costs about as much as tallying a 500k-shot stretch
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    failures = 0
-    counts = {"overweight": 0, "misidentified": 0, "momentum": 0}
-    for p in range(partitions):
-        start, stop = int(bounds[p]), int(bounds[p + 1])
-        pos = start
-        while pos < stop:
-            hi = min(pos + chunk_size, stop)
-            idx = np.arange(pos, hi, dtype=np.uint64)
-            out = _simulate(cfg, idx)
-            failures += int(out["failed"].sum())
-            counts["overweight"] += int(out["overweight"].sum())
-            counts["misidentified"] += int(out["misidentified"].sum())
-            counts["momentum"] += int(out["momentum_failed"].sum())
-            if trace is not None:
-                trace(_shot_records(pos, out))
-            pos = hi
+        bounds = np.linspace(0, cfg.shots, workers + 1, dtype=np.int64).tolist()
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers - 1, mp_context=fork) as pool:
+            children = [pool.submit(_tally_range, cfg, span, chunk_size) for span in spans[1:]]
+            results = [_tally_range(cfg, spans[0], chunk_size)]
+            results += [child.result() for child in children]
+    failures = sum(f for f, _ in results)
+    counts = {key: sum(c[key] for _, c in results) for key in results[0][1]}
 
     rate = failures / cfg.shots
     std_err = math.sqrt(rate * (1.0 - rate) / cfg.shots)

@@ -46,7 +46,6 @@ node counts and checks the refine certificate.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -61,6 +60,8 @@ from .distributions import (
     GaussianDisplacement,
     NoiseParams,
     ResidualDistribution,
+    _integral,
+    _require_real,
     pauli_rate_ideal,
     pauli_rate_physical,
 )
@@ -83,16 +84,6 @@ WIN_NPZ1 = (3.0 * HALF_CELL, 5.0 * HALF_CELL)
 
 class QuadratureError(RuntimeError):
     """A rate quadrature could not certify the requested tolerance."""
-
-
-def _integral(value: Any) -> int | None:
-    """``value`` as ``int`` if it is integral (3, 3.0, a numpy integer), else None.
-
-    A fractional, non-finite, non-numeric or ``bool`` value is not integral.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
-        return None
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -133,8 +124,9 @@ class QuadratureConfig:
     ``nodes_per_dim`` is the per-cell node count along each dimension.  The
     tensor method is an n <= 5 cost-guarded oracle; ``refine`` re-evaluates
     the factorized blocks at doubled node count and certifies ``abs_tol``.
-    The integer fields follow :func:`_integral`; ``refine`` must be a
-    ``bool``.  Any other value raises ``ValueError``.
+    The integer fields follow :func:`_integral` and ``abs_tol``
+    :func:`_require_real`; ``refine`` must be a ``bool``.  Any other value
+    raises ``ValueError``.
     """
 
     nodes_per_dim: int = 64
@@ -155,6 +147,7 @@ class QuadratureConfig:
             raise ValueError("nodes_per_dim must be at least 8")
         if self.method not in ("factorized", "tensor"):
             raise ValueError(f"unknown method {self.method!r}")
+        _require_real(abs_tol=self.abs_tol)
         if not (self.abs_tol > 0.0):
             raise ValueError("abs_tol must be positive")
         if self.window_neighbors < 0:

@@ -175,6 +175,16 @@ class TestMc:
         ).stdout
         assert proc.stdout == plain
 
+    def test_non_integer_worker_cap_is_usage_error(self):
+        env = dict(os.environ, GKPREP_MAX_WORKERS="abc")
+        proc = subprocess.run(
+            CLI + ["mc", "--n", "3", "--delta", "0.5", "--shots", "10", "--workers", "2"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: GKPREP_MAX_WORKERS must be an integer, got 'abc'\n"
+        assert proc.stdout == ""
+
     def test_code_size_beyond_slot_layout_is_usage_error(self):
         proc = run_cli(
             "mc", "--n", "17", "--delta", "0.5", "--delta-tilde", "0.2",
@@ -397,12 +407,20 @@ class TestRunFiles:
                        "fixed": {"delta_tilde": 0.2, "n": 3}}, {"nodes_per_dim": "64"}),
             ("optimal_bias", {"n": 3, "delta": 0.5}, {"window_neighbors": 0.5}),
             ("sweep", {"quantity": "px", "axes": [["delta", [0.5]]]}, {"refine": "no"}),
+            ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3, "tol": True}, {}),
+            ("mc", {"n": 3, "delta": True, "shots": 10}, {}),
+            ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3},
+             {"abs_tol": True}),
+            ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3,
+                          "bracket": [0.1, True]}, {}),
+            ("crossing", {"delta": True, "left_size": "single", "right_size": 3}, {}),
         ],
         ids=["fixed-null", "axes-int", "axis-scalar", "shots-str", "bracket-int",
              "r-bracket-int", "mc-list", "output-int", "output-bool", "n-fraction",
              "right-size-fraction", "seed-fraction", "shots-fraction", "shots-bool",
              "seed-bool", "gkp-ec-str", "gkp-ec-int", "nodes-fraction", "nodes-bool",
-             "nodes-str", "neighbors-fraction", "refine-str"],
+             "nodes-str", "neighbors-fraction", "refine-str", "tol-bool", "mc-delta-bool",
+             "abs-tol-bool", "bracket-end-bool", "crossing-delta-bool"],
     )
     def test_wrongly_typed_field_is_usage_error(self, kind, block, engine, tmp_path):
         spec = {"schema_version": 1, kind: block, "engine": engine}

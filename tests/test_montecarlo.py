@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -66,6 +68,47 @@ class TestCounterRng:
         assert not np.array_equal(
             normal_draws(5, idx, 2, 0.7), normal_draws(6, idx, 2, 0.7)
         )
+
+    # Bits of the counter hash, fixed so that a rewrite of the hash is checked
+    # against constants and not only against itself.
+    PINNED_UNIFORM_BITS = {
+        (0, 5): [0x3FE78F04A159AC90, 0x3FE16C043A75A3CE],
+        (0, range(60, 64)): [
+            [0x3FDF7BE49B551937, 0x3FE401732D41C6CA, 0x3FE80F502BB045FA, 0x3FE94943D6C5F5E4],
+            [0x3FEEB3E1AD120036, 0x3FE5EE2A0AA4C638, 0x3FDE677F7388F24F, 0x3FCEE887B50EB122],
+        ],
+        (2**64 - 1, 5): [0x3F96110548957EB0, 0x3FC3263D1584CF12],
+        (2**64 - 1, range(60, 64)): [
+            [0x3FC1C1D5EEA605FE, 0x3FD5724A18063ABF, 0x3FECDF3C3D920910, 0x3FE09550F33A045A],
+            [0x3FDF9DF9FFA7889F, 0x3FE2F92EE608855A, 0x3FDC297166149443, 0x3FE4608CCCCC2C7E],
+        ],
+    }
+
+    @pytest.mark.parametrize("seed, slot", list(PINNED_UNIFORM_BITS))
+    def test_uniform_bits_are_pinned(self, seed, slot):
+        idx = np.array([0, 2**57 - 3], dtype=np.uint64)
+        bits = uniform_draws(seed, idx, slot).view(np.uint64)
+        assert bits.tolist() == self.PINNED_UNIFORM_BITS[seed, slot]
+
+    def test_normal_bits_are_pinned(self):
+        block = normal_draws(7, np.arange(3, dtype=np.uint64), range(2, 4), 0.5)
+        assert block.view(np.uint64).tolist() == [
+            [0xBFE5B29C17A5AAC0, 0x3FD6E4C6895F8CE3],
+            [0xBFB211494179C088, 0x3FADA15BFEE9A3BF],
+            [0x3FA37A08F02C021D, 0xBFD1CF13E0E1F2B2],
+        ]
+        column = normal_draws(2**64 - 1, np.array([0, 2**57 - 3], dtype=np.uint64), 3, 0.2)
+        assert [float(x).hex() for x in column] == [
+            "-0x1.7c292c9d6f36fp-5", "-0x1.b72ba32c8b7c3p-5",
+        ]
+
+    def test_normal_draws_return_a_fresh_array(self):
+        idx = np.arange(4, dtype=np.uint64)
+        first = normal_draws(3, idx, range(2), 0.5)
+        assert first.flags.owndata and first.flags.writeable
+        expected = first.copy()
+        first[:] = 0.0
+        assert normal_draws(3, idx, range(2), 0.5).tobytes() == expected.tobytes()
 
     def test_largest_code_fits_the_slots_of_one_shot(self):
         # biased mode draws slots 0 .. 4n-2 of each shot
@@ -234,6 +277,36 @@ class TestRunTally:
         assert results[0] == results[1] == results[2]
         chunked = run_tally(cfg, chunk_size=1000)
         assert chunked == results[0]
+
+    def test_worker_count_and_trace_do_not_change_the_tally(self):
+        cfg = ShotConfig(3, NoiseParams(0.5, 0.3), shots=3_001, seed=11)
+        untraced = [run_tally(cfg, partitions=p, chunk_size=500) for p in (1, 2, 8)]
+        for p in (1, 2, 8):
+            records = []
+            traced = run_tally(cfg, partitions=p, chunk_size=500, trace=records.extend)
+            assert traced == untraced[0]
+            assert [r["shot"] for r in records] == list(range(cfg.shots))
+            assert sum(r["position_failed"] for r in records) == traced.failures
+        assert untraced[0] == untraced[1] == untraced[2]
+
+    def test_workers_capped_at_available_cores(self, monkeypatch):
+        built = []
+
+        def pool(max_workers, **kwargs):
+            built.append(max_workers)
+            return real_pool(max_workers, **kwargs)
+
+        real_pool = concurrent.futures.ProcessPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        cfg = ShotConfig(3, NoiseParams(0.5, 0.3), shots=2_000, seed=5)
+        serial = run_tally(cfg)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert run_tally(cfg, partitions=64) == serial
+        assert built == []
+        if hasattr(os, "fork"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            assert run_tally(cfg, partitions=64) == serial
+            assert built == [1]
 
     def test_std_err_definition(self):
         tally = run_tally(ShotConfig(3, NoiseParams(0.5, 0.3), shots=10_000, seed=1))
