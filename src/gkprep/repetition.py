@@ -12,21 +12,27 @@ count as failure (the classical binomial tail).
 Flip patterns with the same count m are NOT all equivalent: every syndrome
 compares qubit 1 with one other qubit, so the window layout depends on
 whether qubit 1 is in the flip set, and on the sign of the PZ cell each
-flipped qubit occupies relative to qubit 1.  The blocks therefore enumerate
-the flip count, the qubit-1 membership and the cell-sign split; patterns
-within one such class are exchange-symmetric and carry a plain counting
-factor.  (Collapsing all of this to a single representative per m is a good
-approximation only when the residual density is sharply concentrated; it
-visibly biases the rate at moderate ancilla spreads.)
+flipped qubit occupies relative to qubit 1.  (Collapsing all of this to a
+single representative per m is a good approximation only when the residual
+density is sharply concentrated; it visibly biases the rate at moderate
+ancilla spreads.)
 
-Because every window couples only u1' with one other coordinate, the inner
-(n-1) integrals separate once u1' is fixed: each block reduces to a single
-1-D integral over u1' of F(u1') * [prod(a_k) - prod(a_k - M_k(u1'))], with
-cell masses a_k and 1-D miss integrals M_k, the probability that the k-th
+Because every window couples only u1' with one other coordinate, the other
+n - 1 coordinates are independent and identically distributed once u1' is
+fixed: each lies in the NPZ cell or in one of the two mirror PZ cells, and
+its window depends only on its own cell, its sign and the cell of u1'.
+Merging the two PZ signs (mass 2a, miss integrals added) leaves, per flip
+count m, one binomial term for each cell of u1': qubit 1 flipped (u1' folded
+into the positive PZ cell, C(n-1, m-1) flip sets counted twice) and qubit 1
+clean (u1' in the NPZ cell, C(n-1, m) flip sets).  Each reduces to a 1-D
+integral over u1' of F(u1') * [prod(a_k) - prod(a_k - M_k(u1'))], with cell
+masses a_k and 1-D miss integrals M_k, the probability that the k-th
 coordinate lies in its cell but its syndrome leaves the window.  That brings
-the cost from nodes^n down to O(n * nodes^2).  A direct tensor-grid
-summation of the same integrands is kept for n <= 5 as an independent check
-on this reduction.
+the cost from nodes^n down to O(nodes^2) per cell engine.  A direct
+tensor-grid summation of the same integrands is kept for n <= 5 as an
+independent check on this reduction; it enumerates the sign-split pattern
+classes of :func:`_case_blocks`, which only the oracle uses, so the two
+routes also check each other's combinatorics.
 
 Both products are close to 1 while the block can be far below 1e-16, so
 neither route ever forms 1 - (success).  The miss integrals come from the
@@ -40,7 +46,9 @@ log(1 - M/a) it has computed, and inside :func:`shared_engines` (one
 ``gkprep`` command, one crossing search) the engines and the overweight
 tail of a noise point are built once and reused by every code size and by
 both sides of a crossing.  Every call still contracts the blocks at both
-node counts and checks the refine certificate.
+node counts and checks the refine certificate: the blocks are re-evaluated
+at 1.5x the node count (2x where the budget floors give 1.5x no more nodes
+in some cell) and the largest per-case gap must be within ``abs_tol``.
 """
 
 from __future__ import annotations
@@ -123,7 +131,11 @@ class QuadratureConfig:
 
     ``nodes_per_dim`` is the per-cell node count along each dimension.  The
     tensor method is an n <= 5 cost-guarded oracle; ``refine`` re-evaluates
-    the factorized blocks at doubled node count and certifies ``abs_tol``.
+    the factorized blocks at ``3 * nodes_per_dim // 2`` nodes and certifies
+    ``abs_tol`` on the largest per-case gap.  Where the node budget floors
+    leave some cell no larger at that count, the refine uses
+    ``2 * nodes_per_dim``; if that adds no nodes to every cell either, the
+    check could certify nothing and the call raises :class:`QuadratureError`.
     The integer fields follow :func:`_integral` and ``abs_tol``
     :func:`_require_real`; ``refine`` must be a ``bool``.  Any other value
     raises ``ValueError``.
@@ -233,14 +245,22 @@ class _CellEngine:
         self._log_keep: dict[tuple, np.ndarray] = {}
 
     def log_keep(self, outer_cell: tuple[float, float], cell: tuple[float, float],
-                 window: tuple[float, float], reflect: bool) -> np.ndarray:
-        """log(1 - M/a) on the outer nodes; -inf where the cell misses entirely."""
-        key = (outer_cell, cell, window, reflect)
+                 *sides: tuple[tuple[float, float], bool]) -> np.ndarray:
+        """log(1 - M/a) on the outer nodes; -inf where the cell misses entirely.
+
+        ``sides`` lists (window, reflect) for each mirror image of ``cell``
+        the coordinate may occupy with equal mass; the miss ratio is their
+        mean.  Each ratio is clipped to [0, 1] before the mean is taken.
+        """
+        key = (outer_cell, cell, sides)
         if key not in self._log_keep:
             x = self.cells[outer_cell].x
             mass = self.cells[cell].mass
             if mass > 0.0:
-                ratio = np.clip(self.miss(x, cell, window, reflect) / mass, 0.0, 1.0)
+                ratio = sum(
+                    np.clip(self.miss(x, cell, window, reflect) / mass, 0.0, 1.0)
+                    for window, reflect in sides
+                ) / len(sides)
             else:
                 ratio = np.zeros_like(x)
             with np.errstate(divide="ignore"):
@@ -359,7 +379,7 @@ class _BlockSpec:
 
 @cache
 def _case_blocks(m: int, n: int) -> tuple[_BlockSpec, ...]:
-    """Pattern classes with exactly m flipped qubits.
+    """Pattern classes with exactly m flipped qubits, for the tensor oracle.
 
     Class A has qubit 1 flipped (C(n-1, m-1) flip sets, overall sign pair
     folded to u1 in the positive PZ cell, j of the other flipped qubits in
@@ -367,7 +387,7 @@ def _case_blocks(m: int, n: int) -> tuple[_BlockSpec, ...]:
     j of the flipped qubits in the negative cell).
     """
     if m == 0:
-        return [_BlockSpec(1.0, NPZ_CELL, ((n - 1, NPZ_CELL, WIN_NPZ0, False),))]
+        return (_BlockSpec(1.0, NPZ_CELL, ((n - 1, NPZ_CELL, WIN_NPZ0, False),)),)
     blocks = []
     for j in range(m):
         factors = []
@@ -401,37 +421,54 @@ def _case_blocks(m: int, n: int) -> tuple[_BlockSpec, ...]:
     return tuple(blocks)
 
 
+# The (window, reflect) sides of an inner coordinate, by the cell of u1' and
+# its own cell.  Given u1', the other n - 1 coordinates are i.i.d.; a PZ
+# coordinate sits in either mirror cell with equal mass, and its window
+# depends on which, so its group lists both sides.
+_SIDES = {
+    (PZ_CELL, PZ_CELL): ((WIN_NPZ1, False), (WIN_NPZ0, True)),
+    (PZ_CELL, NPZ_CELL): ((WIN_PZ1, False),),
+    (NPZ_CELL, PZ_CELL): ((WIN_PZ1, False), (WIN_PZ1_NEG, True)),
+    (NPZ_CELL, NPZ_CELL): ((WIN_NPZ0, False),),
+}
+
+
 def _factorized_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
     """Per-flip-count contributions via the 1-D reduction over u1'.
 
-    Factor group g (count c, cell mass a, miss M) contributes A = a^c to the
-    mass product and B = (a - M)^c to the success product.  The block
-    integrand prod(A) - prod(B) is telescoped as
+    Flip count m has two blocks: qubit 1 flipped (u1' folded into the
+    positive PZ cell, 2*C(n-1, m-1) flip sets, m-1 PZ and n-m NPZ inner
+    coordinates) and qubit 1 clean (u1' in the NPZ cell, C(n-1, m) flip
+    sets, m PZ and n-1-m NPZ).  The group of c coordinates in one cell
+    (mass a over its s sides, mean miss ratio r) contributes A = (s*a)^c to
+    the mass product and B = (s*a*(1 - r))^c to the success product.  The
+    block integrand prod(A) - prod(B) is telescoped as
     sum_g (A_g - B_g) * prod_{h<g} B_h * prod_{h>g} A_h, a sum of
-    non-negative terms with A - B = -a^c * expm1(c * log1p(-M/a)).
+    non-negative terms with A - B = -(s*a)^c * expm1(c * log1p(-r)).
     """
     n = size.n
 
-    @cache
-    def group(outer_cell: tuple[float, float], count: int, cell: tuple[float, float],
-              window: tuple[float, float], reflect: bool) -> tuple[float, np.ndarray, np.ndarray]:
-        """(A, A - B, B) of one factor group on the outer nodes."""
-        full = engine.cells[cell].mass ** count
-        log_b = count * engine.log_keep(outer_cell, cell, window, reflect)
-        return full, -full * np.expm1(log_b), full * np.exp(log_b)
+    def block(outer_cell: tuple[float, float], pz_count: int, npz_count: int) -> float:
+        """Integral over u1' of prod(A) - prod(B) for the two groups."""
+        groups = []
+        for count, cell in ((pz_count, PZ_CELL), (npz_count, NPZ_CELL)):
+            if count:
+                sides = _SIDES[outer_cell, cell]
+                full = (len(sides) * engine.cells[cell].mass) ** count
+                log_b = count * engine.log_keep(outer_cell, cell, *sides)
+                groups.append((full, -full * np.expm1(log_b), full * np.exp(log_b)))
+        # the telescoped sum, accumulated from the last group down
+        full, value, _ = groups[-1]
+        for a, drop, keep in reversed(groups[:-1]):
+            value = drop * full + keep * value
+            full *= a
+        outer = engine.cells[outer_cell]
+        return float(np.dot(outer.w * outer.f, value))
 
     cases = []
     for m in range((n + 1) // 2):
-        total = 0.0
-        for block in _case_blocks(m, n):
-            outer = engine.cells[block.outer_cell]
-            groups = [group(block.outer_cell, *factor) for factor in block.factors]
-            # the telescoped sum, accumulated from the last group down
-            full, value, _ = groups[-1]
-            for a, drop, keep in reversed(groups[:-1]):
-                value = drop * full + keep * value
-                full *= a
-            total += block.multiplicity * float(np.dot(outer.w * outer.f, value))
+        total = 2.0 * math.comb(n - 1, m - 1) * block(PZ_CELL, m - 1, n - m) if m else 0.0
+        total += math.comb(n - 1, m) * block(NPZ_CELL, m, n - 1 - m)
         cases.append(total)
     return cases
 
@@ -491,8 +528,8 @@ def _ideal_breakdown(size: CodeSize, p: float) -> FailureBreakdown:
 _SHARED: ContextVar[dict[tuple, Any] | None] = ContextVar("gkprep_shared_engines", default=None)
 
 # Entries (engines and tail rates) one block keeps, oldest dropped first.  A
-# fine engine with its miss integrals takes about 17 kB, so a sweep over any
-# number of noise points holds at most about 17 MB here.
+# fine engine's arrays (cells and miss ratios) take about 8 kB, so a sweep
+# over any number of noise points holds at most about 8 MB here.
 _SHARED_MAX = 1024
 
 
@@ -572,13 +609,24 @@ def _failure_rate_impl(
 
     cases = _factorized_cases(engine, size)
     if cfg.refine:
-        fine_engine = _make_engine(gkp_ec, params, 2 * cfg.nodes_per_dim, cfg.window_neighbors)
+        # the check certifies nothing unless the fine rule has more nodes in
+        # every cell; the budget floors can make both rules the same
+        for fine_nodes in (3 * cfg.nodes_per_dim // 2, 2 * cfg.nodes_per_dim):
+            fine_engine = _make_engine(gkp_ec, params, fine_nodes, cfg.window_neighbors)
+            if all(len(fine_engine.cells[b].x) > len(c.x) for b, c in engine.cells.items()):
+                break
+        else:
+            raise QuadratureError(
+                f"no refine engine adds nodes to every cell at nodes_per_dim="
+                f"{cfg.nodes_per_dim}; increase nodes_per_dim"
+            )
         fine = _factorized_cases(fine_engine, size)
         gap = max(abs(a - b) for a, b in zip(cases, fine))
         if gap > cfg.abs_tol:
             raise QuadratureError(
-                f"factorized blocks changed by {gap:.3e} under node doubling "
-                f"(requested abs_tol={cfg.abs_tol:g}); increase nodes_per_dim"
+                f"factorized blocks changed by {gap:.3e} from {cfg.nodes_per_dim} to "
+                f"{fine_nodes} nodes per dimension (requested abs_tol={cfg.abs_tol:g}); "
+                f"increase nodes_per_dim"
             )
         cases = fine
     return _breakdown(cases, tail, size)
@@ -624,15 +672,15 @@ def overall_failure_biased(
     Position errors (amplified to spread r*delta) are handled by the
     repetition code; momentum errors are single-qubit flips at the spreads
     of :meth:`NoiseParams.biased_momentum_spreads`.  Failure events are
-    composed as independent.
+    composed as independent, through log1p/expm1 so that the result keeps
+    its relative accuracy and is never below the position part.
     """
     size = _as_size(n)
     mom_first, mom_rest = params.biased_momentum_spreads(size.n)
     pos_params = NoiseParams(delta=params.position_spread, delta_tilde=params.delta_tilde)
     p_rep = failure_rate(size, pos_params, cfg).total
-    keep = (
-        (1.0 - pauli_rate_ideal(mom_rest)) ** (size.n - 1)
-        * (1.0 - pauli_rate_ideal(mom_first))
-        * (1.0 - p_rep)
+    return -math.expm1(
+        (size.n - 1) * math.log1p(-pauli_rate_ideal(mom_rest))
+        + math.log1p(-pauli_rate_ideal(mom_first))
+        + math.log1p(-p_rep)
     )
-    return 1.0 - keep

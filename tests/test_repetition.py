@@ -293,12 +293,12 @@ class TestSharedEngines:
             (n, NoiseParams(delta, dt), repetition.DEFAULT_QUADRATURE)
             for delta in (0.3, 0.5) for dt in (0.08, 0.3) for n in (3, 5, 7, 9)
         ]
-        # the tensor oracle, then a 32-node call whose fine engine is the
-        # coarse engine of the 64-node call after it
+        # the tensor oracle, then a 64-node call whose fine engine is the
+        # coarse engine of the 96-node call after it
         calls += [
             (3, NoiseParams(0.5, 0.3), QuadratureConfig(method="tensor")),
-            (3, NoiseParams(0.5, 0.3), QuadratureConfig(nodes_per_dim=32)),
             (3, NoiseParams(0.5, 0.3), QuadratureConfig(nodes_per_dim=64)),
+            (3, NoiseParams(0.5, 0.3), QuadratureConfig(nodes_per_dim=96)),
         ]
         fresh = [rate(*call).per_case for call in calls]
         with shared_engines():
@@ -315,7 +315,7 @@ class TestSharedEngines:
         with shared_engines():
             for n in (3, 5, 7, 9):
                 failure_rate(n, NoiseParams(0.5, 0.2))
-        assert sorted(built) == [64, 128]
+        assert sorted(built) == [64, 96]
         assert len(misses) == 2 and max(misses.values()) <= 6
         assert len(tails) == 1
 
@@ -326,13 +326,13 @@ class TestSharedEngines:
             with shared_engines():
                 failure_rate_no_gkp_ec(5, NoiseParams(0.5, 0.2))
             failure_rate_no_gkp_ec(7, NoiseParams(0.5, 0.2))
-        assert sorted(built) == [64, 128]
+        assert sorted(built) == [64, 96]
 
     def test_fresh_engines_outside_a_scope(self, monkeypatch):
         built, _ = self._count_engines(monkeypatch)
         for n in (3, 5):
             failure_rate(n, NoiseParams(0.5, 0.2))
-        assert sorted(built) == [64, 64, 128, 128]
+        assert sorted(built) == [64, 64, 96, 96]
 
     def test_oldest_entries_dropped_at_the_cap(self, monkeypatch):
         built, _ = self._count_engines(monkeypatch)
@@ -341,7 +341,7 @@ class TestSharedEngines:
             # each point holds a coarse engine, a fine engine and a tail
             for dt in (0.2, 0.3, 0.3, 0.2):
                 failure_rate(3, NoiseParams(0.5, dt))
-        assert built == [64, 128, 64, 128, 64, 128]
+        assert built == [64, 96, 64, 96, 64, 96]
 
     def test_certificate_checked_on_a_memo_hit(self, monkeypatch):
         # 16 nodes per cell cannot certify 1e-8 at dt = 0.3
@@ -351,7 +351,93 @@ class TestSharedEngines:
             for n in (3, 3, 5):
                 with pytest.raises(QuadratureError, match="abs_tol"):
                     failure_rate(n, NoiseParams(0.5, 0.3), cfg)
-        assert sorted(built) == [16, 32]
+        assert sorted(built) == [16, 24]
+
+
+def _class_sum_cases(engine, n):
+    """Per-case values summed over the sign-split ``_case_blocks`` classes.
+
+    The contraction the factorized route used before the PZ signs were
+    merged: one factor group per (count, cell, window, reflect), each with
+    its own miss ratio from ``engine.log_keep``.
+    """
+    cases = []
+    for m in range((n + 1) // 2):
+        total = 0.0
+        for block in repetition._case_blocks(m, n):
+            groups = []
+            for count, cell, window, reflect in block.factors:
+                full = engine.cells[cell].mass ** count
+                log_b = count * engine.log_keep(block.outer_cell, cell, (window, reflect))
+                groups.append((full, -full * np.expm1(log_b), full * np.exp(log_b)))
+            full, value, _ = groups[-1]
+            for a, drop, keep in reversed(groups[:-1]):
+                value = drop * full + keep * value
+                full *= a
+            outer = engine.cells[block.outer_cell]
+            total += block.multiplicity * float(np.dot(outer.w * outer.f, value))
+        cases.append(total)
+    return cases
+
+
+class TestBinomialContraction:
+    @pytest.mark.parametrize("gkp_ec", [True, False], ids=["ec", "noec"])
+    @pytest.mark.parametrize("neighbors", [0, 1])
+    @pytest.mark.parametrize("delta, dt", [(0.3, 0.045), (0.5, 0.2), (0.12, 0.08), (0.6, 0.45)])
+    def test_matches_the_sign_split_classes(self, gkp_ec, neighbors, delta, dt):
+        engine = repetition._make_engine(gkp_ec, NoiseParams(delta, dt), 64, neighbors)
+        for n in (3, 7, 9, 15):
+            got = repetition._factorized_cases(engine, CodeSize(n))
+            want = _class_sum_cases(engine, n)
+            assert all(abs(g - w) <= 1e-15 * abs(w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("engine_cls", [
+        repetition._ResidualCellEngine, repetition._IntrinsicCellEngine,
+    ], ids=["ec", "noec"])
+    def test_six_miss_integrals_per_engine(self, engine_cls, monkeypatch):
+        built, misses = TestSharedEngines._count_engines(monkeypatch, engine_cls)
+        rate = failure_rate if engine_cls is repetition._ResidualCellEngine else failure_rate_no_gkp_ec
+        with shared_engines():
+            for n in (3, 5, 7, 9, 15):
+                rate(n, NoiseParams(0.5, 0.2))
+        assert sorted(built) == [64, 96]
+        assert sorted(misses.values()) == [6, 6]
+
+
+class TestRefineRung:
+    @pytest.mark.parametrize("rate, engine_cls, nodes", [
+        (failure_rate_no_gkp_ec, repetition._IntrinsicCellEngine, 16),
+        (failure_rate, repetition._ResidualCellEngine, 8),
+    ], ids=["noec", "ec"])
+    def test_vacuous_refine_raises(self, rate, engine_cls, nodes, monkeypatch):
+        # the budget floors build the same cells at 16, 24 and 32 nodes per
+        # dimension (no-EC) and at 8, 12 and 16 (EC), so no refine engine
+        # can check the coarse one
+        built, _ = TestSharedEngines._count_engines(monkeypatch, engine_cls)
+        cfg = QuadratureConfig(nodes_per_dim=nodes)
+        with pytest.raises(QuadratureError, match="no refine engine"):
+            rate(3, NoiseParams(0.5, 0.3), cfg)
+        assert built == [nodes, 3 * nodes // 2, 2 * nodes]
+
+    def test_falls_back_to_doubled_nodes(self, monkeypatch):
+        # 48 nodes per dimension build the same no-EC cells as 32
+        built, _ = TestSharedEngines._count_engines(monkeypatch, repetition._IntrinsicCellEngine)
+        params = NoiseParams(0.5, 0.2)
+        got = failure_rate_no_gkp_ec(3, params, QuadratureConfig(nodes_per_dim=32)).per_case
+        assert built == [32, 48, 64]
+        fine = failure_rate_no_gkp_ec(3, params, QuadratureConfig(nodes_per_dim=64, refine=False))
+        assert got == fine.per_case
+        # the values of the 2x rung the refine used before the 1.5x rung
+        assert got == (
+            ("s1", 0.13176300683271777), ("s2", 0.017473518966524916),
+            ("overweight", 0.00044208477034954195),
+        )
+
+    @pytest.mark.parametrize("rate", [failure_rate, failure_rate_no_gkp_ec])
+    def test_default_refine_returns_the_96_node_values(self, rate):
+        params = NoiseParams(0.3, 0.045)
+        got = rate(7, params).per_case
+        assert got == rate(7, params, QuadratureConfig(nodes_per_dim=96, refine=False)).per_case
 
 
 class TestOverallFailureBiased:
@@ -388,4 +474,21 @@ class TestOverallFailureBiased:
             * (1.0 - pauli_rate_ideal(mom_first))
             * (1.0 - p_rep)
         )
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.2, 0.15])
+    def test_never_below_the_position_part(self, delta):
+        mpmath = pytest.importorskip("mpmath")
+        n, params = 3, NoiseParams(delta, 0.0, r=2.0)
+        got = overall_failure_biased(n, params)
+        p_rep = failure_rate(n, NoiseParams(params.position_spread, 0.0)).total
+        assert got >= p_rep
+        mom_first, mom_rest = params.biased_momentum_spreads(n)
+        with mpmath.workdps(40):
+            keep = (
+                (1 - mpmath.mpf(pauli_rate_ideal(mom_rest))) ** (n - 1)
+                * (1 - mpmath.mpf(pauli_rate_ideal(mom_first)))
+                * (1 - mpmath.mpf(p_rep))
+            )
+            want = float(1 - keep)
         assert got == pytest.approx(want, rel=1e-12)
