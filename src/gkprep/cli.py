@@ -99,13 +99,8 @@ def cmd_mc(args) -> int:
         r=args.r, seed=args.seed, mode=args.mode, gkp_ec=not args.no_gkp_ec,
     )
     trace_fh = open(args.trace, "w") if args.trace else None
-
-    def trace(records) -> None:
-        for record in records:
-            trace_fh.write(json.dumps(record, sort_keys=True) + "\n")
-
     try:
-        payload = _mc_payload(cfg, trace if trace_fh else None, workers)
+        payload = _mc_payload(cfg, trace_fh.writelines if trace_fh else None, workers)
     finally:
         if trace_fh:
             trace_fh.close()
@@ -289,7 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes; min(this, GKPREP_MAX_WORKERS, available cores) are used",
     )
     mc.add_argument("--out")
-    mc.add_argument("--trace")
+    mc.add_argument(
+        "--trace",
+        help="write one JSON line per shot to this path; a traced tally runs in one "
+             "process, whatever --workers says",
+    )
     mc.set_defaults(func=cmd_mc)
 
     figure = sub.add_parser("figure", help="canned sweep recipes")

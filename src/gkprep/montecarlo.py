@@ -18,12 +18,17 @@ hashes to the same bits as drawing the slots one at a time.
 :func:`run_tally` splits the shot range into contiguous stretches, one per
 worker (``partitions``, capped at the available cores).  On POSIX it forks
 a child process for every stretch but the first, which the calling process
-tallies itself, then sums the counts.  A traced tally runs serially in shot
-order.  The worker count never changes a tally.
+tallies itself, then sums the counts.  The worker count never changes a
+tally.  A traced tally runs in one process, in shot order, whatever
+``partitions`` says; its trace is handed over as JSONL text blocks of 512
+shots each.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -135,13 +140,26 @@ class ShotOverrides:
     """Deterministic injection hooks replacing sampled quantities.
 
     Arrays are broadcast over shots.  ``residuals`` bypasses the GKP EC
-    stage entirely; the raw overrides feed the normal pipeline.
+    stage entirely; the raw overrides feed the normal pipeline.  A value
+    that does not convert to an array of finite floats raises ``ValueError``.
     """
 
     raw_data: np.ndarray | None = None
     raw_ancilla: np.ndarray | None = None
     residuals: np.ndarray | None = None
     alphas: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("raw_data", "raw_ancilla", "residuals", "alphas"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            try:
+                finite = np.isfinite(np.asarray(value, dtype=np.float64)).all()
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be an array of finite floats, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -185,7 +203,6 @@ def decoder_table(n: int | CodeSize) -> dict[tuple[int, ...], tuple[int, ...]]:
     size = _as_size(n)
     if size.n > 9:
         raise ValueError("explicit table generated only for n <= 9")
-    import itertools
 
     table: dict[tuple[int, ...], tuple[int, ...]] = {}
     qubits = range(size.n)
@@ -283,20 +300,57 @@ def _simulate(
     }
 
 
-def _shot_records(first_shot: int, out: dict[str, np.ndarray]) -> Iterator[dict]:
-    """The trace-schema record of each shot of one ``_simulate`` chunk, built lazily."""
-    for i in range(len(out["failed"])):
-        yield {
-            "shot": first_shot + i,
-            "u": out["u"][i].tolist(),
-            "u_resid": out["u_resid"][i].tolist(),
-            "alpha": out["alpha"][i].tolist(),
-            "syndromes": ["PZ" if b else "NPZ" for b in out["syndromes"][i]],
-            "true_pattern": [int(b) for b in out["true_pattern"][i]],
-            "inferred_pattern": [int(b) for b in out["inferred_pattern"][i]],
-            "position_failed": bool(out["position_failed"][i]),
-            "momentum_failed": bool(out["momentum_failed"][i]),
-        }
+_TRACE_BLOCK = 512  # shots per trace text block; bounds the text held at once
+
+
+@functools.cache
+def _bit_lists(width: int, zero: str, one: str) -> np.ndarray:
+    """The JSON list of every ``width``-bit row, indexed by the row read as a binary number."""
+    rows = ["[" + ", ".join(bits) + "]" for bits in itertools.product((zero, one), repeat=width)]
+    table = np.array(rows, dtype=object)
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
+
+
+def _shot_lines(first_shot: int, out: dict[str, np.ndarray]) -> Iterator[str]:
+    """The trace JSONL text of one ``_simulate`` chunk, built lazily block by block.
+
+    Each block of ``_TRACE_BLOCK`` shots is one ``%`` format of the line
+    template repeated, whose keys are in sorted order: the bytes of
+    ``json.dumps(record, sort_keys=True)`` for every record.  ``%r`` spells
+    a float as JSON does only when it is finite, which ``ShotOverrides``
+    and the finite draws ensure.
+    """
+    shots, n = out["u"].shape
+
+    def floats(count: int) -> str:
+        return "[" + ", ".join(["%r"] * count) + "]"
+
+    line = (
+        f'{{"alpha": {floats(n - 1)}, "inferred_pattern": %s, "momentum_failed": %s, '
+        f'"position_failed": %s, "shot": %d, "syndromes": %s, "true_pattern": %s, '
+        f'"u": {floats(n)}, "u_resid": {floats(n)}}}\n'
+    )
+    booleans = np.array(["false", "true"], dtype=object)
+
+    def lists(bits: np.ndarray, zero: str, one: str) -> np.ndarray:
+        width = bits.shape[1]
+        return _bit_lists(width, zero, one)[bits @ (1 << np.arange(width - 1, -1, -1)), None]
+
+    for lo in range(0, shots, _TRACE_BLOCK):
+        rows = slice(lo, lo + _TRACE_BLOCK)
+        block = np.concatenate([
+            out["alpha"][rows],
+            lists(out["inferred_pattern"][rows], "0", "1"),
+            booleans[out["momentum_failed"][rows].astype(np.intp), None],
+            booleans[out["position_failed"][rows].astype(np.intp), None],
+            np.arange(first_shot + lo, first_shot + min(lo + _TRACE_BLOCK, shots))[:, None],
+            lists(out["syndromes"][rows], '"NPZ"', '"PZ"'),
+            lists(out["true_pattern"][rows], "0", "1"),
+            out["u"][rows],
+            out["u_resid"][rows],
+        ], axis=1, dtype=object)
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def run_shot(
@@ -306,14 +360,14 @@ def run_shot(
 ) -> dict:
     """Run a single trajectory and return its record, the line ``--trace`` writes for it."""
     out = _simulate(cfg, np.asarray([shot_index], dtype=np.uint64), overrides)
-    return next(_shot_records(shot_index, out))
+    return json.loads(next(_shot_lines(shot_index, out)))
 
 
 def _tally_range(
     cfg: ShotConfig,
     span: tuple[int, int],
     chunk_size: int,
-    trace: Callable[[Iterator[dict]], None] | None = None,
+    trace: Callable[[Iterator[str]], None] | None = None,
 ) -> tuple[int, dict[str, int]]:
     """Failures and breakdown counts of the shots in ``span`` = (start, stop), chunk by chunk."""
     start, stop = span
@@ -326,7 +380,7 @@ def _tally_range(
         counts["misidentified"] += int(out["misidentified"].sum())
         counts["momentum"] += int(out["momentum_failed"].sum())
         if trace is not None:
-            trace(_shot_records(pos, out))
+            trace(_shot_lines(pos, out))
     return failures, counts
 
 
@@ -334,16 +388,17 @@ def run_tally(
     cfg: ShotConfig,
     partitions: int = 1,
     chunk_size: int = 1 << 16,
-    trace: Callable[[Iterator[dict]], None] | None = None,
+    trace: Callable[[Iterator[str]], None] | None = None,
 ) -> TallyResult:
     """Aggregate ``cfg.shots`` trajectories into a failure tally.
 
     The tally uses ``min(partitions, shots, available cores)`` workers, each
     on one contiguous stretch of the shot range: the calling process tallies
     the first stretch and, on POSIX, a forked child each other one.
-    ``trace`` receives, chunk by chunk in shot order, an iterator over the
-    chunk's shot records (see :func:`run_shot`); a traced tally runs
-    serially in this process.  The result is identical for any worker
+    ``trace`` receives, chunk by chunk in shot order, a lazy iterator over
+    the chunk's trace text: blocks of JSONL lines, one line per shot (see
+    :func:`run_shot`), such as ``file.writelines`` takes.  A traced tally
+    runs serially in this process.  The result is identical for any worker
     count because the per-shot randomness is stateless.
     """
     if chunk_size < 1:

@@ -1,4 +1,6 @@
 import concurrent.futures
+import hashlib
+import json
 import math
 import os
 
@@ -244,6 +246,17 @@ class TestRunShot:
             assert a["inferred_pattern"] == b["inferred_pattern"]
             assert a["position_failed"] == b["position_failed"]
 
+    @pytest.mark.parametrize("field", ["raw_data", "raw_ancilla", "residuals", "alphas"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_overrides_reject_non_finite_values(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            ShotOverrides(**{field: [0.1, bad, -0.0]})
+
+    @pytest.mark.parametrize("value", ["abc", [0.1, "x"], object()])
+    def test_overrides_reject_non_numeric_values(self, value):
+        with pytest.raises(ValueError, match="residuals"):
+            ShotOverrides(residuals=value)
+
     def test_reproducible(self):
         cfg = ShotConfig(3, NoiseParams(0.5, 0.2), shots=10, seed=4)
         a = run_shot(cfg, shot_index=7)
@@ -282,12 +295,54 @@ class TestRunTally:
         cfg = ShotConfig(3, NoiseParams(0.5, 0.3), shots=3_001, seed=11)
         untraced = [run_tally(cfg, partitions=p, chunk_size=500) for p in (1, 2, 8)]
         for p in (1, 2, 8):
-            records = []
-            traced = run_tally(cfg, partitions=p, chunk_size=500, trace=records.extend)
+            blocks = []
+            traced = run_tally(cfg, partitions=p, chunk_size=500, trace=blocks.extend)
+            records = [json.loads(line) for line in "".join(blocks).splitlines()]
             assert traced == untraced[0]
             assert [r["shot"] for r in records] == list(range(cfg.shots))
             assert sum(r["position_failed"] for r in records) == traced.failures
         assert untraced[0] == untraced[1] == untraced[2]
+
+    # sha256 of the trace text, recorded from the per-shot json.dumps writer
+    # that the block formatter replaced
+    @pytest.mark.parametrize("n, mode, delta_tilde, gkp_ec, shots, digest", [
+        (3, "position", 0.3, True, 1_025,
+         "a30d32f160562cea6b61b8f1aa29eeda0986a67f5acd56ce8c17d102ef17f7f7"),
+        (3, "biased", 0.3, True, 2_049,
+         "99aa8cb30011f5340bffd5c75a05bc5035c07fc06ab015f7153377acc29a7226"),
+        (9, "position", 0.3, True, 1_100,
+         "5c13b996643a509ec6f059d61ab53e70066575dbdf6e5320161ca1321aa92c25"),
+        (9, "biased", 0.3, True, 1_100,
+         "6dee1ff180f49466a0d7e94bf25210ff290af783338356dca3561d71f0652f13"),
+        (15, "position", 0.3, True, 1_030,
+         "03fc9a40aaac64e4e059d92197dad908f58243fa514538d0940bed9a62536af5"),
+        (15, "biased", 0.3, True, 1_030,
+         "12e796201385311a1532a49a026062cc0329cf55f17838b6ad4ef0bc023be6c7"),
+        (5, "position", 0.3, False, 1_100,
+         "9fe8121fca5258a635c8083eac78bfddba73f0c16a06b192ffad8ac2bc7a60b2"),
+        (5, "biased", 0.0, True, 1_100,
+         "2109a0ffccc7ca6abf01977de1d9e668f2505c77165a2527fe9f7b2415683771"),
+    ])
+    def test_trace_bytes_are_pinned(self, n, mode, delta_tilde, gkp_ec, shots, digest):
+        cfg = ShotConfig(
+            n, NoiseParams(0.5, delta_tilde, r=1.5), shots=shots, seed=2023,
+            mode=Mode(mode), gkp_ec=gkp_ec,
+        )
+        blocks = []
+        run_tally(cfg, trace=blocks.extend)
+        assert len(blocks) > 1  # the shot count crosses a text-block edge
+        assert hashlib.sha256("".join(blocks).encode()).hexdigest() == digest
+
+    def test_trace_does_not_depend_on_chunk_size(self):
+        cfg = ShotConfig(5, NoiseParams(0.5, 0.3, r=1.5), shots=2_500, seed=9,
+                         mode=Mode.BIASED_FULL)
+        texts = []
+        for chunk_size in (1, 7, 1000, 65536):
+            blocks = []
+            run_tally(cfg, chunk_size=chunk_size, trace=blocks.extend)
+            texts.append("".join(blocks))
+        assert len(texts[0].splitlines()) == cfg.shots
+        assert texts[1:] == texts[:1] * 3
 
     def test_workers_capped_at_available_cores(self, monkeypatch):
         built = []
