@@ -8,7 +8,7 @@ robustness beats convergence order.
 from __future__ import annotations
 
 import csv
-import io
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -131,6 +131,10 @@ def critical_ancilla_spread(
 
 
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+# optimal_bias: points of the unimodality scan, and the golden-section stop
+# relative to max(|r|, 1)
+_SCAN_POINTS = 20
+_REL_TOL = 1e-3
 
 
 def optimal_bias(
@@ -139,8 +143,6 @@ def optimal_bias(
     delta_tilde: float,
     r_bracket: tuple[float, float] = (1.0, 6.0),
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    rel_tol: float = 1e-3,
-    scan_points: int = 20,
 ) -> OptimalBias:
     """Bias level minimizing the overall failure rate, by golden section.
 
@@ -148,23 +150,24 @@ def optimal_bias(
     back to grid refinement around the best scan point and flags the result.
     """
     lo, hi = r_bracket
+    _require_real(r_bracket_low=lo, r_bracket_high=hi)
     if not (0.0 < lo < hi):
         raise ValueError("r_bracket must satisfy 0 < lo < hi")
 
     def objective(r: float) -> float:
         return overall_failure_biased(n, NoiseParams(delta, delta_tilde, r=r), cfg)
 
-    rs = [lo + (hi - lo) * i / (scan_points - 1) for i in range(scan_points)]
+    rs = [lo + (hi - lo) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
     vals = [objective(r) for r in rs]
-    k = min(range(scan_points), key=vals.__getitem__)
+    k = min(range(_SCAN_POINTS), key=vals.__getitem__)
     drops = sum(
-        1 for i in range(1, scan_points - 1) if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]
+        1 for i in range(1, _SCAN_POINTS - 1) if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]
     )
     unimodal = drops <= 1
 
     if not unimodal:
         a = rs[max(k - 1, 0)]
-        b = rs[min(k + 1, scan_points - 1)]
+        b = rs[min(k + 1, _SCAN_POINTS - 1)]
         for _ in range(6):
             grid = [a + (b - a) * i / 9.0 for i in range(10)]
             gvals = [objective(r) for r in grid]
@@ -172,14 +175,14 @@ def optimal_bias(
             a = grid[max(gk - 1, 0)]
             b = grid[min(gk + 1, 9)]
         r_opt = 0.5 * (a + b)
-        return OptimalBias(r_opt, objective(r_opt), False, k not in (0, scan_points - 1))
+        return OptimalBias(r_opt, objective(r_opt), False, k not in (0, _SCAN_POINTS - 1))
 
     a = rs[max(k - 1, 0)]
-    b = rs[min(k + 1, scan_points - 1)]
+    b = rs[min(k + 1, _SCAN_POINTS - 1)]
     c = b - _GOLDEN_RATIO * (b - a)
     d = a + _GOLDEN_RATIO * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > rel_tol * max(abs(a), 1.0):
+    while b - a > _REL_TOL * max(abs(a), 1.0):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN_RATIO * (b - a)
@@ -190,8 +193,24 @@ def optimal_bias(
             fd = objective(d)
     r_opt = 0.5 * (a + b)
     return OptimalBias(
-        r_opt, objective(r_opt), True, k not in (0, scan_points - 1)
+        r_opt, objective(r_opt), True, k not in (0, _SCAN_POINTS - 1)
     )
+
+
+def check_fields(fn: Callable, names, what: str) -> None:
+    """Raise ``ValueError`` naming the unknown or missing ``what`` among ``names``.
+
+    Unknown: not a parameter of ``fn``; missing: a parameter of ``fn`` without
+    default.  Positional-only parameters are not names.  This is the one rule
+    for named inputs: run-file kinds, the ``engine`` block, sweep parameters.
+    """
+    params = [p for p in inspect.signature(fn).parameters.values() if p.kind != p.POSITIONAL_ONLY]
+    unknown = set(names) - {p.name for p in params}
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
+    missing = [p.name for p in params if p.default is p.empty and p.name not in names]
+    if missing:
+        raise ValueError(f"missing {what}: {missing}")
 
 
 @dataclass(frozen=True)
@@ -217,6 +236,7 @@ class SweepSpec:
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
             raise ValueError(f"parameters named twice in axes and fixed: {repeated}")
+        check_fields(QUANTITIES[self.quantity], names, f"{self.quantity} parameters")
 
 
 @dataclass(frozen=True)
@@ -239,93 +259,67 @@ class CurveTable:
             if own:
                 handle.close()
 
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+
+# A quantity is a function ``fn(cfg, /, *, <params>)`` of a QuadratureConfig
+# and its parameters, returning the value and the detail fields that ``gkprep
+# rate`` prints beside it.  Its keyword-only parameters are the quantity's
+# parameters, in ``gkprep rate --out`` column order; a default marks an
+# optional one.  Each looks its rate function up as a module global at call
+# time, so a caller that rebinds one here (a profiler, a test) sees it used.
+def _px(cfg, /, *, delta) -> tuple[float, dict]:
+    return pauli_rate_ideal(delta), {}
 
 
-@dataclass(frozen=True)
-class Quantity:
-    """A computed quantity: its parameters and its evaluator.
-
-    ``params`` are the parameter names in ``gkprep rate --out`` column order.
-    ``evaluate(point, cfg)`` returns the value and the detail fields that
-    ``gkprep rate`` prints beside it.
-    """
-
-    params: tuple[str, ...]
-    evaluate: Callable[[dict[str, Any], QuadratureConfig], tuple[float, dict]]
-
-
-# The evaluators look each rate function up as a module global at call time,
-# so a caller that rebinds one here (a profiler, a test) sees it used.
-def _px(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
-    return pauli_rate_ideal(p["delta"]), {}
-
-
-def _pf(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
-    report = pauli_rate_physical_report(NoiseParams(p["delta"], p["delta_tilde"]))
+def _pf(cfg, /, *, delta, delta_tilde) -> tuple[float, dict]:
+    report = pauli_rate_physical_report(NoiseParams(delta, delta_tilde))
     return report["value"], {
         "two_cell": report["two_cell"],
         "two_cell_difference": report["difference"],
     }
 
 
-def _rep_code(rate: Callable[..., FailureBreakdown], p: dict[str, Any],
-              cfg: QuadratureConfig) -> tuple[float, dict]:
-    breakdown = rate(p["n"], NoiseParams(p["delta"], p["delta_tilde"]), cfg)
+def _with_breakdown(breakdown: FailureBreakdown) -> tuple[float, dict]:
     return breakdown.total, {"breakdown": dict(breakdown.per_case)}
 
 
-def _pfail(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
-    params = NoiseParams(p["delta"], p.get("delta_tilde", 0.0), r=p.get("r", 1.0))
-    return overall_failure_biased(p["n"], params, cfg), {}
+def _pfrep(cfg, /, *, delta, delta_tilde, n) -> tuple[float, dict]:
+    return _with_breakdown(failure_rate(n, NoiseParams(delta, delta_tilde), cfg))
 
 
-def _delta_nm(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
-    query = CrossingQuery(
-        delta=p["delta"],
-        left_size=p["n"],
-        right_size=p["m"],
-        bracket=(p.get("bracket_lo", 0.02), p.get("bracket_hi", 0.8)),
-        tol=p.get("tol", 1e-4),
-    )
+def _pfrep_noec(cfg, /, *, delta, delta_tilde, n) -> tuple[float, dict]:
+    return _with_breakdown(failure_rate_no_gkp_ec(n, NoiseParams(delta, delta_tilde), cfg))
+
+
+def _pfail(cfg, /, *, delta, delta_tilde=0.0, n, r=1.0) -> tuple[float, dict]:
+    return overall_failure_biased(n, NoiseParams(delta, delta_tilde, r=r), cfg), {}
+
+
+def _delta_nm(cfg, /, *, delta, n, m, bracket_lo=0.02, bracket_hi=0.8,
+              tol=1e-4) -> tuple[float, dict]:
+    query = CrossingQuery(delta, n, m, (bracket_lo, bracket_hi), tol)
     result = critical_ancilla_spread(query, cfg)
     if result.status != "found":
-        raise RuntimeError(f"no crossing for {p}")
+        raise RuntimeError(f"no crossing on ({bracket_lo}, {bracket_hi})")
     return float(result.value), {}
 
 
-def _r_opt(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
-    opt = optimal_bias(
-        p["n"],
-        p["delta"],
-        p.get("delta_tilde", 0.0),
-        (p.get("r_lo", 1.0), p.get("r_hi", 6.0)),
-        cfg,
-    )
-    return opt.r_opt, {}
+def _r_opt(cfg, /, *, delta, delta_tilde=0.0, n, r_lo=1.0, r_hi=6.0) -> tuple[float, dict]:
+    return optimal_bias(n, delta, delta_tilde, (r_lo, r_hi), cfg).r_opt, {}
 
 
-def _wigner_grid(p: dict[str, Any], cfg: QuadratureConfig) -> tuple[float, dict]:
-    envelope = GkpEnvelope(delta=p["delta"], kappa=p["kappa"])
-    return wigner_point(envelope, p["q"], p["p"]), {}
+def _wigner_grid(cfg, /, *, delta, kappa, q, p) -> tuple[float, dict]:
+    return wigner_point(GkpEnvelope(delta=delta, kappa=kappa), q, p), {}
 
 
-QUANTITIES: dict[str, Quantity] = {
-    "px": Quantity(("delta",), _px),
-    "pf": Quantity(("delta", "delta_tilde"), _pf),
-    "pfrep": Quantity(
-        ("delta", "delta_tilde", "n"), lambda p, cfg: _rep_code(failure_rate, p, cfg)
-    ),
-    "pfrep_noec": Quantity(
-        ("delta", "delta_tilde", "n"), lambda p, cfg: _rep_code(failure_rate_no_gkp_ec, p, cfg)
-    ),
-    "pfail": Quantity(("delta", "delta_tilde", "n", "r"), _pfail),
-    "delta_nm": Quantity(("delta", "n", "m"), _delta_nm),
-    "r_opt": Quantity(("delta", "delta_tilde", "n"), _r_opt),
-    "wigner_grid": Quantity(("delta", "kappa", "q", "p"), _wigner_grid),
+QUANTITIES: dict[str, Callable[..., tuple[float, dict]]] = {
+    "px": _px,
+    "pf": _pf,
+    "pfrep": _pfrep,
+    "pfrep_noec": _pfrep_noec,
+    "pfail": _pfail,
+    "delta_nm": _delta_nm,
+    "r_opt": _r_opt,
+    "wigner_grid": _wigner_grid,
 }
 
 
@@ -345,9 +339,9 @@ def run_sweep(
         point = dict(zip(axis_names, combo))
         point.update(spec.fixed)
         try:
-            value, _ = QUANTITIES[spec.quantity].evaluate(point, cfg)
-            row = list(combo) + [spec.fixed[k] for k in fixed_names] + [value, "", "ok"]
+            value, _ = QUANTITIES[spec.quantity](cfg, **point)
+            cells = (value, "", "ok")
         except Exception as exc:  # noqa: BLE001 - cell failures stay in-row
-            row = list(combo) + [spec.fixed[k] for k in fixed_names] + ["", "", f"error:{type(exc).__name__}"]
-        rows.append(tuple(row))
+            cells = ("", "", f"error:{type(exc).__name__}")
+        rows.append((*combo, *(spec.fixed[k] for k in fixed_names), *cells))
     return CurveTable(columns=columns, rows=tuple(rows))

@@ -24,6 +24,7 @@ from .analysis import (
     CrossingQuery,
     CurveTable,
     SweepSpec,
+    check_fields,
     critical_ancilla_spread,
     optimal_bias,
     run_sweep,
@@ -59,11 +60,11 @@ def cmd_rate(args) -> int:
         nodes_per_dim=args.nodes, method=args.method, window_neighbors=args.neighbors
     )
     quantity = QUANTITIES[args.quantity.replace("-", "_")]
-    point = {name: getattr(args, name) for name in quantity.params}
+    point = {name: getattr(args, name) for name in inspect.getfullargspec(quantity).kwonlyargs}
     for name, value in point.items():
         if value is None:
             raise ValueError(f"--{name} is required for {args.quantity}")
-    value, detail = quantity.evaluate(point, cfg)
+    value, detail = quantity(cfg, **point)
     if args.out:
         columns = (*point, "value", "std_err", "status")
         CurveTable(columns, ((*point.values(), value, "", "ok"),)).to_csv(args.out)
@@ -88,6 +89,8 @@ def _mc_payload(cfg: ShotConfig, trace=None, workers: int = 1) -> dict:
 def cmd_mc(args) -> int:
     # run_tally caps this further at the available cores
     workers = args.workers
+    if workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
     cap = os.environ.get("GKPREP_MAX_WORKERS")
     if cap is not None:
         try:
@@ -206,13 +209,7 @@ RUN_KINDS = {
 
 def _from_fields(builder, fields: dict, what: str):
     """``builder(**fields)``, with unknown, missing or wrongly typed fields as usage errors."""
-    params = inspect.signature(builder).parameters
-    unknown = set(fields) - set(params)
-    if unknown:
-        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
-    missing = [name for name, p in params.items() if p.default is p.empty and name not in fields]
-    if missing:
-        raise ValueError(f"missing {what} fields: {missing}")
+    check_fields(builder, fields, f"{what} fields")
     try:
         return builder(**fields)
     except TypeError as exc:

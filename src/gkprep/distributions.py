@@ -260,33 +260,33 @@ def _pz_cell_integral(dist: ResidualDistribution, m: int, n_nodes: int = 128) ->
     return float(np.dot(w, dist.density(x)))
 
 
-def pauli_rate_physical(params: NoiseParams, *, two_cell: bool = False) -> float:
+def pauli_rate_physical(params: NoiseParams) -> float:
     """Logical flip rate P_F after one round of GKP EC with a noisy ancilla.
 
     Integrates the residual density over the Pauli error zones.  The lattice
-    sum over PZ cells runs until a cell contributes below 1e-12; with
-    ``two_cell=True`` only the innermost pair of cells is kept (the standard
-    plotting approximation).  For ancilla spreads below 1e-6 the ideal
-    formula is returned (the density is singular there).
+    sum over PZ cells runs until a cell contributes below 1e-12.  For
+    ancilla spreads below 1e-6 the ideal formula is returned (the density is
+    singular there).
     """
-    if params.ideal_ancilla:
-        return pauli_rate_ideal(params.delta)
-    dist = ResidualDistribution(params.delta, params.delta_tilde)
-    if two_cell:
-        return 2.0 * _pz_cell_integral(dist, 0)
-    total = 0.0
-    for m in range(64):
-        cell = 2.0 * _pz_cell_integral(dist, m)
-        total += cell
-        if cell < 1e-12:
-            return min(total, 1.0)
-    raise TruncationError("PZ lattice sum did not converge within 64 cells")
+    return pauli_rate_physical_report(params)["value"]
 
 
 def pauli_rate_physical_report(params: NoiseParams) -> dict[str, float]:
-    """Full lattice sum and two-cell approximation of P_F, with their gap."""
-    full = pauli_rate_physical(params)
+    """P_F, its two-cell approximation and their gap.
+
+    The two-cell value keeps only the innermost pair of PZ cells (the
+    standard plotting approximation): the first term of the lattice sum.
+    """
     if params.ideal_ancilla:
+        full = pauli_rate_ideal(params.delta)
         return {"value": full, "two_cell": full, "difference": 0.0}
-    approx = pauli_rate_physical(params, two_cell=True)
-    return {"value": full, "two_cell": approx, "difference": full - approx}
+    dist = ResidualDistribution(params.delta, params.delta_tilde)
+    total = 0.0
+    for m in range(64):
+        cell = 2.0 * _pz_cell_integral(dist, m)
+        two_cell = cell if m == 0 else two_cell
+        total += cell
+        if cell < 1e-12:
+            full = min(total, 1.0)
+            return {"value": full, "two_cell": two_cell, "difference": full - two_cell}
+    raise TruncationError("PZ lattice sum did not converge within 64 cells")

@@ -139,9 +139,11 @@ class ShotConfig:
 class ShotOverrides:
     """Deterministic injection hooks replacing sampled quantities.
 
-    Arrays are broadcast over shots.  ``residuals`` bypasses the GKP EC
-    stage entirely; the raw overrides feed the normal pipeline.  A value
-    that does not convert to an array of finite floats raises ``ValueError``.
+    Arrays hold one value per qubit (n; n - 1 for ``alphas``), or one such
+    row per shot; a shot given another shape raises ``ValueError``.
+    ``residuals`` bypasses the GKP EC stage entirely; the raw overrides feed
+    the normal pipeline.  A value that does not convert to an array of
+    finite floats raises ``ValueError``.
     """
 
     raw_data: np.ndarray | None = None
@@ -251,22 +253,26 @@ def _simulate(
     params = cfg.params
     ov = overrides or ShotOverrides()
 
-    def stage(slots: range, spread: float, values: np.ndarray | None) -> np.ndarray:
-        """The injected ``values`` broadcast over shots, else the slot block's draws."""
+    def stage(slots: range, spread: float, name: str) -> np.ndarray:
+        """Override ``name`` broadcast over shots if it is set, else the slot block's draws."""
+        values = getattr(ov, name)
         if values is None:
             return normal_draws(cfg.seed, shot_indices, slots, spread)
-        return np.broadcast_to(np.asarray(values, dtype=np.float64), (shots, len(slots))).copy()
+        values, k = np.asarray(values, dtype=np.float64), len(slots)
+        if values.shape[-1:] != (k,) or values.shape[:-1] not in ((), (1,), (shots,)):
+            raise ValueError(f"{name} must hold {k} values per shot at n = {n}, got {values.shape}")
+        return np.broadcast_to(values, (shots, k)).copy()
 
-    u = stage(range(n), cfg.position_spread, ov.raw_data)
+    u = stage(range(n), cfg.position_spread, "raw_data")
     if ov.residuals is not None:
-        resid = stage(range(n), 0.0, ov.residuals)
+        resid = stage(range(n), 0.0, "residuals")
     elif cfg.gkp_ec:
         resid = u - nearest_multiple_offset_array(
-            u + stage(range(n, 2 * n), params.delta_tilde, ov.raw_ancilla)
+            u + stage(range(n, 2 * n), params.delta_tilde, "raw_ancilla")
         )
     else:
         resid = u
-    alpha = stage(range(2 * n, 3 * n - 1), params.delta_tilde, ov.alphas)
+    alpha = stage(range(2 * n, 3 * n - 1), params.delta_tilde, "alphas")
 
     measured = resid[:, :1] + resid[:, 1:] + alpha
     syndromes = is_pauli_zone(measured)

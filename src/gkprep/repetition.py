@@ -116,10 +116,6 @@ class CodeSize:
     def correctable_weight(self) -> int:
         return (self.n - 1) // 2
 
-    @property
-    def syndrome_count(self) -> int:
-        return 2 ** (self.n - 1)
-
 
 def _as_size(n: int | CodeSize) -> CodeSize:
     return n if isinstance(n, CodeSize) else CodeSize(n)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _require_real
 from .lattice import SQRT_PI
 
 # Comb terms whose envelope weight falls below this fraction of the leading
@@ -47,6 +48,7 @@ class GkpEnvelope:
     logical: str = "zero"
 
     def __post_init__(self) -> None:
+        _require_real(delta=self.delta, kappa=self.kappa)
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ValueError("delta must be a positive finite real")
         if not (self.kappa > 0.0 and math.isfinite(self.kappa)):

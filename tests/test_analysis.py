@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import gkprep.analysis as analysis
 from gkprep.analysis import (
     AmbiguousCrossingError,
     CrossingQuery,
+    CurveTable,
     SweepSpec,
     critical_ancilla_spread,
     optimal_bias,
@@ -101,6 +103,17 @@ class TestOptimalBias:
         with pytest.raises(ValueError):
             optimal_bias(3, 0.5, 0.0, (2.0, 1.0))
 
+    @pytest.mark.parametrize("bracket", [(1.0, "6"), ("1", 6.0), (1.0, True)])
+    def test_non_real_bracket_end_is_value_error(self, bracket):
+        with pytest.raises(ValueError, match="r_bracket_(low|high) must be a real number"):
+            optimal_bias(3, 0.5, 0.0, bracket)
+
+
+def _csv_text(table: CurveTable) -> str:
+    buf = io.StringIO()
+    table.to_csv(buf)
+    return buf.getvalue()
+
 
 class TestRunSweep:
     def test_degenerate_single_point(self):
@@ -130,8 +143,8 @@ class TestRunSweep:
         spec = SweepSpec(
             "pf", (("delta_tilde", (0.1, 0.3)),), {"delta": 0.5}
         )
-        a = run_sweep(spec).to_csv_text()
-        b = run_sweep(spec).to_csv_text()
+        a = _csv_text(run_sweep(spec))
+        b = _csv_text(run_sweep(spec))
         assert a == b
 
     @pytest.mark.parametrize("axes, fixed", [
@@ -164,7 +177,7 @@ class TestRunSweep:
 
     def test_csv_seventeen_digit_round_trip(self):
         spec = SweepSpec("px", (("delta", (1.0 / 3.0,)),))
-        text = run_sweep(spec).to_csv_text()
+        text = _csv_text(run_sweep(spec))
         line = text.splitlines()[1]
         delta_str, value_str = line.split(",")[:2]
         assert float(delta_str) == 1.0 / 3.0
@@ -175,6 +188,32 @@ class TestRunSweep:
     def test_unknown_quantity_rejected(self):
         with pytest.raises(ValueError):
             SweepSpec("bogus", (("delta", (0.5,)),))
+
+    @pytest.mark.parametrize("quantity, fixed, message", [
+        ("pfail", {"delta": 0.5, "n": 3, "R": 2.0}, r"unknown pfail parameters: \['R'\]"),
+        ("delta_nm", {"n": 5, "m": 3, "bracket": [0.1, 0.5]},
+         r"unknown delta_nm parameters: \['bracket'\]"),
+        ("pfrep", {"delta_tilde": 0.2}, r"missing pfrep parameters: \['n'\]"),
+    ], ids=["pfail-R", "delta-nm-bracket", "pfrep-no-n"])
+    def test_parameter_names_rejected_by_spec(self, quantity, fixed, message):
+        # the spec itself raises, so a wrong or missing name never reaches a cell
+        axis = ("r", (1.0,)) if quantity == "pfail" else ("delta", (0.5,))
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(quantity, (axis,), fixed)
+
+    def test_optional_parameters_take_their_defaults(self):
+        plain = run_sweep(SweepSpec("pfail", (("delta", (0.5,)),), {"n": 3}))
+        full = run_sweep(
+            SweepSpec("pfail", (("delta", (0.5,)),), {"n": 3, "delta_tilde": 0.0, "r": 1.0})
+        )
+        assert plain.rows[0][-3:] == full.rows[0][-3:]
+        assert plain.rows[0][-1] == "ok"
+
+    def test_wigner_grid_boolean_spread_is_a_value_error_cell(self):
+        spec = SweepSpec(
+            "wigner_grid", (("q", (0.0,)),), {"delta": True, "kappa": 0.3, "p": 0.0}
+        )
+        assert run_sweep(spec).rows[0][-3:] == ("", "", "error:ValueError")
 
     def test_wigner_grid_quantity(self):
         spec = SweepSpec(

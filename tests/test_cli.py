@@ -1,5 +1,8 @@
+import contextlib
 import csv
 import gc
+import inspect
+import io
 import json
 import math
 import os
@@ -16,9 +19,17 @@ CLI = [sys.executable, "-m", "gkprep.cli"]
 
 
 def run_cli(*args, check=True):
-    proc = subprocess.run(
-        CLI + list(args), capture_output=True, text=True
-    )
+    """``gkprep *args`` through ``cli.main`` in this process; argparse's exit is the code.
+
+    Tests that set environment variables run ``CLI`` in a subprocess instead.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    proc = subprocess.CompletedProcess(CLI + list(args), code, out.getvalue(), err.getvalue())
     if check and proc.returncode != 0:
         raise AssertionError(
             f"cli failed ({proc.returncode}): {proc.stderr}\n{proc.stdout}"
@@ -192,6 +203,16 @@ class TestMc:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_usage_error(self, workers):
+        proc = run_cli(
+            "mc", "--n", "3", "--delta", "0.5", "--shots", "10", "--workers", workers,
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: --workers must be at least 1, got {workers}\n"
         assert proc.stdout == ""
 
     def test_single_shot_rate_is_binary(self):
@@ -414,13 +435,14 @@ class TestRunFiles:
             ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3,
                           "bracket": [0.1, True]}, {}),
             ("crossing", {"delta": True, "left_size": "single", "right_size": 3}, {}),
+            ("optimal_bias", {"n": 3, "delta": 0.5, "r_bracket": [1.0, "6"]}, {}),
         ],
         ids=["fixed-null", "axes-int", "axis-scalar", "shots-str", "bracket-int",
              "r-bracket-int", "mc-list", "output-int", "output-bool", "n-fraction",
              "right-size-fraction", "seed-fraction", "shots-fraction", "shots-bool",
              "seed-bool", "gkp-ec-str", "gkp-ec-int", "nodes-fraction", "nodes-bool",
              "nodes-str", "neighbors-fraction", "refine-str", "tol-bool", "mc-delta-bool",
-             "abs-tol-bool", "bracket-end-bool", "crossing-delta-bool"],
+             "abs-tol-bool", "bracket-end-bool", "crossing-delta-bool", "r-bracket-end-str"],
     )
     def test_wrongly_typed_field_is_usage_error(self, kind, block, engine, tmp_path):
         spec = {"schema_version": 1, kind: block, "engine": engine}
@@ -429,6 +451,23 @@ class TestRunFiles:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("quantity, axis, fixed, message", [
+        ("pfail", "r", {"delta": 0.5, "n": 3, "R": 2.0}, "unknown pfail parameters: ['R']"),
+        ("delta_nm", "delta", {"n": 5, "m": 3, "bracket": [0.1, 0.5]},
+         "unknown delta_nm parameters: ['bracket']"),
+        ("pfrep", "delta_tilde", {"delta": 0.5}, "missing pfrep parameters: ['n']"),
+    ], ids=["pfail-R", "delta-nm-bracket", "pfrep-no-n"])
+    def test_sweep_parameter_names_are_usage_errors(self, quantity, axis, fixed, message,
+                                                    tmp_path):
+        spec = {
+            "schema_version": 1,
+            "sweep": {"quantity": quantity, "axes": [[axis, [0.5]]], "fixed": fixed},
+        }
+        path = write_run_file(tmp_path, spec)
+        proc = run_cli("sweep", "--spec", path, "--out", str(tmp_path / "out.csv"), check=False)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (2, f"error: {message}\n", "")
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("kind", ["sweep", "optimal_bias"])
     def test_integral_engine_fields_run_as_integers(self, kind, tmp_path):
@@ -478,9 +517,10 @@ class TestQuantityRegistry:
             run_cli("rate", "--quantity", quantity, *flags, "--out", str(rate_csv)).stdout
         )
         assert payload["quantity"] == quantity
+        params = tuple(inspect.getfullargspec(QUANTITIES[key]).kwonlyargs)
         header = rate_csv.read_text().splitlines()[0]
-        assert header == ",".join(QUANTITIES[key].params + ("value", "std_err", "status"))
-        assert tuple(point) == QUANTITIES[key].params
+        assert header == ",".join(params + ("value", "std_err", "status"))
+        assert tuple(point) == params
 
         sweep_csv = tmp_path / "sweep.csv"
         fixed = dict(point)

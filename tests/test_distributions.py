@@ -219,5 +219,5 @@ class TestPauliRatePhysical:
             limit=300,
             epsabs=1e-13,
         )
-        got = pauli_rate_physical(NoiseParams(0.5, 0.3), two_cell=True)
+        got = pauli_rate_physical_report(NoiseParams(0.5, 0.3))["two_cell"]
         assert got == pytest.approx(2 * want, rel=1e-9)

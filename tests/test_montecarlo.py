@@ -257,6 +257,17 @@ class TestRunShot:
         with pytest.raises(ValueError, match="residuals"):
             ShotOverrides(residuals=value)
 
+    @pytest.mark.parametrize("field, value, count", [
+        ("residuals", [0.1, 0.2], 3),
+        ("residuals", [0.1], 3),
+        ("alphas", [[0.1, 0.2], [0.3, 0.4]], 2),
+        ("raw_data", 0.1, 3),
+    ], ids=["residuals-short", "residuals-one", "alphas-rows", "raw-data-scalar"])
+    def test_overrides_must_match_code_size(self, field, value, count):
+        cfg = ShotConfig(3, NoiseParams(0.5, 0.2), shots=1)
+        with pytest.raises(ValueError, match=f"{field} must hold {count} values per shot at n = 3"):
+            run_shot(cfg, overrides=ShotOverrides(**{field: value}))
+
     def test_reproducible(self):
         cfg = ShotConfig(3, NoiseParams(0.5, 0.2), shots=10, seed=4)
         a = run_shot(cfg, shot_index=7)

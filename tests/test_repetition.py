@@ -30,7 +30,6 @@ class TestCodeSize:
     def test_properties(self):
         size = CodeSize(7)
         assert size.correctable_weight == 3
-        assert size.syndrome_count == 64
 
     @pytest.mark.parametrize(
         "n", [3, 3.0, np.int64(3), np.float64(3.0)],
