@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .distributions import NoiseParams, _require_real, pauli_rate_ideal, pauli_rate_physical_report
+from .distributions import NoiseParams, _require_positive, _require_real, pauli_rate_ideal
+from .distributions import pauli_rate_physical_report
 from .repetition import (
     DEFAULT_QUADRATURE,
     FailureBreakdown,
@@ -53,11 +54,10 @@ class CrossingQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "bracket", tuple(self.bracket))
         lo, hi = self.bracket
-        _require_real(delta=self.delta, bracket_low=lo, bracket_high=hi, tol=self.tol)
+        _require_positive(delta=self.delta, tol=self.tol)
+        _require_real(bracket_low=lo, bracket_high=hi)
         if not (0.0 < lo < hi):
             raise ValueError("bracket must satisfy 0 < lo < hi")
-        if not (self.tol > 0.0):
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,11 @@ def optimal_bias(
 ) -> OptimalBias:
     """Bias level minimizing the overall failure rate, by golden section.
 
-    A coarse scan checks the profile is unimodal; a non-unimodal scan falls
-    back to grid refinement around the best scan point and flags the result.
+    A coarse scan of the bracket picks the best scan point; the golden section
+    then runs between its two neighbours.  ``unimodal`` is False when the scan
+    saw more than one local minimum: the result is then the minimum near the
+    best scan point, which another dip between scan points could undercut.
+    ``interior`` is False when the best scan point is a bracket end.
     """
     lo, hi = r_bracket
     _require_real(r_bracket_low=lo, r_bracket_high=hi)
@@ -163,19 +166,6 @@ def optimal_bias(
     drops = sum(
         1 for i in range(1, _SCAN_POINTS - 1) if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]
     )
-    unimodal = drops <= 1
-
-    if not unimodal:
-        a = rs[max(k - 1, 0)]
-        b = rs[min(k + 1, _SCAN_POINTS - 1)]
-        for _ in range(6):
-            grid = [a + (b - a) * i / 9.0 for i in range(10)]
-            gvals = [objective(r) for r in grid]
-            gk = min(range(10), key=gvals.__getitem__)
-            a = grid[max(gk - 1, 0)]
-            b = grid[min(gk + 1, 9)]
-        r_opt = 0.5 * (a + b)
-        return OptimalBias(r_opt, objective(r_opt), False, k not in (0, _SCAN_POINTS - 1))
 
     a = rs[max(k - 1, 0)]
     b = rs[min(k + 1, _SCAN_POINTS - 1)]
@@ -192,9 +182,7 @@ def optimal_bias(
             d = a + _GOLDEN_RATIO * (b - a)
             fd = objective(d)
     r_opt = 0.5 * (a + b)
-    return OptimalBias(
-        r_opt, objective(r_opt), True, k not in (0, _SCAN_POINTS - 1)
-    )
+    return OptimalBias(r_opt, objective(r_opt), drops <= 1, k not in (0, _SCAN_POINTS - 1))
 
 
 def check_fields(fn: Callable, names, what: str) -> None:

@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .distributions import NoiseParams
 from .lattice import TruncationError
-from .montecarlo import Mode, ShotConfig, run_tally
+from .montecarlo import ShotConfig, run_tally
 from .repetition import QuadratureConfig, QuadratureError, shared_engines
 from .wigner import GkpEnvelope, GridSpec, grid_to_binary, grid_to_csv, wigner_physical_zero
 
@@ -77,9 +77,7 @@ def _shot_config(
     seed: int = 0, mode: str = "position", gkp_ec: bool = True,
 ) -> ShotConfig:
     params = NoiseParams(delta, delta_tilde, r=r)
-    return ShotConfig(
-        n=n, params=params, shots=shots, seed=seed, mode=Mode(mode), gkp_ec=gkp_ec
-    )
+    return ShotConfig(n=n, params=params, shots=shots, seed=seed, mode=mode, gkp_ec=gkp_ec)
 
 
 def _mc_payload(cfg: ShotConfig, trace=None, workers: int = 1) -> dict:
@@ -94,9 +92,12 @@ def cmd_mc(args) -> int:
     cap = os.environ.get("GKPREP_MAX_WORKERS")
     if cap is not None:
         try:
-            workers = min(workers, max(int(cap), 1))
+            cap = int(cap)
         except ValueError:
             raise ValueError(f"GKPREP_MAX_WORKERS must be an integer, got {cap!r}") from None
+        if cap < 1:
+            raise ValueError(f"GKPREP_MAX_WORKERS must be at least 1, got {cap}")
+        workers = min(workers, cap)
     cfg = _shot_config(
         n=args.n, delta=args.delta, shots=args.shots, delta_tilde=args.delta_tilde,
         r=args.r, seed=args.seed, mode=args.mode, gkp_ec=not args.no_gkp_ec,
@@ -216,9 +217,13 @@ def _from_fields(builder, fields: dict, what: str):
         raise ValueError(f"wrongly typed {what} field: {exc}") from exc
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"run file is not strict JSON: {token} is not a number")
+
+
 def cmd_sweep(args) -> int:
     with open(args.spec) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_constant=_reject_constant)
     if not isinstance(doc, dict):
         raise ValueError("run file must be a JSON object")
     unknown = set(doc) - {"schema_version", "engine", *RUN_KINDS}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -49,15 +50,39 @@ def _integral(value: Any) -> int | None:
     return int(value)
 
 
-def _require_real(**fields: Any) -> None:
-    """Raise ``ValueError`` naming the first field that is not a real number.
+def _finite_real(value: Any) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and abs(value) <= sys.float_info.max)
 
-    Ints, floats and numpy reals are real; a ``bool`` or non-numeric value is
-    not, although Python's ``bool`` is an ``int``.
+
+def _require_real(**fields: Any) -> None:
+    """Raise ``ValueError`` naming the first field that is not a finite real number.
+
+    Ints, floats and numpy reals within the float range are; a ``bool`` (an
+    ``int`` to Python), a non-numeric value, nan and +-inf are not.
     """
     for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not _finite_real(value):
             raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _require_positive(**fields: Any) -> None:
+    """As :func:`_require_real`, for fields that must also be > 0."""
+    for name, value in fields.items():
+        if not (_finite_real(value) and value > 0.0):
+            raise ValueError(f"{name} must be a positive finite real")
+
+
+def _store_integers(obj: Any, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as ``int``.
+
+    A value that :func:`_integral` does not accept raises ``ValueError``.
+    """
+    for name in names:
+        value = _integral(getattr(obj, name))
+        if value is None:
+            raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+        object.__setattr__(obj, name, value)
 
 
 class DegenerateDistributionError(ValueError):
@@ -86,15 +111,10 @@ class NoiseParams:
     def __post_init__(self) -> None:
         if self.kappa is None:
             object.__setattr__(self, "kappa", self.delta)
-        _require_real(delta=self.delta, delta_tilde=self.delta_tilde, r=self.r, kappa=self.kappa)
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError("delta must be a positive finite real")
-        if not (self.delta_tilde >= 0.0 and math.isfinite(self.delta_tilde)):
+        _require_positive(delta=self.delta, r=self.r, kappa=self.kappa)
+        _require_real(delta_tilde=self.delta_tilde)
+        if self.delta_tilde < 0.0:
             raise ValueError("delta_tilde must be a non-negative finite real")
-        if not (self.r > 0.0 and math.isfinite(self.r)):
-            raise ValueError("r must be a positive finite real")
-        if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
-            raise ValueError("kappa must be a positive finite real")
 
     @property
     def position_spread(self) -> float:
@@ -127,8 +147,7 @@ class GaussianDisplacement:
     spread: float
 
     def __post_init__(self) -> None:
-        if not (self.spread > 0.0 and math.isfinite(self.spread)):
-            raise ValueError("spread must be a positive finite real")
+        _require_positive(spread=self.spread)
 
     @property
     def sigma(self) -> float:
@@ -153,8 +172,7 @@ def pauli_rate_ideal(delta_eff: float) -> float:
     survives deep in the tails; the remaining tail after truncation is
     bounded by the first omitted erfc term.
     """
-    if not (delta_eff > 0.0 and math.isfinite(delta_eff)):
-        raise ValueError("delta_eff must be a positive finite real")
+    _require_positive(delta_eff=delta_eff)
     a = SQRT_PI / (2.0 * delta_eff)
     total = 0.0
     for n in range(MAX_TERMS):
@@ -182,8 +200,7 @@ class ResidualDistribution:
     delta_tilde: float
 
     def __post_init__(self) -> None:
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError("delta must be a positive finite real")
+        _require_positive(delta=self.delta)
         if not (self.delta_tilde > 0.0 and math.isfinite(self.delta_tilde)):
             raise DegenerateDistributionError(
                 "delta_tilde must be strictly positive; the delta_tilde -> 0 "

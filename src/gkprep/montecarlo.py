@@ -38,7 +38,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy import special as sp
 
-from .distributions import GaussianDisplacement, NoiseParams, _integral
+from .distributions import GaussianDisplacement, NoiseParams, _integral, _store_integers
 from .lattice import is_pauli_zone, nearest_multiple_offset_array
 from .repetition import CodeSize, _as_size
 
@@ -103,8 +103,9 @@ class Mode(Enum):
 class ShotConfig:
     """One Monte Carlo experiment; (config, seed) fully determine the output.
 
-    ``shots`` and ``seed`` follow ``CodeSize``'s integer rule; ``gkp_ec``
-    must be a ``bool``.  Any other value raises ``ValueError``.
+    ``mode`` is a :class:`Mode` or its value (``"biased"``); ``shots`` and
+    ``seed`` follow ``CodeSize``'s integer rule; ``gkp_ec`` must be a
+    ``bool``.  Any other value raises ``ValueError``.
     """
 
     n: int | CodeSize
@@ -115,12 +116,9 @@ class ShotConfig:
     gkp_ec: bool = True
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", Mode(self.mode))
         object.__setattr__(self, "n", _as_size(self.n))
-        for name in ("shots", "seed"):
-            value = _integral(getattr(self, name))
-            if value is None:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
+        _store_integers(self, "shots", "seed")
         if not isinstance(self.gkp_ec, bool):
             raise ValueError(f"gkp_ec must be a boolean, got {self.gkp_ec!r}")
         if self.shots < 1:
@@ -398,7 +396,8 @@ def run_tally(
 ) -> TallyResult:
     """Aggregate ``cfg.shots`` trajectories into a failure tally.
 
-    The tally uses ``min(partitions, shots, available cores)`` workers, each
+    ``partitions`` must be an integer >= 1 (``ValueError`` otherwise).  The
+    tally uses ``min(partitions, shots, available cores)`` workers, each
     on one contiguous stretch of the shot range: the calling process tallies
     the first stretch and, on POSIX, a forked child each other one.
     ``trace`` receives, chunk by chunk in shot order, a lazy iterator over
@@ -411,7 +410,10 @@ def run_tally(
         raise ValueError("chunk_size must be >= 1")
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = max(1, min(int(partitions), cfg.shots, cores))
+    workers = _integral(partitions)
+    if workers is None or workers < 1:
+        raise ValueError(f"partitions must be an integer >= 1, got {partitions!r}")
+    workers = min(workers, cfg.shots, cores)
     if trace is not None or workers == 1 or not hasattr(os, "fork"):
         results = [_tally_range(cfg, (0, cfg.shots), chunk_size, trace)]
     else:

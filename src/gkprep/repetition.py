@@ -69,7 +69,9 @@ from .distributions import (
     NoiseParams,
     ResidualDistribution,
     _integral,
+    _require_positive,
     _require_real,
+    _store_integers,
     pauli_rate_ideal,
     pauli_rate_physical,
 )
@@ -133,7 +135,7 @@ class QuadratureConfig:
     ``2 * nodes_per_dim``; if that adds no nodes to every cell either, the
     check could certify nothing and the call raises :class:`QuadratureError`.
     The integer fields follow :func:`_integral` and ``abs_tol``
-    :func:`_require_real`; ``refine`` must be a ``bool``.  Any other value
+    :func:`_require_positive`; ``refine`` must be a ``bool``.  Any other value
     raises ``ValueError``.
     """
 
@@ -144,20 +146,14 @@ class QuadratureConfig:
     window_neighbors: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("nodes_per_dim", "window_neighbors"):
-            value = _integral(getattr(self, name))
-            if value is None:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
+        _store_integers(self, "nodes_per_dim", "window_neighbors")
         if not isinstance(self.refine, bool):
             raise ValueError(f"refine must be a boolean, got {self.refine!r}")
         if self.nodes_per_dim < 8:
             raise ValueError("nodes_per_dim must be at least 8")
         if self.method not in ("factorized", "tensor"):
             raise ValueError(f"unknown method {self.method!r}")
-        _require_real(abs_tol=self.abs_tol)
-        if not (self.abs_tol > 0.0):
-            raise ValueError("abs_tol must be positive")
+        _require_positive(abs_tol=self.abs_tol)
         if self.window_neighbors < 0:
             raise ValueError("window_neighbors must be >= 0")
 
@@ -181,6 +177,7 @@ class FailureBreakdown:
 def classical_failure(n: int | CodeSize, p: float) -> float:
     """Binomial majority-vote failure rate: P(more than (n-1)/2 of n flip)."""
     size = _as_size(n)
+    _require_real(p=p)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be a probability, got {p}")
     total = 0.0

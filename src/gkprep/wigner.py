@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _require_real
+from .distributions import _require_positive, _require_real
 from .lattice import SQRT_PI
 
 # Comb terms whose envelope weight falls below this fraction of the leading
@@ -48,11 +48,7 @@ class GkpEnvelope:
     logical: str = "zero"
 
     def __post_init__(self) -> None:
-        _require_real(delta=self.delta, kappa=self.kappa)
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError("delta must be a positive finite real")
-        if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
-            raise ValueError("kappa must be a positive finite real")
+        _require_positive(delta=self.delta, kappa=self.kappa)
         if self.logical not in ("zero", "one", "plus"):
             raise ValueError(f"logical must be zero/one/plus, got {self.logical!r}")
 
@@ -68,6 +64,10 @@ class GkpEnvelope:
             self.kappa / math.sqrt(1.0 + x),
             (1.0 - x) / (1.0 + x),
         )
+
+    def widths(self, exact: bool) -> tuple[float, float, float]:
+        """(delta, kappa, gamma) of the exact form if ``exact``, else of the small-spread one."""
+        return self.corrected() if exact else (self.delta, self.kappa, 1.0)
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,7 @@ def _wavefunction_comb(
     env: GkpEnvelope, basis: str, exact: bool
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(centers, weights, width, prefactor) of the requested comb."""
-    if exact:
-        d, k, gamma = env.corrected()
-    else:
-        d, k, gamma = env.delta, env.kappa, 1.0
+    d, k, gamma = env.widths(exact)
     if basis == "position":
         width, envelope_scale = d, k
         prefactor = (4.0 * env.kappa**2 / (math.pi * env.delta**2)) ** 0.25
@@ -173,10 +170,7 @@ def wavefunction(
     """
     centers, weights, width, prefactor = _wavefunction_comb(env, basis, exact)
     x_arr = np.asarray(x, dtype=np.float64)
-    d = (x_arr[..., None] - centers) / (width * math.sqrt(2.0))
-    out = prefactor * np.einsum(
-        "...k,k->...", np.exp(-np.minimum(d * d, 745.0)), weights
-    )
+    out = prefactor * _comb(x_arr, centers, weights, width * math.sqrt(2.0))
     return out if out.ndim else float(out)
 
 
@@ -189,11 +183,7 @@ def _wigner_axes(
     exact: bool,
 ) -> np.ndarray:
     """Double-comb Wigner evaluation on the outer product of q and p axes."""
-    if exact:
-        d_s, k_s, gamma = env.corrected()
-    else:
-        d_s, k_s, gamma = env.delta, env.kappa, 1.0
-
+    d_s, k_s, gamma = env.widths(exact)
     m_max = math.sqrt(4.0 * _LOG_CUTOFF / math.pi) / d_s + 1.0
     m = _indices(m_max)
     w_m = np.exp(-math.pi * d_s**2 * m**2 / 4.0)
@@ -221,10 +211,7 @@ def wigner_physical_zero(
     Positive peaks sit at (2n*sqrt(pi), m*sqrt(pi)/2); the peaks at odd
     multiples of sqrt(pi) in q alternate in sign with m.
     """
-    if exact:
-        d_s, k_s, _ = env.corrected()
-    else:
-        d_s, k_s = env.delta, env.kappa
+    d_s, k_s, _ = env.widths(exact)
     values = _wigner_axes(env, spec.q_axis(), spec.p_axis(), d_s, k_s, exact)
     return PhaseSpaceGrid(spec=spec, values=values)
 
@@ -255,6 +242,7 @@ def wigner_after_gdc(
 
 def wigner_point(env: GkpEnvelope, q: float, p: float) -> float:
     """W(q, p) of the logical-zero state at a single phase-space point."""
+    _require_real(q=q, p=p)
     out = _wigner_axes(
         env, np.asarray([q], dtype=np.float64), np.asarray([p], dtype=np.float64),
         env.delta, env.kappa, exact=False,

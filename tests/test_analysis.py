@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -102,6 +103,28 @@ class TestOptimalBias:
     def test_bracket_validation(self):
         with pytest.raises(ValueError):
             optimal_bias(3, 0.5, 0.0, (2.0, 1.0))
+
+    def test_two_dip_profile_runs_the_golden_section_on_the_best_scan_bracket(
+        self, monkeypatch
+    ):
+        # a shallow dip at r = 2 and the deeper one at r = 4.5; near r = 4.5,
+        # where the golden section runs, the two profiles are the same function
+        def one_dip(n, params, cfg):
+            return (params.r - 4.5) ** 2
+
+        def two_dips(n, params, cfg):
+            return min((params.r - 2.0) ** 2 + 0.1, one_dip(n, params, cfg))
+
+        monkeypatch.setattr(analysis, "overall_failure_biased", one_dip)
+        single = optimal_bias(3, 0.5, 0.0, (1.0, 6.0))
+        monkeypatch.setattr(analysis, "overall_failure_biased", two_dips)
+        opt = optimal_bias(3, 0.5, 0.0, (1.0, 6.0))
+        assert single.unimodal and opt.unimodal is False
+        assert opt == dataclasses.replace(single, unimodal=False)
+        rs = [1.0 + 5.0 * i / 19 for i in range(20)]
+        k = min(range(20), key=lambda i: two_dips(3, NoiseParams(0.5, r=rs[i]), None))
+        assert rs[k - 1] <= opt.r_opt <= rs[k + 1]
+        assert opt.p_min == two_dips(3, NoiseParams(0.5, r=opt.r_opt), None)
 
     @pytest.mark.parametrize("bracket", [(1.0, "6"), ("1", 6.0), (1.0, True)])
     def test_non_real_bracket_end_is_value_error(self, bracket):
@@ -214,6 +237,16 @@ class TestRunSweep:
             "wigner_grid", (("q", (0.0,)),), {"delta": True, "kappa": 0.3, "p": 0.0}
         )
         assert run_sweep(spec).rows[0][-3:] == ("", "", "error:ValueError")
+
+    @pytest.mark.parametrize("quantity, axis, fixed", [
+        ("wigner_grid", ("q", (True,)), {"delta": 0.3, "kappa": 0.3, "p": 0.0}),
+        ("wigner_grid", ("q", (math.inf,)), {"delta": 0.3, "kappa": 0.3, "p": 0.0}),
+        ("wigner_grid", ("p", (math.nan,)), {"delta": 0.3, "kappa": 0.3, "q": 0.0}),
+        ("delta_nm", ("delta", (0.5,)), {"n": 5, "m": 3, "tol": math.inf}),
+    ], ids=["q-true", "q-inf", "p-nan", "tol-inf"])
+    def test_non_finite_or_boolean_value_is_a_value_error_cell(self, quantity, axis, fixed):
+        table = run_sweep(SweepSpec(quantity, (axis,), fixed))
+        assert table.rows[0][-3:] == ("", "", "error:ValueError")
 
     def test_wigner_grid_quantity(self):
         spec = SweepSpec(

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import gc
+import hashlib
 import inspect
 import io
 import json
@@ -38,8 +39,9 @@ def run_cli(*args, check=True):
 
 
 def write_run_file(tmp_path, spec) -> str:
+    """Write ``spec`` as the run file; a ``str`` is written as the file's text."""
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     return str(path)
 
 
@@ -186,6 +188,16 @@ class TestMc:
         ).stdout
         assert proc.stdout == plain
 
+    def test_worker_cap_below_one_is_usage_error(self):
+        env = dict(os.environ, GKPREP_MAX_WORKERS="0")
+        proc = subprocess.run(
+            CLI + ["mc", "--n", "3", "--delta", "0.5", "--shots", "10", "--workers", "2"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: GKPREP_MAX_WORKERS must be at least 1, got 0\n"
+        assert proc.stdout == ""
+
     def test_non_integer_worker_cap_is_usage_error(self):
         env = dict(os.environ, GKPREP_MAX_WORKERS="abc")
         proc = subprocess.run(
@@ -298,12 +310,52 @@ FIGURE_EXPECTATIONS = {
     "fig11": {f"fig11_n{n}.csv": 41 for n in (3, 5, 7, 9)},
 }
 
+# sha256 of every file each recipe writes; a change that moves a figure byte
+# updates the digest here and says why
+FIGURE_SHA256 = {
+    "fig10_ec_n3.csv": "a27a9f02ffed1420c559a50f6b3de7e7113546d6969be6e1533bf97a2f4c7cce",
+    "fig10_ec_n5.csv": "6550194ce83d86eecbb24dbb92d24b5f0fd63f3b0e5f225156845fa64c11d8a6",
+    "fig10_ec_n7.csv": "27af0216f74d7accadd421447c833685a3f2b403e020c46adcd38d73fd7e6b8d",
+    "fig10_ec_n9.csv": "a6319d8fd65d35e9af898b90434ee6f4bbb1513fb7f8499ca2c5f0a17a08bcf2",
+    "fig10_noec_n3.csv": "18daaf2cc46b2d42abb2b1d399105d4eeaf838d0029466d1263d37bf79a397ae",
+    "fig10_noec_n5.csv": "7b7819f4ab4f6096484ce7d81a1e570a57521c6b394a7ca21631d01d9e4a9218",
+    "fig10_noec_n7.csv": "1486db2d85a6a89c15d7cb97c6e76dc46ec1e39f2e6c864af09dc44f5b62c362",
+    "fig10_noec_n9.csv": "05bef370e481ce59b0ed87f161061dd7cb20a91e18e2024114888dff35ff6fb7",
+    "fig11_n3.csv": "c6d27ab65be3946ab8d363185df0774a41162f19a2eec1d9bdb2376ca60353da",
+    "fig11_n5.csv": "789cefd166e4488433490b1bf4fd3a767ed42071231b2bd61e7d1f0a0b3fadb5",
+    "fig11_n7.csv": "a3a80956415d9273344022d78ea1d653a7a15fd6ffd3460e889839ae22cdfd27",
+    "fig11_n9.csv": "c485ae92744e74d71c65a4ce74bb77874e6c1db6cec0223e6d1651685ab516f3",
+    "fig1_r1.bin": "6ed746c8d262c330d82e9160404d5dcc8c51234c4f1de9f2825eaf30858ffa0c",
+    "fig1_r1.csv": "630eb46d7853f12b76f6a440c8b020ad56fa478aaa15314b8c291351b488c651",
+    "fig1_rsqrt2.bin": "39951a42620bc2c9d9eb552c2409e9995816d73148ad63d46fcd39e4c73a5d76",
+    "fig1_rsqrt2.csv": "cde709cd3402bbda3de567ee0448f60bf3691c09f9c46e3be23e0d3ad5be3afc",
+    "fig4_px.csv": "a581ae7f4735a6cf5995bdd61c7e7b59f01ad53dbbba3225f40b7cc77e38a667",
+    "fig5_delta0.3.csv": "13d5aa9a4200b0b55a32319153d44cc2565ac9be91104c5159789f51a67f6444",
+    "fig5_delta0.4.csv": "76d084470cec2a3f3633abe8789d682e04a3f6f2edd32ec99b1b933dbd964920",
+    "fig5_delta0.5.csv": "fe77031db4b608ab78eef98544fedb8648843661d39d00234cb1e91eae435679",
+    "fig5_delta0.6.csv": "3b6b6f7caf60d86d481a11f22781c167ae578c3b35fc0e43d47f715e382fce5c",
+    "fig6_p3rep.csv": "67726e416342179a6845c809e796639197b03068895f6a989c2a2a1fb97f85a9",
+    "fig6_pf.csv": "61eb3b3cd9e98bf7814a5e3cef213d139a85a884f7f79873b8ec078080abed2b",
+    "fig8_n3.csv": "67726e416342179a6845c809e796639197b03068895f6a989c2a2a1fb97f85a9",
+    "fig8_n5.csv": "061edc3be5af5b8883c4f5e2840cd71fe50a8551a07f7b975ea403f17db0765f",
+    "fig8_n7.csv": "8ea75955a39335523bb6576f0fb55c98d45fe68361696537df5c96f8c73e5a41",
+    "fig8_n9.csv": "85d6934917e2904a13cd1603a3e8271dbaa85c8f657f49611555dc748bd02cd2",
+    "fig9_53.csv": "2cf063c20e1c352bc60c06b23eb31ae68b7e4149cdc81fd2107c91f5b20ee5ad",
+    "fig9_75.csv": "67c412865ef0637a8e1c3c807ccead2329b8a56644b16e22e4cb01806cc9ca77",
+    "fig9_97.csv": "2790de6c9418f16672176501ef4be6da27a953132527a336ee2869e525e54270",
+}
+
 
 class TestFigures:
     @pytest.mark.parametrize("fig_id", sorted(FIGURE_EXPECTATIONS))
     def test_headers_and_row_counts(self, fig_id, tmp_path):
         outdir = str(tmp_path / fig_id)
         run_cli("figure", "--id", fig_id, "--outdir", outdir)
+        written = sorted(os.listdir(outdir))
+        assert written == sorted(n for n in FIGURE_SHA256 if n.startswith(f"{fig_id}_"))
+        for name in written:
+            digest = hashlib.sha256(Path(outdir, name).read_bytes()).hexdigest()
+            assert digest == FIGURE_SHA256[name], name
         for name, n_lines in FIGURE_EXPECTATIONS[fig_id].items():
             path = os.path.join(outdir, name)
             lines = Path(path).read_text().splitlines()
@@ -388,6 +440,19 @@ class TestRunFiles:
         assert proc.stderr.startswith("error: ")
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_number_token_is_usage_error(self, token, tmp_path):
+        path = write_run_file(
+            tmp_path,
+            '{"schema_version": 1, "sweep": {"quantity": "px", "axes": [["delta", [0.5, %s]]]}}'
+            % token,
+        )
+        out = tmp_path / "out.csv"
+        proc = run_cli("sweep", "--spec", path, "--out", str(out), check=False)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: run file is not strict JSON: {token} is not a number\n"
+        assert not out.exists()
+
     def test_unknown_engine_field_rejected(self, tmp_path):
         spec = {
             "schema_version": 1,
@@ -436,17 +501,25 @@ class TestRunFiles:
                           "bracket": [0.1, True]}, {}),
             ("crossing", {"delta": True, "left_size": "single", "right_size": 3}, {}),
             ("optimal_bias", {"n": 3, "delta": 0.5, "r_bracket": [1.0, "6"]}, {}),
+            # run-file text, since json.dumps writes inf as the non-JSON Infinity
+            ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3},
+             '{"nodes_per_dim": 16, "abs_tol": 1e999}'),
+            ("crossing", '{"delta": 0.5, "left_size": "single", "right_size": 3, "tol": 1e999}',
+             {}),
         ],
         ids=["fixed-null", "axes-int", "axis-scalar", "shots-str", "bracket-int",
              "r-bracket-int", "mc-list", "output-int", "output-bool", "n-fraction",
              "right-size-fraction", "seed-fraction", "shots-fraction", "shots-bool",
              "seed-bool", "gkp-ec-str", "gkp-ec-int", "nodes-fraction", "nodes-bool",
              "nodes-str", "neighbors-fraction", "refine-str", "tol-bool", "mc-delta-bool",
-             "abs-tol-bool", "bracket-end-bool", "crossing-delta-bool", "r-bracket-end-str"],
+             "abs-tol-bool", "bracket-end-bool", "crossing-delta-bool", "r-bracket-end-str",
+             "abs-tol-1e999", "tol-1e999"],
     )
     def test_wrongly_typed_field_is_usage_error(self, kind, block, engine, tmp_path):
-        spec = {"schema_version": 1, kind: block, "engine": engine}
-        path = write_run_file(tmp_path, spec)
+        block, engine = (v if isinstance(v, str) else json.dumps(v) for v in (block, engine))
+        path = write_run_file(
+            tmp_path, f'{{"schema_version": 1, "{kind}": {block}, "engine": {engine}}}'
+        )
         proc = run_cli("sweep", "--spec", path, "--out", str(tmp_path / "out.csv"), check=False)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from gkprep.analysis import CrossingQuery
 from gkprep.distributions import (
     DegenerateDistributionError,
     GaussianDisplacement,
@@ -16,6 +17,38 @@ from gkprep.distributions import (
 )
 from gkprep.lattice import HALF_CELL, SQRT_PI
 from gkprep.montecarlo import normal_draws
+from gkprep.repetition import QuadratureConfig, classical_failure
+from gkprep.wigner import GkpEnvelope, wigner_point
+
+# Numeric inputs under the one rule: (field name in the error, call that
+# passes the value under test).
+NUMERIC_INPUTS = {
+    "NoiseParams.delta": ("delta", lambda v: NoiseParams(v)),
+    "NoiseParams.delta_tilde": ("delta_tilde", lambda v: NoiseParams(0.5, v)),
+    "NoiseParams.r": ("r", lambda v: NoiseParams(0.5, r=v)),
+    "NoiseParams.kappa": ("kappa", lambda v: NoiseParams(0.5, kappa=v)),
+    "GaussianDisplacement.spread": ("spread", GaussianDisplacement),
+    "pauli_rate_ideal": ("delta_eff", pauli_rate_ideal),
+    "ResidualDistribution.delta": ("delta", lambda v: ResidualDistribution(v, 0.2)),
+    "GkpEnvelope.delta": ("delta", lambda v: GkpEnvelope(v, 0.3)),
+    "GkpEnvelope.kappa": ("kappa", lambda v: GkpEnvelope(0.3, v)),
+    "QuadratureConfig.abs_tol": ("abs_tol", lambda v: QuadratureConfig(abs_tol=v)),
+    "CrossingQuery.delta": ("delta", lambda v: CrossingQuery(v, "single", 3)),
+    "CrossingQuery.tol": ("tol", lambda v: CrossingQuery(0.5, "single", 3, tol=v)),
+    "CrossingQuery.bracket": ("bracket_high", lambda v: CrossingQuery(0.5, "single", 3, (0.1, v))),
+    "wigner_point.q": ("q", lambda v: wigner_point(GkpEnvelope(0.3, 0.3), v, 0.0)),
+    "wigner_point.p": ("p", lambda v: wigner_point(GkpEnvelope(0.3, 0.3), 0.0, v)),
+    "classical_failure.p": ("p", lambda v: classical_failure(3, v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, "1", math.nan, math.inf, -math.inf, 10**400],
+                         ids=["true", "str", "nan", "inf", "-inf", "int-beyond-float"])
+@pytest.mark.parametrize("target", sorted(NUMERIC_INPUTS))
+def test_numeric_input_must_be_a_finite_real(target, value):
+    name, call = NUMERIC_INPUTS[target]
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        call(value)
 
 
 class TestNoiseParams:

@@ -295,6 +295,22 @@ class TestRunTally:
         with pytest.raises(ValueError):
             run_tally(cfg, chunk_size=0)
 
+    @pytest.mark.parametrize("partitions", [0, -5, 2.5, True])
+    def test_partitions_must_be_an_integer_of_at_least_one(self, partitions):
+        cfg = ShotConfig(3, NoiseParams(0.5, 0.2), shots=100)
+        with pytest.raises(ValueError, match="partitions must be an integer >= 1"):
+            run_tally(cfg, partitions=partitions)
+
+    def test_mode_value_selects_the_mode(self):
+        params = NoiseParams(0.6, 0.3, r=1.5)
+        by_value = ShotConfig(3, params, shots=3_000, seed=3, mode="biased")
+        assert by_value.mode is Mode.BIASED_FULL
+        assert run_tally(by_value) == run_tally(
+            ShotConfig(3, params, shots=3_000, seed=3, mode=Mode.BIASED_FULL)
+        )
+        with pytest.raises(ValueError, match="'bogus' is not a valid Mode"):
+            ShotConfig(3, params, shots=10, mode="bogus")
+
     def test_partition_invariance(self):
         cfg = ShotConfig(5, NoiseParams(0.5, 0.3), shots=100_001, seed=7)
         results = [run_tally(cfg, partitions=p) for p in (1, 2, 8)]
