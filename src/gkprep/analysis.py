@@ -232,20 +232,15 @@ class CurveTable:
     columns: tuple[str, ...]
     rows: tuple[tuple[Any, ...], ...]
 
-    def to_csv(self, path_or_buf) -> None:
+    def to_csv(self, path: str) -> None:
         """17-significant-digit CSV; schema: param...,value,std_err,status."""
-        own = isinstance(path_or_buf, (str, bytes))
-        handle = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
+        with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(self.columns)
             for row in self.rows:
                 writer.writerow(
                     [f"{v:.17g}" if isinstance(v, float) else v for v in row]
                 )
-        finally:
-            if own:
-                handle.close()
 
 
 # A quantity is a function ``fn(cfg, /, *, <params>)`` of a QuadratureConfig

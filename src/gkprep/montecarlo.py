@@ -305,6 +305,7 @@ def _simulate(
 
 
 _TRACE_BLOCK = 512  # shots per trace text block; bounds the text held at once
+_CHUNK_SHOTS = 1 << 16  # shots simulated at once; bounds the arrays held at once
 
 
 @functools.cache
@@ -370,15 +371,14 @@ def run_shot(
 def _tally_range(
     cfg: ShotConfig,
     span: tuple[int, int],
-    chunk_size: int,
     trace: Callable[[Iterator[str]], None] | None = None,
 ) -> tuple[int, dict[str, int]]:
     """Failures and breakdown counts of the shots in ``span`` = (start, stop), chunk by chunk."""
     start, stop = span
     failures = 0
     counts = {"overweight": 0, "misidentified": 0, "momentum": 0}
-    for pos in range(start, stop, chunk_size):
-        out = _simulate(cfg, np.arange(pos, min(pos + chunk_size, stop), dtype=np.uint64))
+    for pos in range(start, stop, _CHUNK_SHOTS):
+        out = _simulate(cfg, np.arange(pos, min(pos + _CHUNK_SHOTS, stop), dtype=np.uint64))
         failures += int(out["failed"].sum())
         counts["overweight"] += int(out["overweight"].sum())
         counts["misidentified"] += int(out["misidentified"].sum())
@@ -391,7 +391,6 @@ def _tally_range(
 def run_tally(
     cfg: ShotConfig,
     partitions: int = 1,
-    chunk_size: int = 1 << 16,
     trace: Callable[[Iterator[str]], None] | None = None,
 ) -> TallyResult:
     """Aggregate ``cfg.shots`` trajectories into a failure tally.
@@ -399,15 +398,14 @@ def run_tally(
     ``partitions`` must be an integer >= 1 (``ValueError`` otherwise).  The
     tally uses ``min(partitions, shots, available cores)`` workers, each
     on one contiguous stretch of the shot range: the calling process tallies
-    the first stretch and, on POSIX, a forked child each other one.
+    the first stretch and, on POSIX, a forked child each other one.  Each
+    stretch is simulated in chunks of 65,536 shots.
     ``trace`` receives, chunk by chunk in shot order, a lazy iterator over
     the chunk's trace text: blocks of JSONL lines, one line per shot (see
     :func:`run_shot`), such as ``file.writelines`` takes.  A traced tally
     runs serially in this process.  The result is identical for any worker
     count because the per-shot randomness is stateless.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = _integral(partitions)
@@ -415,7 +413,7 @@ def run_tally(
         raise ValueError(f"partitions must be an integer >= 1, got {partitions!r}")
     workers = min(workers, cfg.shots, cores)
     if trace is not None or workers == 1 or not hasattr(os, "fork"):
-        results = [_tally_range(cfg, (0, cfg.shots), chunk_size, trace)]
+        results = [_tally_range(cfg, (0, cfg.shots), trace)]
     else:
         # fork, not spawn: a spawned child would re-import numpy and scipy,
         # which costs about as much as tallying a 500k-shot stretch
@@ -426,8 +424,8 @@ def run_tally(
         spans = list(zip(bounds[:-1], bounds[1:]))
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers - 1, mp_context=fork) as pool:
-            children = [pool.submit(_tally_range, cfg, span, chunk_size) for span in spans[1:]]
-            results = [_tally_range(cfg, spans[0], chunk_size)]
+            children = [pool.submit(_tally_range, cfg, span) for span in spans[1:]]
+            results = [_tally_range(cfg, spans[0])]
             results += [child.result() for child in children]
     failures = sum(f for f, _ in results)
     counts = {key: sum(c[key] for _, c in results) for key in results[0][1]}

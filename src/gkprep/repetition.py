@@ -91,6 +91,17 @@ WIN_PZ1 = (HALF_CELL, 3.0 * HALF_CELL)
 WIN_PZ1_NEG = (-3.0 * HALF_CELL, -HALF_CELL)
 WIN_NPZ1 = (3.0 * HALF_CELL, 5.0 * HALF_CELL)
 
+# The (window, reflect) sides of an inner coordinate, by the cell of u1' and
+# its own cell.  Given u1', the other n - 1 coordinates are i.i.d.; a PZ
+# coordinate sits in either mirror cell with equal mass, and its window
+# depends on which, so its group lists both sides.
+_SIDES = {
+    (PZ_CELL, PZ_CELL): ((WIN_NPZ1, False), (WIN_NPZ0, True)),
+    (PZ_CELL, NPZ_CELL): ((WIN_PZ1, False),),
+    (NPZ_CELL, PZ_CELL): ((WIN_PZ1, False), (WIN_PZ1_NEG, True)),
+    (NPZ_CELL, NPZ_CELL): ((WIN_NPZ0, False),),
+}
+
 
 class QuadratureError(RuntimeError):
     """A rate quadrature could not certify the requested tolerance."""
@@ -128,27 +139,25 @@ class QuadratureConfig:
     """Node budget and method selection for the block integrals.
 
     ``nodes_per_dim`` is the per-cell node count along each dimension.  The
-    tensor method is an n <= 5 cost-guarded oracle; ``refine`` re-evaluates
-    the factorized blocks at ``3 * nodes_per_dim // 2`` nodes and certifies
-    ``abs_tol`` on the largest per-case gap.  Where the node budget floors
-    leave some cell no larger at that count, the refine uses
-    ``2 * nodes_per_dim``; if that adds no nodes to every cell either, the
-    check could certify nothing and the call raises :class:`QuadratureError`.
-    The integer fields follow :func:`_integral` and ``abs_tol``
-    :func:`_require_positive`; ``refine`` must be a ``bool``.  Any other value
-    raises ``ValueError``.
+    tensor method is an n <= 5 cost-guarded oracle.  Every factorized rate
+    is certified: the blocks are re-evaluated at ``3 * nodes_per_dim // 2``
+    nodes and the largest per-case gap must be within ``abs_tol``.  Where
+    the node budget floors leave some cell no larger at that count, the
+    refine uses ``2 * nodes_per_dim``; if that adds no nodes to every cell
+    either, the check could certify nothing and the call raises
+    :class:`QuadratureError`.  ``window_neighbors`` counts the 2*sqrt(pi)
+    translates of each syndrome window on each side.  The integer fields
+    follow :func:`_integral` and ``abs_tol`` :func:`_require_positive`; any
+    other value raises ``ValueError``.
     """
 
     nodes_per_dim: int = 64
     method: str = "factorized"
     abs_tol: float = 1e-8
-    refine: bool = True
     window_neighbors: int = 0
 
     def __post_init__(self) -> None:
         _store_integers(self, "nodes_per_dim", "window_neighbors")
-        if not isinstance(self.refine, bool):
-            raise ValueError(f"refine must be a boolean, got {self.refine!r}")
         if self.nodes_per_dim < 8:
             raise ValueError("nodes_per_dim must be at least 8")
         if self.method not in ("factorized", "tensor"):
@@ -226,8 +235,9 @@ class _CellEngine:
     """Cells of one density at one node count, and their miss ratios.
 
     Subclasses fill ``cells`` (the NPZ_CELL and PZ_CELL bounds mapped to
-    their :class:`_Cell`) and implement ``miss``.  ``log_keep`` memoizes
-    what it derives from ``miss``, which does not depend on the code size.
+    their :class:`_Cell`) and implement ``miss(outer_cell, cell, window,
+    reflect)`` on the outer cell's nodes.  ``log_keep`` memoizes what it
+    derives from ``miss``, which does not depend on the code size.
     """
 
     cells: dict[tuple[float, float], _Cell]
@@ -237,25 +247,23 @@ class _CellEngine:
         self.neighbors = neighbors
         self._log_keep: dict[tuple, np.ndarray] = {}
 
-    def log_keep(self, outer_cell: tuple[float, float], cell: tuple[float, float],
-                 *sides: tuple[tuple[float, float], bool]) -> np.ndarray:
+    def log_keep(self, outer_cell: tuple[float, float], cell: tuple[float, float]) -> np.ndarray:
         """log(1 - M/a) on the outer nodes; -inf where the cell misses entirely.
 
-        ``sides`` lists (window, reflect) for each mirror image of ``cell``
-        the coordinate may occupy with equal mass; the miss ratio is their
-        mean.  Each ratio is clipped to [0, 1] before the mean is taken.
+        The miss ratio is the mean over the ``_SIDES`` of ``cell`` seen from
+        ``outer_cell``, each ratio clipped to [0, 1] before the mean is taken.
         """
-        key = (outer_cell, cell, sides)
+        key = (outer_cell, cell)
         if key not in self._log_keep:
-            x = self.cells[outer_cell].x
+            sides = _SIDES[key]
             mass = self.cells[cell].mass
             if mass > 0.0:
                 ratio = sum(
-                    np.clip(self.miss(x, cell, window, reflect) / mass, 0.0, 1.0)
+                    np.clip(self.miss(outer_cell, cell, window, reflect) / mass, 0.0, 1.0)
                     for window, reflect in sides
                 ) / len(sides)
             else:
-                ratio = np.zeros_like(x)
+                ratio = np.zeros_like(self.cells[outer_cell].x)
             with np.errstate(divide="ignore"):
                 self._log_keep[key] = np.log1p(-ratio)
         return self._log_keep[key]
@@ -275,7 +283,7 @@ class _ResidualCellEngine(_CellEngine):
 
         self.cells = {NPZ_CELL: cell(0.0), PZ_CELL: cell(SQRT_PI)}
 
-    def miss(self, outer_x: np.ndarray, bounds: tuple[float, float],
+    def miss(self, outer_cell: tuple[float, float], bounds: tuple[float, float],
              window: tuple[float, float], reflect: bool = False) -> np.ndarray:
         """M(u1) = integral over the cell of F(x) * (1 - window(u1 +/- x)/2) dx.
 
@@ -283,7 +291,7 @@ class _ResidualCellEngine(_CellEngine):
         window directly.  ``reflect=True`` evaluates the window at u1 - x,
         which is the even-density image of integrating over the mirrored cell.
         """
-        cell = self.cells[bounds]
+        outer_x, cell = self.cells[outer_cell].x, self.cells[bounds]
         x = cell.x
         arg = outer_x[:, None] - x[None, :] if reflect else outer_x[:, None] + x[None, :]
         q = _window_complement(arg, window, self.dt, self.neighbors)
@@ -330,7 +338,7 @@ class _IntrinsicCellEngine(_CellEngine):
 
         self.cells = {NPZ_CELL: cell(*NPZ_CELL), PZ_CELL: cell(*PZ_CELL)}
 
-    def miss(self, outer_x: np.ndarray, bounds: tuple[float, float],
+    def miss(self, outer_cell: tuple[float, float], bounds: tuple[float, float],
              window: tuple[float, float], reflect: bool = False) -> np.ndarray:
         """P(x in cell, u1 +/- x + ancilla outside the window and its translates).
 
@@ -338,6 +346,7 @@ class _IntrinsicCellEngine(_CellEngine):
         overlaps with the ``neighbors`` translates, kept >= 0.
         """
         lo, hi = window
+        outer_x = self.cells[outer_cell].x
 
         def limits(shift: float) -> tuple[np.ndarray, np.ndarray]:
             if reflect:
@@ -414,18 +423,6 @@ def _case_blocks(m: int, n: int) -> tuple[_BlockSpec, ...]:
     return tuple(blocks)
 
 
-# The (window, reflect) sides of an inner coordinate, by the cell of u1' and
-# its own cell.  Given u1', the other n - 1 coordinates are i.i.d.; a PZ
-# coordinate sits in either mirror cell with equal mass, and its window
-# depends on which, so its group lists both sides.
-_SIDES = {
-    (PZ_CELL, PZ_CELL): ((WIN_NPZ1, False), (WIN_NPZ0, True)),
-    (PZ_CELL, NPZ_CELL): ((WIN_PZ1, False),),
-    (NPZ_CELL, PZ_CELL): ((WIN_PZ1, False), (WIN_PZ1_NEG, True)),
-    (NPZ_CELL, NPZ_CELL): ((WIN_NPZ0, False),),
-}
-
-
 def _factorized_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
     """Per-flip-count contributions via the 1-D reduction over u1'.
 
@@ -446,9 +443,8 @@ def _factorized_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
         groups = []
         for count, cell in ((pz_count, PZ_CELL), (npz_count, NPZ_CELL)):
             if count:
-                sides = _SIDES[outer_cell, cell]
-                full = (len(sides) * engine.cells[cell].mass) ** count
-                log_b = count * engine.log_keep(outer_cell, cell, *sides)
+                full = (len(_SIDES[outer_cell, cell]) * engine.cells[cell].mass) ** count
+                log_b = count * engine.log_keep(outer_cell, cell)
                 groups.append((full, -full * np.expm1(log_b), full * np.exp(log_b)))
         # the telescoped sum, accumulated from the last group down
         full, value, _ = groups[-1]
@@ -510,11 +506,6 @@ def _breakdown(cases: list[float], tail: float, size: CodeSize) -> FailureBreakd
     return FailureBreakdown(
         total=math.fsum(values), per_case=tuple(zip(labels, values))
     )
-
-
-def _ideal_breakdown(size: CodeSize, p: float) -> FailureBreakdown:
-    cases = [0.0] * ((size.n + 1) // 2)
-    return _breakdown(cases, classical_failure(size, p), size)
 
 
 # The memo of the open shared_engines() block; None outside one.
@@ -580,7 +571,8 @@ def _failure_rate_impl(
 ) -> FailureBreakdown:
     size = _as_size(n)
     if gkp_ec and params.ideal_ancilla:
-        return _ideal_breakdown(size, pauli_rate_ideal(params.delta))
+        cases = [0.0] * ((size.n + 1) // 2)
+        return _breakdown(cases, classical_failure(size, pauli_rate_ideal(params.delta)), size)
     tail_p = _shared_pauli_rate(params) if gkp_ec else pauli_rate_ideal(params.delta)
     tail = classical_failure(size, tail_p)
     engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors)
@@ -600,28 +592,25 @@ def _failure_rate_impl(
             raise ValueError("tensor with n=5 allows at most 40 nodes per cell")
         return _breakdown(_tensor_cases(engine, size), tail, size)
 
-    cases = _factorized_cases(engine, size)
-    if cfg.refine:
-        # the check certifies nothing unless the fine rule has more nodes in
-        # every cell; the budget floors can make both rules the same
-        for fine_nodes in (3 * cfg.nodes_per_dim // 2, 2 * cfg.nodes_per_dim):
-            fine_engine = _make_engine(gkp_ec, params, fine_nodes, cfg.window_neighbors)
-            if all(len(fine_engine.cells[b].x) > len(c.x) for b, c in engine.cells.items()):
-                break
-        else:
-            raise QuadratureError(
-                f"no refine engine adds nodes to every cell at nodes_per_dim="
-                f"{cfg.nodes_per_dim}; increase nodes_per_dim"
-            )
-        fine = _factorized_cases(fine_engine, size)
-        gap = max(abs(a - b) for a, b in zip(cases, fine))
-        if gap > cfg.abs_tol:
-            raise QuadratureError(
-                f"factorized blocks changed by {gap:.3e} from {cfg.nodes_per_dim} to "
-                f"{fine_nodes} nodes per dimension (requested abs_tol={cfg.abs_tol:g}); "
-                f"increase nodes_per_dim"
-            )
-        cases = fine
+    # the check certifies nothing unless the fine rule has more nodes in
+    # every cell; the budget floors can make both rules the same
+    for fine_nodes in (3 * cfg.nodes_per_dim // 2, 2 * cfg.nodes_per_dim):
+        fine_engine = _make_engine(gkp_ec, params, fine_nodes, cfg.window_neighbors)
+        if all(len(fine_engine.cells[b].x) > len(c.x) for b, c in engine.cells.items()):
+            break
+    else:
+        raise QuadratureError(
+            f"no refine engine adds nodes to every cell at nodes_per_dim="
+            f"{cfg.nodes_per_dim}; increase nodes_per_dim"
+        )
+    cases = _factorized_cases(fine_engine, size)
+    gap = max(abs(a - b) for a, b in zip(_factorized_cases(engine, size), cases))
+    if gap > cfg.abs_tol:
+        raise QuadratureError(
+            f"factorized blocks changed by {gap:.3e} from {cfg.nodes_per_dim} to "
+            f"{fine_nodes} nodes per dimension (requested abs_tol={cfg.abs_tol:g}); "
+            f"increase nodes_per_dim"
+        )
     return _breakdown(cases, tail, size)
 
 

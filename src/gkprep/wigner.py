@@ -30,10 +30,6 @@ from .lattice import SQRT_PI
 # peak are dropped; far below every documented tolerance.
 WEIGHT_CUTOFF = 1e-14
 
-# Magnitude of delta^2 * kappa^2 above which the small-spread closed forms
-# start to visibly deviate from the exact ones.
-APPROXIMATION_LIMIT = 0.01
-
 _MAGIC = b"GKPW"
 _HEADER = struct.Struct("<4sII4fI")  # magic, n_q, n_p, q_lo, q_hi, p_lo, p_hi, reserved
 assert _HEADER.size == 32
@@ -51,10 +47,6 @@ class GkpEnvelope:
         _require_positive(delta=self.delta, kappa=self.kappa)
         if self.logical not in ("zero", "one", "plus"):
             raise ValueError(f"logical must be zero/one/plus, got {self.logical!r}")
-
-    @property
-    def within_approximation(self) -> bool:
-        return (self.delta * self.kappa) ** 2 <= APPROXIMATION_LIMIT
 
     def corrected(self) -> tuple[float, float, float]:
         """Exact-form parameters (delta_s, kappa_s, gamma)."""
@@ -250,19 +242,14 @@ def wigner_point(env: GkpEnvelope, q: float, p: float) -> float:
     return float(out[0, 0])
 
 
-def grid_to_csv(grid: PhaseSpaceGrid, path_or_buf) -> None:
+def grid_to_csv(grid: PhaseSpaceGrid, path: str) -> None:
     """CSV export: header q,p,value with 17 significant digits."""
-    own = isinstance(path_or_buf, (str, bytes))
-    handle = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with open(path, "w", newline="") as handle:
         handle.write("q,p,value\n")
         q_axis, p_axis = grid.spec.q_axis(), grid.spec.p_axis()
         for i, qv in enumerate(q_axis):
             for j, pv in enumerate(p_axis):
                 handle.write(f"{qv:.17g},{pv:.17g},{grid.values[i, j]:.17g}\n")
-    finally:
-        if own:
-            handle.close()
 
 
 def grid_to_binary(grid: PhaseSpaceGrid, path: str) -> None:

@@ -14,6 +14,7 @@ import time
 import numpy as np
 from scipy import stats
 
+from gkprep import repetition
 from gkprep.analysis import CrossingQuery, critical_ancilla_spread, optimal_bias
 from gkprep.distributions import (
     NoiseParams,
@@ -26,7 +27,7 @@ from gkprep.lattice import SQRT_PI
 from gkprep.montecarlo import ShotConfig, run_tally, sample_residual
 from gkprep.quadrature import panel_nodes
 from gkprep.repetition import (
-    QuadratureConfig,
+    CodeSize,
     classical_failure,
     failure_rate,
     failure_rate_no_gkp_ec,
@@ -61,15 +62,12 @@ def test_criterion_02_classical_limit():
 
 
 def test_criterion_03_dual_oracle_quadrature():
+    # both routes on the same 32-node engine, so the gap is the reduction's
     worst = 0.0
     for n, delta, dt in itertools.product((3, 5), (0.4, 0.5), (0.1, 0.3)):
-        params = NoiseParams(delta, dt)
-        fact = failure_rate(
-            n, params, QuadratureConfig(nodes_per_dim=32, refine=False)
-        ).total
-        tens = failure_rate(
-            n, params, QuadratureConfig(nodes_per_dim=32, method="tensor")
-        ).total
+        engine = repetition._make_engine(True, NoiseParams(delta, dt), 32, 0)
+        fact = math.fsum(repetition._factorized_cases(engine, CodeSize(n)))
+        tens = math.fsum(repetition._tensor_cases(engine, CodeSize(n)))
         worst = max(worst, abs(fact - tens))
     assert worst < 1e-6
     start = time.perf_counter()

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -132,10 +131,9 @@ class TestOptimalBias:
             optimal_bias(3, 0.5, 0.0, bracket)
 
 
-def _csv_text(table: CurveTable) -> str:
-    buf = io.StringIO()
-    table.to_csv(buf)
-    return buf.getvalue()
+def _csv_text(table: CurveTable, path) -> str:
+    table.to_csv(str(path))
+    return path.read_bytes().decode()
 
 
 class TestRunSweep:
@@ -162,12 +160,12 @@ class TestRunSweep:
         assert len(table.rows) == 6
         assert [row[0] for row in table.rows] == [3, 3, 3, 5, 5, 5]
 
-    def test_deterministic_output(self):
+    def test_deterministic_output(self, tmp_path):
         spec = SweepSpec(
             "pf", (("delta_tilde", (0.1, 0.3)),), {"delta": 0.5}
         )
-        a = _csv_text(run_sweep(spec))
-        b = _csv_text(run_sweep(spec))
+        a = _csv_text(run_sweep(spec), tmp_path / "a.csv")
+        b = _csv_text(run_sweep(spec), tmp_path / "b.csv")
         assert a == b
 
     @pytest.mark.parametrize("axes, fixed", [
@@ -198,9 +196,9 @@ class TestRunSweep:
         assert len(table.rows) == 1
         assert table.rows[0][-1].startswith("error:")
 
-    def test_csv_seventeen_digit_round_trip(self):
+    def test_csv_seventeen_digit_round_trip(self, tmp_path):
         spec = SweepSpec("px", (("delta", (1.0 / 3.0,)),))
-        text = _csv_text(run_sweep(spec))
+        text = _csv_text(run_sweep(spec), tmp_path / "px.csv")
         line = text.splitlines()[1]
         delta_str, value_str = line.split(",")[:2]
         assert float(delta_str) == 1.0 / 3.0

@@ -401,6 +401,15 @@ class TestRunFiles:
         path = write_run_file(tmp_path, spec)
         assert run_cli("sweep", "--spec", path, check=False).returncode == 2
 
+    def test_refine_engine_field_is_unknown(self, tmp_path):
+        # every factorized rate is certified; there is no switch to skip it
+        spec = {"schema_version": 1, "sweep": {"quantity": "px", "axes": [["delta", [0.5]]]},
+                "engine": {"refine": False}}
+        path = write_run_file(tmp_path, spec)
+        proc = run_cli("sweep", "--spec", path, "--out", str(tmp_path / "out.csv"), check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: unknown engine fields: ['refine']\n"
+
     def test_wrong_schema_version_rejected(self, tmp_path):
         spec = {"schema_version": 2, "sweep": {"quantity": "px", "axes": [["delta", [0.5]]]}}
         path = write_run_file(tmp_path, spec)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gkprep import montecarlo
 from gkprep.distributions import NoiseParams, pauli_rate_physical, ResidualDistribution
 from gkprep.lattice import SQRT_PI, is_pauli_zone
 from gkprep.montecarlo import (
@@ -290,11 +291,6 @@ class TestRunTally:
         with pytest.raises(ValueError):
             ShotConfig(3, NoiseParams(0.5, 0.2), shots=0)
 
-    def test_chunk_size_validation(self):
-        cfg = ShotConfig(3, NoiseParams(0.5, 0.2), shots=10)
-        with pytest.raises(ValueError):
-            run_tally(cfg, chunk_size=0)
-
     @pytest.mark.parametrize("partitions", [0, -5, 2.5, True])
     def test_partitions_must_be_an_integer_of_at_least_one(self, partitions):
         cfg = ShotConfig(3, NoiseParams(0.5, 0.2), shots=100)
@@ -311,19 +307,21 @@ class TestRunTally:
         with pytest.raises(ValueError, match="'bogus' is not a valid Mode"):
             ShotConfig(3, params, shots=10, mode="bogus")
 
-    def test_partition_invariance(self):
+    def test_partition_invariance(self, monkeypatch):
         cfg = ShotConfig(5, NoiseParams(0.5, 0.3), shots=100_001, seed=7)
         results = [run_tally(cfg, partitions=p) for p in (1, 2, 8)]
         assert results[0] == results[1] == results[2]
-        chunked = run_tally(cfg, chunk_size=1000)
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 1000)
+        chunked = run_tally(cfg)
         assert chunked == results[0]
 
-    def test_worker_count_and_trace_do_not_change_the_tally(self):
+    def test_worker_count_and_trace_do_not_change_the_tally(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 500)
         cfg = ShotConfig(3, NoiseParams(0.5, 0.3), shots=3_001, seed=11)
-        untraced = [run_tally(cfg, partitions=p, chunk_size=500) for p in (1, 2, 8)]
+        untraced = [run_tally(cfg, partitions=p) for p in (1, 2, 8)]
         for p in (1, 2, 8):
             blocks = []
-            traced = run_tally(cfg, partitions=p, chunk_size=500, trace=blocks.extend)
+            traced = run_tally(cfg, partitions=p, trace=blocks.extend)
             records = [json.loads(line) for line in "".join(blocks).splitlines()]
             assert traced == untraced[0]
             assert [r["shot"] for r in records] == list(range(cfg.shots))
@@ -360,13 +358,14 @@ class TestRunTally:
         assert len(blocks) > 1  # the shot count crosses a text-block edge
         assert hashlib.sha256("".join(blocks).encode()).hexdigest() == digest
 
-    def test_trace_does_not_depend_on_chunk_size(self):
+    def test_trace_does_not_depend_on_chunk_size(self, monkeypatch):
         cfg = ShotConfig(5, NoiseParams(0.5, 0.3, r=1.5), shots=2_500, seed=9,
                          mode=Mode.BIASED_FULL)
         texts = []
         for chunk_size in (1, 7, 1000, 65536):
+            monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk_size)
             blocks = []
-            run_tally(cfg, chunk_size=chunk_size, trace=blocks.extend)
+            run_tally(cfg, trace=blocks.extend)
             texts.append("".join(blocks))
         assert len(texts[0].splitlines()) == cfg.shots
         assert texts[1:] == texts[:1] * 3

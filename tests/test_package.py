@@ -1,11 +1,15 @@
 import ast
+import dataclasses
 import importlib.util
+import inspect
+import json
 import re
 import sys
 from pathlib import Path
 
 import gkprep
 import gkprep.cli
+from gkprep.repetition import QuadratureConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -36,6 +40,35 @@ def test_documented_and_benchmark_names_are_exported():
     assert "failure_rate" in readme and "failure_rate" in bench
     missing = sorted(set(readme + bench) - set(gkprep.__all__))
     assert missing == []
+
+
+def _readme_table(header: str) -> list[list[str]]:
+    """Cells of the README table under ``header``, without the header and rule rows."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_run_file_tables_match_the_code():
+    # a field the README lists that the code lacks (or the reverse) would
+    # send run-file authors to an exit-2 rejection, or hide a field
+    kinds = {
+        kind.strip("`"): re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", fields))
+        for kind, fields, _ in _readme_table("| kind | fields | writes |")
+    }
+    assert kinds == {
+        kind: list(inspect.signature(build).parameters)
+        for kind, (build, _) in gkprep.cli.RUN_KINDS.items()
+    }
+    engine = {
+        name.strip("`"): json.loads(default.strip("`"))
+        for name, default, _ in _readme_table("| field | default | meaning |")
+    }
+    assert engine == {f.name: f.default for f in dataclasses.fields(QuadratureConfig)}
 
 
 def _load_tracing(monkeypatch):

@@ -59,7 +59,7 @@ class TestQuadratureConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("nodes_per_dim", 64.5), ("nodes_per_dim", True), ("nodes_per_dim", "64"),
-         ("window_neighbors", 0.5), ("refine", "no"), ("refine", 1)],
+         ("window_neighbors", 0.5)],
     )
     def test_wrongly_typed_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -123,12 +123,9 @@ class TestFailureRate:
 
     @staticmethod
     def _compare_methods(n, delta, dt, nodes=32):
-        params = NoiseParams(delta, dt)
-        fact = failure_rate(n, params, QuadratureConfig(nodes_per_dim=nodes, refine=False))
-        tens = failure_rate(n, params, QuadratureConfig(nodes_per_dim=nodes, method="tensor"))
-        assert fact.total == pytest.approx(tens.total, abs=1e-6)
-        for (la, va), (lb, vb) in zip(fact.per_case, tens.per_case):
-            assert la == lb
+        fact, tens = _both_routes(True, n, NoiseParams(delta, dt), nodes)
+        assert math.fsum(fact) == pytest.approx(math.fsum(tens), abs=1e-6)
+        for va, vb in zip(fact, tens):
             assert va == pytest.approx(vb, abs=1e-8)
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -137,13 +134,10 @@ class TestFailureRate:
         # at delta = 0.3 the flip-count blocks sit between 1e-62 and 1e-33,
         # far below the 1e-16 rounding floor of a mass product minus a
         # success product that are both close to 1
-        params = NoiseParams(0.3, dt)
-        fact = failure_rate(n, params, QuadratureConfig(nodes_per_dim=32, refine=False))
-        tens = failure_rate(n, params, QuadratureConfig(nodes_per_dim=32, method="tensor"))
-        for (la, va), (lb, vb) in zip(fact.per_case, tens.per_case):
-            assert la == lb
-            assert va > 0.0, la
-            assert abs(va - vb) <= 1e-9 * vb, (la, va, vb)
+        fact, tens = _both_routes(True, n, NoiseParams(0.3, dt), 32)
+        for m, (va, vb) in enumerate(zip(fact, tens)):
+            assert va > 0.0, m
+            assert abs(va - vb) <= 1e-9 * vb, (m, va, vb)
 
     @pytest.mark.parametrize("n", [7, 9])
     def test_deep_tail_no_flip_case_below_rounding_floor(self, n):
@@ -214,7 +208,7 @@ class TestFailureRate:
     @pytest.mark.parametrize("rate", [failure_rate, failure_rate_no_gkp_ec])
     @pytest.mark.parametrize("method", ["factorized", "tensor"])
     def test_per_case_values_are_floats(self, rate, method):
-        cfg = QuadratureConfig(nodes_per_dim=16, method=method, refine=False)
+        cfg = QuadratureConfig(nodes_per_dim=64 if method == "factorized" else 16, method=method)
         breakdown = rate(3, NoiseParams(0.5, 0.2), cfg)
         assert all(type(value) is float for _, value in breakdown.per_case)
 
@@ -257,14 +251,8 @@ class TestFailureRateNoGkpEc:
             )
 
     def test_factorized_matches_tensor(self):
-        params = NoiseParams(0.5, 0.25)
-        fact = failure_rate_no_gkp_ec(
-            3, params, QuadratureConfig(nodes_per_dim=48, refine=False)
-        )
-        tens = failure_rate_no_gkp_ec(
-            3, params, QuadratureConfig(nodes_per_dim=48, method="tensor")
-        )
-        assert fact.total == pytest.approx(tens.total, abs=2e-6)
+        fact, tens = _both_routes(False, 3, NoiseParams(0.5, 0.25), 48)
+        assert math.fsum(fact) == pytest.approx(math.fsum(tens), abs=2e-6)
 
 
 class TestSharedEngines:
@@ -353,12 +341,20 @@ class TestSharedEngines:
         assert sorted(built) == [16, 24]
 
 
+def _both_routes(gkp_ec, n, params, nodes):
+    """Factorized and tensor per-flip-count values on the same engine's nodes."""
+    engine = repetition._make_engine(gkp_ec, params, nodes, 0)
+    size = CodeSize(n)
+    return repetition._factorized_cases(engine, size), repetition._tensor_cases(engine, size)
+
+
 def _class_sum_cases(engine, n):
     """Per-case values summed over the sign-split ``_case_blocks`` classes.
 
     The contraction the factorized route used before the PZ signs were
     merged: one factor group per (count, cell, window, reflect), each with
-    its own miss ratio from ``engine.log_keep``.
+    its own miss ratio M/a from ``engine.miss``, clipped to [0, 1] (0 where
+    the cell has no mass).
     """
     cases = []
     for m in range((n + 1) // 2):
@@ -366,8 +362,12 @@ def _class_sum_cases(engine, n):
         for block in repetition._case_blocks(m, n):
             groups = []
             for count, cell, window, reflect in block.factors:
-                full = engine.cells[cell].mass ** count
-                log_b = count * engine.log_keep(block.outer_cell, cell, (window, reflect))
+                mass = engine.cells[cell].mass
+                full = mass ** count
+                miss = engine.miss(block.outer_cell, cell, window, reflect)
+                ratio = np.clip(miss / mass, 0.0, 1.0) if mass > 0.0 else 0.0 * miss
+                with np.errstate(divide="ignore"):
+                    log_b = count * np.log1p(-ratio)
                 groups.append((full, -full * np.expm1(log_b), full * np.exp(log_b)))
             full, value, _ = groups[-1]
             for a, drop, keep in reversed(groups[:-1]):
@@ -402,6 +402,20 @@ class TestBinomialContraction:
         assert sorted(built) == [64, 96]
         assert sorted(misses.values()) == [6, 6]
 
+    @pytest.mark.parametrize("engine_cls", [
+        repetition._ResidualCellEngine, repetition._IntrinsicCellEngine,
+    ], ids=["ec", "noec"])
+    def test_miss_integrals_built_only_when_used(self, engine_cls, monkeypatch):
+        # n = 3 never puts u1' and an inner coordinate both in the PZ cell,
+        # whose two sides would add 2 more; the tensor oracle builds none
+        _, misses = TestSharedEngines._count_engines(monkeypatch, engine_cls)
+        rate = failure_rate if engine_cls is repetition._ResidualCellEngine else failure_rate_no_gkp_ec
+        rate(3, NoiseParams(0.5, 0.3))
+        assert sorted(misses.values()) == [4, 4]
+        misses.clear()
+        rate(3, NoiseParams(0.5, 0.3), QuadratureConfig(nodes_per_dim=32, method="tensor"))
+        assert not misses
+
 
 class TestRefineRung:
     @pytest.mark.parametrize("rate, engine_cls, nodes", [
@@ -424,8 +438,10 @@ class TestRefineRung:
         params = NoiseParams(0.5, 0.2)
         got = failure_rate_no_gkp_ec(3, params, QuadratureConfig(nodes_per_dim=32)).per_case
         assert built == [32, 48, 64]
-        fine = failure_rate_no_gkp_ec(3, params, QuadratureConfig(nodes_per_dim=64, refine=False))
-        assert got == fine.per_case
+        fine = repetition._factorized_cases(
+            repetition._make_engine(False, params, 64, 0), CodeSize(3)
+        )
+        assert [value for _, value in got[:-1]] == fine
         # the values of the 2x rung the refine used before the 1.5x rung
         assert got == (
             ("s1", 0.13176300683271777), ("s2", 0.017473518966524916),
@@ -436,7 +452,10 @@ class TestRefineRung:
     def test_default_refine_returns_the_96_node_values(self, rate):
         params = NoiseParams(0.3, 0.045)
         got = rate(7, params).per_case
-        assert got == rate(7, params, QuadratureConfig(nodes_per_dim=96, refine=False)).per_case
+        engine = repetition._make_engine(rate is failure_rate, params, 96, 0)
+        assert [value for _, value in got[:-1]] == repetition._factorized_cases(
+            engine, CodeSize(7)
+        )
 
 
 class TestOverallFailureBiased:

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -24,10 +23,6 @@ class TestGkpEnvelope:
             GkpEnvelope(-0.1, 0.2)
         with pytest.raises(ValueError):
             GkpEnvelope(0.2, 0.2, "minus")
-
-    def test_approximation_flag(self):
-        assert GkpEnvelope(0.25, 0.25).within_approximation
-        assert not GkpEnvelope(0.5, 0.5).within_approximation
 
     def test_corrections_shrink_widths(self):
         d_s, k_s, gamma = GkpEnvelope(0.3, 0.3).corrected()
@@ -206,13 +201,13 @@ class TestWignerAfterGdc:
 
 
 class TestGridExport:
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path):
         env = GkpEnvelope(0.25, 0.25)
         spec = GridSpec((-1.0, 1.0), (-0.5, 0.5), 5, 3)
         grid = wigner_physical_zero(env, spec)
-        buf = io.StringIO()
-        grid_to_csv(grid, buf)
-        lines = buf.getvalue().splitlines()
+        path = tmp_path / "grid.csv"
+        grid_to_csv(grid, str(path))
+        lines = path.read_text().splitlines()
         assert lines[0] == "q,p,value"
         assert len(lines) == 1 + 5 * 3
         q, p, v = (float(t) for t in lines[1].split(","))
