@@ -209,8 +209,14 @@ class ResidualDistribution:
             )
 
     def modulating(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        return sp.erf((u + HALF_CELL) / self.delta) - sp.erf((u - HALF_CELL) / self.delta)
+        """erf((u+h)/delta) - erf((u-h)/delta), as the even erfc difference.
+
+        In the PZ cells both erf terms are close to 1; the two erfc terms at
+        |u| -/+ h are both small there, so their difference keeps its
+        relative accuracy.
+        """
+        a = np.abs(np.asarray(u, dtype=np.float64))
+        return sp.erfc((a - HALF_CELL) / self.delta) - sp.erfc((a + HALF_CELL) / self.delta)
 
     def density(self, u) -> float | np.ndarray:
         """F(u'), the residual displacement density (even, unit mass)."""

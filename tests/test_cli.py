@@ -313,10 +313,10 @@ FIGURE_EXPECTATIONS = {
 # sha256 of every file each recipe writes; a change that moves a figure byte
 # updates the digest here and says why
 FIGURE_SHA256 = {
-    "fig10_ec_n3.csv": "a27a9f02ffed1420c559a50f6b3de7e7113546d6969be6e1533bf97a2f4c7cce",
-    "fig10_ec_n5.csv": "6550194ce83d86eecbb24dbb92d24b5f0fd63f3b0e5f225156845fa64c11d8a6",
-    "fig10_ec_n7.csv": "27af0216f74d7accadd421447c833685a3f2b403e020c46adcd38d73fd7e6b8d",
-    "fig10_ec_n9.csv": "a6319d8fd65d35e9af898b90434ee6f4bbb1513fb7f8499ca2c5f0a17a08bcf2",
+    "fig10_ec_n3.csv": "6652ce565ab8d8be45ab8c1390151bf1ebe32db1206c0f5bc29bbf0ca73020e3",
+    "fig10_ec_n5.csv": "5ef861ae315753a9aca8dbce4bd024660d1be420c586cca82604ba8025001a3a",
+    "fig10_ec_n7.csv": "e62419ebebc71ed76dd5679ca0ae84d3d41935eabba95f3fc6c0fac41cb4a1a3",
+    "fig10_ec_n9.csv": "aecfdc2657d219e9c391c8a48ca30a0eaf3470a78d22a6a370e089394f392179",
     "fig10_noec_n3.csv": "18daaf2cc46b2d42abb2b1d399105d4eeaf838d0029466d1263d37bf79a397ae",
     "fig10_noec_n5.csv": "7b7819f4ab4f6096484ce7d81a1e570a57521c6b394a7ca21631d01d9e4a9218",
     "fig10_noec_n7.csv": "1486db2d85a6a89c15d7cb97c6e76dc46ec1e39f2e6c864af09dc44f5b62c362",
@@ -330,16 +330,16 @@ FIGURE_SHA256 = {
     "fig1_rsqrt2.bin": "39951a42620bc2c9d9eb552c2409e9995816d73148ad63d46fcd39e4c73a5d76",
     "fig1_rsqrt2.csv": "cde709cd3402bbda3de567ee0448f60bf3691c09f9c46e3be23e0d3ad5be3afc",
     "fig4_px.csv": "a581ae7f4735a6cf5995bdd61c7e7b59f01ad53dbbba3225f40b7cc77e38a667",
-    "fig5_delta0.3.csv": "13d5aa9a4200b0b55a32319153d44cc2565ac9be91104c5159789f51a67f6444",
-    "fig5_delta0.4.csv": "76d084470cec2a3f3633abe8789d682e04a3f6f2edd32ec99b1b933dbd964920",
-    "fig5_delta0.5.csv": "fe77031db4b608ab78eef98544fedb8648843661d39d00234cb1e91eae435679",
-    "fig5_delta0.6.csv": "3b6b6f7caf60d86d481a11f22781c167ae578c3b35fc0e43d47f715e382fce5c",
-    "fig6_p3rep.csv": "67726e416342179a6845c809e796639197b03068895f6a989c2a2a1fb97f85a9",
-    "fig6_pf.csv": "61eb3b3cd9e98bf7814a5e3cef213d139a85a884f7f79873b8ec078080abed2b",
-    "fig8_n3.csv": "67726e416342179a6845c809e796639197b03068895f6a989c2a2a1fb97f85a9",
-    "fig8_n5.csv": "061edc3be5af5b8883c4f5e2840cd71fe50a8551a07f7b975ea403f17db0765f",
-    "fig8_n7.csv": "8ea75955a39335523bb6576f0fb55c98d45fe68361696537df5c96f8c73e5a41",
-    "fig8_n9.csv": "85d6934917e2904a13cd1603a3e8271dbaa85c8f657f49611555dc748bd02cd2",
+    "fig5_delta0.3.csv": "f830c46e3fdaf30b8c11daed996db45bbd6f4ad0420d7aa4193acc8cfa83f41d",
+    "fig5_delta0.4.csv": "591797a668b8e8b49e6be8134aca46557f9c46ec25ac2e1f9f5a1ff0cd9896ab",
+    "fig5_delta0.5.csv": "d41baa934803f7b553bc31326ffef92059b3e9734ac0e27cf48de9ecc2cc770d",
+    "fig5_delta0.6.csv": "cedc9279aaf58758811bc48a3d9126b56615abf47c74a78168281a6ebcb0816e",
+    "fig6_p3rep.csv": "773e98050d458b89dfca250da58e430283830f1e4a0a4ecd83d3c5bb9aac37cb",
+    "fig6_pf.csv": "6812cf61d0cec67fa59354c53ab90695c70b2831ba5c12c9ca0a9a1db83b265a",
+    "fig8_n3.csv": "773e98050d458b89dfca250da58e430283830f1e4a0a4ecd83d3c5bb9aac37cb",
+    "fig8_n5.csv": "730124ef1c04c75e3e41950d07bac4350a466f07e245dc2be3b54e56933f69eb",
+    "fig8_n7.csv": "a365338e9032e601ceaae3e0683af94b0730cca99bd03da26aea4e32a7d66349",
+    "fig8_n9.csv": "1a94226e0084e40b26e71309327568cfb3b123d2eb6009ca6bcdc6900da01e61",
     "fig9_53.csv": "2cf063c20e1c352bc60c06b23eb31ae68b7e4149cdc81fd2107c91f5b20ee5ad",
     "fig9_75.csv": "67c412865ef0637a8e1c3c807ccead2329b8a56644b16e22e4cb01806cc9ca77",
     "fig9_97.csv": "2790de6c9418f16672176501ef4be6da27a953132527a336ee2869e525e54270",

@@ -254,3 +254,49 @@ class TestPauliRatePhysical:
         )
         got = pauli_rate_physical_report(NoiseParams(0.5, 0.3))["two_cell"]
         assert got == pytest.approx(2 * want, rel=1e-9)
+
+    @pytest.mark.parametrize("delta, delta_tilde", [
+        (0.12, 0.08), (0.15, 0.08), (0.2, 0.08), (0.12, 0.045), (0.15, 0.2),
+    ])
+    def test_against_a_30_digit_oracle(self, delta, delta_tilde):
+        # at (0.12, 0.045) P_F is 1.38e-22; an erf difference of the
+        # modulating factor read 2.08e-24 there
+        want = _pauli_rate_oracle(delta, delta_tilde)
+        got = pauli_rate_physical(NoiseParams(delta, delta_tilde))
+        assert abs(got - want) <= 1e-12 * want
+
+
+def _pauli_rate_oracle(delta: float, delta_tilde: float) -> float:
+    """P_F at 30 digits: the residual density over the first two PZ cell pairs.
+
+    The modulating factor is written erfc((u-h)/d) - erfc((u+h)/d), equal to
+    erf((u+h)/d) - erf((u-h)/d), whose terms the working precision could not
+    tell apart in the PZ cells.  Each cell's comb keeps the five lattice
+    peaks nearest it, and the quadrature breaks at the cell centre and in
+    steps of the product's width around its peak.  Further cells add less
+    than 1e-100 of the total at the tested points.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        d, t = mpmath.mpf(delta), mpmath.mpf(delta_tilde)
+        root_pi = mpmath.sqrt(mpmath.pi)
+        h = root_pi / 2
+        width = 1 / mpmath.sqrt(1 / d**2 + 1 / t**2)
+        total = 0
+        for m in range(2):
+            centre = (2 * m + 1) * root_pi
+
+            def density(u, m=m):
+                comb = mpmath.fsum(
+                    mpmath.exp(-(((u - k * root_pi) / t) ** 2)) for k in range(2 * m - 1, 2 * m + 4)
+                )
+                return (mpmath.erfc((u - h) / d) - mpmath.erfc((u + h) / d)) * comb
+
+            peak = (h / d**2 + centre / t**2) * width**2
+            steps = (peak + j * width for j in range(-8, 9))
+            points = sorted({centre - h, centre, centre + h} | {
+                u for u in steps if centre - h < u < centre + h
+            })
+            total += mpmath.quad(density, points)
+        # the two mirror cells of each pair, and the density's normalization
+        return float(2 * total / (2 * root_pi * t))
