@@ -29,7 +29,7 @@ from .analysis import (
     optimal_bias,
     run_sweep,
 )
-from .distributions import NoiseParams
+from .distributions import NoiseParams, _integral
 from .lattice import TruncationError
 from .montecarlo import ShotConfig, run_tally
 from .repetition import QuadratureConfig, QuadratureError, shared_engines
@@ -229,7 +229,7 @@ def cmd_sweep(args) -> int:
     unknown = set(doc) - {"schema_version", "engine", *RUN_KINDS}
     if unknown:
         raise ValueError(f"unknown run-file fields: {sorted(unknown)}")
-    if doc.get("schema_version") != 1:
+    if _integral(doc.get("schema_version")) != 1:
         raise ValueError("run file must declare schema_version = 1")
     kinds = [kind for kind in RUN_KINDS if kind in doc]
     if len(kinds) != 1:

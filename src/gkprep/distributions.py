@@ -39,6 +39,11 @@ from .quadrature import peaked_cell_nodes
 # ideal-ancilla formulas apply.
 IDEAL_ANCILLA_CUTOFF = 1e-6
 
+# Distances beyond this many widths are clipped to it before a Gaussian
+# exp(-d^2) is taken: exp(-28^2) is exactly 0.0, and neither the clipped
+# distance over the width nor its square can overflow.
+_GAUSS_REACH = 28.0
+
 
 def _integral(value: Any) -> int | None:
     """``value`` as ``int`` if it is integral (3, 3.0, a numpy integer), else None.
@@ -156,7 +161,8 @@ class GaussianDisplacement:
 
     def pdf(self, x):
         x = np.asarray(x, dtype=np.float64)
-        out = np.exp(-np.minimum((x / self.spread) ** 2, 745.0)) / (SQRT_PI * self.spread)
+        d = np.minimum(np.abs(x), _GAUSS_REACH * self.spread) / self.spread
+        out = np.exp(-d * d) / (SQRT_PI * self.spread)
         return out if out.ndim else float(out)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _require_positive, _require_real
+from .distributions import _GAUSS_REACH, _require_positive, _require_real
 from .lattice import SQRT_PI
 
 # Comb terms whose envelope weight falls below this fraction of the leading
@@ -97,8 +97,8 @@ def _comb(
     width: float,
 ) -> np.ndarray:
     """sum_k weights[k] * exp(-(x - centers[k])^2 / width^2) (vectorized)."""
-    d = (x[..., None] - centers) / width
-    return np.einsum("...k,k->...", np.exp(-np.minimum(d * d, 745.0)), weights)
+    d = np.minimum(np.abs(x[..., None] - centers), _GAUSS_REACH * width) / width
+    return np.einsum("...k,k->...", np.exp(-d * d), weights)
 
 
 def _indices(max_abs: float) -> np.ndarray:

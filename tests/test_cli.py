@@ -401,6 +401,20 @@ class TestRunFiles:
         path = write_run_file(tmp_path, spec)
         assert run_cli("sweep", "--spec", path, check=False).returncode == 2
 
+    def test_far_wigner_point_reads_zero_without_a_warning(self, tmp_path):
+        # a subprocess, so that a numpy warning would reach stderr
+        out = tmp_path / "far.csv"
+        spec = {"schema_version": 1, "sweep": {
+            "quantity": "wigner_grid", "axes": [["q", [1e300]]],
+            "fixed": {"delta": 0.3, "kappa": 0.3, "p": 0.0}, "output": str(out)}}
+        proc = subprocess.run(
+            CLI + ["sweep", "--spec", write_run_file(tmp_path, spec)],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        [row] = csv.DictReader(out.read_text().splitlines())
+        assert (row["value"], row["status"]) == ("0", "ok")
+
     def test_refine_engine_field_is_unknown(self, tmp_path):
         # every factorized rate is certified; there is no switch to skip it
         spec = {"schema_version": 1, "sweep": {"quantity": "px", "axes": [["delta", [0.5]]]},
@@ -414,6 +428,17 @@ class TestRunFiles:
         spec = {"schema_version": 2, "sweep": {"quantity": "px", "axes": [["delta", [0.5]]]}}
         path = write_run_file(tmp_path, spec)
         assert run_cli("sweep", "--spec", path, check=False).returncode == 2
+
+    @pytest.mark.parametrize("version, code", [(True, 2), ("1", 2), (1.0, 0)])
+    def test_schema_version_follows_the_integer_field_rule(self, version, code, tmp_path):
+        out = tmp_path / "out.csv"
+        spec = {"schema_version": version,
+                "sweep": {"quantity": "px", "axes": [["delta", [0.5]]], "output": str(out)}}
+        proc = run_cli("sweep", "--spec", write_run_file(tmp_path, spec), check=False)
+        assert proc.returncode == code
+        if code:
+            assert proc.stderr == "error: run file must declare schema_version = 1\n"
+        assert out.exists() == (code == 0)
 
     def test_mc_runfile(self, tmp_path):
         spec = {

@@ -84,6 +84,13 @@ class TestGaussianDisplacement:
         assert mass == pytest.approx(1.0, abs=1e-12)
         assert var == pytest.approx(0.7**2 / 2.0, rel=1e-12)
 
+    def test_far_tail_is_exactly_zero(self):
+        # 28 spreads out exp(-d^2) underflows; nothing squares 1e300
+        g = GaussianDisplacement(0.3)
+        with np.errstate(over="raise", invalid="raise"):
+            got = g.pdf(np.array([-1.7e308, -1e300, 28 * 0.3, 1e300]))
+        assert got.tolist() == [0.0] * 4
+
 
 class TestIntrinsicDensity:
     def test_unbiased_peak(self):
