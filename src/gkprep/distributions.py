@@ -39,9 +39,8 @@ from .quadrature import peaked_cell_nodes
 # ideal-ancilla formulas apply.
 IDEAL_ANCILLA_CUTOFF = 1e-6
 
-# Distances beyond this many widths are clipped to it before a Gaussian
-# exp(-d^2) is taken: exp(-28^2) is exactly 0.0, and neither the clipped
-# distance over the width nor its square can overflow.
+# Gaussians exp(-d^2) clip d at this many widths: exp(-28^2) is exactly 0.0,
+# and neither the clipped d nor its square can overflow.
 _GAUSS_REACH = 28.0
 
 
@@ -215,12 +214,7 @@ class ResidualDistribution:
             )
 
     def modulating(self, u) -> np.ndarray:
-        """erf((u+h)/delta) - erf((u-h)/delta), as the even erfc difference.
-
-        In the PZ cells both erf terms are close to 1; the two erfc terms at
-        |u| -/+ h are both small there, so their difference keeps its
-        relative accuracy.
-        """
+        """erf((u+h)/delta) - erf((u-h)/delta), as an erfc difference accurate in the PZ cells."""
         a = np.abs(np.asarray(u, dtype=np.float64))
         return sp.erfc((a - HALF_CELL) / self.delta) - sp.erfc((a + HALF_CELL) / self.delta)
 
