@@ -39,6 +39,28 @@ def panel_nodes(lo: float, hi: float, n_panels: int, order: int) -> tuple[np.nda
     return x, w
 
 
+def peaked_cell_layout(
+    half_width: float,
+    feature_scale: float,
+    n_nodes: int,
+) -> tuple[float, int, int]:
+    """(reach, panel count, order) of the panels :func:`peaked_cell_nodes` lays.
+
+    The layout does not depend on the cell centre, so every cell built with
+    the same ``half_width``, ``feature_scale`` and ``n_nodes`` carries the
+    same nodes relative to its centre.
+    """
+    if not (feature_scale > 0.0):
+        raise ValueError("feature_scale must be positive")
+    reach = min(PEAK_SUPPORT_WIDTHS * feature_scale, half_width)
+    # High-order rules on few panels beat many low-order panels for these
+    # entire integrands; aim for panel widths of ~4 feature scales and at
+    # least 16 nodes per panel.
+    n_panels = int(min(max(math.ceil(reach / (2.0 * feature_scale)), 2), max(n_nodes // 16, 2)))
+    order = max(n_nodes // n_panels, 8)
+    return reach, n_panels, order
+
+
 def peaked_cell_nodes(
     center: float,
     half_width: float,
@@ -53,14 +75,7 @@ def peaked_cell_nodes(
     of width about s so that any other feature of that scale (the syndrome
     window transitions) is resolved wherever it matters.
     """
-    if not (feature_scale > 0.0):
-        raise ValueError("feature_scale must be positive")
-    reach = min(PEAK_SUPPORT_WIDTHS * feature_scale, half_width)
-    # High-order rules on few panels beat many low-order panels for these
-    # entire integrands; aim for panel widths of ~4 feature scales and at
-    # least 16 nodes per panel.
-    n_panels = int(min(max(math.ceil(reach / (2.0 * feature_scale)), 2), max(n_nodes // 16, 2)))
-    order = max(n_nodes // n_panels, 8)
+    reach, n_panels, order = peaked_cell_layout(half_width, feature_scale, n_nodes)
     return panel_nodes(center - reach, center + reach, n_panels, order)
 
 

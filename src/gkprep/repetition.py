@@ -41,8 +41,14 @@ telescope the difference of products into non-negative terms, and the
 tensor oracle sums -expm1(sum log1p(-miss)) pointwise.  Every per-case
 value therefore keeps its relative accuracy deep in the tail.
 
-The miss integrals do not depend on n.  Each cell engine keeps the
-log(1 - M/a) it has computed, and inside :func:`shared_engines` (one
+The miss integrals do not depend on n, and the post-EC engine evaluates
+the complement window only once: its two cells share one panel layout and
+every window is centred on the pair's nominal sum, so u1' +/- x sits at
+one of (2P - 1) * k^2 offsets from the window centre (P panels of k nodes)
+rather than at (P * k)^2.  One matrix product per inner cell and sign turns
+that table into the engine's three miss arrays; the no-EC engine takes
+exact bivariate-normal rectangles per call instead.  Each cell engine keeps
+the log(1 - M/a) it has computed, and inside :func:`shared_engines` (one
 ``gkprep`` command, one crossing search) the engines and the overweight
 tail of a noise point are built once and reused by every code size and by
 both sides of a crossing.  Every call still contracts the blocks at both
@@ -76,7 +82,13 @@ from .distributions import (
     pauli_rate_physical,
 )
 from .lattice import HALF_CELL, SQRT_PI
-from .quadrature import gaussian_window_overlap, peaked_cell_nodes, smooth_cell_nodes
+from .quadrature import (
+    _leggauss,
+    gaussian_window_overlap,
+    peaked_cell_layout,
+    peaked_cell_nodes,
+    smooth_cell_nodes,
+)
 
 NPZ_CELL = (-HALF_CELL, HALF_CELL)
 PZ_CELL = (HALF_CELL, 3.0 * HALF_CELL)
@@ -207,7 +219,9 @@ def _window_complement(
     with its ``neighbors`` 2*sqrt(pi) translates on each side.  The central
     window contributes erfc((hi-y)/dt) + erfc((y-lo)/dt), computed without
     cancellation; each translate's erf((hi-y)/dt) - erf((lo-y)/dt) is then
-    subtracted.  Clipped to [0, 2].
+    subtracted.  Clipped to [0, 2].  The residual engine calls it once, on
+    offsets from the window centre against (-HALF_CELL, HALF_CELL); the
+    tensor oracle calls it on u1' +/- x directly.
     """
     lo, hi = window
     y = np.asarray(y, dtype=np.float64)
@@ -270,7 +284,18 @@ class _CellEngine:
 
 
 class _ResidualCellEngine(_CellEngine):
-    """Per-cell nodes, densities and inner integrals for the post-EC density."""
+    """Per-cell nodes, densities and inner integrals for the post-EC density.
+
+    Both cells share the :func:`peaked_cell_layout` of P panels of half-width
+    hw, each carrying the order-k Gauss-Legendre nodes t, and every window
+    of ``_SIDES`` is HALF_CELL wide on each side of the pair's nominal sum,
+    c_outer + c_inner (c_outer - c_inner when reflected).  Outer node (p, i)
+    and inner node (q, j) therefore put u1 + x at 2*hw*(p + q + 1 - P) +
+    hw*(t_i + t_j) from the window centre, and t_{k-1-j} = -t_j makes the
+    reflected u1 - x the same offset with the inner nodes reversed.  The
+    constructor evaluates the complement window once on those (2P - 1)*k*k
+    offsets and contracts it into the only three distinct miss arrays.
+    """
 
     def __init__(self, params: NoiseParams, n_nodes: int, neighbors: int) -> None:
         super().__init__(params, neighbors)
@@ -282,6 +307,26 @@ class _ResidualCellEngine(_CellEngine):
             return _Cell(x, w, f, float(np.dot(w, f)))
 
         self.cells = {NPZ_CELL: cell(0.0), PZ_CELL: cell(SQRT_PI)}
+        reach, n_panels, order = peaked_cell_layout(HALF_CELL, self.dt, n_nodes)
+        hw = reach / n_panels
+        t = _leggauss(order)[0]
+        d = np.arange(1 - n_panels, n_panels)
+        offsets = 2.0 * hw * d[:, None, None] + hw * (t[:, None] + t[None, :])
+        table = _window_complement(offsets, (-HALF_CELL, HALF_CELL), self.dt, neighbors)
+        # outer panel p meets inner panel q at table row p + q
+        panels = np.arange(n_panels)
+        rows = panels[:, None] + panels[None, :]
+
+        def contract(g: np.ndarray) -> np.ndarray:
+            by_panel = table @ g.reshape(n_panels, order).T
+            return 0.5 * by_panel[rows, :, panels].sum(axis=1).ravel()
+
+        npz, pz = (c.w * c.f for c in (self.cells[NPZ_CELL], self.cells[PZ_CELL]))
+        self._miss = {
+            (NPZ_CELL, False): contract(npz),
+            (PZ_CELL, False): contract(pz),
+            (PZ_CELL, True): contract(pz[::-1]),
+        }
 
     def miss(self, outer_cell: tuple[float, float], bounds: tuple[float, float],
              window: tuple[float, float], reflect: bool = False) -> np.ndarray:
@@ -290,12 +335,12 @@ class _ResidualCellEngine(_CellEngine):
         The cell mass less the in-window part, taken from the complement
         window directly.  ``reflect=True`` evaluates the window at u1 - x,
         which is the even-density image of integrating over the mirrored cell.
+        The array was built with the engine; it depends only on the cell and
+        ``reflect``, because ``window`` is one of the ``_SIDES`` windows
+        centred on the pair's nominal sum and the outer cell shares the
+        inner cell's layout.
         """
-        outer_x, cell = self.cells[outer_cell].x, self.cells[bounds]
-        x = cell.x
-        arg = outer_x[:, None] - x[None, :] if reflect else outer_x[:, None] + x[None, :]
-        q = _window_complement(arg, window, self.dt, self.neighbors)
-        return 0.5 * (q @ (cell.w * cell.f))
+        return self._miss[bounds, reflect]
 
 
 class _IntrinsicCellEngine(_CellEngine):
@@ -512,8 +557,9 @@ def _breakdown(cases: list[float], tail: float, size: CodeSize) -> FailureBreakd
 _SHARED: ContextVar[dict[tuple, Any] | None] = ContextVar("gkprep_shared_engines", default=None)
 
 # Entries (engines and tail rates) one block keeps, oldest dropped first.  A
-# fine engine's arrays (cells and miss ratios) take about 8 kB, so a sweep
-# over any number of noise points holds at most about 8 MB here.
+# fine engine's arrays (cells, miss integrals and miss ratios) take about
+# 10 kB, so a sweep over any number of noise points holds at most about
+# 10 MB here.
 _SHARED_MAX = 1024
 
 

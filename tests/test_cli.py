@@ -313,10 +313,10 @@ FIGURE_EXPECTATIONS = {
 # sha256 of every file each recipe writes; a change that moves a figure byte
 # updates the digest here and says why
 FIGURE_SHA256 = {
-    "fig10_ec_n3.csv": "6652ce565ab8d8be45ab8c1390151bf1ebe32db1206c0f5bc29bbf0ca73020e3",
-    "fig10_ec_n5.csv": "5ef861ae315753a9aca8dbce4bd024660d1be420c586cca82604ba8025001a3a",
-    "fig10_ec_n7.csv": "e62419ebebc71ed76dd5679ca0ae84d3d41935eabba95f3fc6c0fac41cb4a1a3",
-    "fig10_ec_n9.csv": "aecfdc2657d219e9c391c8a48ca30a0eaf3470a78d22a6a370e089394f392179",
+    "fig10_ec_n3.csv": "96bd7efa0eb390cd56e47c33c977fe1c1326ed264f78cd3a94dc9fc9f40e30ed",
+    "fig10_ec_n5.csv": "1b21a3d85f35ed478e705f57c48d494a760c5f948126c399b8ccac442caeb53b",
+    "fig10_ec_n7.csv": "47eaeb20162e242625362e2a74fdd76640557bf1a0770f723d998ef7b60cfd1e",
+    "fig10_ec_n9.csv": "dc4cfdf310a11e34bb84537b4f99b801fc1661cb9d03755ee55d511f68f01660",
     "fig10_noec_n3.csv": "18daaf2cc46b2d42abb2b1d399105d4eeaf838d0029466d1263d37bf79a397ae",
     "fig10_noec_n5.csv": "7b7819f4ab4f6096484ce7d81a1e570a57521c6b394a7ca21631d01d9e4a9218",
     "fig10_noec_n7.csv": "1486db2d85a6a89c15d7cb97c6e76dc46ec1e39f2e6c864af09dc44f5b62c362",
@@ -334,12 +334,12 @@ FIGURE_SHA256 = {
     "fig5_delta0.4.csv": "591797a668b8e8b49e6be8134aca46557f9c46ec25ac2e1f9f5a1ff0cd9896ab",
     "fig5_delta0.5.csv": "d41baa934803f7b553bc31326ffef92059b3e9734ac0e27cf48de9ecc2cc770d",
     "fig5_delta0.6.csv": "cedc9279aaf58758811bc48a3d9126b56615abf47c74a78168281a6ebcb0816e",
-    "fig6_p3rep.csv": "773e98050d458b89dfca250da58e430283830f1e4a0a4ecd83d3c5bb9aac37cb",
+    "fig6_p3rep.csv": "764eb98ec452cda6d0197164a4fb51003f6fc68f1cafcb19a19bce51dc639146",
     "fig6_pf.csv": "6812cf61d0cec67fa59354c53ab90695c70b2831ba5c12c9ca0a9a1db83b265a",
-    "fig8_n3.csv": "773e98050d458b89dfca250da58e430283830f1e4a0a4ecd83d3c5bb9aac37cb",
-    "fig8_n5.csv": "730124ef1c04c75e3e41950d07bac4350a466f07e245dc2be3b54e56933f69eb",
-    "fig8_n7.csv": "a365338e9032e601ceaae3e0683af94b0730cca99bd03da26aea4e32a7d66349",
-    "fig8_n9.csv": "1a94226e0084e40b26e71309327568cfb3b123d2eb6009ca6bcdc6900da01e61",
+    "fig8_n3.csv": "764eb98ec452cda6d0197164a4fb51003f6fc68f1cafcb19a19bce51dc639146",
+    "fig8_n5.csv": "af7dd24a0724825e7480a84c56840bca664796eb250f0c5d5a472db4feccb4f6",
+    "fig8_n7.csv": "e4eacacac4fab9ae9584476f1014c4572b01715ede07acbd840d46699397bb99",
+    "fig8_n9.csv": "0861a198864fcdc369667cd8f228f81abf75826fb5c3c0480f62311a8c3ed7fd",
     "fig9_53.csv": "2cf063c20e1c352bc60c06b23eb31ae68b7e4149cdc81fd2107c91f5b20ee5ad",
     "fig9_75.csv": "67c412865ef0637a8e1c3c807ccead2329b8a56644b16e22e4cb01806cc9ca77",
     "fig9_97.csv": "2790de6c9418f16672176501ef4be6da27a953132527a336ee2869e525e54270",

@@ -417,6 +417,62 @@ class TestBinomialContraction:
         assert not misses
 
 
+def _centre(bounds):
+    return 0.5 * (bounds[0] + bounds[1])
+
+
+class TestMissTable:
+    """The residual engine's miss integrals come from one window-complement table."""
+
+    # dt = 0.01-0.08 cut the cells at 8.5 dt, dt = 0.12-0.6 at the cell edge
+    @pytest.mark.parametrize("dt", [0.01, 0.03, 0.08, 0.12, 0.35, 0.6])
+    def test_matches_the_direct_outer_by_inner_evaluation(self, dt):
+        for delta, nodes, neighbors in itertools.product(
+            (0.3, 0.5, 0.8), (8, 16, 24, 64, 96, 128), (0, 1, 2)
+        ):
+            engine = repetition._ResidualCellEngine(NoiseParams(delta, dt), nodes, neighbors)
+            for (outer_cell, cell), sides in repetition._SIDES.items():
+                outer_x, inner = engine.cells[outer_cell].x, engine.cells[cell]
+                for window, reflect in sides:
+                    arg = outer_x[:, None] + (-1.0 if reflect else 1.0) * inner.x[None, :]
+                    q = repetition._window_complement(arg, window, dt, neighbors)
+                    want = 0.5 * (q @ (inner.w * inner.f))
+                    got = engine.miss(outer_cell, cell, window, reflect)
+                    assert np.array_equal(got == 0.0, want == 0.0)
+                    big = want > 1e-290
+                    assert np.all(np.abs(got[big] - want[big]) <= 1e-11 * want[big])
+
+    def test_windows_are_centred_on_the_nominal_pair_sum(self):
+        windows = {
+            (outer_cell, cell, window, reflect)
+            for (outer_cell, cell), sides in repetition._SIDES.items()
+            for window, reflect in sides
+        }
+        windows |= {
+            (block.outer_cell, cell, window, reflect)
+            for n in (3, 5) for m in range((n + 1) // 2)
+            for block in repetition._case_blocks(m, n)
+            for _, cell, window, reflect in block.factors
+        }
+        assert len(windows) == 6
+        for outer_cell, cell, window, reflect in windows:
+            sign = -1.0 if reflect else 1.0
+            assert _centre(window) == pytest.approx(_centre(outer_cell) + sign * _centre(cell))
+            assert window[1] - window[0] == pytest.approx(2.0 * repetition.HALF_CELL)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.08, 0.35])
+    @pytest.mark.parametrize("nodes", [8, 64, 96])
+    def test_both_cells_share_one_panel_layout(self, dt, nodes):
+        engine = repetition._ResidualCellEngine(NoiseParams(0.5, dt), nodes, 0)
+        reach, n_panels, order = repetition.peaked_cell_layout(repetition.HALF_CELL, dt, nodes)
+        hw = reach / n_panels
+        t, _ = np.polynomial.legendre.leggauss(order)
+        rel = hw * (2 * np.arange(n_panels) + 1 - n_panels)[:, None] + hw * t[None, :]
+        for bounds, cell in engine.cells.items():
+            assert cell.x.shape == (n_panels * order,)
+            assert np.allclose(cell.x - _centre(bounds), rel.ravel(), rtol=0.0, atol=1e-14)
+
+
 class TestRefineRung:
     @pytest.mark.parametrize("rate, engine_cls, nodes", [
         (failure_rate_no_gkp_ec, repetition._IntrinsicCellEngine, 16),
