@@ -55,15 +55,25 @@ def _emit_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
+# dests of the flags that steer a command rather than set a builder field
+_COMMAND_DESTS = frozenset({"command", "func", "quantity", "out", "workers", "trace"})
+
+
+def _given(args) -> dict:
+    """The builder fields set on the command line; an omitted one keeps the builder's default."""
+    return {k: v for k, v in vars(args).items() if v is not None and k not in _COMMAND_DESTS}
+
+
 def cmd_rate(args) -> int:
-    cfg = QuadratureConfig(
-        nodes_per_dim=args.nodes, method=args.method, window_neighbors=args.neighbors
-    )
-    quantity = QUANTITIES[args.quantity.replace("-", "_")]
-    point = {name: getattr(args, name) for name in inspect.getfullargspec(quantity).kwonlyargs}
-    for name, value in point.items():
-        if value is None:
-            raise ValueError(f"--{name} is required for {args.quantity}")
+    given = _given(args)
+    engine = {f.name: given.pop(f.name) for f in dataclasses.fields(QuadratureConfig)
+              if f.name in given}
+    cfg = _from_fields(QuadratureConfig, engine, "engine")
+    name = args.quantity.replace("-", "_")
+    quantity = QUANTITIES[name]
+    check_fields(quantity, given, f"{name} parameters")
+    params = inspect.signature(quantity).parameters.values()
+    point = {p.name: given.get(p.name, p.default) for p in params if p.kind == p.KEYWORD_ONLY}
     value, detail = quantity(cfg, **point)
     if args.out:
         columns = (*point, "value", "std_err", "status")
@@ -86,25 +96,12 @@ def _mc_payload(cfg: ShotConfig, trace=None, workers: int = 1) -> dict:
 
 def cmd_mc(args) -> int:
     # run_tally caps this further at the available cores
-    workers = args.workers
-    if workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {workers}")
-    cap = os.environ.get("GKPREP_MAX_WORKERS")
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise ValueError(f"GKPREP_MAX_WORKERS must be an integer, got {cap!r}") from None
-        if cap < 1:
-            raise ValueError(f"GKPREP_MAX_WORKERS must be at least 1, got {cap}")
-        workers = min(workers, cap)
-    cfg = _shot_config(
-        n=args.n, delta=args.delta, shots=args.shots, delta_tilde=args.delta_tilde,
-        r=args.r, seed=args.seed, mode=args.mode, gkp_ec=not args.no_gkp_ec,
-    )
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    cfg = _from_fields(_shot_config, _given(args), "mc")
     trace_fh = open(args.trace, "w") if args.trace else None
     try:
-        payload = _mc_payload(cfg, trace_fh.writelines if trace_fh else None, workers)
+        payload = _mc_payload(cfg, trace_fh.writelines if trace_fh else None, args.workers)
     finally:
         if trace_fh:
             trace_fh.close()
@@ -264,26 +261,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rate.add_argument("--n", type=int)
     rate.add_argument("--delta", type=float, required=True)
-    rate.add_argument("--delta-tilde", type=float, default=0.0, dest="delta_tilde")
-    rate.add_argument("--r", type=float, default=1.0)
-    rate.add_argument("--method", choices=["factorized", "tensor"], default="factorized")
-    rate.add_argument("--nodes", type=int, default=64)
-    rate.add_argument("--neighbors", type=int, default=0)
+    rate.add_argument("--delta-tilde", type=float, dest="delta_tilde")
+    rate.add_argument("--r", type=float)
+    rate.add_argument("--method", choices=["factorized", "tensor"])
+    rate.add_argument("--nodes", type=int, dest="nodes_per_dim", metavar="NODES")
+    rate.add_argument("--neighbors", type=int, dest="window_neighbors", metavar="NEIGHBORS")
     rate.add_argument("--out")
     rate.set_defaults(func=cmd_rate)
 
     mc = sub.add_parser("mc", help="Monte Carlo of the EC circuit")
     mc.add_argument("--n", type=int, required=True)
     mc.add_argument("--delta", type=float, required=True)
-    mc.add_argument("--delta-tilde", type=float, default=0.0, dest="delta_tilde")
-    mc.add_argument("--r", type=float, default=1.0)
+    mc.add_argument("--delta-tilde", type=float, dest="delta_tilde")
+    mc.add_argument("--r", type=float)
     mc.add_argument("--shots", type=int, required=True)
-    mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--mode", choices=["position", "biased"], default="position")
-    mc.add_argument("--no-gkp-ec", action="store_true")
+    mc.add_argument("--seed", type=int)
+    mc.add_argument("--mode", choices=["position", "biased"])
+    mc.add_argument("--no-gkp-ec", action="store_const", const=False, dest="gkp_ec")
     mc.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes; min(this, GKPREP_MAX_WORKERS, available cores) are used",
+        help="worker processes; min(this, available cores) are used",
     )
     mc.add_argument("--out")
     mc.add_argument(

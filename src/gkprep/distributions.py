@@ -39,6 +39,9 @@ from .quadrature import peaked_cell_nodes
 # ideal-ancilla formulas apply.
 IDEAL_ANCILLA_CUTOFF = 1e-6
 
+# Quadrature nodes per PZ cell of the P_F lattice sum.
+_PZ_CELL_NODES = 128
+
 # Gaussians exp(-d^2) clip d at this many widths: exp(-28^2) is exactly 0.0,
 # and neither the clipped d nor its square can overflow.
 _GAUSS_REACH = 28.0
@@ -100,7 +103,7 @@ class NoiseParams:
     ``delta`` is the data-qubit spread, ``delta_tilde`` the ancilla spread
     (0 encodes the ideal-ancilla limit) and ``r`` the bias level: under bias
     the effective position spread is ``r*delta`` and the effective momentum
-    spread ``kappa/r``, with ``kappa`` defaulting to ``delta``.
+    spread ``delta/r``.
 
     Rate functions take the spreads at face value; bias composition happens
     only in ``repetition.overall_failure_biased`` and in the biased Monte
@@ -110,12 +113,9 @@ class NoiseParams:
     delta: float
     delta_tilde: float = 0.0
     r: float = 1.0
-    kappa: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", self.delta)
-        _require_positive(delta=self.delta, r=self.r, kappa=self.kappa)
+        _require_positive(delta=self.delta, r=self.r)
         _require_real(delta_tilde=self.delta_tilde)
         if self.delta_tilde < 0.0:
             raise ValueError("delta_tilde must be a non-negative finite real")
@@ -126,7 +126,7 @@ class NoiseParams:
 
     @property
     def momentum_spread(self) -> float:
-        return self.kappa / self.r
+        return self.delta / self.r
 
     @property
     def ideal_ancilla(self) -> bool:
@@ -136,8 +136,8 @@ class NoiseParams:
         """Momentum spreads of qubit 1 and of every other qubit of an n-qubit code.
 
         Each syndrome coupling leaks ancilla noise into the momentum
-        quadrature, so qubit 1's spread grows to sqrt((kappa/r)^2 + n*dt^2)
-        and every other qubit's to sqrt((kappa/r)^2 + 2*dt^2).
+        quadrature, so qubit 1's spread grows to sqrt((delta/r)^2 + n*dt^2)
+        and every other qubit's to sqrt((delta/r)^2 + 2*dt^2).
         """
         mom = self.momentum_spread
         dt = self.delta_tilde
@@ -276,10 +276,10 @@ def residual_cdf(dist: ResidualDistribution, x: float) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def _pz_cell_integral(dist: ResidualDistribution, m: int, n_nodes: int = 128) -> float:
+def _pz_cell_integral(dist: ResidualDistribution, m: int) -> float:
     """Integral of F over the PZ cell centred on (2m+1)*sqrt(pi), m >= 0."""
     center = (2 * m + 1) * SQRT_PI
-    x, w = peaked_cell_nodes(center, HALF_CELL, dist.delta_tilde, n_nodes)
+    x, w = peaked_cell_nodes(center, HALF_CELL, dist.delta_tilde, _PZ_CELL_NODES)
     return float(np.dot(w, dist.density(x)))
 
 

@@ -135,8 +135,10 @@ def gaussian_window_overlap(
 
     X and Y are independent zero-mean Gaussians with densities proportional
     to exp(-x^2/spread^2) (standard deviation spread/sqrt(2)).  ``window_lo``
-    and ``window_hi`` may be arrays; the result broadcasts with them.  For
-    ``spread_y == 0`` the exact interval-overlap limit is returned.
+    and ``window_hi`` may be arrays; the result broadcasts with them.  Where
+    the correlation of X with X + Y rounds to 1 (``spread_y == 0``, or so
+    small next to ``spread_x`` that 1 - rho^2 is 0 in floating point), the
+    exact interval-overlap limit is returned.
 
     ``outside=True`` returns the complement within the cell instead,
     P(cell_lo < X < cell_hi, X + Y outside the window), as the sum of the
@@ -147,7 +149,8 @@ def gaussian_window_overlap(
     window_lo = np.asarray(window_lo, dtype=np.float64)
     window_hi = np.asarray(window_hi, dtype=np.float64)
     sx = spread_x / math.sqrt(2.0)
-    if spread_y == 0.0:
+    rho = spread_x / math.sqrt(spread_x**2 + spread_y**2)
+    if rho * rho >= 1.0:
 
         def interval(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             mass = 0.5 * (sp.erf(hi / spread_x) - sp.erf(lo / spread_x))
@@ -157,7 +160,6 @@ def gaussian_window_overlap(
             return interval(a, np.minimum(window_lo, b)) + interval(np.maximum(window_hi, a), b)
         return interval(np.maximum(window_lo, a), np.minimum(window_hi, b))
     sz = math.sqrt(spread_x**2 + spread_y**2) / math.sqrt(2.0)
-    rho = spread_x / math.sqrt(spread_x**2 + spread_y**2)
     a_std, b_std = a / sx, b / sx
 
     def below(upper: np.ndarray) -> np.ndarray:

@@ -54,7 +54,7 @@ tail of a noise point are built once and reused by every code size and by
 both sides of a crossing.  Every call still contracts the blocks at both
 node counts and checks the refine certificate: the blocks are re-evaluated
 at 1.5x the node count (2x where the budget floors give 1.5x no more nodes
-in some cell) and the largest per-case gap must be within ``abs_tol``.
+in some cell) and the largest per-case gap must be within ``_ABS_TOL``.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .distributions import (
     NoiseParams,
     ResidualDistribution,
     _integral,
-    _require_positive,
     _require_real,
     _store_integers,
     pauli_rate_ideal,
@@ -115,8 +114,13 @@ _SIDES = {
 }
 
 
+# Largest per-case change between the two node counts that the refine
+# certificate accepts.
+_ABS_TOL = 1e-8
+
+
 class QuadratureError(RuntimeError):
-    """A rate quadrature could not certify the requested tolerance."""
+    """A rate quadrature could not certify its tolerance, ``_ABS_TOL``."""
 
 
 @dataclass(frozen=True)
@@ -153,19 +157,17 @@ class QuadratureConfig:
     ``nodes_per_dim`` is the per-cell node count along each dimension.  The
     tensor method is an n <= 5 cost-guarded oracle.  Every factorized rate
     is certified: the blocks are re-evaluated at ``3 * nodes_per_dim // 2``
-    nodes and the largest per-case gap must be within ``abs_tol``.  Where
+    nodes and the largest per-case gap must be within ``_ABS_TOL``.  Where
     the node budget floors leave some cell no larger at that count, the
     refine uses ``2 * nodes_per_dim``; if that adds no nodes to every cell
     either, the check could certify nothing and the call raises
     :class:`QuadratureError`.  ``window_neighbors`` counts the 2*sqrt(pi)
     translates of each syndrome window on each side.  The integer fields
-    follow :func:`_integral` and ``abs_tol`` :func:`_require_positive`; any
-    other value raises ``ValueError``.
+    follow :func:`_integral`; any other value raises ``ValueError``.
     """
 
     nodes_per_dim: int = 64
     method: str = "factorized"
-    abs_tol: float = 1e-8
     window_neighbors: int = 0
 
     def __post_init__(self) -> None:
@@ -174,7 +176,6 @@ class QuadratureConfig:
             raise ValueError("nodes_per_dim must be at least 8")
         if self.method not in ("factorized", "tensor"):
             raise ValueError(f"unknown method {self.method!r}")
-        _require_positive(abs_tol=self.abs_tol)
         if self.window_neighbors < 0:
             raise ValueError("window_neighbors must be >= 0")
 
@@ -211,7 +212,7 @@ def _window_complement(
     y: np.ndarray,
     window: tuple[float, float],
     delta_tilde: float,
-    neighbors: int = 0,
+    neighbors: int,
 ) -> np.ndarray:
     """Twice the probability that y plus the ancilla displacement misses the window.
 
@@ -651,10 +652,10 @@ def _failure_rate_impl(
         )
     cases = _factorized_cases(fine_engine, size)
     gap = max(abs(a - b) for a, b in zip(_factorized_cases(engine, size), cases))
-    if gap > cfg.abs_tol:
+    if gap > _ABS_TOL:
         raise QuadratureError(
             f"factorized blocks changed by {gap:.3e} from {cfg.nodes_per_dim} to "
-            f"{fine_nodes} nodes per dimension (requested abs_tol={cfg.abs_tol:g}); "
+            f"{fine_nodes} nodes per dimension (requested abs_tol={_ABS_TOL:g}); "
             f"increase nodes_per_dim"
         )
     return _breakdown(cases, tail, size)

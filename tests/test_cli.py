@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import gc
 import hashlib
 import inspect
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from gkprep import cli, repetition
+from gkprep.analysis import QUANTITIES
+from gkprep.repetition import QuadratureConfig
 
 CLI = [sys.executable, "-m", "gkprep.cli"]
 
@@ -22,7 +25,7 @@ CLI = [sys.executable, "-m", "gkprep.cli"]
 def run_cli(*args, check=True):
     """``gkprep *args`` through ``cli.main`` in this process; argparse's exit is the code.
 
-    Tests that set environment variables run ``CLI`` in a subprocess instead.
+    A test that needs the process's own stderr runs ``CLI`` in a subprocess instead.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -172,41 +175,18 @@ class TestMc:
         b = run_cli(*base, "--workers", "8").stdout
         assert a == b
 
-    def test_env_var_caps_workers(self):
-        env = dict(os.environ, GKPREP_MAX_WORKERS="2")
-        proc = subprocess.run(
-            CLI + [
-                "mc", "--n", "3", "--delta", "0.5", "--delta-tilde", "0.2",
-                "--shots", "20000", "--seed", "3", "--workers", "64",
-            ],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0
-        plain = run_cli(
-            "mc", "--n", "3", "--delta", "0.5", "--delta-tilde", "0.2",
-            "--shots", "20000", "--seed", "3",
-        ).stdout
-        assert proc.stdout == plain
-
-    def test_worker_cap_below_one_is_usage_error(self):
-        env = dict(os.environ, GKPREP_MAX_WORKERS="0")
-        proc = subprocess.run(
-            CLI + ["mc", "--n", "3", "--delta", "0.5", "--shots", "10", "--workers", "2"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr == "error: GKPREP_MAX_WORKERS must be at least 1, got 0\n"
-        assert proc.stdout == ""
-
-    def test_non_integer_worker_cap_is_usage_error(self):
-        env = dict(os.environ, GKPREP_MAX_WORKERS="abc")
-        proc = subprocess.run(
-            CLI + ["mc", "--n", "3", "--delta", "0.5", "--shots", "10", "--workers", "2"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr == "error: GKPREP_MAX_WORKERS must be an integer, got 'abc'\n"
-        assert proc.stdout == ""
+    @pytest.mark.parametrize("fields", [
+        {"n": 3, "delta": 0.5, "shots": 2000},
+        {"n": 5, "delta": 0.5, "delta_tilde": 0.2, "r": 1.5, "shots": 2000, "seed": 4,
+         "mode": "biased", "gkp_ec": False},
+    ], ids=["defaults", "every-field"])
+    def test_flags_match_the_run_file(self, fields, tmp_path):
+        # both build through the one mc builder, whose defaults fill omitted fields
+        flags = cli_flags({name: v for name, v in fields.items() if name != "gkp_ec"})
+        if fields.get("gkp_ec") is False:
+            flags.append("--no-gkp-ec")
+        run_file = write_run_file(tmp_path, {"schema_version": 1, "mc": fields})
+        assert run_cli("mc", *flags).stdout == run_cli("sweep", "--spec", run_file).stdout
 
     def test_code_size_beyond_slot_layout_is_usage_error(self):
         proc = run_cli(
@@ -416,13 +396,18 @@ class TestRunFiles:
         assert (row["value"], row["status"]) == ("0", "ok")
 
     def test_refine_engine_field_is_unknown(self, tmp_path):
-        # every factorized rate is certified; there is no switch to skip it
-        spec = {"schema_version": 1, "sweep": {"quantity": "px", "axes": [["delta", [0.5]]]},
-                "engine": {"refine": False}}
-        path = write_run_file(tmp_path, spec)
-        proc = run_cli("sweep", "--spec", path, "--out", str(tmp_path / "out.csv"), check=False)
-        assert proc.returncode == 2
-        assert proc.stderr == "error: unknown engine fields: ['refine']\n"
+        # every factorized rate is certified, against a fixed bound; there is
+        # no switch to skip it and no field to loosen it
+        for field, value in (("refine", False), ("abs_tol", 1e-6)):
+            spec = {"schema_version": 1,
+                    "sweep": {"quantity": "px", "axes": [["delta", [0.5]]]},
+                    "engine": {field: value}}
+            path = write_run_file(tmp_path, spec)
+            out = tmp_path / "out.csv"
+            proc = run_cli("sweep", "--spec", path, "--out", str(out), check=False)
+            assert proc.returncode == 2
+            assert proc.stderr == f"error: unknown engine fields: ['{field}']\n"
+            assert not out.exists()
 
     def test_wrong_schema_version_rejected(self, tmp_path):
         spec = {"schema_version": 2, "sweep": {"quantity": "px", "axes": [["delta", [0.5]]]}}
@@ -609,20 +594,36 @@ RATE_POINTS = {
 }
 
 
+def cli_flags(point: dict) -> list[str]:
+    """``gkprep`` flags binding the fields of ``point``."""
+    return [arg for name, value in point.items()
+            for arg in ("--" + name.replace("_", "-"), str(value))]
+
+
+def one_cell_sweep(tmp_path, key: str, point: dict, output: str) -> str:
+    """Path of a run file sweeping ``key`` over ``point``'s delta alone."""
+    fixed = dict(point)
+    spec = {
+        "schema_version": 1,
+        "sweep": {
+            "quantity": key,
+            "axes": [["delta", [fixed.pop("delta")]]],
+            "fixed": fixed,
+            "output": output,
+        },
+    }
+    return write_run_file(tmp_path, spec)
+
+
 class TestQuantityRegistry:
     @pytest.mark.parametrize("quantity", sorted(RATE_POINTS))
     def test_rate_matches_one_cell_sweep(self, quantity, tmp_path):
-        from gkprep.analysis import QUANTITIES
-
         key = quantity.replace("-", "_")
         point = RATE_POINTS[quantity]
-        flags = []
-        for name, value in point.items():
-            flags += ["--" + name.replace("_", "-"), str(value)]
         rate_csv = tmp_path / "rate.csv"
-        payload = json.loads(
-            run_cli("rate", "--quantity", quantity, *flags, "--out", str(rate_csv)).stdout
-        )
+        payload = json.loads(run_cli(
+            "rate", "--quantity", quantity, *cli_flags(point), "--out", str(rate_csv)
+        ).stdout)
         assert payload["quantity"] == quantity
         params = tuple(inspect.getfullargspec(QUANTITIES[key]).kwonlyargs)
         header = rate_csv.read_text().splitlines()[0]
@@ -630,18 +631,64 @@ class TestQuantityRegistry:
         assert tuple(point) == params
 
         sweep_csv = tmp_path / "sweep.csv"
-        fixed = dict(point)
-        spec = {
-            "schema_version": 1,
-            "sweep": {
-                "quantity": key,
-                "axes": [["delta", [fixed.pop("delta")]]],
-                "fixed": fixed,
-                "output": str(sweep_csv),
-            },
-        }
-        run_cli("sweep", "--spec", write_run_file(tmp_path, spec))
+        run_cli("sweep", "--spec", one_cell_sweep(tmp_path, key, point, str(sweep_csv)))
         with open(sweep_csv) as fh:
             (row,) = list(csv.DictReader(fh))
         assert row["status"] == "ok"
         assert float(row["value"]) == payload["value"]
+
+    @pytest.mark.parametrize("quantity, point, message", [
+        ("pfrep", {"delta": 0.5, "delta_tilde": 0.2}, "missing pfrep parameters: ['n']"),
+        ("pf", {"delta": 0.5}, "missing pf parameters: ['delta_tilde']"),
+        ("px", {"delta": 0.5, "n": 3}, "unknown px parameters: ['n']"),
+        ("pfrep", {"delta": 0.5, "delta_tilde": 0.2, "n": 3, "r": 1.5},
+         "unknown pfrep parameters: ['r']"),
+    ], ids=["pfrep-no-n", "pf-no-delta-tilde", "px-n", "pfrep-r"])
+    def test_rate_and_sweep_reject_parameters_alike(self, quantity, point, message, tmp_path):
+        out = tmp_path / "out.csv"
+        rate = run_cli("rate", "--quantity", quantity, *cli_flags(point), "--out", str(out),
+                       check=False)
+        sweep = run_cli("sweep", "--spec", one_cell_sweep(tmp_path, quantity, point, str(out)),
+                        check=False)
+        for proc in (rate, sweep):
+            assert (proc.returncode, proc.stderr, proc.stdout) == (2, f"error: {message}\n", "")
+        assert not out.exists()
+
+    def test_omitted_optional_parameters_take_the_signature_defaults(self, tmp_path):
+        base = ("rate", "--quantity", "pfail", "--n", "3", "--delta", "0.5")
+        short, full = tmp_path / "short.csv", tmp_path / "full.csv"
+        a = run_cli(*base, "--out", str(short)).stdout
+        b = run_cli(*base, "--delta-tilde", "0.0", "--r", "1.0", "--out", str(full)).stdout
+        assert a == b
+        assert short.read_bytes() == full.read_bytes()
+
+    @pytest.mark.parametrize("delta_tilde", ["1e-12", "1e-9"])
+    def test_tiny_ancilla_spread_runs(self, delta_tilde):
+        # the window correlation rounds to 1 next to delta = 0.5; this once
+        # raised a ValueError and exited 2 as if it were a usage error
+        proc = run_cli("rate", "--quantity", "pfrep-noec", "--n", "3", "--delta", "0.5",
+                       "--delta-tilde", delta_tilde)
+        assert json.loads(proc.stdout)["value"] > 0.0
+
+
+# dests that name no builder field
+NON_FIELD_DESTS = {"command", "func", "quantity", "out", "workers", "trace"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--quantity", "px", "--delta", "0.5"],
+    ["mc", "--n", "3", "--delta", "0.5", "--shots", "10"],
+], ids=["rate", "mc"])
+def test_no_flag_declares_a_builder_default(argv):
+    # a builder's signature is the one place its defaults live; a flag
+    # default would be a second declaration that can drift from it
+    fields = {f.name for f in dataclasses.fields(QuadratureConfig)}
+    fields |= set(inspect.signature(cli._shot_config).parameters)
+    for key in RATE_POINTS:
+        fields |= set(inspect.getfullargspec(QUANTITIES[key.replace("-", "_")]).kwonlyargs)
+    args = vars(cli.build_parser().parse_args(argv))
+    assert set(args) - fields <= NON_FIELD_DESTS
+    given = {arg[2:] for arg in argv if arg.startswith("--")}
+    omitted = {name: value for name, value in args.items() if name in fields - given}
+    assert omitted
+    assert omitted == dict.fromkeys(omitted)

@@ -17,7 +17,7 @@ from gkprep.distributions import (
 )
 from gkprep.lattice import HALF_CELL, SQRT_PI
 from gkprep.montecarlo import normal_draws
-from gkprep.repetition import QuadratureConfig, classical_failure
+from gkprep.repetition import classical_failure
 from gkprep.wigner import GkpEnvelope, wigner_point
 
 # Numeric inputs under the one rule: (field name in the error, call that
@@ -26,13 +26,11 @@ NUMERIC_INPUTS = {
     "NoiseParams.delta": ("delta", lambda v: NoiseParams(v)),
     "NoiseParams.delta_tilde": ("delta_tilde", lambda v: NoiseParams(0.5, v)),
     "NoiseParams.r": ("r", lambda v: NoiseParams(0.5, r=v)),
-    "NoiseParams.kappa": ("kappa", lambda v: NoiseParams(0.5, kappa=v)),
     "GaussianDisplacement.spread": ("spread", GaussianDisplacement),
     "pauli_rate_ideal": ("delta_eff", pauli_rate_ideal),
     "ResidualDistribution.delta": ("delta", lambda v: ResidualDistribution(v, 0.2)),
     "GkpEnvelope.delta": ("delta", lambda v: GkpEnvelope(v, 0.3)),
     "GkpEnvelope.kappa": ("kappa", lambda v: GkpEnvelope(0.3, v)),
-    "QuadratureConfig.abs_tol": ("abs_tol", lambda v: QuadratureConfig(abs_tol=v)),
     "CrossingQuery.delta": ("delta", lambda v: CrossingQuery(v, "single", 3)),
     "CrossingQuery.tol": ("tol", lambda v: CrossingQuery(0.5, "single", 3, tol=v)),
     "CrossingQuery.bracket": ("bracket_high", lambda v: CrossingQuery(0.5, "single", 3, (0.1, v))),
@@ -64,7 +62,7 @@ class TestNoiseParams:
         p = NoiseParams(delta=0.5, r=2.0)
         assert p.position_spread == 1.0
         assert p.momentum_spread == 0.25
-        assert p.kappa == 0.5  # defaults to delta
+        assert p.momentum_spread == p.delta / p.r
 
     def test_ideal_ancilla_flag(self):
         assert NoiseParams(0.5).ideal_ancilla

@@ -110,6 +110,15 @@ class TestGaussianWindowOverlap:
         sharp = float(gaussian_window_overlap((-0.5, 0.5), -0.2, 0.9, 0.5, 0.0))
         assert smooth == pytest.approx(sharp, abs=1e-9)
 
+    @pytest.mark.parametrize("sy", [1e-12, 1e-9])
+    @pytest.mark.parametrize("outside", [False, True])
+    def test_sy_below_float_resolution_takes_the_interval_limit(self, sy, outside):
+        # 1 - rho^2 rounds to 0 here, where the bivariate-normal form is undefined
+        lo, hi = np.array([-0.2, 0.1]), np.array([0.9, 1.4])
+        got = gaussian_window_overlap((-0.5, 0.5), lo, hi, 0.5, sy, outside=outside)
+        want = gaussian_window_overlap((-0.5, 0.5), lo, hi, 0.5, 0.0, outside=outside)
+        np.testing.assert_array_equal(got, want)
+
     def test_outside_is_cell_mass_less_overlap(self):
         rng = np.random.default_rng(13)
         for _ in range(20):

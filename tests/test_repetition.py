@@ -239,6 +239,15 @@ class TestFailureRateNoGkpEc:
         assert sharp == pytest.approx(near, abs=1e-6)
         assert 0.0 < sharp < 1.0
 
+    @pytest.mark.parametrize("dt", [1e-12, 1e-9])
+    def test_ancilla_spread_below_float_resolution_is_the_sharp_limit(self, dt):
+        # next to delta = 0.5 these spreads round the window correlation to 1
+        sharp = failure_rate_no_gkp_ec(3, NoiseParams(0.5, 0.0)).per_case
+        tiny = failure_rate_no_gkp_ec(3, NoiseParams(0.5, dt)).per_case
+        assert [name for name, _ in tiny] == [name for name, _ in sharp]
+        for (_, got), (_, want) in zip(tiny, sharp):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("dt", [0.0, 1e-3, 1e-2])
     def test_tensor_rejects_sharp_windows(self, dt):
         # fixed nodes cannot integrate windows that move with u1' and are
