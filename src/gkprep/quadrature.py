@@ -124,7 +124,7 @@ def _bvn_cdf(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
 
 
 def gaussian_window_overlap(
-    cell: tuple[float, float],
+    cell: tuple[float | np.ndarray, float | np.ndarray],
     window_lo: np.ndarray,
     window_hi: np.ndarray,
     spread_x: float,
@@ -135,9 +135,12 @@ def gaussian_window_overlap(
 
     X and Y are independent zero-mean Gaussians with densities proportional
     to exp(-x^2/spread^2) (standard deviation spread/sqrt(2)).  ``window_lo``
-    and ``window_hi`` may be arrays; the result broadcasts with them.  Where
-    the correlation of X with X + Y rounds to 1 (``spread_y == 0``, or so
-    small next to ``spread_x`` that 1 - rho^2 is 0 in floating point), the
+    and ``window_hi`` may be arrays, and so may the two cell bounds; the
+    result broadcasts with all four.  Each element goes through the same
+    float operations as a call with that element's scalar bounds, so one
+    call on stacked cells and windows equals the per-cell calls bit for bit.
+    Where the correlation of X with X + Y rounds to 1 (``spread_y == 0``, or
+    so small next to ``spread_x`` that 1 - rho^2 is 0 in floating point), the
     exact interval-overlap limit is returned.
 
     ``outside=True`` returns the complement within the cell instead,

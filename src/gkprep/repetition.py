@@ -52,15 +52,17 @@ the complement window only once: its two cells share one panel layout and
 every window is centred on the pair's nominal sum, so u1' +/- x sits at
 one of (2P - 1) * k^2 offsets from the window centre (P panels of k nodes)
 rather than at (P * k)^2.  One matrix product per inner cell and sign turns
-that table into the engine's three miss arrays; the no-EC engine takes
-exact bivariate-normal rectangles per call instead.  Each cell engine keeps
-the log(1 - M/a) it has computed, and inside :func:`shared_engines` (one
-``gkprep`` command, one crossing search) the engines and the overweight
-tail of a noise point are built once and reused by every code size and by
-both sides of a crossing.  Every call still contracts the blocks at both
-node counts and checks the refine certificate: the blocks are re-evaluated
-at 1.5x the node count (2x where the budget floors give 1.5x no more nodes
-in some cell) and the largest per-case gap must be within ``_ABS_TOL``.
+that table into the engine's three miss arrays.  The no-EC engine takes
+exact bivariate-normal rectangles instead, stacked over all six sides: one
+call for the central windows and one for all their translates.  Both
+engines build their miss arrays when they are built and keep the
+log(1 - M/a) they derive, and inside :func:`shared_engines` (one ``gkprep``
+command, one crossing search) the engines and the overweight tail of a
+noise point are built once and reused by every code size and by both sides
+of a crossing.  Every call still contracts the blocks at both node counts
+and checks the refine certificate: the blocks are re-evaluated at 1.5x the
+node count (2x where the budget floors give 1.5x no more nodes in some
+cell) and the largest per-case gap must be within ``_ABS_TOL``.
 """
 
 from __future__ import annotations
@@ -119,6 +121,13 @@ _SIDES = {
     (NPZ_CELL, PZ_CELL): ((WIN_PZ1, False), (WIN_PZ1_NEG, True)),
     (NPZ_CELL, NPZ_CELL): ((WIN_NPZ0, False),),
 }
+
+# The (outer cell, inner cell, window, reflect) key of every miss integral.
+_MISS_KEYS = tuple(
+    (outer_cell, cell, window, reflect)
+    for (outer_cell, cell), sides in _SIDES.items()
+    for window, reflect in sides
+)
 
 
 # Largest per-case change between the two node counts that the refine
@@ -254,20 +263,32 @@ class _Cell:
 
 
 class _CellEngine:
-    """Cells of one density at one node count, and their miss ratios.
+    """Cells of one density at one node count, and their miss integrals.
 
     Subclasses fill ``cells`` (the NPZ_CELL and PZ_CELL bounds mapped to
-    their :class:`_Cell`) and implement ``miss(outer_cell, cell, window,
-    reflect)`` on the outer cell's nodes.  ``log_keep`` memoizes what it
-    derives from ``miss``, which does not depend on the code size.
+    their :class:`_Cell`) and ``_miss`` (each of the ``_MISS_KEYS`` mapped to
+    its miss integral on the outer cell's nodes) when they are built.
+    ``log_keep`` memoizes what it derives from ``miss``, which does not
+    depend on the code size.
     """
 
     cells: dict[tuple[float, float], _Cell]
+    _miss: dict[tuple, np.ndarray]
 
     def __init__(self, params: NoiseParams, neighbors: int) -> None:
         self.dt = params.delta_tilde
         self.neighbors = neighbors
         self._log_keep: dict[tuple, np.ndarray] = {}
+
+    def miss(self, outer_cell: tuple[float, float], cell: tuple[float, float],
+             window: tuple[float, float], reflect: bool = False) -> np.ndarray:
+        """M(u1) = P(x in cell, u1 +/- x + ancilla outside the window and its translates).
+
+        On the outer cell's nodes u1; ``reflect=True`` takes the window at
+        u1 - x, the even-density image of integrating over the mirrored
+        cell.  The engine built the array for each ``_SIDES`` side.
+        """
+        return self._miss[outer_cell, cell, window, reflect]
 
     def log_keep(self, outer_cell: tuple[float, float], cell: tuple[float, float]) -> np.ndarray:
         """log(1 - M/a) on the outer nodes; -inf where the cell misses entirely.
@@ -302,7 +323,9 @@ class _ResidualCellEngine(_CellEngine):
     hw*(t_i + t_j) from the window centre, and t_{k-1-j} = -t_j makes the
     reflected u1 - x the same offset with the inner nodes reversed.  The
     constructor evaluates the complement window once on those (2P - 1)*k*k
-    offsets and contracts it into the only three distinct miss arrays.
+    offsets and contracts it into the only three distinct miss arrays, one
+    per inner cell and ``reflect``; each side's miss is the cell mass less
+    its in-window part, taken from the complement window directly.
     """
 
     def __init__(self, params: NoiseParams, n_nodes: int, neighbors: int) -> None:
@@ -330,33 +353,25 @@ class _ResidualCellEngine(_CellEngine):
             return 0.5 * by_panel[rows, :, panels].sum(axis=1).ravel()
 
         npz, pz = (c.w * c.f for c in (self.cells[NPZ_CELL], self.cells[PZ_CELL]))
-        self._miss = {
+        contracted = {
             (NPZ_CELL, False): contract(npz),
             (PZ_CELL, False): contract(pz),
             (PZ_CELL, True): contract(pz[::-1]),
         }
-
-    def miss(self, outer_cell: tuple[float, float], bounds: tuple[float, float],
-             window: tuple[float, float], reflect: bool = False) -> np.ndarray:
-        """M(u1) = integral over the cell of F(x) * (1 - window(u1 +/- x)/2) dx.
-
-        The cell mass less the in-window part, taken from the complement
-        window directly.  ``reflect=True`` evaluates the window at u1 - x,
-        which is the even-density image of integrating over the mirrored cell.
-        The array was built with the engine; it depends only on the cell and
-        ``reflect``, because ``window`` is one of the ``_SIDES`` windows
-        centred on the pair's nominal sum and the outer cell shares the
-        inner cell's layout.
-        """
-        return self._miss[bounds, reflect]
+        self._miss = {key: contracted[key[1], key[3]] for key in _MISS_KEYS}
 
 
 class _IntrinsicCellEngine(_CellEngine):
-    """Same interface for the raw (no GKP EC) Gaussian data density.
+    """Cells and miss integrals for the raw (no GKP EC) Gaussian data density.
 
     Cell masses are closed-form erf differences and the inner integrals are
     exact bivariate-normal rectangle probabilities, so the sharp syndrome
-    windows of small ancilla spreads cost nothing in accuracy.
+    windows of small ancilla spreads cost nothing in accuracy.  Each miss is
+    the two out-of-window rectangles of the central window, less the
+    overlaps with the ``neighbors`` translates, kept >= 0.  The constructor
+    stacks every side's window limits on its outer nodes, with the inner
+    cell's bounds repeated per node, so one call takes all central windows
+    and at most one more all translates.
     """
 
     def __init__(self, params: NoiseParams, n_nodes: int, neighbors: int) -> None:
@@ -390,31 +405,32 @@ class _IntrinsicCellEngine(_CellEngine):
             return _Cell(x, w, gauss.pdf(x), mass)
 
         self.cells = {NPZ_CELL: cell(*NPZ_CELL), PZ_CELL: cell(*PZ_CELL)}
-
-    def miss(self, outer_cell: tuple[float, float], bounds: tuple[float, float],
-             window: tuple[float, float], reflect: bool = False) -> np.ndarray:
-        """P(x in cell, u1 +/- x + ancilla outside the window and its translates).
-
-        The two out-of-window rectangles of the central window, less the
-        overlaps with the ``neighbors`` translates, kept >= 0.
-        """
-        lo, hi = window
-        outer_x = self.cells[outer_cell].x
+        outer_x = [self.cells[key[0]].x for key in _MISS_KEYS]
+        sizes = [len(x) for x in outer_x]
+        bounds = tuple(np.repeat([key[1][i] for key in _MISS_KEYS], sizes) for i in (0, 1))
 
         def limits(shift: float) -> tuple[np.ndarray, np.ndarray]:
-            if reflect:
-                return outer_x - (hi + shift), outer_x - (lo + shift)
-            return lo + shift - outer_x, hi + shift - outer_x
+            """Every side's window limits for X at ``shift``, side after side."""
+            sides = [
+                (x - (w_hi + shift), x - (w_lo + shift)) if reflect
+                else (w_lo + shift - x, w_hi + shift - x)
+                for x, (_, _, (w_lo, w_hi), reflect) in zip(outer_x, _MISS_KEYS)
+            ]
+            return tuple(np.concatenate(part) for part in zip(*sides))
 
-        out = gaussian_window_overlap(
-            bounds, *limits(0.0), self.delta, self.dt, outside=True
-        )
-        for t in range(-self.neighbors, self.neighbors + 1):
-            if t:
-                out = out - gaussian_window_overlap(
-                    bounds, *limits(2.0 * t * SQRT_PI), self.delta, self.dt
-                )
-        return np.maximum(out, 0.0)
+        out = gaussian_window_overlap(bounds, *limits(0.0), self.delta, self.dt, outside=True)
+        shifts = [2.0 * t * SQRT_PI for t in range(-neighbors, neighbors + 1) if t]
+        if shifts:
+            lo, hi = zip(*map(limits, shifts))
+            overlap = gaussian_window_overlap(
+                tuple(np.tile(b, len(shifts)) for b in bounds),
+                np.concatenate(lo), np.concatenate(hi), self.delta, self.dt,
+            )
+            # subtracted translate by translate, as one call per side would
+            for part in overlap.reshape(len(shifts), -1):
+                out = out - part
+        out = np.maximum(out, 0.0)
+        self._miss = dict(zip(_MISS_KEYS, np.split(out, np.cumsum(sizes)[:-1])))
 
 
 @dataclass(frozen=True)

@@ -243,13 +243,17 @@ def wigner_point(env: GkpEnvelope, q: float, p: float) -> float:
 
 
 def grid_to_csv(grid: PhaseSpaceGrid, path: str) -> None:
-    """CSV export: header q,p,value with 17 significant digits."""
+    """CSV export: header q,p,value with 17 significant digits.
+
+    Each axis value is formatted once, and each q-row is written with one
+    ``%``-format over its values, so at most one row's text is held at a time.
+    """
+    p_fields = [f"{pv:.17g},%.17g\n" for pv in grid.spec.p_axis().tolist()]
     with open(path, "w", newline="") as handle:
         handle.write("q,p,value\n")
-        q_axis, p_axis = grid.spec.q_axis(), grid.spec.p_axis()
-        for i, qv in enumerate(q_axis):
-            for j, pv in enumerate(p_axis):
-                handle.write(f"{qv:.17g},{pv:.17g},{grid.values[i, j]:.17g}\n")
+        for qv, row in zip(grid.spec.q_axis().tolist(), grid.values):
+            q_field = f"{qv:.17g},"
+            handle.write((q_field + q_field.join(p_fields)) % tuple(row.tolist()))
 
 
 def grid_to_binary(grid: PhaseSpaceGrid, path: str) -> None:

@@ -155,3 +155,22 @@ class TestGaussianWindowOverlap:
             assert out[i] == pytest.approx(
                 self.brute((-0.5, 0.5), lo[i], hi[i], 0.4, 0.2), abs=1e-12
             )
+
+    # sy = 1e-9 puts 1 - rho^2 below float resolution: the interval branch
+    @pytest.mark.parametrize("sy", [0.2, 0.045, 1e-9, 0.0])
+    @pytest.mark.parametrize("outside", [False, True])
+    def test_array_cell_bounds_equal_the_scalar_calls(self, sy, outside):
+        rng = np.random.default_rng(17)
+        cells = [(-HALF_CELL, HALF_CELL), (HALF_CELL, 3 * HALF_CELL), (-0.3, 0.2)]
+        pick = rng.integers(0, len(cells), size=60)
+        a = np.array([cells[i][0] for i in pick])
+        b = np.array([cells[i][1] for i in pick])
+        lo = rng.uniform(-3.0, 2.0, size=60)
+        hi = lo + rng.uniform(0.2, 3.0, size=60)
+        got = gaussian_window_overlap((a, b), lo, hi, 0.5, sy, outside=outside)
+        want = np.array([
+            gaussian_window_overlap((a[i], b[i]), lo[i], hi[i], 0.5, sy, outside=outside)
+            for i in range(60)
+        ])
+        assert got.shape == (60,)
+        assert got.tobytes() == want.tobytes()

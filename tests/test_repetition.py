@@ -418,7 +418,7 @@ class TestBinomialContraction:
     ], ids=["ec", "noec"])
     def test_miss_integrals_built_only_when_used(self, engine_cls, monkeypatch):
         # n = 3 never puts u1' and an inner coordinate both in the PZ cell,
-        # whose two sides would add 2 more; the tensor oracle builds none
+        # whose two sides would add 2 more; the tensor oracle reads none
         _, misses = TestSharedEngines._count_engines(monkeypatch, engine_cls)
         rate = failure_rate if engine_cls is repetition._ResidualCellEngine else failure_rate_no_gkp_ec
         rate(3, NoiseParams(0.5, 0.3))
@@ -564,6 +564,61 @@ class TestMissTable:
         for bounds, cell in engine.cells.items():
             assert cell.x.shape == (n_panels * order,)
             assert np.allclose(cell.x - _centre(bounds), rel.ravel(), rtol=0.0, atol=1e-14)
+
+
+def _per_side_miss(engine, outer_cell, bounds, window, reflect):
+    """A no-EC miss integral from one rectangle call per side and per translate.
+
+    The two out-of-window rectangles of the central window, less the
+    overlaps with the ``neighbors`` translates, kept >= 0.
+    """
+    lo, hi = window
+    outer_x = engine.cells[outer_cell].x
+
+    def limits(shift):
+        if reflect:
+            return outer_x - (hi + shift), outer_x - (lo + shift)
+        return lo + shift - outer_x, hi + shift - outer_x
+
+    out = repetition.gaussian_window_overlap(
+        bounds, *limits(0.0), engine.delta, engine.dt, outside=True
+    )
+    for t in range(-engine.neighbors, engine.neighbors + 1):
+        if t:
+            out = out - repetition.gaussian_window_overlap(
+                bounds, *limits(2.0 * t * repetition.SQRT_PI), engine.delta, engine.dt
+            )
+    return np.maximum(out, 0.0)
+
+
+class TestStackedRectangles:
+    """The no-EC engine takes every side's rectangles in at most two calls."""
+
+    # dt = 1e-9 takes gaussian_window_overlap's interval branch; at
+    # delta = 0.8, dt = 0.6 the translates reach far enough into the cells
+    # that subtracting their sum instead of each in turn changes bits
+    @pytest.mark.parametrize("delta, dt", [
+        *itertools.product((0.3, 0.5), (1e-9, 0.045, 0.3)), (0.8, 0.6),
+    ])
+    def test_matches_one_call_per_side_bit_for_bit(self, delta, dt):
+        for nodes, neighbors in itertools.product((32, 64, 96), (0, 1, 2)):
+            engine = repetition._IntrinsicCellEngine(NoiseParams(delta, dt), nodes, neighbors)
+            for key in repetition._MISS_KEYS:
+                got = engine.miss(*key)
+                want = _per_side_miss(engine, *key)
+                assert got.shape == engine.cells[key[0]].x.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("neighbors", [0, 1, 2])
+    def test_at_most_two_rectangle_calls_per_engine(self, neighbors, monkeypatch):
+        calls = []
+        overlap = repetition.gaussian_window_overlap
+        monkeypatch.setattr(
+            repetition, "gaussian_window_overlap",
+            lambda *args, **kwargs: calls.append(args) or overlap(*args, **kwargs),
+        )
+        repetition._IntrinsicCellEngine(NoiseParams(0.5, 0.2), 64, neighbors)
+        assert len(calls) == (2 if neighbors else 1)
 
 
 class TestRefineRung:

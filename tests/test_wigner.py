@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from gkprep.lattice import SQRT_PI
 from gkprep.wigner import (
     GkpEnvelope,
     GridSpec,
+    PhaseSpaceGrid,
     grid_to_binary,
     grid_to_csv,
     read_binary_grid,
@@ -213,6 +215,43 @@ class TestGridExport:
         q, p, v = (float(t) for t in lines[1].split(","))
         assert (q, p) == (-1.0, -0.5)
         assert v == grid.values[0, 0]
+
+    @staticmethod
+    def _csv_one_line_per_write(grid, path):
+        """The CSV written one f-string per grid point."""
+        with open(path, "w", newline="") as handle:
+            handle.write("q,p,value\n")
+            q_axis, p_axis = grid.spec.q_axis(), grid.spec.p_axis()
+            for i, qv in enumerate(q_axis):
+                for j, pv in enumerate(p_axis):
+                    handle.write(f"{qv:.17g},{pv:.17g},{grid.values[i, j]:.17g}\n")
+
+    def test_csv_matches_one_line_per_write(self, tmp_path):
+        # n_q != n_p, so a swapped q and p axis changes the bytes
+        spec = GridSpec((-1.3, 2.0), (-0.7, 0.45), 5, 7)
+        values = np.random.default_rng(3).normal(size=(5, 7)) * 10.0 ** np.arange(-3, 4)
+        values[0, :4] = (-0.0, 5e-324, 1e300, -1e300)
+        values[1, :3] = (2.0, -7.0, 0.0)
+        grid = PhaseSpaceGrid(spec=spec, values=values)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        grid_to_csv(grid, str(got))
+        self._csv_one_line_per_write(grid, str(want))
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_csv_export_holds_about_one_row(self, tmp_path):
+        # the fig. 1 grid: written row by row it peaks at about 54 kB, and
+        # joined into one string before the write at about 2.05 MB
+        spec = GridSpec((-2 * SQRT_PI, 2 * SQRT_PI), (-2 * SQRT_PI, 2 * SQRT_PI), 129, 129)
+        grid = wigner_physical_zero(GkpEnvelope(0.25, 0.25), spec)
+        path = str(tmp_path / "grid.csv")
+        grid_to_csv(grid, path)
+        tracemalloc.start()
+        try:
+            grid_to_csv(grid, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_binary_round_trip(self, tmp_path):
         env = GkpEnvelope(0.25, 0.25)
