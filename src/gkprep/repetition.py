@@ -410,7 +410,7 @@ class _IntrinsicCellEngine(_CellEngine):
         bounds = tuple(np.repeat([key[1][i] for key in _MISS_KEYS], sizes) for i in (0, 1))
 
         def limits(shift: float) -> tuple[np.ndarray, np.ndarray]:
-            """Every side's window limits for X at ``shift``, side after side."""
+            """Each side's window on inner coordinate plus ancilla at ``shift``, stacked."""
             sides = [
                 (x - (w_hi + shift), x - (w_lo + shift)) if reflect
                 else (w_lo + shift - x, w_hi + shift - x)
