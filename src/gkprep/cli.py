@@ -43,7 +43,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-NUMERICAL_ERRORS = (QuadratureError, TruncationError, AmbiguousCrossingError)
+# OverflowError: a valid but extreme spread overflowing a float, such as
+# --delta-tilde 1e300 in a density or --r 1e-300 in a momentum spread
+NUMERICAL_ERRORS = (QuadratureError, TruncationError, AmbiguousCrossingError, OverflowError)
 
 
 def _emit_json(payload: dict, out: str | None) -> None:

@@ -39,7 +39,7 @@ import numpy as np
 from scipy import special as sp
 
 from .distributions import GaussianDisplacement, NoiseParams, _integral, _store_integers
-from .lattice import is_pauli_zone, nearest_multiple_offset_array
+from .lattice import SQRT_PI, is_pauli_zone, nearest_multiple_offset_array
 from .repetition import CodeSize, _as_size
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -94,6 +94,16 @@ def normal_draws(
     return x
 
 
+# Largest |draw| per unit spread: the smallest uniform, 2**-54, maps to
+# ndtri(2**-54), about -8.3 standard deviations of spread / sqrt(2).
+_DRAW_REACH = float(-sp.ndtri(2.0**-54)) / math.sqrt(2.0)
+
+# Below this |x| the cell index floor(x / sqrt(pi) + 1/2) of a displacement
+# is exact; beyond it the rounding loses the index's parity, and past the
+# int64 range its cast is undefined.
+_EXACT_CELL_RANGE = 2.0**52 * SQRT_PI
+
+
 class Mode(Enum):
     POSITION_ONLY = "position"
     BIASED_FULL = "biased"
@@ -105,7 +115,9 @@ class ShotConfig:
 
     ``mode`` is a :class:`Mode` or its value (``"biased"``); ``shots`` and
     ``seed`` follow ``CodeSize``'s integer rule; ``gkp_ec`` must be a
-    ``bool``.  Any other value raises ``ValueError``.
+    ``bool``.  Any other value raises ``ValueError``, and so does a spread
+    whose draws can reach a value beyond ``_EXACT_CELL_RANGE``, where its
+    zone could no longer be told.
     """
 
     n: int | CodeSize
@@ -125,6 +137,18 @@ class ShotConfig:
             raise ValueError("shots must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        # a syndrome sums two residuals, each within sqrt(pi)/2 of its data
+        # draw, and an alpha draw; a momentum draw is classified as it is
+        spreads = [2.0 * self.position_spread + self.params.delta_tilde]
+        if self.mode is Mode.BIASED_FULL:
+            spreads += self.params.biased_momentum_spreads(self.n.n)
+        reach = _DRAW_REACH * max(spreads) + SQRT_PI
+        if not reach < _EXACT_CELL_RANGE:
+            raise ValueError(
+                f"spreads this large draw displacements up to {reach:.3g}, beyond "
+                f"{_EXACT_CELL_RANGE:.3g}, where the Monte Carlo can no longer tell "
+                f"their zones"
+            )
 
     @property
     def position_spread(self) -> float:

@@ -54,12 +54,12 @@ one of (2P - 1) * k^2 offsets from the window centre (P panels of k nodes)
 rather than at (P * k)^2.  One matrix product per inner cell and sign turns
 that table into the engine's three miss arrays.  The no-EC engine takes
 exact bivariate-normal rectangles instead, stacked over all six sides: one
-call for the central windows and one for all their translates.  Both
-engines build their miss arrays when they are built and keep the
-log(1 - M/a) they derive, and inside :func:`shared_engines` (one ``gkprep``
-command, one crossing search) the engines and the overweight tail of a
-noise point are built once and reused by every code size and by both sides
-of a crossing.  Every call still contracts the blocks at both node counts
+call for the central windows and one for all their translates.  Each
+engine is one frozen, read-only :class:`_Engine` record that its builder
+fills in one pass: cells, miss arrays and the log(1 - M/a) they give.
+Inside :func:`shared_engines` (one ``gkprep`` command, one crossing
+search) the engines and the overweight tail of a noise point are built
+once and reused by every code size and by both sides of a crossing.  Every call still contracts the blocks at both node counts
 and checks the refine certificate: the blocks are re-evaluated at 1.5x the
 node count (2x where the budget floors give 1.5x no more nodes in some
 cell) and the largest per-case gap must be within ``_ABS_TOL``.
@@ -262,57 +262,50 @@ class _Cell:
     mass: float
 
 
-class _CellEngine:
-    """Cells of one density at one node count, and their miss integrals.
+@dataclass(frozen=True)
+class _Engine:
+    """Cells of one density at one node count, their miss integrals and log(1 - M/a).
 
-    Subclasses fill ``cells`` (the NPZ_CELL and PZ_CELL bounds mapped to
-    their :class:`_Cell`) and ``_miss`` (each of the ``_MISS_KEYS`` mapped to
-    its miss integral on the outer cell's nodes) when they are built.
-    ``log_keep`` memoizes what it derives from ``miss``, which does not
-    depend on the code size.
+    ``cells`` maps NPZ_CELL and PZ_CELL to their :class:`_Cell`.  ``miss``
+    maps each (outer cell, inner cell, window, reflect) of ``_MISS_KEYS`` to
+    M(u1) = P(x in cell, u1 +/- x + ancilla outside the window and its
+    translates) on the outer nodes u1; ``reflect`` puts the window at u1 - x,
+    the even-density image of the mirrored cell.  ``log_keep`` maps each
+    ``_SIDES`` key to log(1 - M/a), -inf where the cell misses entirely, with
+    the side ratios clipped to [0, 1] before they are averaged.  None of it
+    depends on the code size.  :func:`_residual_engine` and
+    :func:`_intrinsic_engine` build it in one pass; its arrays are read-only,
+    because :func:`shared_engines` hands one engine to many rate calls.
     """
 
     cells: dict[tuple[float, float], _Cell]
-    _miss: dict[tuple, np.ndarray]
-
-    def __init__(self, params: NoiseParams, neighbors: int) -> None:
-        self.dt = params.delta_tilde
-        self.neighbors = neighbors
-        self._log_keep: dict[tuple, np.ndarray] = {}
-
-    def miss(self, outer_cell: tuple[float, float], cell: tuple[float, float],
-             window: tuple[float, float], reflect: bool = False) -> np.ndarray:
-        """M(u1) = P(x in cell, u1 +/- x + ancilla outside the window and its translates).
-
-        On the outer cell's nodes u1; ``reflect=True`` takes the window at
-        u1 - x, the even-density image of integrating over the mirrored
-        cell.  The engine built the array for each ``_SIDES`` side.
-        """
-        return self._miss[outer_cell, cell, window, reflect]
-
-    def log_keep(self, outer_cell: tuple[float, float], cell: tuple[float, float]) -> np.ndarray:
-        """log(1 - M/a) on the outer nodes; -inf where the cell misses entirely.
-
-        The miss ratio is the mean over the ``_SIDES`` of ``cell`` seen from
-        ``outer_cell``, each ratio clipped to [0, 1] before the mean is taken.
-        """
-        key = (outer_cell, cell)
-        if key not in self._log_keep:
-            sides = _SIDES[key]
-            mass = self.cells[cell].mass
-            if mass > 0.0:
-                ratio = sum(
-                    np.clip(self.miss(outer_cell, cell, window, reflect) / mass, 0.0, 1.0)
-                    for window, reflect in sides
-                ) / len(sides)
-            else:
-                ratio = np.zeros_like(self.cells[outer_cell].x)
-            with np.errstate(divide="ignore"):
-                self._log_keep[key] = np.log1p(-ratio)
-        return self._log_keep[key]
+    miss: dict[tuple, np.ndarray]
+    log_keep: dict[tuple, np.ndarray]
+    dt: float
+    neighbors: int
 
 
-class _ResidualCellEngine(_CellEngine):
+def _finish_engine(cells: dict, miss: dict, dt: float, neighbors: int) -> _Engine:
+    """The read-only :class:`_Engine` of ``cells`` and ``miss``, every ``log_keep`` derived."""
+    log_keep = {}
+    for (outer_cell, cell), sides in _SIDES.items():
+        mass = cells[cell].mass
+        if mass > 0.0:
+            ratio = sum(
+                np.clip(miss[outer_cell, cell, window, reflect] / mass, 0.0, 1.0)
+                for window, reflect in sides
+            ) / len(sides)
+        else:
+            ratio = np.zeros_like(cells[outer_cell].x)
+        with np.errstate(divide="ignore"):
+            log_keep[outer_cell, cell] = np.log1p(-ratio)
+    cell_arrays = (a for c in cells.values() for a in (c.x, c.w, c.f))
+    for a in itertools.chain(miss.values(), log_keep.values(), cell_arrays):
+        a.flags.writeable = False
+    return _Engine(cells, miss, log_keep, dt, neighbors)
+
+
+def _residual_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
     """Per-cell nodes, densities and inner integrals for the post-EC density.
 
     Both cells share the :func:`peaked_cell_layout` of P panels of half-width
@@ -322,115 +315,112 @@ class _ResidualCellEngine(_CellEngine):
     and inner node (q, j) therefore put u1 + x at 2*hw*(p + q + 1 - P) +
     hw*(t_i + t_j) from the window centre, and t_{k-1-j} = -t_j makes the
     reflected u1 - x the same offset with the inner nodes reversed.  The
-    constructor evaluates the complement window once on those (2P - 1)*k*k
-    offsets and contracts it into the only three distinct miss arrays, one
-    per inner cell and ``reflect``; each side's miss is the cell mass less
-    its in-window part, taken from the complement window directly.
+    complement window is evaluated once on those (2P - 1)*k*k offsets and
+    contracted into the only three distinct miss arrays, one per inner cell
+    and ``reflect``; each side's miss is the cell mass less its in-window
+    part, taken from the complement window directly.
     """
+    dt = params.delta_tilde
+    dist = ResidualDistribution(params.delta, dt)
 
-    def __init__(self, params: NoiseParams, n_nodes: int, neighbors: int) -> None:
-        super().__init__(params, neighbors)
-        dist = ResidualDistribution(params.delta, params.delta_tilde)
+    def cell(center: float) -> _Cell:
+        x, w = peaked_cell_nodes(center, HALF_CELL, dt, n_nodes)
+        f = dist.density(x)
+        return _Cell(x, w, f, float(np.dot(w, f)))
 
-        def cell(center: float) -> _Cell:
-            x, w = peaked_cell_nodes(center, HALF_CELL, self.dt, n_nodes)
-            f = dist.density(x)
-            return _Cell(x, w, f, float(np.dot(w, f)))
+    cells = {NPZ_CELL: cell(0.0), PZ_CELL: cell(SQRT_PI)}
+    reach, n_panels, order = peaked_cell_layout(HALF_CELL, dt, n_nodes)
+    hw = reach / n_panels
+    t = _leggauss(order)[0]
+    d = np.arange(1 - n_panels, n_panels)
+    offsets = 2.0 * hw * d[:, None, None] + hw * (t[:, None] + t[None, :])
+    table = _window_complement(offsets, (-HALF_CELL, HALF_CELL), dt, neighbors)
+    # outer panel p meets inner panel q at table row p + q
+    panels = np.arange(n_panels)
+    rows = panels[:, None] + panels[None, :]
 
-        self.cells = {NPZ_CELL: cell(0.0), PZ_CELL: cell(SQRT_PI)}
-        reach, n_panels, order = peaked_cell_layout(HALF_CELL, self.dt, n_nodes)
-        hw = reach / n_panels
-        t = _leggauss(order)[0]
-        d = np.arange(1 - n_panels, n_panels)
-        offsets = 2.0 * hw * d[:, None, None] + hw * (t[:, None] + t[None, :])
-        table = _window_complement(offsets, (-HALF_CELL, HALF_CELL), self.dt, neighbors)
-        # outer panel p meets inner panel q at table row p + q
-        panels = np.arange(n_panels)
-        rows = panels[:, None] + panels[None, :]
+    def contract(g: np.ndarray) -> np.ndarray:
+        by_panel = table @ g.reshape(n_panels, order).T
+        return 0.5 * by_panel[rows, :, panels].sum(axis=1).ravel()
 
-        def contract(g: np.ndarray) -> np.ndarray:
-            by_panel = table @ g.reshape(n_panels, order).T
-            return 0.5 * by_panel[rows, :, panels].sum(axis=1).ravel()
-
-        npz, pz = (c.w * c.f for c in (self.cells[NPZ_CELL], self.cells[PZ_CELL]))
-        contracted = {
-            (NPZ_CELL, False): contract(npz),
-            (PZ_CELL, False): contract(pz),
-            (PZ_CELL, True): contract(pz[::-1]),
-        }
-        self._miss = {key: contracted[key[1], key[3]] for key in _MISS_KEYS}
+    npz, pz = (c.w * c.f for c in (cells[NPZ_CELL], cells[PZ_CELL]))
+    contracted = {
+        (NPZ_CELL, False): contract(npz),
+        (PZ_CELL, False): contract(pz),
+        (PZ_CELL, True): contract(pz[::-1]),
+    }
+    miss = {key: contracted[key[1], key[3]] for key in _MISS_KEYS}
+    return _finish_engine(cells, miss, dt, neighbors)
 
 
-class _IntrinsicCellEngine(_CellEngine):
+def _intrinsic_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
     """Cells and miss integrals for the raw (no GKP EC) Gaussian data density.
 
     Cell masses are closed-form erf differences and the inner integrals are
     exact bivariate-normal rectangle probabilities, so the sharp syndrome
     windows of small ancilla spreads cost nothing in accuracy.  Each miss is
     the two out-of-window rectangles of the central window, less the
-    overlaps with the ``neighbors`` translates, kept >= 0.  The constructor
-    stacks every side's window limits on its outer nodes, with the inner
-    cell's bounds repeated per node, so one call takes all central windows
-    and at most one more all translates.
+    overlaps with the ``neighbors`` translates, kept >= 0.  Every side's
+    window limits are stacked on its outer nodes, with the inner cell's
+    bounds repeated per node, so one call takes all central windows and at
+    most one more all translates.
     """
+    delta, dt = params.delta, params.delta_tilde
+    gauss = GaussianDisplacement(delta)
+    scale = max(delta / 2.0, (2.0 * HALF_CELL) / (n_nodes // 4))
 
-    def __init__(self, params: NoiseParams, n_nodes: int, neighbors: int) -> None:
-        super().__init__(params, neighbors)
-        self.delta = params.delta
-        gauss = GaussianDisplacement(params.delta)
-        scale = max(params.delta / 2.0, (2.0 * HALF_CELL) / (n_nodes // 4))
+    def cell(lo: float, hi: float) -> _Cell:
+        # the syndrome-window transitions sweep past the cell edges when
+        # the outer variable crosses the cell centre, kinking the inner
+        # integrals there over a width of a few ancilla spreads; an own
+        # panel around the centre keeps the outer rule spectrally
+        # accurate even for sharp windows
+        mid = 0.5 * (lo + hi)
+        half = min(8.0 * dt, 0.25 * (hi - lo))
+        if half > 0.0:
+            edges = [lo, mid - half, mid + half, hi]
+            scales = [scale, max(dt, 1e-300), scale]
+        else:
+            edges = [lo, mid, hi]
+            scales = [scale, scale]
+        budget = max(n_nodes // len(scales), 8)
+        parts = [
+            smooth_cell_nodes(a, b, s, budget)
+            for a, b, s in zip(edges, edges[1:], scales)
+        ]
+        x = np.concatenate([p[0] for p in parts])
+        w = np.concatenate([p[1] for p in parts])
+        mass = 0.5 * (math.erf(hi / delta) - math.erf(lo / delta))
+        return _Cell(x, w, gauss.pdf(x), mass)
 
-        def cell(lo: float, hi: float) -> _Cell:
-            # the syndrome-window transitions sweep past the cell edges when
-            # the outer variable crosses the cell centre, kinking the inner
-            # integrals there over a width of a few ancilla spreads; an own
-            # panel around the centre keeps the outer rule spectrally
-            # accurate even for sharp windows
-            mid = 0.5 * (lo + hi)
-            half = min(8.0 * self.dt, 0.25 * (hi - lo))
-            if half > 0.0:
-                edges = [lo, mid - half, mid + half, hi]
-                scales = [scale, max(self.dt, 1e-300), scale]
-            else:
-                edges = [lo, mid, hi]
-                scales = [scale, scale]
-            budget = max(n_nodes // len(scales), 8)
-            parts = [
-                smooth_cell_nodes(a, b, s, budget)
-                for a, b, s in zip(edges, edges[1:], scales)
-            ]
-            x = np.concatenate([p[0] for p in parts])
-            w = np.concatenate([p[1] for p in parts])
-            mass = 0.5 * (math.erf(hi / self.delta) - math.erf(lo / self.delta))
-            return _Cell(x, w, gauss.pdf(x), mass)
+    cells = {NPZ_CELL: cell(*NPZ_CELL), PZ_CELL: cell(*PZ_CELL)}
+    outer_x = [cells[key[0]].x for key in _MISS_KEYS]
+    sizes = [len(x) for x in outer_x]
+    bounds = tuple(np.repeat([key[1][i] for key in _MISS_KEYS], sizes) for i in (0, 1))
 
-        self.cells = {NPZ_CELL: cell(*NPZ_CELL), PZ_CELL: cell(*PZ_CELL)}
-        outer_x = [self.cells[key[0]].x for key in _MISS_KEYS]
-        sizes = [len(x) for x in outer_x]
-        bounds = tuple(np.repeat([key[1][i] for key in _MISS_KEYS], sizes) for i in (0, 1))
+    def limits(shift: float) -> tuple[np.ndarray, np.ndarray]:
+        """Each side's window on inner coordinate plus ancilla at ``shift``, stacked."""
+        sides = [
+            (x - (w_hi + shift), x - (w_lo + shift)) if reflect
+            else (w_lo + shift - x, w_hi + shift - x)
+            for x, (_, _, (w_lo, w_hi), reflect) in zip(outer_x, _MISS_KEYS)
+        ]
+        return tuple(np.concatenate(part) for part in zip(*sides))
 
-        def limits(shift: float) -> tuple[np.ndarray, np.ndarray]:
-            """Each side's window on inner coordinate plus ancilla at ``shift``, stacked."""
-            sides = [
-                (x - (w_hi + shift), x - (w_lo + shift)) if reflect
-                else (w_lo + shift - x, w_hi + shift - x)
-                for x, (_, _, (w_lo, w_hi), reflect) in zip(outer_x, _MISS_KEYS)
-            ]
-            return tuple(np.concatenate(part) for part in zip(*sides))
-
-        out = gaussian_window_overlap(bounds, *limits(0.0), self.delta, self.dt, outside=True)
-        shifts = [2.0 * t * SQRT_PI for t in range(-neighbors, neighbors + 1) if t]
-        if shifts:
-            lo, hi = zip(*map(limits, shifts))
-            overlap = gaussian_window_overlap(
-                tuple(np.tile(b, len(shifts)) for b in bounds),
-                np.concatenate(lo), np.concatenate(hi), self.delta, self.dt,
-            )
-            # subtracted translate by translate, as one call per side would
-            for part in overlap.reshape(len(shifts), -1):
-                out = out - part
-        out = np.maximum(out, 0.0)
-        self._miss = dict(zip(_MISS_KEYS, np.split(out, np.cumsum(sizes)[:-1])))
+    out = gaussian_window_overlap(bounds, *limits(0.0), delta, dt, outside=True)
+    shifts = [2.0 * t * SQRT_PI for t in range(-neighbors, neighbors + 1) if t]
+    if shifts:
+        lo, hi = zip(*map(limits, shifts))
+        overlap = gaussian_window_overlap(
+            tuple(np.tile(b, len(shifts)) for b in bounds),
+            np.concatenate(lo), np.concatenate(hi), delta, dt,
+        )
+        # subtracted translate by translate, as one call per side would
+        for part in overlap.reshape(len(shifts), -1):
+            out = out - part
+    out = np.maximum(out, 0.0)
+    miss = dict(zip(_MISS_KEYS, np.split(out, np.cumsum(sizes)[:-1])))
+    return _finish_engine(cells, miss, dt, neighbors)
 
 
 @dataclass(frozen=True)
@@ -492,7 +482,7 @@ def _case_blocks(m: int, n: int) -> tuple[_BlockSpec, ...]:
     return tuple(blocks)
 
 
-def _factorized_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
+def _factorized_cases(engine: _Engine, size: CodeSize) -> list[float]:
     """Per-flip-count contributions via the 1-D reduction over u1'.
 
     Flip count m has two blocks: qubit 1 flipped (u1' folded into the
@@ -513,7 +503,7 @@ def _factorized_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
         for count, cell in ((pz_count, PZ_CELL), (npz_count, NPZ_CELL)):
             if count:
                 full = (len(_SIDES[outer_cell, cell]) * engine.cells[cell].mass) ** count
-                log_b = count * engine.log_keep(outer_cell, cell)
+                log_b = count * engine.log_keep[outer_cell, cell]
                 groups.append((full, -full * np.expm1(log_b), full * np.exp(log_b)))
         # the telescoped sum, accumulated from the last group down
         full, value, _ = groups[-1]
@@ -557,7 +547,7 @@ def _multisets(n_nodes: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, multiplicity
 
 
-def _tensor_cases(engine: _CellEngine, size: CodeSize) -> list[float]:
+def _tensor_cases(engine: _Engine, size: CodeSize) -> list[float]:
     """Direct grid summation of the block integrands (independent oracle).
 
     Sums the pointwise failure probability -expm1(sum_k log1p(-q_k/2)) over
@@ -647,11 +637,11 @@ def _shared(key: tuple, build: Callable[[], Any]) -> Any:
     return memo[key]
 
 
-def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int, neighbors: int) -> _CellEngine:
-    engine = _ResidualCellEngine if gkp_ec else _IntrinsicCellEngine
+def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
+    build = _residual_engine if gkp_ec else _intrinsic_engine
     return _shared(
         ("engine", gkp_ec, params.delta, params.delta_tilde, n_nodes, neighbors),
-        lambda: engine(params, n_nodes, neighbors),
+        lambda: build(params, n_nodes, neighbors),
     )
 
 
@@ -688,7 +678,11 @@ def _failure_rate_impl(
                 f"or use the factorized method"
             )
         if size.n == 5 and max(len(cell.x) for cell in engine.cells.values()) > 40:
-            raise ValueError("tensor with n=5 allows at most 40 nodes per cell")
+            raise ValueError(
+                "tensor with n=5 allows at most 40 nodes per cell; the no-EC "
+                "engine builds at least 48 at every nodes_per_dim, so its n=5 "
+                "tensor route cannot run"
+            )
         return _breakdown(_tensor_cases(engine, size), tail, size)
 
     # the check certifies nothing unless the fine rule has more nodes in

@@ -72,18 +72,39 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "numerical" in proc.stderr
 
+    @pytest.mark.parametrize("args", [
+        "rate --quantity pfail --n 3 --delta 0.5 --delta-tilde 0.2 --r 1e-300",
+        "rate --quantity pfrep --n 3 --delta 0.5 --delta-tilde 1e300",
+        "rate --quantity pf --delta 0.5 --delta-tilde 1e200",
+        "rate --quantity pfrep-noec --n 3 --delta 0.5 --delta-tilde 1e300",
+        "mc --n 3 --delta 0.5 --r 1e-300 --mode biased --shots 10",
+    ])
+    def test_float_overflow_is_three(self, args):
+        # valid but extreme spreads overflow a float inside the computation
+        proc = run_cli(*args.split(), check=False)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure:")
+
+    @pytest.mark.parametrize("spread", ["--delta", "--delta-tilde"])
+    def test_mc_spread_beyond_the_exact_cell_range_is_two(self, spread):
+        args = ["mc", "--n", "3", "--delta", "0.5", "--shots", "10", spread, "1e17"]
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 2
+        assert "can no longer tell their zones" in proc.stderr
+
 
 class TestEngineLifetime:
     @pytest.mark.parametrize("nodes, code", [("64", 0), ("16", 3)])
     def test_no_engine_outlives_main(self, nodes, code, monkeypatch, capsys):
         engines = []
-        init = repetition._ResidualCellEngine.__init__
+        build = repetition._residual_engine
 
-        def recording_init(self, *args):
-            engines.append(weakref.ref(self))
-            init(self, *args)
+        def recording_build(*args):
+            engine = build(*args)
+            engines.append(weakref.ref(engine))
+            return engine
 
-        monkeypatch.setattr(repetition._ResidualCellEngine, "__init__", recording_init)
+        monkeypatch.setattr(repetition, "_residual_engine", recording_build)
         argv = [
             "rate", "--quantity", "pfrep", "--n", "3", "--delta", "0.5",
             "--delta-tilde", "0.3", "--nodes", nodes,

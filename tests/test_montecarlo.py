@@ -291,6 +291,18 @@ class TestRunTally:
         with pytest.raises(ValueError):
             ShotConfig(3, NoiseParams(0.5, 0.2), shots=0)
 
+    def test_huge_spreads_tally_or_are_rejected(self):
+        # every cell is about equally likely at delta = 1e6, so each qubit
+        # flips with probability 1/2 and so does the majority vote; at
+        # 1e15-1e19 the int64 cell index gave 0.504, 0.173 and 0.0019
+        tally = run_tally(ShotConfig(3, NoiseParams(1e6, 0.2), shots=20_000, seed=1))
+        assert abs(tally.rate - 0.5) < 4.0 * tally.std_err
+        for params in (NoiseParams(1e17, 0.2), NoiseParams(0.5, 1e17)):
+            with pytest.raises(ValueError, match="can no longer tell their zones"):
+                ShotConfig(3, params, shots=10)
+        with pytest.raises(ValueError, match="can no longer tell their zones"):
+            ShotConfig(3, NoiseParams(0.5, 0.2, r=1e-20), shots=10, mode="biased")
+
     @pytest.mark.parametrize("partitions", [0, -5, 2.5, True])
     def test_partitions_must_be_an_integer_of_at_least_one(self, partitions):
         cfg = ShotConfig(3, NoiseParams(0.5, 0.2), shots=100)

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -110,3 +111,23 @@ def test_benchmark_trace_callback_span_nests_in_run_tally(monkeypatch, tmp_path)
         and spans[s.parent].name == "montecarlo.run_tally"
     ]
     assert nested
+
+
+def test_readme_examples_run(monkeypatch, tmp_path):
+    # a renamed or removed flag, or a run-file field the code no longer
+    # takes, would leave the README's examples failing for its readers
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [
+        shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()
+    ]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) == 12 and all(argv[0] == "gkprep" for argv in commands)
+    parser = gkprep.cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
+    run_file = re.search(r"```json\n(\{\n  \"schema_version\".*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(run_file)
+    assert gkprep.cli.main(["sweep", "--spec", "run.json"]) == 0
+    assert (tmp_path / json.loads(run_file)["sweep"]["output"]).is_file()

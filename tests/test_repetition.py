@@ -1,9 +1,9 @@
+import dataclasses
 import functools
 import itertools
 import math
 import time
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -250,6 +250,17 @@ class TestFailureRateNoGkpEc:
         for (_, got), (_, want) in zip(tiny, sharp):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("nodes", [8, 16, 24, 32])
+    def test_tensor_cannot_run_at_n5(self, nodes):
+        # the budget floors build at least 48 nodes per no-EC cell, above
+        # the n = 5 cap of 40, at every nodes_per_dim
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at least 48"):
+            failure_rate_no_gkp_ec(
+                5, NoiseParams(0.5, 0.3), QuadratureConfig(nodes_per_dim=nodes, method="tensor")
+            )
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("dt", [0.0, 1e-3, 1e-2])
     def test_tensor_rejects_sharp_windows(self, dt):
         # fixed nodes cannot integrate windows that move with u1' and are
@@ -268,22 +279,17 @@ class TestFailureRateNoGkpEc:
 
 class TestSharedEngines:
     @staticmethod
-    def _count_engines(monkeypatch, engine_cls=repetition._ResidualCellEngine):
-        """Record each built engine's node count and count its miss calls."""
-        built, misses = [], Counter()
-        init, miss = engine_cls.__init__, engine_cls.miss
+    def _count_engines(monkeypatch, builder="_residual_engine"):
+        """Record each built engine's node count."""
+        built = []
+        build = getattr(repetition, builder)
 
-        def counting_init(self, params, n_nodes, neighbors):
+        def counting_build(params, n_nodes, neighbors):
             built.append(n_nodes)
-            init(self, params, n_nodes, neighbors)
+            return build(params, n_nodes, neighbors)
 
-        def counting_miss(self, *args):
-            misses[id(self)] += 1
-            return miss(self, *args)
-
-        monkeypatch.setattr(engine_cls, "__init__", counting_init)
-        monkeypatch.setattr(engine_cls, "miss", counting_miss)
-        return built, misses
+        monkeypatch.setattr(repetition, builder, counting_build)
+        return built
 
     @pytest.mark.parametrize("rate", [failure_rate, failure_rate_no_gkp_ec])
     def test_per_case_values_identical_inside_and_outside_a_scope(self, rate):
@@ -304,7 +310,7 @@ class TestSharedEngines:
         assert shared == fresh
 
     def test_one_engine_pair_per_noise_point(self, monkeypatch):
-        built, misses = self._count_engines(monkeypatch)
+        built = self._count_engines(monkeypatch)
         tails = []
         tail = repetition.pauli_rate_physical
         monkeypatch.setattr(
@@ -314,11 +320,10 @@ class TestSharedEngines:
             for n in (3, 5, 7, 9):
                 failure_rate(n, NoiseParams(0.5, 0.2))
         assert sorted(built) == [64, 96]
-        assert len(misses) == 2 and max(misses.values()) <= 6
         assert len(tails) == 1
 
     def test_nested_scope_joins_the_outer_one(self, monkeypatch):
-        built, _ = self._count_engines(monkeypatch, repetition._IntrinsicCellEngine)
+        built = self._count_engines(monkeypatch, "_intrinsic_engine")
         with shared_engines():
             failure_rate_no_gkp_ec(3, NoiseParams(0.5, 0.2))
             with shared_engines():
@@ -327,13 +332,13 @@ class TestSharedEngines:
         assert sorted(built) == [64, 96]
 
     def test_fresh_engines_outside_a_scope(self, monkeypatch):
-        built, _ = self._count_engines(monkeypatch)
+        built = self._count_engines(monkeypatch)
         for n in (3, 5):
             failure_rate(n, NoiseParams(0.5, 0.2))
         assert sorted(built) == [64, 64, 96, 96]
 
     def test_oldest_entries_dropped_at_the_cap(self, monkeypatch):
-        built, _ = self._count_engines(monkeypatch)
+        built = self._count_engines(monkeypatch)
         monkeypatch.setattr(repetition, "_SHARED_MAX", 3)
         with shared_engines():
             # each point holds a coarse engine, a fine engine and a tail
@@ -343,7 +348,7 @@ class TestSharedEngines:
 
     def test_certificate_checked_on_a_memo_hit(self, monkeypatch):
         # 16 nodes per cell cannot certify 1e-8 at dt = 0.3
-        built, _ = self._count_engines(monkeypatch)
+        built = self._count_engines(monkeypatch)
         cfg = QuadratureConfig(nodes_per_dim=16)
         with shared_engines():
             for n in (3, 3, 5):
@@ -375,7 +380,7 @@ def _class_sum_cases(engine, n):
             for count, cell, window, reflect in block.factors:
                 mass = engine.cells[cell].mass
                 full = mass ** count
-                miss = engine.miss(block.outer_cell, cell, window, reflect)
+                miss = engine.miss[block.outer_cell, cell, window, reflect]
                 ratio = np.clip(miss / mass, 0.0, 1.0) if mass > 0.0 else 0.0 * miss
                 with np.errstate(divide="ignore"):
                     log_b = count * np.log1p(-ratio)
@@ -390,6 +395,21 @@ def _class_sum_cases(engine, n):
     return cases
 
 
+class TestEngineRecord:
+    @pytest.mark.parametrize("gkp_ec", [True, False], ids=["ec", "noec"])
+    def test_every_array_is_read_only(self, gkp_ec):
+        # shared_engines hands one engine to every rate call of a block
+        engine = repetition._make_engine(gkp_ec, NoiseParams(0.5, 0.2), 64, 1)
+        arrays = [a for c in engine.cells.values() for a in (c.x, c.w, c.f)]
+        arrays += [*engine.miss.values(), *engine.log_keep.values()]
+        assert len(arrays) == 6 + len(repetition._MISS_KEYS) + len(repetition._SIDES)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            engine.dt = 0.3
+
+
 class TestBinomialContraction:
     @pytest.mark.parametrize("gkp_ec", [True, False], ids=["ec", "noec"])
     @pytest.mark.parametrize("neighbors", [0, 1])
@@ -401,31 +421,25 @@ class TestBinomialContraction:
             want = _class_sum_cases(engine, n)
             assert all(abs(g - w) <= 1e-15 * abs(w) for g, w in zip(got, want))
 
-    @pytest.mark.parametrize("engine_cls", [
-        repetition._ResidualCellEngine, repetition._IntrinsicCellEngine,
-    ], ids=["ec", "noec"])
-    def test_six_miss_integrals_per_engine(self, engine_cls, monkeypatch):
-        built, misses = TestSharedEngines._count_engines(monkeypatch, engine_cls)
-        rate = failure_rate if engine_cls is repetition._ResidualCellEngine else failure_rate_no_gkp_ec
+    @pytest.mark.parametrize("builder", ["_residual_engine", "_intrinsic_engine"], ids=["ec", "noec"])
+    def test_six_miss_integrals_per_engine(self, builder, monkeypatch):
+        built = TestSharedEngines._count_engines(monkeypatch, builder)
+        rate = failure_rate if builder == "_residual_engine" else failure_rate_no_gkp_ec
         with shared_engines():
             for n in (3, 5, 7, 9, 15):
                 rate(n, NoiseParams(0.5, 0.2))
         assert sorted(built) == [64, 96]
-        assert sorted(misses.values()) == [6, 6]
 
-    @pytest.mark.parametrize("engine_cls", [
-        repetition._ResidualCellEngine, repetition._IntrinsicCellEngine,
-    ], ids=["ec", "noec"])
-    def test_miss_integrals_built_only_when_used(self, engine_cls, monkeypatch):
-        # n = 3 never puts u1' and an inner coordinate both in the PZ cell,
-        # whose two sides would add 2 more; the tensor oracle reads none
-        _, misses = TestSharedEngines._count_engines(monkeypatch, engine_cls)
-        rate = failure_rate if engine_cls is repetition._ResidualCellEngine else failure_rate_no_gkp_ec
+    @pytest.mark.parametrize("builder", ["_residual_engine", "_intrinsic_engine"], ids=["ec", "noec"])
+    def test_miss_integrals_built_only_when_used(self, builder, monkeypatch):
+        # the tensor oracle builds its own engine and no refine engine
+        built = TestSharedEngines._count_engines(monkeypatch, builder)
+        rate = failure_rate if builder == "_residual_engine" else failure_rate_no_gkp_ec
         rate(3, NoiseParams(0.5, 0.3))
-        assert sorted(misses.values()) == [4, 4]
-        misses.clear()
+        assert built == [64, 96]
+        built.clear()
         rate(3, NoiseParams(0.5, 0.3), QuadratureConfig(nodes_per_dim=32, method="tensor"))
-        assert not misses
+        assert built == [32]
 
 
 def _full_grid_cases(engine, n):
@@ -523,14 +537,14 @@ class TestMissTable:
         for delta, nodes, neighbors in itertools.product(
             (0.3, 0.5, 0.8), (8, 16, 24, 64, 96, 128), (0, 1, 2)
         ):
-            engine = repetition._ResidualCellEngine(NoiseParams(delta, dt), nodes, neighbors)
+            engine = repetition._residual_engine(NoiseParams(delta, dt), nodes, neighbors)
             for (outer_cell, cell), sides in repetition._SIDES.items():
                 outer_x, inner = engine.cells[outer_cell].x, engine.cells[cell]
                 for window, reflect in sides:
                     arg = outer_x[:, None] + (-1.0 if reflect else 1.0) * inner.x[None, :]
                     q = repetition._window_complement(arg, window, dt, neighbors)
                     want = 0.5 * (q @ (inner.w * inner.f))
-                    got = engine.miss(outer_cell, cell, window, reflect)
+                    got = engine.miss[outer_cell, cell, window, reflect]
                     assert np.array_equal(got == 0.0, want == 0.0)
                     big = want > 1e-290
                     assert np.all(np.abs(got[big] - want[big]) <= 1e-11 * want[big])
@@ -556,7 +570,7 @@ class TestMissTable:
     @pytest.mark.parametrize("dt", [0.01, 0.08, 0.35])
     @pytest.mark.parametrize("nodes", [8, 64, 96])
     def test_both_cells_share_one_panel_layout(self, dt, nodes):
-        engine = repetition._ResidualCellEngine(NoiseParams(0.5, dt), nodes, 0)
+        engine = repetition._residual_engine(NoiseParams(0.5, dt), nodes, 0)
         reach, n_panels, order = repetition.peaked_cell_layout(repetition.HALF_CELL, dt, nodes)
         hw = reach / n_panels
         t, _ = np.polynomial.legendre.leggauss(order)
@@ -566,7 +580,7 @@ class TestMissTable:
             assert np.allclose(cell.x - _centre(bounds), rel.ravel(), rtol=0.0, atol=1e-14)
 
 
-def _per_side_miss(engine, outer_cell, bounds, window, reflect):
+def _per_side_miss(engine, delta, outer_cell, bounds, window, reflect):
     """A no-EC miss integral from one rectangle call per side and per translate.
 
     The two out-of-window rectangles of the central window, less the
@@ -581,12 +595,12 @@ def _per_side_miss(engine, outer_cell, bounds, window, reflect):
         return lo + shift - outer_x, hi + shift - outer_x
 
     out = repetition.gaussian_window_overlap(
-        bounds, *limits(0.0), engine.delta, engine.dt, outside=True
+        bounds, *limits(0.0), delta, engine.dt, outside=True
     )
     for t in range(-engine.neighbors, engine.neighbors + 1):
         if t:
             out = out - repetition.gaussian_window_overlap(
-                bounds, *limits(2.0 * t * repetition.SQRT_PI), engine.delta, engine.dt
+                bounds, *limits(2.0 * t * repetition.SQRT_PI), delta, engine.dt
             )
     return np.maximum(out, 0.0)
 
@@ -602,10 +616,10 @@ class TestStackedRectangles:
     ])
     def test_matches_one_call_per_side_bit_for_bit(self, delta, dt):
         for nodes, neighbors in itertools.product((32, 64, 96), (0, 1, 2)):
-            engine = repetition._IntrinsicCellEngine(NoiseParams(delta, dt), nodes, neighbors)
+            engine = repetition._intrinsic_engine(NoiseParams(delta, dt), nodes, neighbors)
             for key in repetition._MISS_KEYS:
-                got = engine.miss(*key)
-                want = _per_side_miss(engine, *key)
+                got = engine.miss[key]
+                want = _per_side_miss(engine, delta, *key)
                 assert got.shape == engine.cells[key[0]].x.shape
                 assert got.tobytes() == want.tobytes()
 
@@ -617,20 +631,20 @@ class TestStackedRectangles:
             repetition, "gaussian_window_overlap",
             lambda *args, **kwargs: calls.append(args) or overlap(*args, **kwargs),
         )
-        repetition._IntrinsicCellEngine(NoiseParams(0.5, 0.2), 64, neighbors)
+        repetition._intrinsic_engine(NoiseParams(0.5, 0.2), 64, neighbors)
         assert len(calls) == (2 if neighbors else 1)
 
 
 class TestRefineRung:
-    @pytest.mark.parametrize("rate, engine_cls, nodes", [
-        (failure_rate_no_gkp_ec, repetition._IntrinsicCellEngine, 16),
-        (failure_rate, repetition._ResidualCellEngine, 8),
+    @pytest.mark.parametrize("rate, builder, nodes", [
+        (failure_rate_no_gkp_ec, "_intrinsic_engine", 16),
+        (failure_rate, "_residual_engine", 8),
     ], ids=["noec", "ec"])
-    def test_vacuous_refine_raises(self, rate, engine_cls, nodes, monkeypatch):
+    def test_vacuous_refine_raises(self, rate, builder, nodes, monkeypatch):
         # the budget floors build the same cells at 16, 24 and 32 nodes per
         # dimension (no-EC) and at 8, 12 and 16 (EC), so no refine engine
         # can check the coarse one
-        built, _ = TestSharedEngines._count_engines(monkeypatch, engine_cls)
+        built = TestSharedEngines._count_engines(monkeypatch, builder)
         cfg = QuadratureConfig(nodes_per_dim=nodes)
         with pytest.raises(QuadratureError, match="no refine engine"):
             rate(3, NoiseParams(0.5, 0.3), cfg)
@@ -638,7 +652,7 @@ class TestRefineRung:
 
     def test_falls_back_to_doubled_nodes(self, monkeypatch):
         # 48 nodes per dimension build the same no-EC cells as 32
-        built, _ = TestSharedEngines._count_engines(monkeypatch, repetition._IntrinsicCellEngine)
+        built = TestSharedEngines._count_engines(monkeypatch, "_intrinsic_engine")
         params = NoiseParams(0.5, 0.2)
         got = failure_rate_no_gkp_ec(3, params, QuadratureConfig(nodes_per_dim=32)).per_case
         assert built == [32, 48, 64]
