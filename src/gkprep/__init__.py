@@ -12,7 +12,7 @@ else is imported from its submodule (``gkprep.analysis``,
 """
 
 from .analysis import CrossingQuery, critical_ancilla_spread
-from .distributions import GaussianDisplacement, NoiseParams, pauli_rate_physical
+from .distributions import GaussianDisplacement, NoiseParams
 from .montecarlo import ShotConfig, run_tally
 from .repetition import (
     CodeSize,
@@ -21,6 +21,7 @@ from .repetition import (
     QuadratureError,
     failure_rate,
     overall_failure_biased,
+    pauli_rate_physical,
 )
 from .wigner import read_binary_grid
 

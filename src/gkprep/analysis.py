@@ -15,21 +15,18 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .distributions import NoiseParams, _require_positive, _require_real, pauli_rate_ideal
-from .distributions import pauli_rate_physical_report
 from .repetition import (
     DEFAULT_QUADRATURE,
     FailureBreakdown,
     QuadratureConfig,
-    _shared_pauli_rate,
     failure_rate,
     failure_rate_no_gkp_ec,
     overall_failure_biased,
+    pauli_rate_physical,
+    pauli_rate_physical_report,
     shared_engines,
 )
 from .wigner import GkpEnvelope, wigner_point
-
-# Not called here; bound so that perfbench/tracing.py can wrap this lookup site.
-from .distributions import pauli_rate_physical  # noqa: F401
 
 
 class AmbiguousCrossingError(RuntimeError):
@@ -79,7 +76,7 @@ def _rate_curve(
     size: int | str, delta: float, cfg: QuadratureConfig
 ) -> Callable[[float], float]:
     if size == "single":
-        return lambda dt: _shared_pauli_rate(NoiseParams(delta, dt))
+        return lambda dt: pauli_rate_physical(NoiseParams(delta, dt), cfg)
     return lambda dt: failure_rate(size, NoiseParams(delta, dt), cfg).total
 
 
@@ -254,7 +251,7 @@ def _px(cfg, /, *, delta) -> tuple[float, dict]:
 
 
 def _pf(cfg, /, *, delta, delta_tilde) -> tuple[float, dict]:
-    report = pauli_rate_physical_report(NoiseParams(delta, delta_tilde))
+    report = pauli_rate_physical_report(NoiseParams(delta, delta_tilde), cfg)
     return report["value"], {
         "two_cell": report["two_cell"],
         "two_cell_difference": report["difference"],

@@ -36,8 +36,9 @@ from .repetition import QuadratureConfig, QuadratureError, shared_engines
 from .wigner import GkpEnvelope, GridSpec, grid_to_binary, grid_to_csv, wigner_physical_zero
 
 # Not called here; bound so that perfbench/tracing.py can wrap this lookup site.
-from .distributions import pauli_rate_ideal, pauli_rate_physical_report  # noqa: F401
+from .distributions import pauli_rate_ideal  # noqa: F401
 from .repetition import failure_rate, failure_rate_no_gkp_ec, overall_failure_biased  # noqa: F401
+from .repetition import pauli_rate_physical_report  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -305,6 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _innermost_function(exc: BaseException) -> str:
+    """Name of the innermost function of this package that ``exc`` passed through."""
+    name, tb = "?", exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_globals.get("__package__") == __package__:
+            name = tb.tb_frame.f_code.co_name
+        tb = tb.tb_next
+    return name
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -312,6 +323,8 @@ def main(argv: list[str] | None = None) -> int:
         with shared_engines():
             return args.func(args)
     except NUMERICAL_ERRORS as exc:
+        if isinstance(exc, OverflowError):
+            exc = f"float overflow in {_innermost_function(exc)}: {exc}"
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

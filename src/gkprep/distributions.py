@@ -1,4 +1,4 @@
-"""Single-mode error densities and single-qubit logical error rates.
+"""Single-mode error densities and the ideal-ancilla flip rate P_X.
 
 Spread convention
 -----------------
@@ -32,15 +32,14 @@ from .lattice import (
     TruncationError,
     gaussian_comb_array,
 )
-from .quadrature import peaked_cell_nodes
+
+# Not called here; bound so that perfbench/tracing.py can wrap this lookup site.
+from .quadrature import peaked_cell_nodes  # noqa: F401
 
 # Ancilla spreads below this are treated as exactly ideal: the residual
 # density degenerates to a lattice comb of delta functions and the closed
 # ideal-ancilla formulas apply.
 IDEAL_ANCILLA_CUTOFF = 1e-6
-
-# Quadrature nodes per PZ cell of the P_F lattice sum.
-_PZ_CELL_NODES = 128
 
 # Gaussians exp(-d^2) clip d at this many widths: exp(-28^2) is exactly 0.0,
 # and neither the clipped d nor its square can overflow.
@@ -274,42 +273,3 @@ def residual_cdf(dist: ResidualDistribution, x: float) -> float:
         elif lower < reach:
             total += partial(k)
     return min(max(total, 0.0), 1.0)
-
-
-def _pz_cell_integral(dist: ResidualDistribution, m: int) -> float:
-    """Integral of F over the PZ cell centred on (2m+1)*sqrt(pi), m >= 0."""
-    center = (2 * m + 1) * SQRT_PI
-    x, w = peaked_cell_nodes(center, HALF_CELL, dist.delta_tilde, _PZ_CELL_NODES)
-    return float(np.dot(w, dist.density(x)))
-
-
-def pauli_rate_physical(params: NoiseParams) -> float:
-    """Logical flip rate P_F after one round of GKP EC with a noisy ancilla.
-
-    Integrates the residual density over the Pauli error zones.  The lattice
-    sum over PZ cells runs until a cell contributes below 1e-12.  For
-    ancilla spreads below 1e-6 the ideal formula is returned (the density is
-    singular there).
-    """
-    return pauli_rate_physical_report(params)["value"]
-
-
-def pauli_rate_physical_report(params: NoiseParams) -> dict[str, float]:
-    """P_F, its two-cell approximation and their gap.
-
-    The two-cell value keeps only the innermost pair of PZ cells (the
-    standard plotting approximation): the first term of the lattice sum.
-    """
-    if params.ideal_ancilla:
-        full = pauli_rate_ideal(params.delta)
-        return {"value": full, "two_cell": full, "difference": 0.0}
-    dist = ResidualDistribution(params.delta, params.delta_tilde)
-    total = 0.0
-    for m in range(64):
-        cell = 2.0 * _pz_cell_integral(dist, m)
-        two_cell = cell if m == 0 else two_cell
-        total += cell
-        if cell < 1e-12:
-            full = min(total, 1.0)
-            return {"value": full, "two_cell": two_cell, "difference": full - two_cell}
-    raise TruncationError("PZ lattice sum did not converge within 64 cells")

@@ -165,7 +165,9 @@ class ShotOverrides:
     row per shot; a shot given another shape raises ``ValueError``.
     ``residuals`` bypasses the GKP EC stage entirely; the raw overrides feed
     the normal pipeline.  A value that does not convert to an array of
-    finite floats raises ``ValueError``.
+    finite floats raises ``ValueError``, and so does one beyond a quarter of
+    ``_EXACT_CELL_RANGE``: a syndrome sums two residuals and an alpha, and
+    that bound keeps any such sum within the range where zones are exact.
     """
 
     raw_data: np.ndarray | None = None
@@ -179,11 +181,17 @@ class ShotOverrides:
             if value is None:
                 continue
             try:
-                finite = np.isfinite(np.asarray(value, dtype=np.float64)).all()
+                values = np.asarray(value, dtype=np.float64)
+                finite = np.isfinite(values).all()
             except (TypeError, ValueError):
                 finite = False
             if not finite:
                 raise ValueError(f"{name} must be an array of finite floats, got {value!r}")
+            if not (np.abs(values) <= _EXACT_CELL_RANGE / 4).all():
+                raise ValueError(
+                    f"{name} must stay within +-{_EXACT_CELL_RANGE / 4:.3g}, where the "
+                    f"Monte Carlo can still tell the zones of their sums"
+                )
 
 
 @dataclass(frozen=True)

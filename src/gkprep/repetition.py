@@ -56,13 +56,12 @@ that table into the engine's three miss arrays.  The no-EC engine takes
 exact bivariate-normal rectangles instead, stacked over all six sides: one
 call for the central windows and one for all their translates.  Each
 engine is one frozen, read-only :class:`_Engine` record that its builder
-fills in one pass: cells, miss arrays and the log(1 - M/a) they give.
-Inside :func:`shared_engines` (one ``gkprep`` command, one crossing
-search) the engines and the overweight tail of a noise point are built
-once and reused by every code size and by both sides of a crossing.  Every call still contracts the blocks at both node counts
-and checks the refine certificate: the blocks are re-evaluated at 1.5x the
-node count (2x where the budget floors give 1.5x no more nodes in some
-cell) and the largest per-case gap must be within ``_ABS_TOL``.
+fills in one pass: cells, miss arrays, the log(1 - M/a) they give and
+P_F, the flip rate whose majority vote is the overweight tail.  Inside
+:func:`shared_engines` (one ``gkprep`` command, one crossing search) the
+engines of a noise point are built once and reused by P_F, by every code
+size and by both sides of a crossing.  Every call still checks the refine
+certificate (:func:`_certified`) on the per-case values and P_F.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache, reduce
-from typing import Any
 
 import numpy as np
 from scipy import special as sp
@@ -87,9 +85,8 @@ from .distributions import (
     _require_real,
     _store_integers,
     pauli_rate_ideal,
-    pauli_rate_physical,
 )
-from .lattice import HALF_CELL, SQRT_PI
+from .lattice import HALF_CELL, SQRT_PI, TruncationError
 from .quadrature import (
     _leggauss,
     gaussian_window_overlap,
@@ -170,16 +167,17 @@ def _as_size(n: int | CodeSize) -> CodeSize:
 class QuadratureConfig:
     """Node budget and method selection for the block integrals.
 
-    ``nodes_per_dim`` is the per-cell node count along each dimension.  The
-    tensor method is an n <= 5 cost-guarded oracle.  Every factorized rate
-    is certified: the blocks are re-evaluated at ``3 * nodes_per_dim // 2``
-    nodes and the largest per-case gap must be within ``_ABS_TOL``.  Where
-    the node budget floors leave some cell no larger at that count, the
-    refine uses ``2 * nodes_per_dim``; if that adds no nodes to every cell
-    either, the check could certify nothing and the call raises
-    :class:`QuadratureError`.  ``window_neighbors`` counts the 2*sqrt(pi)
-    translates of each syndrome window on each side.  The integer fields
-    follow :func:`_integral`; any other value raises ``ValueError``.
+    ``nodes_per_dim`` is the per-cell node count along each dimension; P_F
+    follows it too.  The tensor method is an n <= 5 cost-guarded oracle.
+    Every factorized rate and P_F is certified: the engines are rebuilt at
+    ``3 * nodes_per_dim // 2`` nodes and each per-case value and P_F must
+    move by at most ``_ABS_TOL``.  Where the node budget floors leave some
+    cell no larger at that count, the refine uses ``2 * nodes_per_dim``; if
+    that adds no nodes to every cell either, the check could certify nothing
+    and the call raises :class:`QuadratureError`.  ``window_neighbors``
+    counts the 2*sqrt(pi) translates of each syndrome window on each side.
+    The integer fields follow :func:`_integral`; any other value raises
+    ``ValueError``.
     """
 
     nodes_per_dim: int = 64
@@ -264,7 +262,7 @@ class _Cell:
 
 @dataclass(frozen=True)
 class _Engine:
-    """Cells of one density at one node count, their miss integrals and log(1 - M/a).
+    """Cells of one density at one node count, their miss integrals, log(1 - M/a) and P_F.
 
     ``cells`` maps NPZ_CELL and PZ_CELL to their :class:`_Cell`.  ``miss``
     maps each (outer cell, inner cell, window, reflect) of ``_MISS_KEYS`` to
@@ -272,8 +270,9 @@ class _Engine:
     translates) on the outer nodes u1; ``reflect`` puts the window at u1 - x,
     the even-density image of the mirrored cell.  ``log_keep`` maps each
     ``_SIDES`` key to log(1 - M/a), -inf where the cell misses entirely, with
-    the side ratios clipped to [0, 1] before they are averaged.  None of it
-    depends on the code size.  :func:`_residual_engine` and
+    the side ratios clipped to [0, 1] before they are averaged.
+    ``pauli_rate`` is P_F of the density.  None of it depends on the code
+    size.  :func:`_residual_engine` and
     :func:`_intrinsic_engine` build it in one pass; its arrays are read-only,
     because :func:`shared_engines` hands one engine to many rate calls.
     """
@@ -281,11 +280,14 @@ class _Engine:
     cells: dict[tuple[float, float], _Cell]
     miss: dict[tuple, np.ndarray]
     log_keep: dict[tuple, np.ndarray]
+    pauli_rate: float
     dt: float
     neighbors: int
 
 
-def _finish_engine(cells: dict, miss: dict, dt: float, neighbors: int) -> _Engine:
+def _finish_engine(
+    cells: dict, miss: dict, pauli_rate: float, dt: float, neighbors: int
+) -> _Engine:
     """The read-only :class:`_Engine` of ``cells`` and ``miss``, every ``log_keep`` derived."""
     log_keep = {}
     for (outer_cell, cell), sides in _SIDES.items():
@@ -302,7 +304,7 @@ def _finish_engine(cells: dict, miss: dict, dt: float, neighbors: int) -> _Engin
     cell_arrays = (a for c in cells.values() for a in (c.x, c.w, c.f))
     for a in itertools.chain(miss.values(), log_keep.values(), cell_arrays):
         a.flags.writeable = False
-    return _Engine(cells, miss, log_keep, dt, neighbors)
+    return _Engine(cells, miss, log_keep, pauli_rate, dt, neighbors)
 
 
 def _residual_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
@@ -318,7 +320,10 @@ def _residual_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engi
     complement window is evaluated once on those (2P - 1)*k*k offsets and
     contracted into the only three distinct miss arrays, one per inner cell
     and ``reflect``; each side's miss is the cell mass less its in-window
-    part, taken from the complement window directly.
+    part, taken from the complement window directly.  P_F sums twice the
+    masses of the PZ cells at (2m + 1)*sqrt(pi): m = 0 is ``cells[PZ_CELL]``,
+    and cell m >= 1 reuses its nodes shifted by 2m*sqrt(pi).  The sum stops
+    at the first cell below 1e-12.
     """
     dt = params.delta_tilde
     dist = ResidualDistribution(params.delta, dt)
@@ -350,7 +355,15 @@ def _residual_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engi
         (PZ_CELL, True): contract(pz[::-1]),
     }
     miss = {key: contracted[key[1], key[3]] for key in _MISS_KEYS}
-    return _finish_engine(cells, miss, dt, neighbors)
+    pz = cells[PZ_CELL]
+    pauli_rate = 0.0
+    for m in range(64):
+        f = pz.f if m == 0 else dist.density(pz.x + 2 * m * SQRT_PI)
+        cell_rate = 2.0 * float(np.dot(pz.w, f))
+        pauli_rate += cell_rate
+        if cell_rate < 1e-12:
+            return _finish_engine(cells, miss, min(pauli_rate, 1.0), dt, neighbors)
+    raise TruncationError("PZ lattice sum did not converge within 64 cells")
 
 
 def _intrinsic_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
@@ -363,7 +376,8 @@ def _intrinsic_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Eng
     overlaps with the ``neighbors`` translates, kept >= 0.  Every side's
     window limits are stacked on its outer nodes, with the inner cell's
     bounds repeated per node, so one call takes all central windows and at
-    most one more all translates.
+    most one more all translates.  P_F is :func:`pauli_rate_ideal` of the
+    raw density.
     """
     delta, dt = params.delta, params.delta_tilde
     gauss = GaussianDisplacement(delta)
@@ -420,7 +434,7 @@ def _intrinsic_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Eng
             out = out - part
     out = np.maximum(out, 0.0)
     miss = dict(zip(_MISS_KEYS, np.split(out, np.cumsum(sizes)[:-1])))
-    return _finish_engine(cells, miss, dt, neighbors)
+    return _finish_engine(cells, miss, pauli_rate_ideal(delta), dt, neighbors)
 
 
 @dataclass(frozen=True)
@@ -597,9 +611,9 @@ def _breakdown(cases: list[float], tail: float, size: CodeSize) -> FailureBreakd
 
 
 # The memo of the open shared_engines() block; None outside one.
-_SHARED: ContextVar[dict[tuple, Any] | None] = ContextVar("gkprep_shared_engines", default=None)
+_SHARED: ContextVar[dict[tuple, _Engine] | None] = ContextVar("gkprep_shared_engines", default=None)
 
-# Entries (engines and tail rates) one block keeps, oldest dropped first.  A
+# Engines (P_F among their fields) one block keeps, oldest dropped first.  A
 # fine engine's arrays (cells, miss integrals and miss ratios) take about
 # 10 kB, so a sweep over any number of noise points holds at most about
 # 10 MB here.
@@ -608,10 +622,10 @@ _SHARED_MAX = 1024
 
 @contextmanager
 def shared_engines() -> Iterator[None]:
-    """Build each noise point's engines and tail rate once inside the block.
+    """Build each noise point's engines once inside the block.
 
-    Rate calls in the block reuse the cell engines (nodes, densities, miss
-    integrals) and the overweight tail of any noise point an earlier call
+    Rate and P_F calls in the block reuse the cell engines (nodes,
+    densities, miss integrals, P_F) of any noise point an earlier call
     built.  A nested block joins the outer one; the memo is dropped when
     the outermost block exits.
     """
@@ -625,31 +639,52 @@ def shared_engines() -> Iterator[None]:
         _SHARED.reset(token)
 
 
-def _shared(key: tuple, build: Callable[[], Any]) -> Any:
-    """``build()``, memoized under ``key`` inside :func:`shared_engines`."""
+def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
+    """The engine of ``params`` at ``n_nodes``, memoized inside :func:`shared_engines`."""
+    build = _residual_engine if gkp_ec else _intrinsic_engine
     memo = _SHARED.get()
     if memo is None:
-        return build()
+        return build(params, n_nodes, neighbors)
+    key = (gkp_ec, params.delta, params.delta_tilde, n_nodes, neighbors)
     if key not in memo:
         if len(memo) >= _SHARED_MAX:
             del memo[next(iter(memo))]
-        memo[key] = build()
+        memo[key] = build(params, n_nodes, neighbors)
     return memo[key]
 
 
-def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
-    build = _residual_engine if gkp_ec else _intrinsic_engine
-    return _shared(
-        ("engine", gkp_ec, params.delta, params.delta_tilde, n_nodes, neighbors),
-        lambda: build(params, n_nodes, neighbors),
-    )
+def _certified(
+    gkp_ec: bool,
+    params: NoiseParams,
+    cfg: QuadratureConfig,
+    values: Callable[[_Engine], list[float]],
+) -> list[float]:
+    """``values`` of the refine engine, each within ``_ABS_TOL`` of the coarse engine's.
 
-
-def _shared_pauli_rate(params: NoiseParams) -> float:
-    """P_F at ``params``, computed once per noise point inside :func:`shared_engines`."""
-    return _shared(
-        ("tail", params.delta, params.delta_tilde), lambda: pauli_rate_physical(params)
-    )
+    The refine engine has 1.5x ``cfg.nodes_per_dim`` nodes, 2x where the
+    budget floors give 1.5x no more nodes in some cell.
+    """
+    engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors)
+    # the check certifies nothing unless the fine rule has more nodes in
+    # every cell; the budget floors can make both rules the same
+    for fine_nodes in (3 * cfg.nodes_per_dim // 2, 2 * cfg.nodes_per_dim):
+        fine_engine = _make_engine(gkp_ec, params, fine_nodes, cfg.window_neighbors)
+        if all(len(fine_engine.cells[b].x) > len(c.x) for b, c in engine.cells.items()):
+            break
+    else:
+        raise QuadratureError(
+            f"no refine engine adds nodes to every cell at nodes_per_dim="
+            f"{cfg.nodes_per_dim}; increase nodes_per_dim"
+        )
+    fine = values(fine_engine)
+    gap = max(abs(a - b) for a, b in zip(values(engine), fine))
+    if gap > _ABS_TOL:
+        raise QuadratureError(
+            f"engine values changed by {gap:.3e} from {cfg.nodes_per_dim} to "
+            f"{fine_nodes} nodes per dimension (abs_tol={_ABS_TOL:g}); "
+            f"increase nodes_per_dim"
+        )
+    return fine
 
 
 def _failure_rate_impl(
@@ -662,10 +697,8 @@ def _failure_rate_impl(
     if gkp_ec and params.ideal_ancilla:
         cases = [0.0] * ((size.n + 1) // 2)
         return _breakdown(cases, classical_failure(size, pauli_rate_ideal(params.delta)), size)
-    tail_p = _shared_pauli_rate(params) if gkp_ec else pauli_rate_ideal(params.delta)
-    tail = classical_failure(size, tail_p)
-    engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors)
     if cfg.method == "tensor":
+        engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors)
         if size.n > 5:
             raise ValueError("tensor method is cost-guarded to n <= 5")
         spacing = max(float(np.max(np.diff(cell.x))) for cell in engine.cells.values())
@@ -683,28 +716,12 @@ def _failure_rate_impl(
                 "engine builds at least 48 at every nodes_per_dim, so its n=5 "
                 "tensor route cannot run"
             )
+        tail = classical_failure(size, engine.pauli_rate)
         return _breakdown(_tensor_cases(engine, size), tail, size)
-
-    # the check certifies nothing unless the fine rule has more nodes in
-    # every cell; the budget floors can make both rules the same
-    for fine_nodes in (3 * cfg.nodes_per_dim // 2, 2 * cfg.nodes_per_dim):
-        fine_engine = _make_engine(gkp_ec, params, fine_nodes, cfg.window_neighbors)
-        if all(len(fine_engine.cells[b].x) > len(c.x) for b, c in engine.cells.items()):
-            break
-    else:
-        raise QuadratureError(
-            f"no refine engine adds nodes to every cell at nodes_per_dim="
-            f"{cfg.nodes_per_dim}; increase nodes_per_dim"
-        )
-    cases = _factorized_cases(fine_engine, size)
-    gap = max(abs(a - b) for a, b in zip(_factorized_cases(engine, size), cases))
-    if gap > _ABS_TOL:
-        raise QuadratureError(
-            f"factorized blocks changed by {gap:.3e} from {cfg.nodes_per_dim} to "
-            f"{fine_nodes} nodes per dimension (abs_tol={_ABS_TOL:g}); "
-            f"increase nodes_per_dim"
-        )
-    return _breakdown(cases, tail, size)
+    *cases, pauli_rate = _certified(
+        gkp_ec, params, cfg, lambda e: [*_factorized_cases(e, size), e.pauli_rate]
+    )
+    return _breakdown(cases, classical_failure(size, pauli_rate), size)
 
 
 def failure_rate(
@@ -735,6 +752,30 @@ def failure_rate_no_gkp_ec(
     density stays wide.
     """
     return _failure_rate_impl(n, params, cfg, gkp_ec=False)
+
+
+def pauli_rate_physical(params: NoiseParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+    """Logical flip rate P_F after one round of GKP EC with a noisy ancilla.
+
+    The residual density over the Pauli error zones: the certified
+    ``pauli_rate`` of the engines :func:`failure_rate` uses.  For ancilla
+    spreads below 1e-6 the ideal formula is returned (the density is
+    singular there).
+    """
+    return pauli_rate_physical_report(params, cfg)["value"]
+
+
+def pauli_rate_physical_report(
+    params: NoiseParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
+) -> dict[str, float]:
+    """P_F, its two-cell approximation (the innermost PZ cell pair) and their gap."""
+    if params.ideal_ancilla:
+        full = two_cell = pauli_rate_ideal(params.delta)
+    else:
+        full, two_cell = _certified(
+            True, params, cfg, lambda e: [e.pauli_rate, 2.0 * e.cells[PZ_CELL].mass]
+        )
+    return {"value": full, "two_cell": two_cell, "difference": full - two_cell}
 
 
 def overall_failure_biased(

@@ -20,7 +20,6 @@ from gkprep.distributions import (
     NoiseParams,
     ResidualDistribution,
     pauli_rate_ideal,
-    pauli_rate_physical,
     residual_cdf,
 )
 from gkprep.lattice import SQRT_PI
@@ -31,6 +30,7 @@ from gkprep.repetition import (
     classical_failure,
     failure_rate,
     failure_rate_no_gkp_ec,
+    pauli_rate_physical,
 )
 from gkprep.wigner import GkpEnvelope, GridSpec, wigner_after_gdc, wigner_physical_zero
 

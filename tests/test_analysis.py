@@ -14,8 +14,8 @@ from gkprep.analysis import (
     optimal_bias,
     run_sweep,
 )
-from gkprep.distributions import NoiseParams, pauli_rate_physical
-from gkprep.repetition import failure_rate, overall_failure_biased
+from gkprep.distributions import NoiseParams
+from gkprep.repetition import failure_rate, overall_failure_biased, pauli_rate_physical
 
 
 class TestCriticalAncillaSpread:
@@ -38,28 +38,29 @@ class TestCriticalAncillaSpread:
         ) / (2 * h)
         assert abs(left - right) < 10.0 * q.tol * max(slope, 1e-6)
 
-    def test_single_curve_computes_pf_once_per_sample(self, monkeypatch):
-        # the "single" curve and the code's overweight tail share one P_F
-        # computation at each sampled ancilla spread
+    def test_single_curve_builds_one_engine_pair_per_sample(self, monkeypatch):
+        # the "single" curve's P_F and the code's rate share the engines of
+        # each sampled ancilla spread
         import gkprep.repetition as repetition
 
-        sampled, computed = [], []
+        sampled, built = [], {}
+        build = repetition._residual_engine
 
         def counted_rate(n, params, cfg):
             sampled.append(params.delta_tilde)
             return failure_rate(n, params, cfg)
 
-        def counted_pf(params):
-            computed.append(params.delta_tilde)
-            return pauli_rate_physical(params)
+        def counted_build(params, n_nodes, neighbors):
+            built.setdefault(params.delta_tilde, []).append(n_nodes)
+            return build(params, n_nodes, neighbors)
 
         monkeypatch.setattr(analysis, "failure_rate", counted_rate)
-        for module in (analysis, repetition):
-            monkeypatch.setattr(module, "pauli_rate_physical", counted_pf)
+        monkeypatch.setattr(repetition, "_residual_engine", counted_build)
         q = CrossingQuery(delta=0.5, left_size="single", right_size=3, bracket=(0.15, 0.45))
         assert critical_ancilla_spread(q).status == "found"
         assert len(sampled) > 10
-        assert sorted(computed) == sorted(sampled)
+        assert sorted(built) == sorted(set(sampled))
+        assert all(sorted(nodes) == [64, 96] for nodes in built.values())
 
     def test_no_crossing_reported_not_raised(self):
         q = CrossingQuery(delta=0.5, left_size="single", right_size=3, bracket=(0.02, 0.1))

@@ -17,6 +17,7 @@ import pytest
 
 from gkprep import cli, repetition
 from gkprep.analysis import QUANTITIES
+from gkprep.distributions import NoiseParams
 from gkprep.repetition import QuadratureConfig
 
 CLI = [sys.executable, "-m", "gkprep.cli"]
@@ -72,18 +73,41 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "numerical" in proc.stderr
 
-    @pytest.mark.parametrize("args", [
-        "rate --quantity pfail --n 3 --delta 0.5 --delta-tilde 0.2 --r 1e-300",
-        "rate --quantity pfrep --n 3 --delta 0.5 --delta-tilde 1e300",
-        "rate --quantity pf --delta 0.5 --delta-tilde 1e200",
-        "rate --quantity pfrep-noec --n 3 --delta 0.5 --delta-tilde 1e300",
-        "mc --n 3 --delta 0.5 --r 1e-300 --mode biased --shots 10",
+    @pytest.mark.parametrize("args, where", [
+        ("rate --quantity pfail --n 3 --delta 0.5 --delta-tilde 0.2 --r 1e-300",
+         "biased_momentum_spreads"),
+        ("rate --quantity pfrep --n 3 --delta 0.5 --delta-tilde 1e300", "density"),
+        ("rate --quantity pf --delta 0.5 --delta-tilde 1e200", "density"),
+        ("rate --quantity pfrep-noec --n 3 --delta 0.5 --delta-tilde 1e300",
+         "gaussian_window_overlap"),
+        ("mc --n 3 --delta 0.5 --r 1e-300 --mode biased --shots 10",
+         "biased_momentum_spreads"),
     ])
-    def test_float_overflow_is_three(self, args):
-        # valid but extreme spreads overflow a float inside the computation
+    def test_float_overflow_is_three(self, args, where):
+        # valid but extreme spreads overflow a float inside the computation;
+        # the message names the innermost gkprep function it passed through
         proc = run_cli(*args.split(), check=False)
         assert proc.returncode == 3
-        assert proc.stderr.startswith("numerical failure:")
+        assert proc.stderr.startswith(f"numerical failure: float overflow in {where}: ")
+
+    def test_certificate_covers_the_pauli_rate(self, monkeypatch):
+        # a coarse P_F off by 1e-7 must fail the refine check, both in the
+        # overweight tail of a rate and in pf itself
+        build = repetition._residual_engine
+
+        def raised_coarse_pauli_rate(params, n_nodes, neighbors):
+            engine = build(params, n_nodes, neighbors)
+            if n_nodes == 64:
+                engine = dataclasses.replace(engine, pauli_rate=engine.pauli_rate + 1e-7)
+            return engine
+
+        monkeypatch.setattr(repetition, "_residual_engine", raised_coarse_pauli_rate)
+        with pytest.raises(repetition.QuadratureError, match="abs_tol"):
+            repetition.failure_rate(3, NoiseParams(0.5, 0.2))
+        proc = run_cli(
+            "rate", "--quantity", "pf", "--delta", "0.5", "--delta-tilde", "0.2", check=False
+        )
+        assert proc.returncode == 3
 
     @pytest.mark.parametrize("spread", ["--delta", "--delta-tilde"])
     def test_mc_spread_beyond_the_exact_cell_range_is_two(self, spread):
@@ -144,6 +168,12 @@ class TestRate:
         assert payload["value"] == pytest.approx(
             payload["two_cell"] + payload["two_cell_difference"], rel=1e-12
         )
+
+    def test_pf_follows_nodes(self):
+        args = ("rate", "--quantity", "pf", "--delta", "0.5", "--delta-tilde", "0.2")
+        default = json.loads(run_cli(*args).stdout)["value"]
+        coarse = json.loads(run_cli(*args, "--nodes", "32").stdout)["value"]
+        assert coarse == pytest.approx(default, rel=1e-12)
 
     def test_pfail_compositional_consistency(self):
         n, delta, dt, r = 3, 0.5, 0.0, 1.5
@@ -314,10 +344,10 @@ FIGURE_EXPECTATIONS = {
 # sha256 of every file each recipe writes; a change that moves a figure byte
 # updates the digest here and says why
 FIGURE_SHA256 = {
-    "fig10_ec_n3.csv": "96bd7efa0eb390cd56e47c33c977fe1c1326ed264f78cd3a94dc9fc9f40e30ed",
-    "fig10_ec_n5.csv": "1b21a3d85f35ed478e705f57c48d494a760c5f948126c399b8ccac442caeb53b",
-    "fig10_ec_n7.csv": "47eaeb20162e242625362e2a74fdd76640557bf1a0770f723d998ef7b60cfd1e",
-    "fig10_ec_n9.csv": "dc4cfdf310a11e34bb84537b4f99b801fc1661cb9d03755ee55d511f68f01660",
+    "fig10_ec_n3.csv": "13381288221cf9f9e237460e9a98fb86065f99fa62ef29710a66fc8b5842bc60",
+    "fig10_ec_n5.csv": "74ead14e8649a717d1c9d928ca7e29603c6b158e82a43d8b0b3eac9f9d90f94d",
+    "fig10_ec_n7.csv": "4de15231219441deeeb57b0c7429e47623cd1104deb60ecc74de49e94c8867c1",
+    "fig10_ec_n9.csv": "7ee8c2960882d11eb7b2a10982ab3677d5addb63fec140ab291881f67bab2952",
     "fig10_noec_n3.csv": "18daaf2cc46b2d42abb2b1d399105d4eeaf838d0029466d1263d37bf79a397ae",
     "fig10_noec_n5.csv": "7b7819f4ab4f6096484ce7d81a1e570a57521c6b394a7ca21631d01d9e4a9218",
     "fig10_noec_n7.csv": "1486db2d85a6a89c15d7cb97c6e76dc46ec1e39f2e6c864af09dc44f5b62c362",
@@ -331,16 +361,16 @@ FIGURE_SHA256 = {
     "fig1_rsqrt2.bin": "39951a42620bc2c9d9eb552c2409e9995816d73148ad63d46fcd39e4c73a5d76",
     "fig1_rsqrt2.csv": "cde709cd3402bbda3de567ee0448f60bf3691c09f9c46e3be23e0d3ad5be3afc",
     "fig4_px.csv": "a581ae7f4735a6cf5995bdd61c7e7b59f01ad53dbbba3225f40b7cc77e38a667",
-    "fig5_delta0.3.csv": "f830c46e3fdaf30b8c11daed996db45bbd6f4ad0420d7aa4193acc8cfa83f41d",
-    "fig5_delta0.4.csv": "591797a668b8e8b49e6be8134aca46557f9c46ec25ac2e1f9f5a1ff0cd9896ab",
-    "fig5_delta0.5.csv": "d41baa934803f7b553bc31326ffef92059b3e9734ac0e27cf48de9ecc2cc770d",
-    "fig5_delta0.6.csv": "cedc9279aaf58758811bc48a3d9126b56615abf47c74a78168281a6ebcb0816e",
-    "fig6_p3rep.csv": "764eb98ec452cda6d0197164a4fb51003f6fc68f1cafcb19a19bce51dc639146",
-    "fig6_pf.csv": "6812cf61d0cec67fa59354c53ab90695c70b2831ba5c12c9ca0a9a1db83b265a",
-    "fig8_n3.csv": "764eb98ec452cda6d0197164a4fb51003f6fc68f1cafcb19a19bce51dc639146",
-    "fig8_n5.csv": "af7dd24a0724825e7480a84c56840bca664796eb250f0c5d5a472db4feccb4f6",
-    "fig8_n7.csv": "e4eacacac4fab9ae9584476f1014c4572b01715ede07acbd840d46699397bb99",
-    "fig8_n9.csv": "0861a198864fcdc369667cd8f228f81abf75826fb5c3c0480f62311a8c3ed7fd",
+    "fig5_delta0.3.csv": "b6eeaac91a225c3ad2f790739c90e3100288c20a5c076b3fdb7e43984b9f6125",
+    "fig5_delta0.4.csv": "c8922066cc5ff7e07e609f4e43ec46e501d190867fab10f9ccbe6fd5f71f3866",
+    "fig5_delta0.5.csv": "f163f54d7faf5c9a8388e01d27fd6344cbe4e70ea30e21a45e8c8d2a133a7ce1",
+    "fig5_delta0.6.csv": "d883f11ee5878fd4ea7a51e5d8c9eb01a12c05441611578b9085b95b2c1b4b26",
+    "fig6_p3rep.csv": "6adac2440c1bf82f48ec19795ce304032c42375b7f48b46502b7486e0b74a611",
+    "fig6_pf.csv": "0cb16d4548251792f3b7aa9ae41b4e623c0dbd58e2f00122f8e3bbb2c611b8e1",
+    "fig8_n3.csv": "6adac2440c1bf82f48ec19795ce304032c42375b7f48b46502b7486e0b74a611",
+    "fig8_n5.csv": "2162097c51fd2f60a3efc0d39c145ecb2c5530567467bdf52fde4689ae35046f",
+    "fig8_n7.csv": "757fa8e837774ac8fa734e5ae476b7022bd14957d73059120e4603f7d08c9071",
+    "fig8_n9.csv": "a47351b793cabee03f85dcc75483f0bd5cacc8118ce23e2a37ea9ff6676ca898",
     "fig9_53.csv": "2cf063c20e1c352bc60c06b23eb31ae68b7e4149cdc81fd2107c91f5b20ee5ad",
     "fig9_75.csv": "67c412865ef0637a8e1c3c807ccead2329b8a56644b16e22e4cb01806cc9ca77",
     "fig9_97.csv": "2790de6c9418f16672176501ef4be6da27a953132527a336ee2869e525e54270",

@@ -11,13 +11,11 @@ from gkprep.distributions import (
     NoiseParams,
     ResidualDistribution,
     pauli_rate_ideal,
-    pauli_rate_physical,
-    pauli_rate_physical_report,
     residual_cdf,
 )
 from gkprep.lattice import HALF_CELL, SQRT_PI
 from gkprep.montecarlo import normal_draws
-from gkprep.repetition import classical_failure
+from gkprep.repetition import classical_failure, pauli_rate_physical, pauli_rate_physical_report
 from gkprep.wigner import GkpEnvelope, wigner_point
 
 # Numeric inputs under the one rule: (field name in the error, call that

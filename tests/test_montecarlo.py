@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from gkprep import montecarlo
-from gkprep.distributions import NoiseParams, pauli_rate_physical, ResidualDistribution
+from gkprep.distributions import NoiseParams, ResidualDistribution
 from gkprep.lattice import SQRT_PI, is_pauli_zone
 from gkprep.montecarlo import (
     _SLOT_BITS,
@@ -29,6 +29,7 @@ from gkprep.repetition import (
     failure_rate,
     failure_rate_no_gkp_ec,
     overall_failure_biased,
+    pauli_rate_physical,
 )
 
 
@@ -252,6 +253,23 @@ class TestRunShot:
     def test_overrides_reject_non_finite_values(self, field, bad):
         with pytest.raises(ValueError, match=field):
             ShotOverrides(**{field: [0.1, bad, -0.0]})
+
+    @pytest.mark.parametrize("field, value", [
+        ("residuals", [1e300, 0.0, 0.0]),
+        ("residuals", [1e17, 0.0, 0.0]),
+        ("alphas", [1e300, 0.0]),
+    ])
+    def test_overrides_beyond_the_exact_cell_range_are_rejected(self, field, value):
+        # a syndrome sums up to three override values; beyond a quarter of
+        # the exact cell range such a sum could lose its zone
+        cfg = ShotConfig(3, NoiseParams(0.5, 0.2), shots=1)
+        with pytest.raises(ValueError, match=field):
+            run_shot(cfg, 0, ShotOverrides(**{field: value}))
+
+    def test_large_overrides_within_the_range_run(self):
+        cfg = ShotConfig(3, NoiseParams(0.5, 0.2), shots=1)
+        record = run_shot(cfg, 0, ShotOverrides(residuals=[1e6, 0.0, 0.0]))
+        assert len(record["true_pattern"]) == 3
 
     @pytest.mark.parametrize("value", ["abc", [0.1, "x"], object()])
     def test_overrides_reject_non_numeric_values(self, value):

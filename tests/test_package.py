@@ -90,6 +90,31 @@ def test_benchmark_tracer_sites_are_bound(monkeypatch):
     assert unbound == []
 
 
+def test_tracer_only_imports_are_tracer_sites(monkeypatch):
+    # a name imported under noqa F401 is bound for the tracer alone: it must
+    # be a site the tracer wraps, and the importing module must not use it
+    tracing = _load_tracing(monkeypatch)
+    sites = {site[:2] for site in tracing.SPAN_SITES}
+    found = []
+    for path in sorted((ROOT / "src" / "gkprep").glob("*.py")):
+        module = f"gkprep.{path.stem}"
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and "# noqa: F401" in lines[node.end_lineno - 1]:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    found.append(name)
+                    assert (module, name) in sites, (module, name)
+                    assert name not in used, (module, name)
+    assert found
+
+
 def test_benchmark_trace_callback_span_nests_in_run_tally(monkeypatch, tmp_path):
     # the tracer wraps the callback cli passes to run_tally as trace=; a
     # callback passed another way would drop the benchmark's cli.trace span

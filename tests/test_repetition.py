@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gkprep import repetition
-from gkprep.distributions import NoiseParams, pauli_rate_ideal, pauli_rate_physical
+from gkprep.distributions import NoiseParams, pauli_rate_ideal
 from gkprep.repetition import (
     CodeSize,
     QuadratureConfig,
@@ -18,6 +18,7 @@ from gkprep.repetition import (
     failure_rate,
     failure_rate_no_gkp_ec,
     overall_failure_biased,
+    pauli_rate_physical,
     shared_engines,
 )
 
@@ -310,17 +311,13 @@ class TestSharedEngines:
         assert shared == fresh
 
     def test_one_engine_pair_per_noise_point(self, monkeypatch):
+        # P_F and every code size's rate and overweight tail share the pair
         built = self._count_engines(monkeypatch)
-        tails = []
-        tail = repetition.pauli_rate_physical
-        monkeypatch.setattr(
-            repetition, "pauli_rate_physical", lambda params: tails.append(params) or tail(params)
-        )
         with shared_engines():
+            pauli_rate_physical(NoiseParams(0.5, 0.2))
             for n in (3, 5, 7, 9):
                 failure_rate(n, NoiseParams(0.5, 0.2))
         assert sorted(built) == [64, 96]
-        assert len(tails) == 1
 
     def test_nested_scope_joins_the_outer_one(self, monkeypatch):
         built = self._count_engines(monkeypatch, "_intrinsic_engine")
@@ -341,7 +338,7 @@ class TestSharedEngines:
         built = self._count_engines(monkeypatch)
         monkeypatch.setattr(repetition, "_SHARED_MAX", 3)
         with shared_engines():
-            # each point holds a coarse engine, a fine engine and a tail
+            # each point holds a coarse and a fine engine
             for dt in (0.2, 0.3, 0.3, 0.2):
                 failure_rate(3, NoiseParams(0.5, dt))
         assert built == [64, 96, 64, 96, 64, 96]
