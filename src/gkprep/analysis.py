@@ -89,7 +89,9 @@ def critical_ancilla_spread(
     Samples 8 interior points first: no sign change is reported as a
     no-crossing result, more than one sign change raises
     :class:`AmbiguousCrossingError` with the samples attached.  Both curves
-    share each sampled point's engines.
+    share each sampled point's engines.  The bisection halves the bracket
+    until it is no wider than ``q.tol``, or until its ends are adjacent
+    floats, and returns its midpoint.
     """
     left = _rate_curve(q.left_size, q.delta, cfg)
     right = _rate_curve(q.right_size, q.delta, cfg)
@@ -113,10 +115,10 @@ def critical_ancilla_spread(
         if math.copysign(1.0, fa) != math.copysign(1.0, fb):
             lo, hi, flo = a, b, fa
             break
-    for _ in range(30):
-        if hi - lo <= q.tol:
-            break
+    while hi - lo > q.tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         fmid = diff(mid)
         if fmid == 0.0:
             return CrossingResult("found", mid, tuple(samples))

@@ -73,7 +73,10 @@ def gaussian_comb_array(x: np.ndarray, spacing: float, sigma_sq: float) -> np.nd
     """Sum_t exp(-(x - t*spacing)^2 / sigma_sq) at each ``x``, with a certified tail.
 
     The sum is truncated symmetrically around the lattice index nearest to
-    ``x`` so accuracy is uniform in ``x``.
+    ``x`` so accuracy is uniform in ``x``.  All 2K + 1 terms come from one
+    ``exp`` over a (2K + 1, *x.shape) array; they are then added one at a
+    time from t = -K up to t = K, never by ``ndarray.sum``, whose pairwise
+    summation would regroup the additions from 8 terms on.
     """
     if not spacing > 0.0:
         raise ValueError("spacing must be positive")
@@ -82,8 +85,10 @@ def gaussian_comb_array(x: np.ndarray, spacing: float, sigma_sq: float) -> np.nd
     x = np.asarray(x, dtype=np.float64)
     n_terms = _comb_term_count(spacing, sigma_sq)
     t0 = np.round(x / spacing)
+    steps = np.arange(-n_terms, n_terms + 1).reshape((-1,) + (1,) * x.ndim)
+    d = x - (t0 + steps) * spacing
+    terms = np.exp(-np.minimum(d * d / sigma_sq, 745.0))
     total = np.zeros_like(x)
-    for dt in range(-n_terms, n_terms + 1):
-        d = x - (t0 + dt) * spacing
-        total += np.exp(-np.minimum(d * d / sigma_sq, 745.0))
+    for term in terms:
+        total += term
     return total

@@ -51,13 +51,18 @@ The miss integrals do not depend on n, and the post-EC engine evaluates
 the complement window only once: its two cells share one panel layout and
 every window is centred on the pair's nominal sum, so u1' +/- x sits at
 one of (2P - 1) * k^2 offsets from the window centre (P panels of k nodes)
-rather than at (P * k)^2.  One matrix product per inner cell and sign turns
-that table into the engine's three miss arrays.  The no-EC engine takes
-exact bivariate-normal rectangles instead, stacked over all six sides: one
-call for the central windows and one for all their translates.  Each
-engine is one frozen, read-only :class:`_Engine` record that its builder
-fills in one pass: cells, miss arrays, the log(1 - M/a) they give and
-P_F, the flip rate whose majority vote is the overweight tail.  Inside
+rather than at (P * k)^2.  The Gauss-Legendre nodes are exactly odd, so
+reversing the offset table along all three axes negates it exactly, and
+the lower edge's erfc is the upper edge's reversed: one erfc per offset.
+One matrix product per inner cell and sign turns that table into the
+engine's three miss arrays.  The residual density comes from one call on
+the two cells' nodes stacked with the first shifted PZ cell of P_F.  The
+no-EC engine takes exact bivariate-normal rectangles instead, stacked over
+all six sides: one call for the central windows and one for all their
+translates.  Each engine is one frozen, read-only :class:`_Engine` record
+that its builder fills in one pass: cells, miss arrays, the log(1 - M/a)
+they give and P_F, the flip rate whose majority vote is the overweight
+tail.  Inside
 :func:`shared_engines` (one ``gkprep`` command, one crossing search) the
 engines of a noise point are built once and reused by P_F, by every code
 size and by both sides of a crossing.  Every call still checks the refine
@@ -233,14 +238,30 @@ def _window_complement(
     The ancilla displacement has spread ``delta_tilde``; the window counts
     with its ``neighbors`` 2*sqrt(pi) translates on each side.  The central
     window contributes erfc((hi-y)/dt) + erfc((y-lo)/dt), computed without
-    cancellation; each translate's erf((hi-y)/dt) - erf((lo-y)/dt) is then
-    subtracted.  Clipped to [0, 2].  The residual engine calls it once, on
-    offsets from the window centre against (-HALF_CELL, HALF_CELL); the
-    tensor oracle calls it on u1' +/- x directly.
+    cancellation; :func:`_less_translates` then subtracts the translates and
+    clips.  The tensor oracle calls it on u1' +/- x directly; the residual
+    engine forms the central part of the same table by reversal instead.
     """
     lo, hi = window
     y = np.asarray(y, dtype=np.float64)
-    out = sp.erfc((hi - y) / delta_tilde) + sp.erfc((y - lo) / delta_tilde)
+    central = sp.erfc((hi - y) / delta_tilde) + sp.erfc((y - lo) / delta_tilde)
+    return _less_translates(central, y, window, delta_tilde, neighbors)
+
+
+def _less_translates(
+    central: np.ndarray,
+    y: np.ndarray,
+    window: tuple[float, float],
+    delta_tilde: float,
+    neighbors: int,
+) -> np.ndarray:
+    """``central``, the central window's complement at y, less the translates'.
+
+    Each translate's erf((hi-y)/dt) - erf((lo-y)/dt) is subtracted in turn,
+    from t = -``neighbors`` up; the result is clipped to [0, 2].
+    """
+    lo, hi = window
+    out = central
     for t in range(-neighbors, neighbors + 1):
         if t:
             shift = 2.0 * t * SQRT_PI
@@ -290,16 +311,16 @@ def _finish_engine(
 ) -> _Engine:
     """The read-only :class:`_Engine` of ``cells`` and ``miss``, every ``log_keep`` derived."""
     log_keep = {}
-    for (outer_cell, cell), sides in _SIDES.items():
-        mass = cells[cell].mass
-        if mass > 0.0:
-            ratio = sum(
-                np.clip(miss[outer_cell, cell, window, reflect] / mass, 0.0, 1.0)
-                for window, reflect in sides
-            ) / len(sides)
-        else:
-            ratio = np.zeros_like(cells[outer_cell].x)
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        for (outer_cell, cell), sides in _SIDES.items():
+            mass = cells[cell].mass
+            if mass > 0.0:
+                ratio = sum(
+                    np.clip(miss[outer_cell, cell, window, reflect] / mass, 0.0, 1.0)
+                    for window, reflect in sides
+                ) / len(sides)
+            else:
+                ratio = np.zeros_like(cells[outer_cell].x)
             log_keep[outer_cell, cell] = np.log1p(-ratio)
     cell_arrays = (a for c in cells.values() for a in (c.x, c.w, c.f))
     for a in itertools.chain(miss.values(), log_keep.values(), cell_arrays):
@@ -320,26 +341,39 @@ def _residual_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engi
     complement window is evaluated once on those (2P - 1)*k*k offsets and
     contracted into the only three distinct miss arrays, one per inner cell
     and ``reflect``; each side's miss is the cell mass less its in-window
-    part, taken from the complement window directly.  P_F sums twice the
-    masses of the PZ cells at (2m + 1)*sqrt(pi): m = 0 is ``cells[PZ_CELL]``,
-    and cell m >= 1 reuses its nodes shifted by 2m*sqrt(pi).  The sum stops
-    at the first cell below 1e-12.
+    part, taken from the complement window directly.  Reversing the offset
+    table along all three axes maps p + q + 1 - P and each t to their exact
+    negatives, so it maps every offset y to exactly -y: the central window's
+    erfc((y + HALF_CELL)/dt) is its erfc((HALF_CELL - y)/dt) reversed, and
+    only the latter is evaluated.  The translates go through
+    :func:`_less_translates`, as in :func:`_window_complement`, so each
+    table element equals that function's value bit for bit.  P_F sums
+    twice the masses of the PZ cells at (2m + 1)*sqrt(pi): m = 0 is
+    ``cells[PZ_CELL]``, and cell m >= 1 reuses its nodes shifted by
+    2m*sqrt(pi).  One ``density`` call covers the NPZ nodes, the PZ nodes
+    and the m = 1 cell, stacked; cells m >= 2 take one call each.  The sum
+    stops at the first cell below 1e-12.
     """
     dt = params.delta_tilde
     dist = ResidualDistribution(params.delta, dt)
-
-    def cell(center: float) -> _Cell:
-        x, w = peaked_cell_nodes(center, HALF_CELL, dt, n_nodes)
-        f = dist.density(x)
-        return _Cell(x, w, f, float(np.dot(w, f)))
-
-    cells = {NPZ_CELL: cell(0.0), PZ_CELL: cell(SQRT_PI)}
+    (npz_x, npz_w), (pz_x, pz_w) = (
+        peaked_cell_nodes(center, HALF_CELL, dt, n_nodes) for center in (0.0, SQRT_PI)
+    )
+    npz_f, pz_f, next_pz_f = dist.density(np.stack([npz_x, pz_x, pz_x + 2 * SQRT_PI]))
+    cells = {
+        NPZ_CELL: _Cell(npz_x, npz_w, npz_f, float(np.dot(npz_w, npz_f))),
+        PZ_CELL: _Cell(pz_x, pz_w, pz_f, float(np.dot(pz_w, pz_f))),
+    }
     reach, n_panels, order = peaked_cell_layout(HALF_CELL, dt, n_nodes)
     hw = reach / n_panels
     t = _leggauss(order)[0]
     d = np.arange(1 - n_panels, n_panels)
     offsets = 2.0 * hw * d[:, None, None] + hw * (t[:, None] + t[None, :])
-    table = _window_complement(offsets, (-HALF_CELL, HALF_CELL), dt, neighbors)
+    # the lower edge's erfc is the upper edge's reversed on all three axes
+    upper = sp.erfc((HALF_CELL - offsets) / dt)
+    table = _less_translates(
+        upper + upper[::-1, ::-1, ::-1], offsets, (-HALF_CELL, HALF_CELL), dt, neighbors
+    )
     # outer panel p meets inner panel q at table row p + q
     panels = np.arange(n_panels)
     rows = panels[:, None] + panels[None, :]
@@ -348,18 +382,17 @@ def _residual_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engi
         by_panel = table @ g.reshape(n_panels, order).T
         return 0.5 * by_panel[rows, :, panels].sum(axis=1).ravel()
 
-    npz, pz = (c.w * c.f for c in (cells[NPZ_CELL], cells[PZ_CELL]))
+    npz, pz = npz_w * npz_f, pz_w * pz_f
     contracted = {
         (NPZ_CELL, False): contract(npz),
         (PZ_CELL, False): contract(pz),
         (PZ_CELL, True): contract(pz[::-1]),
     }
     miss = {key: contracted[key[1], key[3]] for key in _MISS_KEYS}
-    pz = cells[PZ_CELL]
     pauli_rate = 0.0
     for m in range(64):
-        f = pz.f if m == 0 else dist.density(pz.x + 2 * m * SQRT_PI)
-        cell_rate = 2.0 * float(np.dot(pz.w, f))
+        f = (pz_f, next_pz_f)[m] if m < 2 else dist.density(pz_x + 2 * m * SQRT_PI)
+        cell_rate = 2.0 * float(np.dot(pz_w, f))
         pauli_rate += cell_rate
         if cell_rate < 1e-12:
             return _finish_engine(cells, miss, min(pauli_rate, 1.0), dt, neighbors)
@@ -510,22 +543,24 @@ def _factorized_cases(engine: _Engine, size: CodeSize) -> list[float]:
     non-negative terms with A - B = -(s*a)^c * expm1(c * log1p(-r)).
     """
     n = size.n
+    weighted = {key: c.w * c.f for key, c in engine.cells.items()}
 
     def block(outer_cell: tuple[float, float], pz_count: int, npz_count: int) -> float:
         """Integral over u1' of prod(A) - prod(B) for the two groups."""
-        groups = []
-        for count, cell in ((pz_count, PZ_CELL), (npz_count, NPZ_CELL)):
-            if count:
-                full = (len(_SIDES[outer_cell, cell]) * engine.cells[cell].mass) ** count
-                log_b = count * engine.log_keep[outer_cell, cell]
-                groups.append((full, -full * np.expm1(log_b), full * np.exp(log_b)))
-        # the telescoped sum, accumulated from the last group down
-        full, value, _ = groups[-1]
-        for a, drop, keep in reversed(groups[:-1]):
-            value = drop * full + keep * value
+        groups = [
+            ((len(_SIDES[outer_cell, cell]) * engine.cells[cell].mass) ** count,
+             count * engine.log_keep[outer_cell, cell])
+            for count, cell in ((pz_count, PZ_CELL), (npz_count, NPZ_CELL))
+            if count
+        ]
+        # the telescoped sum, accumulated from the last group down; it never
+        # reads the last group's B
+        full, log_b = groups[-1]
+        value = -full * np.expm1(log_b)
+        for a, log_b in reversed(groups[:-1]):
+            value = -a * np.expm1(log_b) * full + a * np.exp(log_b) * value
             full *= a
-        outer = engine.cells[outer_cell]
-        return float(np.dot(outer.w * outer.f, value))
+        return float(np.dot(weighted[outer_cell], value))
 
     cases = []
     for m in range((n + 1) // 2):

@@ -80,6 +80,27 @@ class TestCriticalAncillaSpread:
         with pytest.raises(AmbiguousCrossingError):
             critical_ancilla_spread(q)
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-300])
+    def test_bisection_reaches_tol(self, monkeypatch, tol):
+        # 30 halvings of the (0.05, 0.6) sample bracket leave about 5e-11;
+        # below the float spacing the bisection stops at adjacent floats
+        root = 0.3141592653589793
+        calls = []
+
+        def linear_curve(size, delta, cfg):
+            if size == "single":
+                return lambda dt: calls.append(dt) or dt - root
+            return lambda dt: 0.0
+
+        monkeypatch.setattr(analysis, "_rate_curve", linear_curve)
+        q = CrossingQuery(
+            delta=0.5, left_size="single", right_size=3, bracket=(0.05, 0.6), tol=tol
+        )
+        result = critical_ancilla_spread(q)
+        assert result.status == "found"
+        assert abs(result.value - root) <= max(tol / 2.0, math.ulp(root))
+        assert len(calls) < 10 + 64
+
     def test_bracket_validation(self):
         with pytest.raises(ValueError):
             CrossingQuery(delta=0.5, left_size="single", right_size=3, bracket=(0.3, 0.1))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkprep import lattice
 from gkprep.lattice import (
     HALF_CELL,
     SQRT_PI,
@@ -116,6 +117,28 @@ class TestTruncatedGaussianComb:
             brute = float(np.sum(np.exp(-((x - ts * SQRT_PI) ** 2) / s2)))
             got = gaussian_comb_array(float(x), SQRT_PI, float(s2))
             assert got == pytest.approx(brute, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "x",
+        [0.3, np.linspace(-4.0, 4.0, 97), np.linspace(-2.0, 6.0, 60).reshape(6, 10)],
+        ids=["scalar", "1d", "2d"],
+    )
+    def test_adds_the_terms_in_term_order(self, x):
+        # sigma_sq = 1.0 is K = 4, the first 9-term sum, where numpy's
+        # pairwise summation would regroup the additions
+        seen = set()
+        for sigma_sq in np.geomspace(0.002, 2.0, 31):
+            n_terms = lattice._comb_term_count(SQRT_PI, sigma_sq)
+            seen.add(n_terms)
+            xa = np.asarray(x, dtype=np.float64)
+            t0 = np.round(xa / SQRT_PI)
+            want = np.zeros_like(xa)
+            for t in range(-n_terms, n_terms + 1):
+                d = xa - (t0 + t) * SQRT_PI
+                want += np.exp(-np.minimum(d * d / sigma_sq, 745.0))
+            got = gaussian_comb_array(x, SQRT_PI, float(sigma_sq))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), sigma_sq
+        assert seen >= {1, 2, 3, 4, 5}
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(TruncationError):

@@ -576,6 +576,45 @@ class TestMissTable:
             assert cell.x.shape == (n_panels * order,)
             assert np.allclose(cell.x - _centre(bounds), rel.ravel(), rtol=0.0, atol=1e-14)
 
+    def test_gauss_legendre_nodes_are_exactly_odd(self):
+        # the engine's table reuses the upper edge's erfc, reversed, for the
+        # lower edge; that is exact only while t_{k-1-j} == -t_j bit for bit
+        orders = {
+            repetition.peaked_cell_layout(repetition.HALF_CELL, float(dt), nodes)[2]
+            for nodes in range(8, 193)
+            for dt in np.geomspace(1e-4, 2.0, 60)
+        }
+        assert len(orders) > 50
+        for order in orders:
+            t = repetition._leggauss(order)[0]
+            assert np.array_equal(t, -t[::-1]), order
+
+    @pytest.mark.parametrize("neighbors", [0, 1, 2])
+    @pytest.mark.parametrize("delta, dt, nodes", [
+        (0.5, 0.01, 64), (0.3, 0.045, 96), (0.5, 0.08, 32), (0.8, 0.35, 128), (0.5, 0.6, 16),
+    ])
+    def test_miss_arrays_equal_the_full_table_contraction(self, delta, dt, nodes, neighbors):
+        # the window complement evaluated on every offset, both edges and all
+        # translates, then contracted as the engine does: equal bit for bit
+        engine = repetition._residual_engine(NoiseParams(delta, dt), nodes, neighbors)
+        reach, n_panels, order = repetition.peaked_cell_layout(repetition.HALF_CELL, dt, nodes)
+        hw = reach / n_panels
+        t = repetition._leggauss(order)[0]
+        d = np.arange(1 - n_panels, n_panels)
+        offsets = 2.0 * hw * d[:, None, None] + hw * (t[:, None] + t[None, :])
+        table = repetition._window_complement(
+            offsets, (-repetition.HALF_CELL, repetition.HALF_CELL), dt, neighbors
+        )
+        panels = np.arange(n_panels)
+        rows = panels[:, None] + panels[None, :]
+        for outer_cell, bounds, window, reflect in repetition._MISS_KEYS:
+            cell = engine.cells[bounds]
+            g = cell.w * cell.f
+            by_panel = table @ (g[::-1] if reflect else g).reshape(n_panels, order).T
+            want = 0.5 * by_panel[rows, :, panels].sum(axis=1).ravel()
+            got = engine.miss[outer_cell, bounds, window, reflect]
+            assert got.tobytes() == want.tobytes(), (outer_cell, bounds, window, reflect)
+
 
 def _per_side_miss(engine, delta, outer_cell, bounds, window, reflect):
     """A no-EC miss integral from one rectangle call per side and per translate.
