@@ -19,6 +19,7 @@ from .repetition import (
     DEFAULT_QUADRATURE,
     FailureBreakdown,
     QuadratureConfig,
+    _as_size,
     failure_rate,
     failure_rate_no_gkp_ec,
     overall_failure_biased,
@@ -37,18 +38,26 @@ class AmbiguousCrossingError(RuntimeError):
 class CrossingQuery:
     """Find the ancilla spread where two rate curves intersect at fixed delta.
 
-    ``left_size`` is either ``"single"`` (the one-round GKP EC curve) or a
-    code size; ``right_size`` is a code size.  The bracket must straddle
-    exactly one sign change of (left - right).
+    Each of ``left_size`` and ``right_size`` is either ``"single"`` (the
+    one-round GKP EC curve, P_F) or a code size by :class:`CodeSize`'s rule,
+    stored as ``int``; the two must differ.  Any other value raises
+    ``ValueError``.  The bracket must straddle exactly one sign change of
+    (left - right).
     """
 
     delta: float
     left_size: int | str
-    right_size: int
+    right_size: int | str
     bracket: tuple[float, float] = (0.05, 0.6)
     tol: float = 1e-4
 
     def __post_init__(self) -> None:
+        for name in ("left_size", "right_size"):
+            size = getattr(self, name)
+            if size != "single":
+                object.__setattr__(self, name, _as_size(size).n)
+        if self.left_size == self.right_size:
+            raise ValueError(f"left_size and right_size must differ, both are {self.left_size!r}")
         object.__setattr__(self, "bracket", tuple(self.bracket))
         lo, hi = self.bracket
         _require_positive(delta=self.delta, tol=self.tol)

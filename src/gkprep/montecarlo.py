@@ -8,10 +8,12 @@ the shot range, which is the whole reproducibility contract.
 
 Slot layout per shot (64 slots reserved; ``CodeSize`` enforces n <= 15, so
 the 4n - 1 slots of a shot never reach the next shot's counters):
-  [0, n)        data displacements u_i
+  [0, n)        data displacements u_i, spread r*delta (``position_spread``)
   [n, 2n)       GKP-EC ancilla displacements
   [2n, 3n-1)    syndrome ancilla displacements alpha_i
   [3n-1, 4n-1)  momentum displacements (biased mode only)
+Position mode tracks the position quadrature alone, so it takes no bias:
+its r must be 1, and its data spread is then delta.
 Each stage draws its slot range as one (shots, slots) counter block, which
 hashes to the same bits as drawing the slots one at a time.
 
@@ -115,9 +117,11 @@ class ShotConfig:
 
     ``mode`` is a :class:`Mode` or its value (``"biased"``); ``shots`` and
     ``seed`` follow ``CodeSize``'s integer rule; ``gkp_ec`` must be a
-    ``bool``.  Any other value raises ``ValueError``, and so does a spread
-    whose draws can reach a value beyond ``_EXACT_CELL_RANGE``, where its
-    zone could no longer be told.
+    ``bool``.  The data draws have spread ``params.position_spread``
+    (r*delta); position mode draws no momentum, so there the bias r must be
+    1.  Any other value raises ``ValueError``, and so does a spread whose
+    draws can reach a value beyond ``_EXACT_CELL_RANGE``, where its zone
+    could no longer be told.
     """
 
     n: int | CodeSize
@@ -137,9 +141,12 @@ class ShotConfig:
             raise ValueError("shots must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        if self.mode is Mode.POSITION_ONLY and self.params.r != 1.0:
+            raise ValueError(f"r applies only in biased mode; position mode takes r = 1, "
+                             f"got {self.params.r!r}")
         # a syndrome sums two residuals, each within sqrt(pi)/2 of its data
         # draw, and an alpha draw; a momentum draw is classified as it is
-        spreads = [2.0 * self.position_spread + self.params.delta_tilde]
+        spreads = [2.0 * self.params.position_spread + self.params.delta_tilde]
         if self.mode is Mode.BIASED_FULL:
             spreads += self.params.biased_momentum_spreads(self.n.n)
         reach = _DRAW_REACH * max(spreads) + SQRT_PI
@@ -149,12 +156,6 @@ class ShotConfig:
                 f"{_EXACT_CELL_RANGE:.3g}, where the Monte Carlo can no longer tell "
                 f"their zones"
             )
-
-    @property
-    def position_spread(self) -> float:
-        if self.mode is Mode.BIASED_FULL:
-            return self.params.position_spread
-        return self.params.delta
 
 
 @dataclass(frozen=True)
@@ -293,7 +294,7 @@ def _simulate(
             raise ValueError(f"{name} must hold {k} values per shot at n = {n}, got {values.shape}")
         return np.broadcast_to(values, (shots, k)).copy()
 
-    u = stage(range(n), cfg.position_spread, "raw_data")
+    u = stage(range(n), params.position_spread, "raw_data")
     if ov.residuals is not None:
         resid = stage(range(n), 0.0, "residuals")
     elif cfg.gkp_ec:

@@ -39,6 +39,21 @@ def panel_nodes(lo: float, hi: float, n_panels: int, order: int) -> tuple[np.nda
     return x, w
 
 
+def _panels(target: int, n_nodes: int, per_panel: int) -> tuple[int, int]:
+    """(panel count, order) of ``n_nodes`` nodes: ``target`` panels of at most ``per_panel``.
+
+    The panel count is the smaller of ``target`` and ``n_nodes // per_panel``,
+    and the order is ``n_nodes`` shared among the panels.  Both cell builders
+    take their layout from here, so these are their only floors: at least 2
+    panels, and at least 8 nodes per panel.  Any ``n_nodes`` below 18 gives
+    2 panels of 8 nodes, which is why the no-EC engine, which splits
+    ``nodes_per_dim`` among 3 segments per cell, builds the same 48 nodes per
+    cell at every ``nodes_per_dim`` from 8 to 53.
+    """
+    n_panels = max(min(target, n_nodes // per_panel), 2)
+    return n_panels, max(n_nodes // n_panels, 8)
+
+
 def peaked_cell_layout(
     half_width: float,
     feature_scale: float,
@@ -56,9 +71,7 @@ def peaked_cell_layout(
     # High-order rules on few panels beat many low-order panels for these
     # entire integrands; aim for panel widths of ~4 feature scales and at
     # least 16 nodes per panel.
-    n_panels = int(min(max(math.ceil(reach / (2.0 * feature_scale)), 2), max(n_nodes // 16, 2)))
-    order = max(n_nodes // n_panels, 8)
-    return reach, n_panels, order
+    return reach, *_panels(math.ceil(reach / (2.0 * feature_scale)), n_nodes, 16)
 
 
 def peaked_cell_nodes(
@@ -88,9 +101,8 @@ def smooth_cell_nodes(
     """Nodes for a cell with smooth structure of scale ``feature_scale``."""
     if not (feature_scale > 0.0):
         raise ValueError("feature_scale must be positive")
-    n_panels = int(min(max(math.ceil((hi - lo) / (3.0 * feature_scale)), 2), max(n_nodes // 12, 2)))
-    order = max(n_nodes // n_panels, 8)
-    return panel_nodes(lo, hi, n_panels, order)
+    target = math.ceil((hi - lo) / (3.0 * feature_scale))
+    return panel_nodes(lo, hi, *_panels(target, n_nodes, 12))
 
 
 def _std_normal_cdf(x: np.ndarray) -> np.ndarray:

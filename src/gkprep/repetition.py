@@ -91,7 +91,7 @@ from .distributions import (
     _store_integers,
     pauli_rate_ideal,
 )
-from .lattice import HALF_CELL, SQRT_PI, TruncationError
+from .lattice import ABS_TAIL_BOUND, HALF_CELL, MAX_TERMS, SQRT_PI, TruncationError
 from .quadrature import (
     _leggauss,
     gaussian_window_overlap,
@@ -248,6 +248,11 @@ def _window_complement(
     return _less_translates(central, y, window, delta_tilde, neighbors)
 
 
+def _translate_shifts(neighbors: int) -> list[float]:
+    """Offsets 2*sqrt(pi)*t of a window's translates, t = -neighbors..neighbors, t != 0."""
+    return [2.0 * t * SQRT_PI for t in range(-neighbors, neighbors + 1) if t]
+
+
 def _less_translates(
     central: np.ndarray,
     y: np.ndarray,
@@ -262,12 +267,10 @@ def _less_translates(
     """
     lo, hi = window
     out = central
-    for t in range(-neighbors, neighbors + 1):
-        if t:
-            shift = 2.0 * t * SQRT_PI
-            out = out - (
-                sp.erf((hi + shift - y) / delta_tilde) - sp.erf((lo + shift - y) / delta_tilde)
-            )
+    for shift in _translate_shifts(neighbors):
+        out = out - (
+            sp.erf((hi + shift - y) / delta_tilde) - sp.erf((lo + shift - y) / delta_tilde)
+        )
     return np.clip(out, 0.0, 2.0)
 
 
@@ -352,7 +355,8 @@ def _residual_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engi
     ``cells[PZ_CELL]``, and cell m >= 1 reuses its nodes shifted by
     2m*sqrt(pi).  One ``density`` call covers the NPZ nodes, the PZ nodes
     and the m = 1 cell, stacked; cells m >= 2 take one call each.  The sum
-    stops at the first cell below 1e-12.
+    stops at the first cell below ``ABS_TAIL_BOUND`` and raises
+    :class:`TruncationError` if none of the first ``MAX_TERMS`` is.
     """
     dt = params.delta_tilde
     dist = ResidualDistribution(params.delta, dt)
@@ -390,13 +394,13 @@ def _residual_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engi
     }
     miss = {key: contracted[key[1], key[3]] for key in _MISS_KEYS}
     pauli_rate = 0.0
-    for m in range(64):
+    for m in range(MAX_TERMS):
         f = (pz_f, next_pz_f)[m] if m < 2 else dist.density(pz_x + 2 * m * SQRT_PI)
         cell_rate = 2.0 * float(np.dot(pz_w, f))
         pauli_rate += cell_rate
-        if cell_rate < 1e-12:
+        if cell_rate < ABS_TAIL_BOUND:
             return _finish_engine(cells, miss, min(pauli_rate, 1.0), dt, neighbors)
-    raise TruncationError("PZ lattice sum did not converge within 64 cells")
+    raise TruncationError(f"PZ lattice sum did not converge within {MAX_TERMS} cells")
 
 
 def _intrinsic_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
@@ -430,9 +434,8 @@ def _intrinsic_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Eng
         else:
             edges = [lo, mid, hi]
             scales = [scale, scale]
-        budget = max(n_nodes // len(scales), 8)
         parts = [
-            smooth_cell_nodes(a, b, s, budget)
+            smooth_cell_nodes(a, b, s, n_nodes // len(scales))
             for a, b, s in zip(edges, edges[1:], scales)
         ]
         x = np.concatenate([p[0] for p in parts])
@@ -455,7 +458,7 @@ def _intrinsic_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Eng
         return tuple(np.concatenate(part) for part in zip(*sides))
 
     out = gaussian_window_overlap(bounds, *limits(0.0), delta, dt, outside=True)
-    shifts = [2.0 * t * SQRT_PI for t in range(-neighbors, neighbors + 1) if t]
+    shifts = _translate_shifts(neighbors)
     if shifts:
         lo, hi = zip(*map(limits, shifts))
         overlap = gaussian_window_overlap(
@@ -728,11 +731,15 @@ def _failure_rate_impl(
     cfg: QuadratureConfig,
     gkp_ec: bool,
 ) -> FailureBreakdown:
+    """The breakdown of one of three routes: ideal ancilla, tensor oracle or certified factorized.
+
+    Each route gives the per-case values and P_F; the one exit below turns
+    them into the breakdown, with the majority vote of P_F as its tail.
+    """
     size = _as_size(n)
     if gkp_ec and params.ideal_ancilla:
-        cases = [0.0] * ((size.n + 1) // 2)
-        return _breakdown(cases, classical_failure(size, pauli_rate_ideal(params.delta)), size)
-    if cfg.method == "tensor":
+        cases, pauli_rate = [0.0] * ((size.n + 1) // 2), pauli_rate_ideal(params.delta)
+    elif cfg.method == "tensor":
         engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors)
         if size.n > 5:
             raise ValueError("tensor method is cost-guarded to n <= 5")
@@ -751,11 +758,11 @@ def _failure_rate_impl(
                 "engine builds at least 48 at every nodes_per_dim, so its n=5 "
                 "tensor route cannot run"
             )
-        tail = classical_failure(size, engine.pauli_rate)
-        return _breakdown(_tensor_cases(engine, size), tail, size)
-    *cases, pauli_rate = _certified(
-        gkp_ec, params, cfg, lambda e: [*_factorized_cases(e, size), e.pauli_rate]
-    )
+        cases, pauli_rate = _tensor_cases(engine, size), engine.pauli_rate
+    else:
+        *cases, pauli_rate = _certified(
+            gkp_ec, params, cfg, lambda e: [*_factorized_cases(e, size), e.pauli_rate]
+        )
     return _breakdown(cases, classical_failure(size, pauli_rate), size)
 
 

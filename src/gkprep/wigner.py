@@ -6,6 +6,10 @@ Gaussians with Gaussian envelopes.  The exact finite-spread corrections
 are available behind ``exact=True``; they matter only when the product of
 the spreads is not small.
 
+A :class:`GkpEnvelope` holds the two widths only.  :func:`wavefunction`
+takes the logical state (zero, one or plus) as its ``logical`` argument;
+every Wigner function here is of logical zero.
+
 Normalization convention: the Wigner combs carry unit amplitude at the
 origin, so the phase-space integral of a logical-zero grid is pi (divide by
 pi for a unit-mass quasi-distribution).  The position-basis zero/one
@@ -37,29 +41,28 @@ assert _HEADER.size == 32
 
 @dataclass(frozen=True)
 class GkpEnvelope:
-    """Finite-energy GKP state: position comb width delta, momentum kappa."""
+    """Finite-energy GKP envelope: position comb width delta, momentum kappa.
+
+    The logical state is an argument of :func:`wavefunction`, its one reader.
+    """
 
     delta: float
     kappa: float
-    logical: str = "zero"
 
     def __post_init__(self) -> None:
         _require_positive(delta=self.delta, kappa=self.kappa)
-        if self.logical not in ("zero", "one", "plus"):
-            raise ValueError(f"logical must be zero/one/plus, got {self.logical!r}")
-
-    def corrected(self) -> tuple[float, float, float]:
-        """Exact-form parameters (delta_s, kappa_s, gamma)."""
-        x = (self.delta * self.kappa) ** 2 / 4.0
-        return (
-            self.delta / math.sqrt(1.0 + x),
-            self.kappa / math.sqrt(1.0 + x),
-            (1.0 - x) / (1.0 + x),
-        )
 
     def widths(self, exact: bool) -> tuple[float, float, float]:
-        """(delta, kappa, gamma) of the exact form if ``exact``, else of the small-spread one."""
-        return self.corrected() if exact else (self.delta, self.kappa, 1.0)
+        """(delta, kappa, gamma) of the exact form if ``exact``, else of the small-spread one.
+
+        The exact form divides both widths by sqrt(1 + x) and scales the peak
+        positions by gamma = (1 - x)/(1 + x), with x = (delta*kappa)^2/4.
+        """
+        if not exact:
+            return self.delta, self.kappa, 1.0
+        x = (self.delta * self.kappa) ** 2 / 4.0
+        shrink = math.sqrt(1.0 + x)
+        return self.delta / shrink, self.kappa / shrink, (1.0 - x) / (1.0 + x)
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ _COMB_LAYOUT = {
 
 
 def _wavefunction_comb(
-    env: GkpEnvelope, basis: str, exact: bool
+    env: GkpEnvelope, basis: str, exact: bool, logical: str
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(centers, weights, width, prefactor) of the requested comb."""
     d, k, gamma = env.widths(exact)
@@ -136,7 +139,7 @@ def _wavefunction_comb(
     else:
         raise ValueError(f"basis must be 'position' or 'momentum', got {basis!r}")
 
-    spacing, offset, alternating = _COMB_LAYOUT[(env.logical, basis)]
+    spacing, offset, alternating = _COMB_LAYOUT[(logical, basis)]
     coeff = 0.5 * math.pi * envelope_scale**2
     label_max = math.sqrt(_LOG_CUTOFF / coeff)
     n_max = (label_max + abs(offset)) / spacing + 1.0
@@ -151,16 +154,19 @@ def _wavefunction_comb(
 
 
 def wavefunction(
-    env: GkpEnvelope, basis: str, x, *, exact: bool = False
+    env: GkpEnvelope, basis: str, x, *, exact: bool = False, logical: str = "zero"
 ) -> float | np.ndarray:
-    """Approximate GKP wavefunction at quadrature value(s) ``x``.
+    """Approximate GKP wavefunction of the ``logical`` state at quadrature value(s) ``x``.
 
-    Logical zero peaks at even multiples of sqrt(pi) in position; logical
-    one at odd multiples; in momentum both comb over all multiples with the
-    logical-one peaks alternating in sign.  ``exact=True`` applies the
-    finite-spread width/position corrections.
+    ``logical`` is ``"zero"``, ``"one"`` or ``"plus"``; any other value
+    raises ``ValueError``.  Logical zero peaks at even multiples of sqrt(pi)
+    in position; logical one at odd multiples; in momentum both comb over
+    all multiples with the logical-one peaks alternating in sign.
+    ``exact=True`` applies the finite-spread width/position corrections.
     """
-    centers, weights, width, prefactor = _wavefunction_comb(env, basis, exact)
+    if logical not in ("zero", "one", "plus"):
+        raise ValueError(f"logical must be zero/one/plus, got {logical!r}")
+    centers, weights, width, prefactor = _wavefunction_comb(env, basis, exact, logical)
     x_arr = np.asarray(x, dtype=np.float64)
     out = prefactor * _comb(x_arr, centers, weights, width * math.sqrt(2.0))
     return out if out.ndim else float(out)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from gkprep.analysis import (
     run_sweep,
 )
 from gkprep.distributions import NoiseParams
-from gkprep.repetition import failure_rate, overall_failure_biased, pauli_rate_physical
+from gkprep.repetition import (
+    CodeSize,
+    failure_rate,
+    overall_failure_biased,
+    pauli_rate_physical,
+)
 
 
 class TestCriticalAncillaSpread:
@@ -104,6 +110,31 @@ class TestCriticalAncillaSpread:
     def test_bracket_validation(self):
         with pytest.raises(ValueError):
             CrossingQuery(delta=0.5, left_size="single", right_size=3, bracket=(0.3, 0.1))
+
+    @pytest.mark.parametrize("left, right, message", [
+        (4, 3, "code size must be an odd integer from 3 to 15, got 4"),
+        ("single", 17, "got 17"),
+        (3.9, 5, "got 3.9"),
+        (True, 3, "got True"),
+        ("Single", 3, "got 'Single'"),
+        (3, None, "got None"),
+        (3, 3, "left_size and right_size must differ, both are 3"),
+        (3, 3.0, "left_size and right_size must differ, both are 3"),
+        ("single", "single", "left_size and right_size must differ, both are 'single'"),
+    ])
+    def test_curves_checked_when_built(self, left, right, message):
+        # an equal pair used to make 20 certified rate calls, then report no_crossing
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CrossingQuery(0.5, left, right)
+
+    def test_code_sizes_stored_as_int_on_either_side(self):
+        q = CrossingQuery(0.5, 5.0, "single", (0.15, 0.45))
+        assert (q.left_size, q.right_size) == (5, "single") and type(q.left_size) is int
+        assert CrossingQuery(0.5, np.int64(3), CodeSize(5)).right_size == 5
+        # "single" on the right is the same curve pair with the sign flipped
+        swapped = critical_ancilla_spread(CrossingQuery(0.5, 3, "single", (0.15, 0.45)))
+        plain = critical_ancilla_spread(CrossingQuery(0.5, "single", 3, (0.15, 0.45)))
+        assert (swapped.status, swapped.value) == (plain.status, plain.value)
 
 
 class TestOptimalBias:

@@ -207,7 +207,43 @@ class TestRate:
         assert lines[1].endswith(",ok")
 
 
+# `gkprep mc` stdout at seed 7, 3,000 shots, n = 3, delta = 0.5, delta_tilde = 0.2,
+# recorded while position mode still accepted (and ignored) any r
+MC_POSITION_PIN = (
+    '{"breakdown": {"misidentified": 5, "momentum": 0, "overweight": 4}, "failures": 9, '
+    '"rate": 0.003, "seed": 7, "shots": 3000, "std_err": 0.0009984988733093294}\n'
+)
+MC_BIASED_PIN = (
+    '{"breakdown": {"misidentified": 5, "momentum": 56, "overweight": 80}, "failures": 141, '
+    '"rate": 0.047, "seed": 7, "shots": 3000, "std_err": 0.0038639789509433576}\n'
+)
+
+
 class TestMc:
+    PINNED = ("mc", "--n", "3", "--delta", "0.5", "--delta-tilde", "0.2",
+              "--shots", "3000", "--seed", "7")
+
+    @pytest.mark.parametrize("r", [1.5, 3.0])
+    def test_position_mode_rejects_a_bias(self, r, tmp_path):
+        # position mode draws no momentum, so a bias would only be dropped
+        for mode in ((), ("--mode", "position")):
+            proc = run_cli(*self.PINNED, *mode, "--r", str(r), check=False)
+            assert proc.returncode == 2
+            assert proc.stderr == (
+                f"error: r applies only in biased mode; position mode takes r = 1, got {r}\n"
+            )
+        fields = {"n": 3, "delta": 0.5, "delta_tilde": 0.2, "shots": 3000, "seed": 7, "r": r}
+        for extra in ({}, {"mode": "position"}):
+            run_file = write_run_file(tmp_path, {"schema_version": 1, "mc": {**fields, **extra}})
+            proc = run_cli("sweep", "--spec", run_file, check=False)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert "r applies only in biased mode" in proc.stderr
+
+    def test_unit_bias_keeps_the_position_bytes(self):
+        assert run_cli(*self.PINNED).stdout == MC_POSITION_PIN
+        assert run_cli(*self.PINNED, "--r", "1.0").stdout == MC_POSITION_PIN
+        assert run_cli(*self.PINNED, "--r", "1.5", "--mode", "biased").stdout == MC_BIASED_PIN
+
     def test_byte_identical_reruns(self):
         args = (
             "mc", "--n", "3", "--delta", "0.5", "--delta-tilde", "0.2",
@@ -315,11 +351,12 @@ class TestMc:
         from gkprep.montecarlo import Mode, ShotConfig, run_shot
 
         trace = tmp_path / "trace.jsonl"
+        r = 1.5 if mode == "biased" else 1.0  # position mode takes no bias
         payload = json.loads(run_cli(
-            "mc", "--n", "3", "--delta", "0.6", "--delta-tilde", "0.3", "--r", "1.5",
+            "mc", "--n", "3", "--delta", "0.6", "--delta-tilde", "0.3", "--r", str(r),
             "--shots", "300", "--seed", "3", "--mode", mode, "--trace", str(trace),
         ).stdout)
-        cfg = ShotConfig(3, NoiseParams(0.6, 0.3, r=1.5), shots=300, seed=3, mode=Mode(mode))
+        cfg = ShotConfig(3, NoiseParams(0.6, 0.3, r=r), shots=300, seed=3, mode=Mode(mode))
         lines = trace.read_text().splitlines()
         assert lines == [json.dumps(run_shot(cfg, k), sort_keys=True) for k in range(300)]
         records = [json.loads(line) for line in lines]
@@ -594,6 +631,24 @@ class TestRunFiles:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("left, right, message", [
+        (3, 3, "left_size and right_size must differ, both are 3"),
+        ("single", "single", "left_size and right_size must differ, both are 'single'"),
+        (4, "single", "code size must be an odd integer from 3 to 15, got 4"),
+        ("single", "3", "code size must be an odd integer from 3 to 15, got '3'"),
+    ])
+    def test_crossing_curves_checked_before_any_rate(self, left, right, message, tmp_path,
+                                                     monkeypatch):
+        calls = []
+        monkeypatch.setattr(repetition, "_make_engine", lambda *a: calls.append(a))
+        run_file = write_run_file(tmp_path, {
+            "schema_version": 1,
+            "crossing": {"delta": 0.5, "left_size": left, "right_size": right},
+        })
+        proc = run_cli("sweep", "--spec", run_file, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+        assert calls == []
 
     @pytest.mark.parametrize("quantity, axis, fixed, message", [
         ("pfail", "r", {"delta": 0.5, "n": 3, "R": 2.0}, "unknown pfail parameters: ['R']"),

@@ -327,6 +327,21 @@ class TestRunTally:
         with pytest.raises(ValueError, match="partitions must be an integer >= 1"):
             run_tally(cfg, partitions=partitions)
 
+    def test_position_mode_takes_no_bias(self):
+        with pytest.raises(ValueError, match="r applies only in biased mode"):
+            ShotConfig(3, NoiseParams(0.5, 0.2, r=1.5), shots=10)
+        with pytest.raises(ValueError, match="r applies only in biased mode"):
+            ShotConfig(3, NoiseParams(0.5, 0.2, r=0.999), shots=10, mode="position")
+        assert not hasattr(ShotConfig(3, NoiseParams(0.5, 0.2), shots=10), "position_spread")
+
+    @pytest.mark.parametrize("mode, r", [("position", 1.0), ("biased", 1.5), ("biased", 0.7)])
+    def test_data_draws_have_the_params_position_spread(self, mode, r):
+        params = NoiseParams(0.5, 0.2, r=r)
+        cfg = ShotConfig(3, params, shots=4, seed=5, mode=mode)
+        shots = np.arange(4, dtype=np.uint64)
+        want = normal_draws(5, shots, range(3), params.position_spread)
+        assert np.array_equal(montecarlo._simulate(cfg, shots)["u"], want)
+
     def test_mode_value_selects_the_mode(self):
         params = NoiseParams(0.6, 0.3, r=1.5)
         by_value = ShotConfig(3, params, shots=3_000, seed=3, mode="biased")
@@ -379,8 +394,11 @@ class TestRunTally:
          "2109a0ffccc7ca6abf01977de1d9e668f2505c77165a2527fe9f7b2415683771"),
     ])
     def test_trace_bytes_are_pinned(self, n, mode, delta_tilde, gkp_ec, shots, digest):
+        # position mode takes no bias; its digests were recorded at r = 1.5,
+        # which the position draws never read
+        r = 1.5 if mode == "biased" else 1.0
         cfg = ShotConfig(
-            n, NoiseParams(0.5, delta_tilde, r=1.5), shots=shots, seed=2023,
+            n, NoiseParams(0.5, delta_tilde, r=r), shots=shots, seed=2023,
             mode=Mode(mode), gkp_ec=gkp_ec,
         )
         blocks = []

@@ -10,6 +10,7 @@ import pytest
 
 from gkprep import repetition
 from gkprep.distributions import NoiseParams, pauli_rate_ideal
+from gkprep.lattice import TruncationError
 from gkprep.repetition import (
     CodeSize,
     QuadratureConfig,
@@ -710,6 +711,46 @@ class TestRefineRung:
         assert [value for _, value in got[:-1]] == repetition._factorized_cases(
             engine, CodeSize(7)
         )
+
+
+class TestOnePolicyOwner:
+    @pytest.mark.parametrize("neighbors", [0, 1, 2])
+    def test_translate_shifts_keep_the_old_order(self, neighbors):
+        old = [2.0 * t * math.sqrt(math.pi) for t in range(-neighbors, neighbors + 1) if t]
+        assert repetition._translate_shifts(neighbors) == old
+
+    def test_pauli_rate_sum_takes_its_limits_from_lattice(self, monkeypatch):
+        params = NoiseParams(0.5, 0.2)
+        monkeypatch.setattr(repetition, "MAX_TERMS", 1)
+        with pytest.raises(TruncationError, match="within 1 cells"):
+            repetition._residual_engine(params, 64, 0)
+        # a bound every cell meets stops the sum after the innermost cell pair
+        monkeypatch.setattr(repetition, "ABS_TAIL_BOUND", 1.0)
+        engine = repetition._residual_engine(params, 64, 0)
+        assert engine.pauli_rate == 2.0 * engine.cells[repetition.PZ_CELL].mass
+
+    def test_every_route_leaves_through_one_breakdown(self, monkeypatch):
+        calls = []
+        breakdown = repetition._breakdown
+        monkeypatch.setattr(
+            repetition, "_breakdown", lambda *args: calls.append(args) or breakdown(*args)
+        )
+        params = NoiseParams(0.5, 0.3)
+        for cfg in (QuadratureConfig(), QuadratureConfig(64, method="tensor")):
+            failure_rate(3, params, cfg)
+        failure_rate(3, NoiseParams(0.5, 0.0))  # ideal ancilla
+        assert [len(cases) for cases, _, _ in calls] == [2, 2, 2]
+        assert calls[2][1] == classical_failure(3, pauli_rate_ideal(0.5))
+
+    def test_noec_cells_follow_the_panel_floors(self):
+        # 3 segments per cell share nodes_per_dim; below 18 nodes a segment
+        # gets the floors, 2 panels of 8 nodes
+        counts = {
+            nodes: {len(c.x) for c in repetition._intrinsic_engine(
+                NoiseParams(0.5, 0.1), nodes, 0).cells.values()}
+            for nodes in (8, 24, 49, 53, 54, 64, 96)
+        }
+        assert counts == {8: {48}, 24: {48}, 49: {48}, 53: {48}, 54: {54}, 64: {60}, 96: {96}}
 
 
 class TestOverallFailureBiased:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,12 +24,24 @@ class TestGkpEnvelope:
     def test_validation(self):
         with pytest.raises(ValueError):
             GkpEnvelope(-0.1, 0.2)
-        with pytest.raises(ValueError):
-            GkpEnvelope(0.2, 0.2, "minus")
+        with pytest.raises(ValueError, match="logical must be zero/one/plus, got 'minus'"):
+            wavefunction(GkpEnvelope(0.2, 0.2), "position", 0.0, logical="minus")
+
+    def test_fields_are_the_two_widths(self):
+        # the logical state is an argument of wavefunction, its only reader
+        assert [f.name for f in dataclasses.fields(GkpEnvelope)] == ["delta", "kappa"]
+        with pytest.raises(TypeError):
+            GkpEnvelope(0.3, 0.3, "one")
+        assert not hasattr(GkpEnvelope(0.3, 0.3), "corrected")
+        q = np.linspace(-3.0, 3.0, 7)
+        env = GkpEnvelope(0.3, 0.3)
+        assert np.array_equal(wavefunction(env, "position", q),
+                              wavefunction(env, "position", q, logical="zero"))
 
     def test_corrections_shrink_widths(self):
-        d_s, k_s, gamma = GkpEnvelope(0.3, 0.3).corrected()
+        d_s, k_s, gamma = GkpEnvelope(0.3, 0.3).widths(exact=True)
         assert d_s < 0.3 and k_s < 0.3 and gamma < 1.0
+        assert GkpEnvelope(0.3, 0.3).widths(exact=False) == (0.3, 0.3, 1.0)
 
 
 class TestWavefunction:
@@ -50,30 +63,29 @@ class TestWavefunction:
         assert np.trapezoid(psi_n**2, q) == pytest.approx(1.0, abs=1e-6)
 
     def test_one_momentum_sign_alternation(self):
-        env = GkpEnvelope(0.25, 0.25, "one")
-        vals = wavefunction(env, "momentum", np.array([0.0, SQRT_PI]))
+        env = GkpEnvelope(0.25, 0.25)
+        vals = wavefunction(env, "momentum", np.array([0.0, SQRT_PI]), logical="one")
         assert vals[1] / vals[0] < 0.0
 
     def test_one_position_peaks_at_odd_multiples(self):
-        env = GkpEnvelope(0.2, 0.2, "one")
-        assert wavefunction(env, "position", SQRT_PI) > 100.0 * wavefunction(
-            env, "position", 0.0
+        env = GkpEnvelope(0.2, 0.2)
+        assert wavefunction(env, "position", SQRT_PI, logical="one") > 100.0 * wavefunction(
+            env, "position", 0.0, logical="one"
         )
 
     def test_plus_position_peaks_at_all_multiples(self):
-        env = GkpEnvelope(0.2, 0.2, "plus")
-        at_zero = wavefunction(env, "position", 0.0)
-        at_one = wavefunction(env, "position", SQRT_PI)
+        env = GkpEnvelope(0.2, 0.2)
+        at_zero = wavefunction(env, "position", 0.0, logical="plus")
+        at_one = wavefunction(env, "position", SQRT_PI, logical="plus")
         assert at_one == pytest.approx(
             at_zero * math.exp(-math.pi * 0.2**2 / 2), rel=1e-6
         )
 
     def test_plus_momentum_peaks_at_even_multiples(self):
         # conjugate structure of the logical-zero position comb
-        env = GkpEnvelope(0.2, 0.2, "plus")
-        assert wavefunction(env, "momentum", 2 * SQRT_PI) > 100.0 * wavefunction(
-            env, "momentum", SQRT_PI
-        )
+        env = GkpEnvelope(0.2, 0.2)
+        peak = wavefunction(env, "momentum", 2 * SQRT_PI, logical="plus")
+        assert peak > 100.0 * wavefunction(env, "momentum", SQRT_PI, logical="plus")
 
     def test_momentum_forms_squared_norm_is_two(self):
         # documented prefactor convention for the denser combs
@@ -84,7 +96,7 @@ class TestWavefunction:
 
     def test_exact_flag_shifts_peaks(self):
         env = GkpEnvelope(0.4, 0.4)
-        _, _, gamma = env.corrected()
+        _, _, gamma = env.widths(exact=True)
         approx_peak = wavefunction(env, "position", 2 * SQRT_PI)
         exact_peak = wavefunction(env, "position", 2 * SQRT_PI * gamma, exact=True)
         assert exact_peak > approx_peak  # exact peak sits at the shifted centre
