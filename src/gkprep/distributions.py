@@ -79,6 +79,14 @@ def _require_positive(**fields: Any) -> None:
             raise ValueError(f"{name} must be a positive finite real")
 
 
+def _require_non_negative(**fields: Any) -> None:
+    """As :func:`_require_real`, for fields that must also be >= 0."""
+    _require_real(**fields)
+    for name, value in fields.items():
+        if value < 0.0:
+            raise ValueError(f"{name} must be a non-negative finite real")
+
+
 def _store_integers(obj: Any, *names: str) -> None:
     """Store each named field of the frozen dataclass ``obj`` as ``int``.
 
@@ -115,9 +123,7 @@ class NoiseParams:
 
     def __post_init__(self) -> None:
         _require_positive(delta=self.delta, r=self.r)
-        _require_real(delta_tilde=self.delta_tilde)
-        if self.delta_tilde < 0.0:
-            raise ValueError("delta_tilde must be a non-negative finite real")
+        _require_non_negative(delta_tilde=self.delta_tilde)
 
     @property
     def position_spread(self) -> float:

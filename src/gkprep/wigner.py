@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _GAUSS_REACH, _require_positive, _require_real
+from .distributions import _GAUSS_REACH, _require_non_negative, _require_positive, _require_real
 from .lattice import SQRT_PI
 
 # Comb terms whose envelope weight falls below this fraction of the leading
@@ -224,11 +224,11 @@ def wigner_after_gdc(
     The channel convolves each Gaussian peak, so peak variances add
     (delta^2 + dq^2 along q, kappa^2 + dp^2 along p) and the amplitude
     rescales by delta*kappa/sqrt((dq^2+delta^2)(dp^2+kappa^2)); envelope
-    weights are untouched.
+    weights are untouched.  Each spread must be a non-negative finite real
+    (``ValueError`` otherwise); zero leaves its quadrature unchanged.
     """
     dq, dp = channel
-    if dq < 0.0 or dp < 0.0:
-        raise ValueError("channel spreads must be non-negative")
+    _require_non_negative(dq=dq, dp=dp)
     q_width = math.sqrt(env.delta**2 + dq**2)
     p_width = math.sqrt(env.kappa**2 + dp**2)
     amplitude = env.delta * env.kappa / (q_width * p_width)

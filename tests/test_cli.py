@@ -294,6 +294,14 @@ class TestMc:
         assert proc.stderr == f"error: --workers must be at least 1, got {workers}\n"
         assert proc.stdout == ""
 
+    def test_shots_beyond_the_counter_range_is_usage_error(self):
+        proc = run_cli(
+            "mc", "--n", "3", "--delta", "0.5", "--shots", str(2**58 + 1), check=False
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: shots must be at most 2**58, got {2**58 + 1}\n"
+        assert proc.stdout == ""
+
     def test_single_shot_rate_is_binary(self):
         payload = json.loads(
             run_cli(

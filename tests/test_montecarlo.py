@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,21 @@ class TestRunShot:
         with pytest.raises(ValueError, match=f"{field} must hold {count} values per shot at n = 3"):
             run_shot(cfg, overrides=ShotOverrides(**{field: value}))
 
+    @pytest.mark.parametrize("index", [5 + 2**58, 2**58, 2**64, -1, 3.7, math.nan, True, "3"])
+    def test_shot_index_must_own_its_counters(self, index):
+        # each shot owns 64 counter slots, so index k + 2**58 hashes to shot
+        # k's draws; 3.7 used to run shot 3, and -1 or 2**64 overflowed
+        cfg = ShotConfig(3, NoiseParams(0.5, 0.2), shots=1, seed=4)
+        with pytest.raises(ValueError, match=r"shot_index must be an integer in \[0, 2\*\*58\)"):
+            run_shot(cfg, index)
+
+    def test_integral_shot_indices_run_that_shot(self):
+        cfg = ShotConfig(3, NoiseParams(0.5, 0.2), shots=1, seed=4)
+        want = run_shot(cfg, 3)
+        assert run_shot(cfg, 3.0) == run_shot(cfg, np.int64(3)) == want
+        assert want["shot"] == 3
+        assert run_shot(cfg, 2**58 - 1)["shot"] == 2**58 - 1
+
     def test_reproducible(self):
         cfg = ShotConfig(3, NoiseParams(0.5, 0.2), shots=10, seed=4)
         a = run_shot(cfg, shot_index=7)
@@ -308,6 +324,12 @@ class TestRunTally:
     def test_shots_validation(self):
         with pytest.raises(ValueError):
             ShotConfig(3, NoiseParams(0.5, 0.2), shots=0)
+
+    def test_shots_beyond_the_counter_range_rejected(self):
+        # a shot past index 2**58 - 1 would repeat an earlier shot's draws
+        assert ShotConfig(3, NoiseParams(0.5, 0.2), shots=2**58).shots == 2**58
+        with pytest.raises(ValueError, match=r"shots must be at most 2\*\*58"):
+            ShotConfig(3, NoiseParams(0.5, 0.2), shots=2**58 + 1)
 
     def test_huge_spreads_tally_or_are_rejected(self):
         # every cell is about equally likely at delta = 1e6, so each qubit
@@ -356,9 +378,25 @@ class TestRunTally:
         cfg = ShotConfig(5, NoiseParams(0.5, 0.3), shots=100_001, seed=7)
         results = [run_tally(cfg, partitions=p) for p in (1, 2, 8)]
         assert results[0] == results[1] == results[2]
-        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 1000)
-        chunked = run_tally(cfg)
-        assert chunked == results[0]
+        for chunk_size in (1000, 1 << 13, 1 << 16):
+            monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk_size)
+            assert run_tally(cfg) == results[0]
+
+    def test_working_set_does_not_grow_with_shots(self):
+        # the chunk, not the shot count, bounds what a tally holds: at the
+        # old 65,536-shot chunks these peaks were 33.8 and 80.5 MB
+        peaks = []
+        for shots in (40_000, 160_000):
+            cfg = ShotConfig(15, NoiseParams(0.5, 0.2, r=1.5), shots=shots, seed=3,
+                             mode=Mode.BIASED_FULL)
+            tracemalloc.start()
+            try:
+                run_tally(cfg, partitions=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
+        assert max(peaks) < 16e6
 
     def test_worker_count_and_trace_do_not_change_the_tally(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 500)
@@ -410,13 +448,13 @@ class TestRunTally:
         cfg = ShotConfig(5, NoiseParams(0.5, 0.3, r=1.5), shots=2_500, seed=9,
                          mode=Mode.BIASED_FULL)
         texts = []
-        for chunk_size in (1, 7, 1000, 65536):
+        for chunk_size in (1, 7, 1000, 1 << 13, 1 << 16):
             monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk_size)
             blocks = []
             run_tally(cfg, trace=blocks.extend)
             texts.append("".join(blocks))
         assert len(texts[0].splitlines()) == cfg.shots
-        assert texts[1:] == texts[:1] * 3
+        assert texts[1:] == texts[:1] * 4
 
     def test_workers_capped_at_available_cores(self, monkeypatch):
         built = []

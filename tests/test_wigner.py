@@ -177,6 +177,16 @@ class TestWignerAfterGdc:
         with pytest.raises(ValueError):
             wigner_after_gdc(env, (-0.1, 0.0), spec)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "0.1", -0.1])
+    @pytest.mark.parametrize("axis", ["dq", "dp"])
+    def test_channel_spread_must_be_a_non_negative_finite_real(self, axis, bad):
+        # nan gave an all-nan grid and inf a grid of zeros, with no error
+        env = GkpEnvelope(0.25, 0.25)
+        spec = GridSpec((-1, 1), (-1, 1), 3, 3)
+        channel = (bad, 0.1) if axis == "dq" else (0.1, bad)
+        with pytest.raises(ValueError, match=f"{axis} must be a"):
+            wigner_after_gdc(env, channel, spec)
+
     def test_peak_variance_additivity(self):
         # fit ln W = a - q^2/w^2 on the p = 0 cut near the peak; the fitted
         # variance w^2/2 must show the channel variance added in
