@@ -1,8 +1,10 @@
 """Derived quantities: curve crossings, optimal bias levels, parameter sweeps.
 
-Root finding and minimization deliberately use bracketed bisection and
-golden-section search: every objective evaluation is a quadrature, so
-robustness beats convergence order.
+Root finding stays bracketed: a crossing search scans its bracket, then
+narrows the scan's sign change by ITP, which never needs more evaluations
+than bisection plus one and needs fewer on smooth curves.  Minimization uses
+golden-section search.  Every objective evaluation is a quadrature, so
+a guaranteed bracket matters more than convergence order.
 """
 
 from __future__ import annotations
@@ -89,28 +91,50 @@ def _rate_curve(
     return lambda dt: failure_rate(size, NoiseParams(delta, dt), cfg).total
 
 
+# ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2020): the truncation
+# step is _ITP_KAPPA1 * (b - a)**2 / w, w the width of the scan's bracket
+# (kappa1 = 0.2 / w, kappa2 = 2), and the search may make _ITP_N0 more
+# evaluations than bisection would.
+_ITP_KAPPA1 = 0.2
+_ITP_N0 = 1
+
+
+def _interpolant(left: float, right: float) -> float:
+    """The value ITP interpolates: log(left) - log(right), or left - right.
+
+    The log form needs both rates positive and finite.  Either form changes
+    sign with left - right and is negated exactly when the sides swap.
+    """
+    if 0.0 < left < math.inf and 0.0 < right < math.inf:
+        return math.log(left) - math.log(right)
+    return left - right
+
+
 @shared_engines()
 def critical_ancilla_spread(
     q: CrossingQuery, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> CrossingResult:
-    """Ancilla spread where the two curves of ``q`` cross, by bisection.
+    """Ancilla spread where the two curves of ``q`` cross, by ITP after a scan.
 
     Samples 8 interior points first: no sign change is reported as a
     no-crossing result, more than one sign change raises
     :class:`AmbiguousCrossingError` with the samples attached.  Both curves
-    share each sampled point's engines.  The bisection halves the bracket
-    until it is no wider than ``q.tol``, or until its ends are adjacent
-    floats, and returns its midpoint.
+    share each sampled point's engines.  ITP (interpolate, truncate, project)
+    then narrows the two scan points that straddle the sign change until
+    they are at most ``q.tol`` apart, or adjacent floats, and returns their
+    midpoint, within ``q.tol / 2`` of the sign change; a point where left ==
+    right exactly is returned as it is.  ITP interpolates
+    :func:`_interpolant`, decides each side by the sign of left - right, and
+    makes at most ceil(log2(w / tol)) + 1 evaluations on a scan interval of
+    width w, one more than bisection.
     """
     left = _rate_curve(q.left_size, q.delta, cfg)
     right = _rate_curve(q.right_size, q.delta, cfg)
 
-    def diff(dt: float) -> float:
-        return left(dt) - right(dt)
-
     lo, hi = q.bracket
     points = [lo + (hi - lo) * i / 9.0 for i in range(10)]
-    samples = [(dt, diff(dt)) for dt in points]
+    rates = [(left(dt), right(dt)) for dt in points]
+    samples = [(dt, l - r) for dt, (l, r) in zip(points, rates)]
     signs = [math.copysign(1.0, d) for _, d in samples if d != 0.0]
     changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     if changes == 0:
@@ -120,22 +144,46 @@ def critical_ancilla_spread(
             f"{changes} sign changes on bracket {q.bracket}: {samples}"
         )
 
-    for (a, fa), (b, fb) in zip(samples, samples[1:]):
-        if math.copysign(1.0, fa) != math.copysign(1.0, fb):
-            lo, hi, flo = a, b, fa
+    i = next(
+        i for i in range(9)
+        if math.copysign(1.0, samples[i][1]) != math.copysign(1.0, samples[i + 1][1])
+    )
+    a, b = points[i], points[i + 1]
+    ya, yb = _interpolant(*rates[i]), _interpolant(*rates[i + 1])
+    side_a = math.copysign(1.0, samples[i][1])
+    width = b - a
+    # the budget counts no halvings past the float spacing, which no step can
+    # narrow (so 2**budget stays finite at any tol), and its brackets aim a
+    # few spacings below tol, so that rounding never leaves the last one just
+    # wider than tol
+    spacing = math.ulp(b)
+    budget = max(math.ceil(math.log2(width) - math.log2(max(q.tol, spacing))), 0) + _ITP_N0
+    target = max(q.tol - 4.0 * spacing, spacing)
+    j = 0
+    while b - a > q.tol:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:  # a and b are adjacent floats
             break
-    while hi - lo > q.tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent floats
-            break
-        fmid = diff(mid)
-        if fmid == 0.0:
-            return CrossingResult("found", mid, tuple(samples))
-        if math.copysign(1.0, fmid) == math.copysign(1.0, flo):
-            lo, flo = mid, fmid
+        # regula falsi, truncated toward the midpoint, projected into the
+        # radius that keeps the bracket within budget
+        radius = max(math.ldexp(target, budget - j - 1) - 0.5 * (b - a), 0.0)
+        falsi = mid if ya == yb else (yb * a - ya * b) / (yb - ya)
+        toward_mid = math.copysign(1.0, mid - falsi)
+        step = _ITP_KAPPA1 * (b - a) ** 2 / width
+        x = falsi + toward_mid * step if step <= abs(mid - falsi) else mid
+        if not abs(x - mid) <= radius:
+            x = mid - toward_mid * radius
+        if not a < x < b:
+            x = mid
+        lx, rx = left(x), right(x)
+        if lx - rx == 0.0:
+            return CrossingResult("found", x, tuple(samples))
+        if math.copysign(1.0, lx - rx) == side_a:
+            a, ya = x, _interpolant(lx, rx)
         else:
-            hi = mid
-    return CrossingResult("found", 0.5 * (lo + hi), tuple(samples))
+            b, yb = x, _interpolant(lx, rx)
+        j += 1
+    return CrossingResult("found", 0.5 * (a + b), tuple(samples))
 
 
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0

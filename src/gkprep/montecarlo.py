@@ -224,8 +224,9 @@ def decode_syndrome_bits(syndromes: np.ndarray) -> np.ndarray:
     Syndrome i compares qubit 1 with qubit i+2, so a syndrome vector s is
     explained either by flips on {i+2 : s_i = 1} (qubit 1 clean) or by flips
     on {1} + {i+2 : s_i = 0}; exactly one of the two has correctable weight
-    for odd n, and the decoder picks it.  Reproduces the lookup table (see
-    :func:`decoder_table`) for every n.
+    for odd n, and the decoder picks it.  This is the lookup table that runs
+    every correctable pattern through the syndrome map, which
+    ``tests/test_montecarlo.py`` enumerates for n <= 9.
     """
     syndromes = np.atleast_2d(np.asarray(syndromes, dtype=bool))
     shots, n_minus_1 = syndromes.shape
@@ -235,31 +236,6 @@ def decode_syndrome_bits(syndromes: np.ndarray) -> np.ndarray:
     pattern[:, 0] = ~qubit1_clean
     pattern[:, 1:] = np.where(qubit1_clean[:, None], syndromes, ~syndromes)
     return pattern
-
-
-def decoder_table(n: int | CodeSize) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Explicit syndrome -> flip-pattern lookup, enumerated for n <= 9.
-
-    Built by running every correctable pattern through the syndrome map
-    (syndrome i fires iff exactly one of qubit 1, qubit i+2 flipped); the
-    2^(n-1) syndromes are in bijection with the correctable patterns.
-    """
-    size = _as_size(n)
-    if size.n > 9:
-        raise ValueError("explicit table generated only for n <= 9")
-
-    table: dict[tuple[int, ...], tuple[int, ...]] = {}
-    qubits = range(size.n)
-    for w in range(size.correctable_weight + 1):
-        for flipped in itertools.combinations(qubits, w):
-            pattern = tuple(1 if q in flipped else 0 for q in qubits)
-            syndrome = tuple(
-                pattern[0] ^ pattern[i + 1] for i in range(size.n - 1)
-            )
-            if syndrome in table:
-                raise RuntimeError("syndrome collision; table construction bug")
-            table[syndrome] = pattern
-    return table
 
 
 def sample_residual(
@@ -275,9 +251,18 @@ def sample_residual(
     Draws the data displacement u1 (spread ``delta``) and the ancilla
     displacement u2 (spread ``delta_tilde``), then returns
     u1 - g(u1 + u2) = k*sqrt(pi) - u2.  With ``delta_tilde = 0`` the
-    residual is an exact lattice multiple.
+    residual is an exact lattice multiple.  ``first_shot`` and ``shots`` must
+    be integers (``CodeSize``'s rule) with the shots [first_shot, first_shot
+    + shots) in [0, 2^58); beyond that a shot would reuse another shot's
+    counters.
     """
-    idx = np.arange(first_shot, first_shot + shots, dtype=np.uint64)
+    first, count = _integral(first_shot), _integral(shots)
+    if first is None or count is None or not 0 <= first <= first + count <= _SHOT_LIMIT:
+        raise ValueError(
+            "first_shot and shots must be integers with [first_shot, first_shot + shots)"
+            f" in [0, 2**58), got first_shot={first_shot!r}, shots={shots!r}"
+        )
+    idx = np.arange(first, first + count, dtype=np.uint64)
     u1 = normal_draws(seed, idx, 0, delta)
     u2 = normal_draws(seed, idx, 1, delta_tilde)
     s = u1 + u2

@@ -107,6 +107,97 @@ class TestCriticalAncillaSpread:
         assert abs(result.value - root) <= max(tol / 2.0, math.ulp(root))
         assert len(calls) < 10 + 64
 
+    # the scan interval of the (0.05, 0.6) bracket that holds each test root
+    SCAN_WIDTH = 0.55 / 9
+
+    @staticmethod
+    def _rate_curves(monkeypatch, left_rate, right_rate):
+        """Replace the two curves; return the list of spreads the left one is called at."""
+        calls = []
+
+        def curves(size, delta, cfg):
+            if size == "single":
+                return lambda dt: calls.append(dt) or left_rate(dt)
+            return right_rate
+
+        monkeypatch.setattr(analysis, "_rate_curve", curves)
+        return calls
+
+    def _assert_within_tol_and_budget(self, monkeypatch, left_rate, right_rate, root, tol):
+        calls = self._rate_curves(monkeypatch, left_rate, right_rate)
+        q = CrossingQuery(0.5, "single", 3, (0.05, 0.6), tol)
+        result = critical_ancilla_spread(q)
+        assert result.status == "found"
+        assert abs(result.value - root) <= tol / 2.0
+        # ITP's worst case: bisection's ceil(log2(w / tol)) steps and one more
+        after_scan = len(calls) - 10
+        assert after_scan <= math.ceil(math.log2(self.SCAN_WIDTH) - math.log2(tol)) + 1
+        return after_scan
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+    def test_itp_smooth_curve_beats_bisection(self, monkeypatch, tol):
+        root = 0.3141592653589793
+        after_scan = self._assert_within_tol_and_budget(
+            monkeypatch, lambda dt: 1e-9 * math.exp(30.0 * (dt * dt - root * root)),
+            lambda dt: 1e-9, root, tol,
+        )
+        assert after_scan < math.log2(self.SCAN_WIDTH / tol)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+    def test_itp_jump_in_the_log_ratio_stays_within_budget(self, monkeypatch, tol):
+        # like the (9,7) log ratio at delta = 0.5, which jumps from -3.0 to
+        # +0.2 between two scan points: regula falsi alone would creep
+        root = 0.3141592653589793
+
+        def log_ratio(dt):
+            return (-3.0 if dt < root else 0.2) + 2.0 * (dt - root)
+
+        self._assert_within_tol_and_budget(
+            monkeypatch, lambda dt: 1e-9 * math.exp(log_ratio(dt)), lambda dt: 1e-9, root, tol
+        )
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8])
+    def test_itp_zero_rate_interpolates_the_difference(self, monkeypatch, tol):
+        # the left rate underflows to 0.0 at the low end of the scan interval
+        root = 0.27
+        seen = []
+        interpolant = analysis._interpolant
+        monkeypatch.setattr(
+            analysis, "_interpolant", lambda l, r: seen.append((l, r)) or interpolant(l, r)
+        )
+        self._assert_within_tol_and_budget(
+            monkeypatch, lambda dt: 0.0 if dt < 0.25 else 1e-9 * math.exp(40.0 * (dt - root)),
+            lambda dt: 1e-9, root, tol,
+        )
+        assert (0.0, 1e-9) in seen
+
+    @pytest.mark.parametrize("left, right, want", [
+        (2.0, 1.0, math.log(2.0)),
+        (1e-300, 1e-200, math.log(1e-300) - math.log(1e-200)),
+        (0.0, 1e-9, -1e-9),
+        (math.inf, 1.0, math.inf),
+        (-0.5, 0.25, -0.75),
+    ])
+    def test_interpolant_is_the_log_ratio_of_positive_rates(self, left, right, want):
+        assert analysis._interpolant(left, right) == want
+        assert analysis._interpolant(right, left) == -want
+
+    def test_tiniest_tol_is_found(self, monkeypatch):
+        # the budget 2**n and log2(w / tol) overflow a float at tol = 5e-324;
+        # below the float spacing the steps stop at adjacent floats
+        tol = 5e-324
+        root = 0.3141592653589793
+        calls = self._rate_curves(monkeypatch, lambda dt: dt - root, lambda dt: 0.0)
+        result = critical_ancilla_spread(CrossingQuery(0.5, "single", 3, (0.05, 0.6), tol))
+        assert result.status == "found"
+        assert abs(result.value - root) <= math.ulp(root)
+        assert len(calls) - 10 <= math.ceil(math.log2(self.SCAN_WIDTH / math.ulp(root))) + 1
+        monkeypatch.undo()
+        q = CrossingQuery(0.5, "single", 3, (0.15, 0.45))
+        fine = critical_ancilla_spread(dataclasses.replace(q, tol=tol))
+        assert fine.status == "found"
+        assert abs(fine.value - critical_ancilla_spread(q).value) <= q.tol / 2.0
+
     def test_bracket_validation(self):
         with pytest.raises(ValueError):
             CrossingQuery(delta=0.5, left_size="single", right_size=3, bracket=(0.3, 0.1))

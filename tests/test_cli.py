@@ -416,9 +416,9 @@ FIGURE_SHA256 = {
     "fig8_n5.csv": "2162097c51fd2f60a3efc0d39c145ecb2c5530567467bdf52fde4689ae35046f",
     "fig8_n7.csv": "757fa8e837774ac8fa734e5ae476b7022bd14957d73059120e4603f7d08c9071",
     "fig8_n9.csv": "a47351b793cabee03f85dcc75483f0bd5cacc8118ce23e2a37ea9ff6676ca898",
-    "fig9_53.csv": "2cf063c20e1c352bc60c06b23eb31ae68b7e4149cdc81fd2107c91f5b20ee5ad",
-    "fig9_75.csv": "67c412865ef0637a8e1c3c807ccead2329b8a56644b16e22e4cb01806cc9ca77",
-    "fig9_97.csv": "2790de6c9418f16672176501ef4be6da27a953132527a336ee2869e525e54270",
+    "fig9_53.csv": "e2896046a1291db4076764dc222d48ad37a8b4b7f457e876243df63bdb1d0776",
+    "fig9_75.csv": "52c40f8beb925cc484e4b5063216224dcb4661a51071e259ba89c14827657682",
+    "fig9_97.csv": "1b9c89ed339547e900f1f4cf755d96f399d6edca498568140e63211fd435f2fd",
 }
 
 

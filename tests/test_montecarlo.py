@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,6 @@ from gkprep.montecarlo import (
     ShotConfig,
     ShotOverrides,
     decode_syndrome_bits,
-    decoder_table,
     normal_draws,
     run_shot,
     run_tally,
@@ -27,6 +27,7 @@ from gkprep.montecarlo import (
 )
 from gkprep.quadrature import panel_nodes
 from gkprep.repetition import (
+    CodeSize,
     failure_rate,
     failure_rate_no_gkp_ec,
     overall_failure_biased,
@@ -125,6 +126,25 @@ class TestCounterRng:
             ShotConfig(17, NoiseParams(0.5, 0.2), shots=10, mode=Mode.BIASED_FULL)
 
 
+def decoder_table(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Explicit syndrome -> flip-pattern lookup.
+
+    Built by running every correctable pattern through the syndrome map
+    (syndrome i fires iff exactly one of qubit 1, qubit i+2 flipped); the
+    2^(n-1) syndromes are in bijection with the correctable patterns.
+    """
+    size = CodeSize(n)
+    table: dict[tuple[int, ...], tuple[int, ...]] = {}
+    qubits = range(size.n)
+    for w in range(size.correctable_weight + 1):
+        for flipped in itertools.combinations(qubits, w):
+            pattern = tuple(1 if q in flipped else 0 for q in qubits)
+            syndrome = tuple(pattern[0] ^ pattern[i + 1] for i in range(size.n - 1))
+            assert syndrome not in table, "syndrome collision"
+            table[syndrome] = pattern
+    return table
+
+
 class TestDecoder:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_rule_matches_generated_table(self, n):
@@ -164,6 +184,27 @@ class TestDecoder:
 
 
 class TestSampleResidual:
+    def test_first_shot_continues_the_shot_range(self):
+        whole = sample_residual(0.5, 0.2, seed=3, shots=8)
+        assert np.array_equal(sample_residual(0.5, 0.2, seed=3, shots=5, first_shot=3), whole[3:])
+        assert np.array_equal(sample_residual(0.5, 0.2, seed=3, shots=5.0, first_shot=3.0),
+                              whole[3:])
+        last = sample_residual(0.5, 0.2, seed=3, shots=2, first_shot=2**58 - 2)
+        assert last.shape == (2,) and not np.array_equal(last, whole[:2])
+
+    @pytest.mark.parametrize("first_shot, shots", [
+        (2**58, 2),  # hashed to shot 0's counters
+        (2**58 - 1, 2),
+        (2.5, 2),  # ran from shot 2
+        (-1, 2),  # numpy's OverflowError
+        (True, 2),
+        (0, -1),
+        (0, 1.5),
+    ])
+    def test_shot_range_outside_the_counters_rejected(self, first_shot, shots):
+        with pytest.raises(ValueError, match=r"in \[0, 2\*\*58\), got first_shot="):
+            sample_residual(0.5, 0.2, seed=3, shots=shots, first_shot=first_shot)
+
     def test_ideal_ancilla_gives_lattice_multiples(self):
         r = sample_residual(0.5, 0.0, seed=1, shots=100_000)
         k = np.round(r / SQRT_PI)
