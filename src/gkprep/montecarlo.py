@@ -208,14 +208,34 @@ class ShotOverrides:
 
 @dataclass(frozen=True)
 class TallyResult:
-    """Aggregated failure counts with the binomial standard error."""
+    """Aggregated failure counts with the binomial standard error.
+
+    ``std_err`` is sqrt(rate * (1 - rate) / shots), which is 0 when no shot
+    (or every shot) fails; ``ci95`` is the Wilson score interval at 95 %
+    (Brown, Cai & DasGupta, Statist. Sci. 16, 2001): the two rates p with
+    (rate - p)^2 = z^2 p (1 - p) / shots, z the 0.975 normal quantile.  Its
+    upper bound stays above 0 with no failures.
+    """
 
     failures: int
     shots: int
     seed: int
     rate: float
     std_err: float
+    ci95: tuple[float, float]
     breakdown: dict[str, int] = field(default_factory=dict)
+
+
+def _wilson_interval(failures: int, shots: int) -> tuple[float, float]:
+    """:attr:`TallyResult.ci95` of ``failures`` in ``shots``.
+
+    The lower bound is taken as the product of the two roots,
+    failures^2 / (shots * (shots + z^2)), over the upper one: no
+    cancellation, and exactly 0 with no failures.
+    """
+    z2 = float(sp.ndtri(0.975)) ** 2
+    upper = failures + z2 / 2.0 + math.sqrt(z2 * (failures * (shots - failures) / shots + z2 / 4.0))
+    return failures**2 / (shots * upper), min(upper / (shots + z2), 1.0)
 
 
 def decode_syndrome_bits(syndromes: np.ndarray) -> np.ndarray:
@@ -468,12 +488,8 @@ def run_tally(
     counts = {key: sum(c[key] for _, c in results) for key in results[0][1]}
 
     rate = failures / cfg.shots
-    std_err = math.sqrt(rate * (1.0 - rate) / cfg.shots)
     return TallyResult(
-        failures=failures,
-        shots=cfg.shots,
-        seed=cfg.seed,
-        rate=rate,
-        std_err=std_err,
-        breakdown=counts,
+        failures=failures, shots=cfg.shots, seed=cfg.seed, rate=rate,
+        std_err=math.sqrt(rate * (1.0 - rate) / cfg.shots),
+        ci95=_wilson_interval(failures, cfg.shots), breakdown=counts,
     )

@@ -44,14 +44,12 @@ def _panels(target: int, n_nodes: int, per_panel: int) -> tuple[int, int]:
 
     The panel count is the smaller of ``target`` and ``n_nodes // per_panel``,
     and the order is ``n_nodes`` shared among the panels.  Both cell builders
-    take their layout from here, so these are their only floors: at least 2
-    panels, and at least 8 nodes per panel.  Any ``n_nodes`` below 18 gives
-    2 panels of 8 nodes, which is why the no-EC engine, which splits
-    ``nodes_per_dim`` among 3 segments per cell, builds the same 48 nodes per
-    cell at every ``nodes_per_dim`` from 8 to 53.
+    take their layout from here, so their only floor is at least 2 panels,
+    and a layout of p panels holds between ``n_nodes`` - p + 1 and
+    ``n_nodes`` nodes.
     """
     n_panels = max(min(target, n_nodes // per_panel), 2)
-    return n_panels, max(n_nodes // n_panels, 8)
+    return n_panels, n_nodes // n_panels
 
 
 def peaked_cell_layout(

@@ -136,6 +136,13 @@ _MISS_KEYS = tuple(
 # certificate accepts.
 _ABS_TOL = 1e-8
 
+# The nodes_per_dim range.  From 16 up every cell of both engines grows at
+# the 1.5x refine step, and no with-EC layout leans on a floor.  The cap
+# bounds a refine rule's Gauss-Legendre order at 768: without it, 100,000
+# nodes at delta_tilde >= 0.443 would lay 2 panels of order 50,000, whose
+# dense companion matrix alone takes about 20 GB.
+MIN_NODES, MAX_NODES = 16, 1024
+
 
 class QuadratureError(RuntimeError):
     """A rate quadrature could not certify its tolerance, ``_ABS_TOL``."""
@@ -176,13 +183,11 @@ class QuadratureConfig:
     follows it too.  The tensor method is an n <= 5 cost-guarded oracle.
     Every factorized rate and P_F is certified: the engines are rebuilt at
     ``3 * nodes_per_dim // 2`` nodes and each per-case value and P_F must
-    move by at most ``_ABS_TOL``.  Where the node budget floors leave some
-    cell no larger at that count, the refine uses ``2 * nodes_per_dim``; if
-    that adds no nodes to every cell either, the check could certify nothing
-    and the call raises :class:`QuadratureError`.  ``window_neighbors``
-    counts the 2*sqrt(pi) translates of each syndrome window on each side.
-    The integer fields follow :func:`_integral`; any other value raises
-    ``ValueError``.
+    move by at most ``_ABS_TOL``.  ``nodes_per_dim`` runs from
+    ``MIN_NODES``, where both engines' cells start to grow at that step, to
+    ``MAX_NODES``.  ``window_neighbors`` counts the 2*sqrt(pi) translates
+    of each syndrome window on each side.  The integer fields follow
+    :func:`_integral`; any other value raises ``ValueError``.
     """
 
     nodes_per_dim: int = 64
@@ -191,8 +196,11 @@ class QuadratureConfig:
 
     def __post_init__(self) -> None:
         _store_integers(self, "nodes_per_dim", "window_neighbors")
-        if self.nodes_per_dim < 8:
-            raise ValueError("nodes_per_dim must be at least 8")
+        if not (MIN_NODES <= self.nodes_per_dim <= MAX_NODES):
+            raise ValueError(
+                f"nodes_per_dim must be from {MIN_NODES} to {MAX_NODES}, "
+                f"got {self.nodes_per_dim}"
+            )
         if self.method not in ("factorized", "tensor"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.window_neighbors < 0:
@@ -403,6 +411,33 @@ def _residual_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engi
     raise TruncationError(f"PZ lattice sum did not converge within {MAX_TERMS} cells")
 
 
+def _intrinsic_cell_nodes(
+    cell: tuple[float, float], params: NoiseParams, n_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a no-EC cell: ``n_nodes`` shared among its segments.
+
+    The syndrome-window transitions sweep past the cell edges when the outer
+    variable crosses the cell centre, kinking the inner integrals there over
+    a width of a few ancilla spreads; an own segment 16 ancilla spreads wide
+    (at most half the cell) around the centre keeps the outer rule
+    spectrally accurate even for sharp windows.  Each segment gets
+    ``n_nodes // 3`` nodes (``// 2`` without the centre segment, at zero
+    ancilla spread) under :func:`smooth_cell_nodes`' layout.
+    """
+    lo, hi = cell
+    delta, dt = params.delta, params.delta_tilde
+    scale = max(delta / 2.0, (2.0 * HALF_CELL) / (n_nodes // 4))
+    mid = 0.5 * (lo + hi)
+    half = min(8.0 * dt, 0.25 * (hi - lo))
+    if half > 0.0:
+        edges, scales = [lo, mid - half, mid + half, hi], [scale, max(dt, 1e-300), scale]
+    else:
+        edges, scales = [lo, mid, hi], [scale, scale]
+    x, w = zip(*(smooth_cell_nodes(a, b, s, n_nodes // len(scales))
+                 for a, b, s in zip(edges, edges[1:], scales)))
+    return np.concatenate(x), np.concatenate(w)
+
+
 def _intrinsic_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
     """Cells and miss integrals for the raw (no GKP EC) Gaussian data density.
 
@@ -418,32 +453,11 @@ def _intrinsic_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Eng
     """
     delta, dt = params.delta, params.delta_tilde
     gauss = GaussianDisplacement(delta)
-    scale = max(delta / 2.0, (2.0 * HALF_CELL) / (n_nodes // 4))
-
-    def cell(lo: float, hi: float) -> _Cell:
-        # the syndrome-window transitions sweep past the cell edges when
-        # the outer variable crosses the cell centre, kinking the inner
-        # integrals there over a width of a few ancilla spreads; an own
-        # panel around the centre keeps the outer rule spectrally
-        # accurate even for sharp windows
-        mid = 0.5 * (lo + hi)
-        half = min(8.0 * dt, 0.25 * (hi - lo))
-        if half > 0.0:
-            edges = [lo, mid - half, mid + half, hi]
-            scales = [scale, max(dt, 1e-300), scale]
-        else:
-            edges = [lo, mid, hi]
-            scales = [scale, scale]
-        parts = [
-            smooth_cell_nodes(a, b, s, n_nodes // len(scales))
-            for a, b, s in zip(edges, edges[1:], scales)
-        ]
-        x = np.concatenate([p[0] for p in parts])
-        w = np.concatenate([p[1] for p in parts])
+    cells = {}
+    for lo, hi in (NPZ_CELL, PZ_CELL):
+        x, w = _intrinsic_cell_nodes((lo, hi), params, n_nodes)
         mass = 0.5 * (math.erf(hi / delta) - math.erf(lo / delta))
-        return _Cell(x, w, gauss.pdf(x), mass)
-
-    cells = {NPZ_CELL: cell(*NPZ_CELL), PZ_CELL: cell(*PZ_CELL)}
+        cells[lo, hi] = _Cell(x, w, gauss.pdf(x), mass)
     outer_x = [cells[key[0]].x for key in _MISS_KEYS]
     sizes = [len(x) for x in outer_x]
     bounds = tuple(np.repeat([key[1][i] for key in _MISS_KEYS], sizes) for i in (0, 1))
@@ -699,23 +713,13 @@ def _certified(
 ) -> list[float]:
     """``values`` of the refine engine, each within ``_ABS_TOL`` of the coarse engine's.
 
-    The refine engine has 1.5x ``cfg.nodes_per_dim`` nodes, 2x where the
-    budget floors give 1.5x no more nodes in some cell.
+    The refine engine has ``3 * cfg.nodes_per_dim // 2`` nodes; every
+    accepted ``nodes_per_dim`` gives it more nodes in every cell.
     """
-    engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors)
-    # the check certifies nothing unless the fine rule has more nodes in
-    # every cell; the budget floors can make both rules the same
-    for fine_nodes in (3 * cfg.nodes_per_dim // 2, 2 * cfg.nodes_per_dim):
-        fine_engine = _make_engine(gkp_ec, params, fine_nodes, cfg.window_neighbors)
-        if all(len(fine_engine.cells[b].x) > len(c.x) for b, c in engine.cells.items()):
-            break
-    else:
-        raise QuadratureError(
-            f"no refine engine adds nodes to every cell at nodes_per_dim="
-            f"{cfg.nodes_per_dim}; increase nodes_per_dim"
-        )
-    fine = values(fine_engine)
-    gap = max(abs(a - b) for a, b in zip(values(engine), fine))
+    fine_nodes = 3 * cfg.nodes_per_dim // 2
+    coarse, fine = (values(_make_engine(gkp_ec, params, nodes, cfg.window_neighbors))
+                    for nodes in (cfg.nodes_per_dim, fine_nodes))
+    gap = max(abs(a - b) for a, b in zip(coarse, fine))
     if gap > _ABS_TOL:
         raise QuadratureError(
             f"engine values changed by {gap:.3e} from {cfg.nodes_per_dim} to "
@@ -753,11 +757,7 @@ def _failure_rate_impl(
                 f"or use the factorized method"
             )
         if size.n == 5 and max(len(cell.x) for cell in engine.cells.values()) > 40:
-            raise ValueError(
-                "tensor with n=5 allows at most 40 nodes per cell; the no-EC "
-                "engine builds at least 48 at every nodes_per_dim, so its n=5 "
-                "tensor route cannot run"
-            )
+            raise ValueError("tensor with n=5 allows at most 40 nodes per cell")
         cases, pauli_rate = _tensor_cases(engine, size), engine.pauli_rate
     else:
         *cases, pauli_rate = _certified(

@@ -280,18 +280,22 @@ def grid_to_binary(grid: PhaseSpaceGrid, path: str) -> None:
 
 
 def read_binary_grid(path: str) -> PhaseSpaceGrid:
-    """Load a grid written by :func:`grid_to_binary`."""
+    """Load a grid written by :func:`grid_to_binary`.
+
+    A file that is not exactly the header plus n_q * n_p float64 values,
+    as its header gives them, raises ``ValueError`` naming the path and the
+    byte count expected.
+    """
     with open(path, "rb") as fh:
-        magic, n_q, n_p, q_lo, q_hi, p_lo, p_hi, _ = _HEADER.unpack(
-            fh.read(_HEADER.size)
-        )
-        if magic != _MAGIC:
-            raise ValueError(f"not a grid file (magic {magic!r})")
-        values = np.frombuffer(fh.read(8 * n_q * n_p), dtype="<f8").reshape(n_q, n_p)
-    spec = GridSpec(
-        q_range=(float(q_lo), float(q_hi)),
-        p_range=(float(p_lo), float(p_hi)),
-        n_q=n_q,
-        n_p=n_p,
-    )
+        data = fh.read()
+    if len(data) < _HEADER.size:
+        raise ValueError(f"{path}: {len(data)} bytes, expected at least {_HEADER.size}")
+    magic, n_q, n_p, q_lo, q_hi, p_lo, p_hi, _ = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        raise ValueError(f"{path}: not a grid file (magic {magic!r})")
+    size = _HEADER.size + 8 * n_q * n_p
+    if len(data) != size:
+        raise ValueError(f"{path}: {len(data)} bytes, expected {size} for a {n_q}x{n_p} grid")
+    values = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(n_q, n_p)
+    spec = GridSpec((float(q_lo), float(q_hi)), (float(p_lo), float(p_hi)), n_q, n_p)
     return PhaseSpaceGrid(spec=spec, values=values.copy())

@@ -73,6 +73,22 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "numerical" in proc.stderr
 
+    @pytest.mark.parametrize("nodes", [15, 1025])
+    def test_nodes_outside_the_range_is_usage_error(self, nodes, tmp_path):
+        want = f"error: nodes_per_dim must be from 16 to 1024, got {nodes}\n"
+        proc = run_cli(
+            "rate", "--quantity", "pfrep", "--n", "3", "--delta", "0.5",
+            "--delta-tilde", "0.5", "--nodes", str(nodes), check=False,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
+        run_file = write_run_file(tmp_path, {
+            "schema_version": 1, "engine": {"nodes_per_dim": nodes},
+            "sweep": {"quantity": "pfrep", "axes": [["delta", [0.5]]],
+                      "fixed": {"delta_tilde": 0.5, "n": 3}},
+        })
+        proc = run_cli("sweep", "--spec", run_file, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
+
     @pytest.mark.parametrize("args, where", [
         ("rate --quantity pfail --n 3 --delta 0.5 --delta-tilde 0.2 --r 1e-300",
          "biased_momentum_spreads"),
@@ -208,13 +224,16 @@ class TestRate:
 
 
 # `gkprep mc` stdout at seed 7, 3,000 shots, n = 3, delta = 0.5, delta_tilde = 0.2,
-# recorded while position mode still accepted (and ignored) any r
+# recorded while position mode still accepted (and ignored) any r; the ci95
+# interval was added later, every other byte kept
 MC_POSITION_PIN = (
-    '{"breakdown": {"misidentified": 5, "momentum": 0, "overweight": 4}, "failures": 9, '
+    '{"breakdown": {"misidentified": 5, "momentum": 0, "overweight": 4}, '
+    '"ci95": [0.0015791325142942541, 0.005692043118679753], "failures": 9, '
     '"rate": 0.003, "seed": 7, "shots": 3000, "std_err": 0.0009984988733093294}\n'
 )
 MC_BIASED_PIN = (
-    '{"breakdown": {"misidentified": 5, "momentum": 56, "overweight": 80}, "failures": 141, '
+    '{"breakdown": {"misidentified": 5, "momentum": 56, "overweight": 80}, '
+    '"ci95": [0.039988763608220575, 0.05516987333692474], "failures": 141, '
     '"rate": 0.047, "seed": 7, "shots": 3000, "std_err": 0.0038639789509433576}\n'
 )
 
@@ -243,6 +262,15 @@ class TestMc:
         assert run_cli(*self.PINNED).stdout == MC_POSITION_PIN
         assert run_cli(*self.PINNED, "--r", "1.0").stdout == MC_POSITION_PIN
         assert run_cli(*self.PINNED, "--r", "1.5", "--mode", "biased").stdout == MC_BIASED_PIN
+
+    def test_no_failures_still_bound_the_rate(self):
+        # std_err reads 0 here, which claims certainty; ci95 does not
+        args = ("mc", "--n", "9", "--delta", "0.3", "--delta-tilde", "0.1",
+                "--shots", "100000", "--seed", "1")
+        one, two = (json.loads(run_cli(*args, "--workers", w).stdout) for w in ("1", "2"))
+        assert (one["failures"], one["std_err"]) == (0, 0.0)
+        assert one["ci95"][0] == 0.0 and 3.8e-5 < one["ci95"][1] < 3.9e-5
+        assert one == two
 
     def test_byte_identical_reruns(self):
         args = (

@@ -521,6 +521,29 @@ class TestRunTally:
         want = math.sqrt(tally.rate * (1 - tally.rate) / tally.shots)
         assert tally.std_err == want
 
+    def test_ci95_brackets_the_rate(self):
+        tally = run_tally(ShotConfig(3, NoiseParams(0.5, 0.3), shots=10_000, seed=1))
+        assert tally.ci95 == montecarlo._wilson_interval(tally.failures, tally.shots)
+        assert tally.ci95[0] < tally.rate < tally.ci95[1]
+
+    @pytest.mark.parametrize("failures, shots", [
+        (0, 100), (1, 100), (9, 3000), (50, 100), (100, 100), (7, 10**6), (0, 2**58),
+    ])
+    def test_ci95_is_the_wilson_interval(self, failures, shots):
+        lo, hi = montecarlo._wilson_interval(failures, shots)
+        z, p = stats.norm.ppf(0.975), failures / shots
+        centre = (p + z * z / (2 * shots)) / (1 + z * z / shots)
+        half = z / (1 + z * z / shots) * math.sqrt(p * (1 - p) / shots + (z / shots) ** 2 / 4)
+        # the closed form cancels at the lower bound when no shot fails
+        assert (lo, hi) == pytest.approx(
+            (centre - half, centre + half), rel=1e-12, abs=1e-15 / shots)
+        # each bound solves the score equation (rate - p)^2 = z^2 p (1 - p) / shots
+        for bound in (lo, hi):
+            assert (p - bound) ** 2 == pytest.approx(
+                z * z * bound * (1 - bound) / shots, rel=1e-9, abs=0.0)
+        if failures == 0:
+            assert lo == 0.0 and hi > 0.0
+
     def test_matches_failure_rate(self):
         params = NoiseParams(0.5, 0.25)
         ana = failure_rate(3, params).total

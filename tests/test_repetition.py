@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -10,7 +11,7 @@ import pytest
 
 from gkprep import repetition
 from gkprep.distributions import NoiseParams, pauli_rate_ideal
-from gkprep.lattice import TruncationError
+from gkprep.lattice import HALF_CELL, TruncationError
 from gkprep.repetition import (
     CodeSize,
     QuadratureConfig,
@@ -68,6 +69,15 @@ class TestQuadratureConfig:
     def test_wrongly_typed_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             QuadratureConfig(**{field: value})
+
+    def test_nodes_per_dim_range(self):
+        # checked when the config is built, before any engine: 100,000 nodes
+        # would lay 2 panels of order 50,000 at delta_tilde >= 0.443
+        assert QuadratureConfig(nodes_per_dim=16).nodes_per_dim == repetition.MIN_NODES
+        assert QuadratureConfig(nodes_per_dim=1024).nodes_per_dim == repetition.MAX_NODES
+        for nodes in (8, 15, 1025, 100000):
+            with pytest.raises(ValueError, match="nodes_per_dim must be from 16 to 1024"):
+                QuadratureConfig(nodes_per_dim=nodes)
 
 
 class TestClassicalFailure:
@@ -178,12 +188,12 @@ class TestFailureRate:
             )
 
     def test_tensor_cost_guard_counts_built_nodes(self):
-        # the no-EC engine builds 48 nodes per cell at nodes_per_dim = 32
+        # the no-EC engine builds 48 nodes per cell at nodes_per_dim = 48
         start = time.perf_counter()
         with pytest.raises(ValueError, match="nodes per cell"):
             failure_rate_no_gkp_ec(
                 5, NoiseParams(0.4, 0.1),
-                QuadratureConfig(method="tensor", nodes_per_dim=32),
+                QuadratureConfig(method="tensor", nodes_per_dim=48),
             )
         assert time.perf_counter() - start < 1.0
 
@@ -212,7 +222,7 @@ class TestFailureRate:
     @pytest.mark.parametrize("rate", [failure_rate, failure_rate_no_gkp_ec])
     @pytest.mark.parametrize("method", ["factorized", "tensor"])
     def test_per_case_values_are_floats(self, rate, method):
-        cfg = QuadratureConfig(nodes_per_dim=64 if method == "factorized" else 16, method=method)
+        cfg = QuadratureConfig(nodes_per_dim=64 if method == "factorized" else 24, method=method)
         breakdown = rate(3, NoiseParams(0.5, 0.2), cfg)
         assert all(type(value) is float for _, value in breakdown.per_case)
 
@@ -252,16 +262,18 @@ class TestFailureRateNoGkpEc:
         for (_, got), (_, want) in zip(tiny, sharp):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("nodes", [8, 16, 24, 32])
-    def test_tensor_cannot_run_at_n5(self, nodes):
-        # the budget floors build at least 48 nodes per no-EC cell, above
-        # the n = 5 cap of 40, at every nodes_per_dim
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="at least 48"):
-            failure_rate_no_gkp_ec(
-                5, NoiseParams(0.5, 0.3), QuadratureConfig(nodes_per_dim=nodes, method="tensor")
-            )
-        assert time.perf_counter() - start < 1.0
+    def test_tensor_runs_at_n5(self):
+        # 30 nodes per no-EC cell, under the n = 5 cap of 40; the two routes
+        # differ by the tensor grid's error on the inner integrals (the
+        # factorized route takes them as exact rectangles): 1.0e-8 here,
+        # 1.4e-10 at 36 nodes
+        params = NoiseParams(0.5, 0.3)
+        cfg = QuadratureConfig(nodes_per_dim=30, method="tensor")
+        tensor = [value for _, value in failure_rate_no_gkp_ec(5, params, cfg).per_case[:-1]]
+        engine = repetition._make_engine(False, params, 30, 0)
+        assert {len(cell.x) for cell in engine.cells.values()} == {30}
+        fact = repetition._factorized_cases(engine, CodeSize(5))
+        assert fact == pytest.approx(tensor, rel=0.0, abs=2e-8)
 
     @pytest.mark.parametrize("dt", [0.0, 1e-3, 1e-2])
     def test_tensor_rejects_sharp_windows(self, dt):
@@ -673,35 +685,34 @@ class TestStackedRectangles:
 
 
 class TestRefineRung:
-    @pytest.mark.parametrize("rate, builder, nodes", [
-        (failure_rate_no_gkp_ec, "_intrinsic_engine", 16),
-        (failure_rate, "_residual_engine", 8),
+    @pytest.mark.parametrize("nodes", [16, 33, 64])
+    @pytest.mark.parametrize("rate, builder", [
+        (failure_rate_no_gkp_ec, "_intrinsic_engine"),
+        (failure_rate, "_residual_engine"),
     ], ids=["noec", "ec"])
-    def test_vacuous_refine_raises(self, rate, builder, nodes, monkeypatch):
-        # the budget floors build the same cells at 16, 24 and 32 nodes per
-        # dimension (no-EC) and at 8, 12 and 16 (EC), so no refine engine
-        # can check the coarse one
+    def test_one_refine_engine(self, rate, builder, nodes, monkeypatch):
+        # certified or not, a call builds the coarse engine and the 1.5x one
         built = TestSharedEngines._count_engines(monkeypatch, builder)
-        cfg = QuadratureConfig(nodes_per_dim=nodes)
-        with pytest.raises(QuadratureError, match="no refine engine"):
-            rate(3, NoiseParams(0.5, 0.3), cfg)
-        assert built == [nodes, 3 * nodes // 2, 2 * nodes]
+        with contextlib.suppress(QuadratureError):
+            rate(3, NoiseParams(0.5, 0.3), QuadratureConfig(nodes_per_dim=nodes))
+        assert built == [nodes, 3 * nodes // 2]
 
-    def test_falls_back_to_doubled_nodes(self, monkeypatch):
-        # 48 nodes per dimension build the same no-EC cells as 32
-        built = TestSharedEngines._count_engines(monkeypatch, "_intrinsic_engine")
-        params = NoiseParams(0.5, 0.2)
-        got = failure_rate_no_gkp_ec(3, params, QuadratureConfig(nodes_per_dim=32)).per_case
-        assert built == [32, 48, 64]
-        fine = repetition._factorized_cases(
-            repetition._make_engine(False, params, 64, 0), CodeSize(3)
-        )
-        assert [value for _, value in got[:-1]] == fine
-        # the values of the 2x rung the refine used before the 1.5x rung
-        assert got == (
-            ("s1", 0.13176300683271777), ("s2", 0.017473518966524916),
-            ("overweight", 0.00044208477034954195),
-        )
+    def test_every_cell_grows_at_the_refine_step(self):
+        # cell sizes from both engines' node builders only; no rate, no engine
+        def sizes(params, nodes):
+            # both with-EC cells take one layout (see TestMissTable)
+            _, n_panels, order = repetition.peaked_cell_layout(
+                HALF_CELL, params.delta_tilde, nodes)
+            no_ec = [len(repetition._intrinsic_cell_nodes(cell, params, nodes)[0])
+                     for cell in (repetition.NPZ_CELL, repetition.PZ_CELL)]
+            return np.array([n_panels * order, *no_ec])
+
+        grid = [NoiseParams(delta, dt) for delta, dt in itertools.product(
+            (0.3, 0.5, 0.8), (0.01, 0.045, 0.1, 0.3, 0.5, 0.6))]
+        for nodes in [*range(repetition.MIN_NODES, 193), repetition.MAX_NODES]:
+            for params in grid:
+                coarse, fine = sizes(params, nodes), sizes(params, 3 * nodes // 2)
+                assert (fine > coarse).all(), (nodes, params, coarse, fine)
 
     @pytest.mark.parametrize("rate", [failure_rate, failure_rate_no_gkp_ec])
     def test_default_refine_returns_the_96_node_values(self, rate):
@@ -742,15 +753,19 @@ class TestOnePolicyOwner:
         assert [len(cases) for cases, _, _ in calls] == [2, 2, 2]
         assert calls[2][1] == classical_failure(3, pauli_rate_ideal(0.5))
 
-    def test_noec_cells_follow_the_panel_floors(self):
-        # 3 segments per cell share nodes_per_dim; below 18 nodes a segment
-        # gets the floors, 2 panels of 8 nodes
-        counts = {
-            nodes: {len(c.x) for c in repetition._intrinsic_engine(
-                NoiseParams(0.5, 0.1), nodes, 0).cells.values()}
-            for nodes in (8, 24, 49, 53, 54, 64, 96)
-        }
-        assert counts == {8: {48}, 24: {48}, 49: {48}, 53: {48}, 54: {54}, 64: {60}, 96: {96}}
+    def test_noec_cells_follow_nodes_per_dim(self):
+        # 3 segments per cell share nodes_per_dim, each 2 panels of
+        # nodes_per_dim // 6 nodes below 72 nodes
+        params = NoiseParams(0.5, 0.1)
+        counts = {}
+        for nodes in (16, 24, 47, 48, 53, 54, 64, 96):
+            engine = repetition._intrinsic_engine(params, nodes, 0)
+            for bounds, cell in engine.cells.items():
+                x, w = repetition._intrinsic_cell_nodes(bounds, params, nodes)
+                assert x.tobytes() == cell.x.tobytes() and w.tobytes() == cell.w.tobytes()
+            counts[nodes] = {len(c.x) for c in engine.cells.values()}
+        assert counts == {16: {12}, 24: {24}, 47: {42}, 48: {48}, 53: {48}, 54: {54},
+                          64: {60}, 96: {96}}
 
 
 class TestOverallFailureBiased:

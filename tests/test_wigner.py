@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -294,6 +295,33 @@ class TestGridExport:
         import os
 
         assert os.path.getsize(path) == 32 + 8 * 4 * 4
+
+    @staticmethod
+    def _grid_bytes(tmp_path) -> bytes:
+        """The file of a 3 x 4 grid: a 32-byte header and 96 value bytes."""
+        path = tmp_path / "grid.bin"
+        grid_to_binary(wigner_physical_zero(
+            GkpEnvelope(0.25, 0.25), GridSpec((-1.0, 1.0), (-1.0, 1.0), 3, 4)), str(path))
+        return path.read_bytes()
+
+    def test_small_grid_round_trip(self, tmp_path):
+        data = self._grid_bytes(tmp_path)
+        assert len(data) == 128
+        back = read_binary_grid(str(tmp_path / "grid.bin"))
+        assert back.values.shape == (3, 4)
+        assert back.values.tobytes() == data[32:]
+
+    @pytest.mark.parametrize("cut, want", [
+        (slice(0, 20), "20 bytes, expected at least 32"),
+        (slice(0, 120), "120 bytes, expected 128 for a 3x4 grid"),
+        (slice(0, None), "136 bytes, expected 128 for a 3x4 grid"),
+    ], ids=["short-header", "short-body", "trailing-bytes"])
+    def test_wrong_size_rejected(self, tmp_path, cut, want):
+        data = self._grid_bytes(tmp_path)[cut]
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data + (b"\0" * 8 if cut.stop is None else b""))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {want}$"):
+            read_binary_grid(str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "bad.bin")
