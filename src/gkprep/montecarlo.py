@@ -488,8 +488,13 @@ def run_tally(
     counts = {key: sum(c[key] for _, c in results) for key in results[0][1]}
 
     rate = failures / cfg.shots
+    std_err = math.sqrt(rate * (1.0 - rate) / cfg.shots)
     return TallyResult(
-        failures=failures, shots=cfg.shots, seed=cfg.seed, rate=rate,
-        std_err=math.sqrt(rate * (1.0 - rate) / cfg.shots),
-        ci95=_wilson_interval(failures, cfg.shots), breakdown=counts,
+        failures=failures,
+        shots=cfg.shots,
+        seed=cfg.seed,
+        rate=rate,
+        std_err=std_err,
+        ci95=_wilson_interval(failures, cfg.shots),
+        breakdown=counts,
     )

@@ -142,6 +142,12 @@ _ABS_TOL = 1e-8
 # nodes at delta_tilde >= 0.443 would lay 2 panels of order 50,000, whose
 # dense companion matrix alone takes about 20 GB.
 MIN_NODES, MAX_NODES = 16, 1024
+# The no-EC rate needs at least 48 nodes per dimension.  Below that its
+# cells hold 6 * (N // 6) nodes, fewer than any no-EC value was computed on
+# while a panel order floor held them at 48, and the certificate fails at
+# 11 to all 36 of the 36 points per N of a (delta, delta_tilde, n) grid
+# (at 6 of them at N = 48).
+MIN_NOEC_NODES = 48
 
 
 class QuadratureError(RuntimeError):
@@ -185,9 +191,10 @@ class QuadratureConfig:
     ``3 * nodes_per_dim // 2`` nodes and each per-case value and P_F must
     move by at most ``_ABS_TOL``.  ``nodes_per_dim`` runs from
     ``MIN_NODES``, where both engines' cells start to grow at that step, to
-    ``MAX_NODES``.  ``window_neighbors`` counts the 2*sqrt(pi) translates
-    of each syndrome window on each side.  The integer fields follow
-    :func:`_integral`; any other value raises ``ValueError``.
+    ``MAX_NODES``; the no-EC rate refuses any below ``MIN_NOEC_NODES``.
+    ``window_neighbors`` counts the 2*sqrt(pi) translates of each syndrome
+    window on each side.  The integer fields follow :func:`_integral`; any
+    other value raises ``ValueError``.
     """
 
     nodes_per_dim: int = 64
@@ -741,6 +748,11 @@ def _failure_rate_impl(
     them into the breakdown, with the majority vote of P_F as its tail.
     """
     size = _as_size(n)
+    if not gkp_ec and cfg.nodes_per_dim < MIN_NOEC_NODES:
+        raise ValueError(
+            f"the no-EC rate needs nodes_per_dim of at least {MIN_NOEC_NODES}, "
+            f"got {cfg.nodes_per_dim}"
+        )
     if gkp_ec and params.ideal_ancilla:
         cases, pauli_rate = [0.0] * ((size.n + 1) // 2), pauli_rate_ideal(params.delta)
     elif cfg.method == "tensor":

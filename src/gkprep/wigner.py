@@ -297,5 +297,10 @@ def read_binary_grid(path: str) -> PhaseSpaceGrid:
     if len(data) != size:
         raise ValueError(f"{path}: {len(data)} bytes, expected {size} for a {n_q}x{n_p} grid")
     values = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(n_q, n_p)
-    spec = GridSpec((float(q_lo), float(q_hi)), (float(p_lo), float(p_hi)), n_q, n_p)
+    spec = GridSpec(
+        q_range=(float(q_lo), float(q_hi)),
+        p_range=(float(p_lo), float(p_hi)),
+        n_q=n_q,
+        n_p=n_p,
+    )
     return PhaseSpaceGrid(spec=spec, values=values.copy())

@@ -89,6 +89,14 @@ class TestExitCodes:
         proc = run_cli("sweep", "--spec", run_file, check=False)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
 
+    def test_noec_below_48_nodes_is_usage_error(self):
+        args = ("rate", "--quantity", "pfrep-noec", "--n", "3", "--delta", "0.5",
+                "--delta-tilde", "0.3")
+        proc = run_cli(*args, "--nodes", "47", check=False)
+        want = "error: the no-EC rate needs nodes_per_dim of at least 48, got 47\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
+        assert run_cli(*args, "--nodes", "48").returncode == 0
+
     @pytest.mark.parametrize("args, where", [
         ("rate --quantity pfail --n 3 --delta 0.5 --delta-tilde 0.2 --r 1e-300",
          "biased_momentum_spreads"),

@@ -197,6 +197,17 @@ class TestFailureRate:
             )
         assert time.perf_counter() - start < 1.0
 
+    def test_tensor_runs_at_n5(self):
+        # nodes_per_dim = 41 is above the n = 5 cap of 40, but the cells
+        # built hold 40 nodes, and the cap counts those
+        params = NoiseParams(0.5, 0.3)
+        cfg = QuadratureConfig(nodes_per_dim=41, method="tensor")
+        tensor = [value for _, value in failure_rate(5, params, cfg).per_case[:-1]]
+        engine = repetition._make_engine(True, params, 41, 0)
+        assert {len(cell.x) for cell in engine.cells.values()} == {40}
+        fact = repetition._factorized_cases(engine, CodeSize(5))
+        assert fact == pytest.approx(tensor, rel=1e-12, abs=0.0)
+
     def test_code_size_cap(self):
         with pytest.raises(ValueError):
             failure_rate(17, NoiseParams(0.5, 0.2))
@@ -222,7 +233,7 @@ class TestFailureRate:
     @pytest.mark.parametrize("rate", [failure_rate, failure_rate_no_gkp_ec])
     @pytest.mark.parametrize("method", ["factorized", "tensor"])
     def test_per_case_values_are_floats(self, rate, method):
-        cfg = QuadratureConfig(nodes_per_dim=64 if method == "factorized" else 24, method=method)
+        cfg = QuadratureConfig(nodes_per_dim=64 if method == "factorized" else 48, method=method)
         breakdown = rate(3, NoiseParams(0.5, 0.2), cfg)
         assert all(type(value) is float for _, value in breakdown.per_case)
 
@@ -262,19 +273,6 @@ class TestFailureRateNoGkpEc:
         for (_, got), (_, want) in zip(tiny, sharp):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_tensor_runs_at_n5(self):
-        # 30 nodes per no-EC cell, under the n = 5 cap of 40; the two routes
-        # differ by the tensor grid's error on the inner integrals (the
-        # factorized route takes them as exact rectangles): 1.0e-8 here,
-        # 1.4e-10 at 36 nodes
-        params = NoiseParams(0.5, 0.3)
-        cfg = QuadratureConfig(nodes_per_dim=30, method="tensor")
-        tensor = [value for _, value in failure_rate_no_gkp_ec(5, params, cfg).per_case[:-1]]
-        engine = repetition._make_engine(False, params, 30, 0)
-        assert {len(cell.x) for cell in engine.cells.values()} == {30}
-        fact = repetition._factorized_cases(engine, CodeSize(5))
-        assert fact == pytest.approx(tensor, rel=0.0, abs=2e-8)
-
     @pytest.mark.parametrize("dt", [0.0, 1e-3, 1e-2])
     def test_tensor_rejects_sharp_windows(self, dt):
         # fixed nodes cannot integrate windows that move with u1' and are
@@ -283,7 +281,7 @@ class TestFailureRateNoGkpEc:
         with pytest.raises(ValueError, match="delta_tilde"):
             failure_rate_no_gkp_ec(
                 3, NoiseParams(0.3, dt),
-                QuadratureConfig(nodes_per_dim=32, method="tensor"),
+                QuadratureConfig(nodes_per_dim=48, method="tensor"),
             )
 
     def test_factorized_matches_tensor(self):
@@ -448,8 +446,8 @@ class TestBinomialContraction:
         rate(3, NoiseParams(0.5, 0.3))
         assert built == [64, 96]
         built.clear()
-        rate(3, NoiseParams(0.5, 0.3), QuadratureConfig(nodes_per_dim=32, method="tensor"))
-        assert built == [32]
+        rate(3, NoiseParams(0.5, 0.3), QuadratureConfig(nodes_per_dim=48, method="tensor"))
+        assert built == [48]
 
 
 def _full_grid_cases(engine, n):
@@ -685,17 +683,27 @@ class TestStackedRectangles:
 
 
 class TestRefineRung:
-    @pytest.mark.parametrize("nodes", [16, 33, 64])
-    @pytest.mark.parametrize("rate, builder", [
-        (failure_rate_no_gkp_ec, "_intrinsic_engine"),
-        (failure_rate, "_residual_engine"),
-    ], ids=["noec", "ec"])
+    @pytest.mark.parametrize("rate, builder, nodes", [
+        *((failure_rate_no_gkp_ec, "_intrinsic_engine", n) for n in (48, 49, 64)),
+        *((failure_rate, "_residual_engine", n) for n in (16, 33, 64)),
+    ], ids=["noec-48", "noec-49", "noec-64", "ec-16", "ec-33", "ec-64"])
     def test_one_refine_engine(self, rate, builder, nodes, monkeypatch):
         # certified or not, a call builds the coarse engine and the 1.5x one
         built = TestSharedEngines._count_engines(monkeypatch, builder)
         with contextlib.suppress(QuadratureError):
             rate(3, NoiseParams(0.5, 0.3), QuadratureConfig(nodes_per_dim=nodes))
         assert built == [nodes, 3 * nodes // 2]
+
+    @pytest.mark.parametrize("method", ["factorized", "tensor"])
+    @pytest.mark.parametrize("nodes", [16, 47])
+    def test_noec_below_48_nodes_refused(self, nodes, method, monkeypatch):
+        # at the former panel floors these counts built the 48-node cells of
+        # nodes_per_dim = 48; no engine is built before the refusal
+        built = TestSharedEngines._count_engines(monkeypatch, "_intrinsic_engine")
+        cfg = QuadratureConfig(nodes_per_dim=nodes, method=method)
+        with pytest.raises(ValueError, match=f"at least 48, got {nodes}$"):
+            failure_rate_no_gkp_ec(3, NoiseParams(0.5, 0.3), cfg)
+        assert built == []
 
     def test_every_cell_grows_at_the_refine_step(self):
         # cell sizes from both engines' node builders only; no rate, no engine
