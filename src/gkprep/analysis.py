@@ -28,6 +28,7 @@ from .repetition import (
     pauli_rate_physical,
     pauli_rate_physical_report,
     shared_engines,
+    stretch,
 )
 from .wigner import GkpEnvelope, wigner_point
 
@@ -282,6 +283,11 @@ class SweepSpec:
             raise ValueError(f"parameters named twice in axes and fixed: {repeated}")
         check_fields(QUANTITIES[self.quantity], names, f"{self.quantity} parameters")
 
+    @property
+    def size(self) -> int:
+        """The number of cells: the product of the axis lengths."""
+        return math.prod(len(values) for _, values in self.axes)
+
 
 @dataclass(frozen=True)
 class CurveTable:
@@ -309,7 +315,18 @@ def _px(cfg, /, *, delta) -> tuple[float, dict]:
     return pauli_rate_ideal(delta), {}
 
 
+def check_method(quantity: str, cfg: QuadratureConfig) -> None:
+    """Raise ``ValueError`` if ``quantity`` has no route by ``cfg.method``.
+
+    P_F has no tensor route: ``pf`` refuses it rather than answer by the
+    factorized one.
+    """
+    if quantity == "pf" and cfg.method == "tensor":
+        raise ValueError("pf has no tensor method; P_F is computed by the factorized method only")
+
+
 def _pf(cfg, /, *, delta, delta_tilde) -> tuple[float, dict]:
+    check_method("pf", cfg)
     report = pauli_rate_physical_report(NoiseParams(delta, delta_tilde), cfg)
     return report["value"], {
         "two_cell": report["two_cell"],
@@ -363,18 +380,26 @@ QUANTITIES: dict[str, Callable[..., tuple[float, dict]]] = {
 
 
 def run_sweep(
-    spec: SweepSpec, cfg: QuadratureConfig = DEFAULT_QUADRATURE
+    spec: SweepSpec, cfg: QuadratureConfig = DEFAULT_QUADRATURE, part: int = 0, parts: int = 1
 ) -> CurveTable:
     """Evaluate the Cartesian product of the axes in lexicographic order.
 
-    Failed cells are recorded in-row under ``status`` and the sweep
-    continues; output is deterministic for a fixed spec.
+    The table holds the rows of stretch ``part`` of ``parts`` of that order
+    (:func:`~gkprep.repetition.stretch`), all of them by default; a quantity
+    without a route by ``cfg.method`` raises ``ValueError`` before any cell
+    (:func:`check_method`).  Failed cells are recorded in-row under
+    ``status`` and the sweep continues; output is deterministic for a fixed
+    spec.
     """
+    check_method(spec.quantity, cfg)
     axis_names = [name for name, _ in spec.axes]
     fixed_names = sorted(spec.fixed)
     columns = tuple(axis_names + fixed_names + ["value", "std_err", "status"])
+    span = stretch(spec.size, part, parts)
     rows = []
-    for combo in itertools.product(*(values for _, values in spec.axes)):
+    for combo in itertools.islice(
+        itertools.product(*(values for _, values in spec.axes)), span.start, span.stop
+    ):
         point = dict(zip(axis_names, combo))
         point.update(spec.fixed)
         try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -32,7 +33,13 @@ from .analysis import (
 from .distributions import NoiseParams, _integral
 from .lattice import TruncationError
 from .montecarlo import ShotConfig, run_tally
-from .repetition import QuadratureConfig, QuadratureError, shared_engines
+from .repetition import (
+    QuadratureConfig,
+    QuadratureError,
+    available_cores,
+    map_parts,
+    shared_engines,
+)
 from .wigner import GkpEnvelope, GridSpec, grid_to_binary, grid_to_csv, wigner_physical_zero
 
 # Not called here; bound so that perfbench/tracing.py can wrap this lookup site.
@@ -163,12 +170,39 @@ FIGURES: dict[str, tuple[tuple[str, SweepSpec], ...]] = {
 }
 
 
+def _sweep_part(
+    specs: tuple[SweepSpec, ...], cfg: QuadratureConfig, part: int, parts: int
+) -> list[CurveTable]:
+    """Stretch ``part`` of ``parts`` of every spec's cells, in one engine-sharing block."""
+    with shared_engines():
+        return [run_sweep(spec, cfg, part, parts) for spec in specs]
+
+
+def _run_sweeps(specs: tuple[SweepSpec, ...], cfg: QuadratureConfig) -> list[CurveTable]:
+    """Each spec's table, its cells computed on every available core.
+
+    One part per core, at most one per cell of the largest spec: part j
+    computes the same stretch of every spec (:func:`~gkprep.repetition.map_parts`
+    forks once for all of them), so the specs of a figure still share each
+    point's engines.  The rows are joined in part order, so the tables are
+    the same for any number of parts.
+    """
+    parts = min(available_cores(), max(1, *(spec.size for spec in specs)))
+    per_part = map_parts(functools.partial(_sweep_part, specs, cfg), parts)
+    return [
+        CurveTable(tables[0].columns, tuple(row for table in tables for row in table.rows))
+        for tables in zip(*per_part)
+    ]
+
+
 def cmd_figure(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     if args.id == "fig1":
         _wigner_figure(args.outdir)
-    for name, spec in FIGURES.get(args.id, ()):
-        run_sweep(spec).to_csv(os.path.join(args.outdir, name))
+        return EXIT_OK
+    names, specs = zip(*FIGURES[args.id])
+    for name, table in zip(names, _run_sweeps(specs, QuadratureConfig())):
+        table.to_csv(os.path.join(args.outdir, name))
     return EXIT_OK
 
 
@@ -182,7 +216,7 @@ def _bias_args(
 def _sweep_to_csv(spec: SweepSpec, cfg: QuadratureConfig, output: str | None) -> None:
     if output is None:
         raise ValueError("sweep requires an output path")
-    run_sweep(spec, cfg).to_csv(output)
+    _run_sweeps((spec,), cfg)[0].to_csv(output)
 
 
 def _crossing_to_json(query: CrossingQuery, cfg: QuadratureConfig, output: str | None) -> None:

@@ -39,7 +39,6 @@ import functools
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
@@ -49,7 +48,7 @@ from scipy import special as sp
 
 from .distributions import GaussianDisplacement, NoiseParams, _integral, _store_integers
 from .lattice import SQRT_PI, is_pauli_zone, nearest_multiple_offset_array
-from .repetition import CodeSize, _as_size
+from .repetition import CodeSize, _as_size, available_cores, map_parts, stretch
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -426,15 +425,16 @@ def run_shot(
 
 def _tally_range(
     cfg: ShotConfig,
-    span: tuple[int, int],
+    part: int,
+    parts: int,
     trace: Callable[[Iterator[str]], None] | None = None,
 ) -> tuple[int, dict[str, int]]:
-    """Failures and breakdown counts of the shots in ``span`` = (start, stop), chunk by chunk."""
-    start, stop = span
+    """Failures and breakdown counts of stretch ``part`` of ``parts`` of the shots, chunk by chunk."""
+    shots = stretch(cfg.shots, part, parts)
     failures = 0
     counts = {"overweight": 0, "misidentified": 0, "momentum": 0}
-    for pos in range(start, stop, _CHUNK_SHOTS):
-        out = _simulate(cfg, np.arange(pos, min(pos + _CHUNK_SHOTS, stop), dtype=np.uint64))
+    for pos in range(shots.start, shots.stop, _CHUNK_SHOTS):
+        out = _simulate(cfg, np.arange(pos, min(pos + _CHUNK_SHOTS, shots.stop), dtype=np.uint64))
         failures += int(out["failed"].sum())
         counts["overweight"] += int(out["overweight"].sum())
         counts["misidentified"] += int(out["misidentified"].sum())
@@ -454,7 +454,8 @@ def run_tally(
     ``partitions`` must be an integer >= 1 (``ValueError`` otherwise).  The
     tally uses ``min(partitions, shots, available cores)`` workers, each
     on one contiguous stretch of the shot range: the calling process tallies
-    the first stretch and, on POSIX, a forked child each other one.  Each
+    the first stretch and, on POSIX, a forked child each other one
+    (:func:`~gkprep.repetition.map_parts`).  Each
     stretch is simulated in chunks of 8,192 shots, so the memory each
     process holds does not grow with ``cfg.shots``.
     ``trace`` receives, chunk by chunk in shot order, a lazy iterator over
@@ -463,27 +464,11 @@ def run_tally(
     runs serially in this process.  The result is identical for any worker
     count because the per-shot randomness is stateless.
     """
-    affinity = getattr(os, "sched_getaffinity", None)
-    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = _integral(partitions)
     if workers is None or workers < 1:
         raise ValueError(f"partitions must be an integer >= 1, got {partitions!r}")
-    workers = min(workers, cfg.shots, cores)
-    if trace is not None or workers == 1 or not hasattr(os, "fork"):
-        results = [_tally_range(cfg, (0, cfg.shots), trace)]
-    else:
-        # fork, not spawn: a spawned child would re-import numpy and scipy,
-        # which costs about as much as tallying a 500k-shot stretch
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = np.linspace(0, cfg.shots, workers + 1, dtype=np.int64).tolist()
-        spans = list(zip(bounds[:-1], bounds[1:]))
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers - 1, mp_context=fork) as pool:
-            children = [pool.submit(_tally_range, cfg, span) for span in spans[1:]]
-            results = [_tally_range(cfg, spans[0])]
-            results += [child.result() for child in children]
+    workers = 1 if trace is not None else min(workers, cfg.shots, available_cores())
+    results = map_parts(functools.partial(_tally_range, cfg, trace=trace), workers)
     failures = sum(f for f, _ in results)
     counts = {key: sum(c[key] for _, c in results) for key in results[0][1]}
 

@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -620,6 +621,53 @@ def _multisets(n_nodes: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, multiplicity
 
 
+# A block whose grid holds at least this many points per outer node spreads
+# its outer nodes over threads: the expm1, multiply and sum passes over
+# such a grid release the GIL long enough to pay for a thread.  At n = 3
+# with 64 nodes threads made the oracle 1.4x slower.
+_THREAD_MIN_POINTS = 1 << 14
+
+
+def _node_sums(
+    groups: list[tuple[np.ndarray, np.ndarray]], weight_grid: np.ndarray, nodes: int
+) -> list[float]:
+    """sum(weight_grid * expm1(log_keep)) at each of the ``nodes`` outer nodes.
+
+    log_keep at node i is the outer sum, over the ``groups`` (log_keep
+    table, multiset indices), of each table's row i summed along the
+    multisets.  A grid of at least ``_THREAD_MIN_POINTS`` points spreads
+    the nodes over :func:`available_cores` threads in contiguous stretches.
+    Each thread reuses one buffer shaped like the grid, and every node's
+    sum takes the same float operations on any thread count.
+    """
+    threads = min(available_cores(), nodes) if weight_grid.size >= _THREAD_MIN_POINTS else 1
+    sums = [0.0] * nodes
+
+    def run(part: int) -> None:
+        buf = np.empty_like(weight_grid)
+        for i in stretch(nodes, part, threads):
+            *head, last = [lk[i][idx].sum(axis=1) for lk, idx in groups]
+            if head:
+                np.add.outer(reduce(np.add.outer, head), last, out=buf)
+            else:
+                buf[...] = last
+            np.expm1(buf, out=buf)
+            np.multiply(weight_grid, buf, out=buf)
+            sums[i] = float(buf.sum())
+
+    if threads == 1:
+        run(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads - 1) as pool:
+            children = [pool.submit(run, part) for part in range(1, threads)]
+            run(0)
+            for child in children:
+                child.result()
+    return sums
+
+
 def _tensor_cases(engine: _Engine, size: CodeSize) -> list[float]:
     """Direct grid summation of the block integrands (independent oracle).
 
@@ -630,7 +678,9 @@ def _tensor_cases(engine: _Engine, size: CodeSize) -> list[float]:
     window and a side, so the integrand and the weight are symmetric under
     permutations of them: each such group is summed over its sorted index
     multisets (:func:`_multisets`), each weighted by its multinomial count,
-    which visits every distinct grid point once.
+    which visits every distinct grid point once.  A large block spreads its
+    outer nodes over threads (:func:`_node_sums`); the node terms are added
+    up in node order, so the values keep their bits on any thread count.
     """
     n = size.n
     cases = []
@@ -651,11 +701,8 @@ def _tensor_cases(engine: _Engine, size: CodeSize) -> list[float]:
                 weights.append(multiplicity * (cell.w * cell.f)[idx].prod(axis=1))
             weight_grid = reduce(np.multiply.outer, weights)
             block_total = 0.0
-            for i in range(len(outer.x)):
-                log_keep = reduce(np.add.outer, [lk[i][idx].sum(axis=1) for lk, idx in groups])
-                block_total -= outer.w[i] * outer.f[i] * float(
-                    np.sum(weight_grid * np.expm1(log_keep))
-                )
+            for i, node_sum in enumerate(_node_sums(groups, weight_grid, len(outer.x))):
+                block_total -= outer.w[i] * outer.f[i] * node_sum
             total += block.multiplicity * block_total
         cases.append(float(total))
     return cases
@@ -696,6 +743,60 @@ def shared_engines() -> Iterator[None]:
         yield
     finally:
         _SHARED.reset(token)
+
+
+# True while this process computes a part of map_parts with other parts
+# running beside it: those parts already keep every core busy, so nothing
+# inside one spreads further.
+_IN_PART = False
+
+
+def available_cores() -> int:
+    """The cores this process may spread work over: its CPU affinity, 1 inside a part."""
+    if _IN_PART:
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def stretch(total: int, part: int, parts: int) -> range:
+    """Part ``part`` of ``parts`` contiguous stretches of range(total), sizes within one."""
+    return range(total * part // parts, total * (part + 1) // parts)
+
+
+def _enter_part() -> None:
+    global _IN_PART
+    _IN_PART = True
+
+
+def map_parts(fn: Callable[[int, int], object], parts: int) -> list:
+    """``[fn(part, parts) for part in range(parts)]``, each part after the first in a forked child.
+
+    The calling process computes part 0 while the children run, then
+    collects theirs in order.  Children are forked, not spawned: a spawned
+    child would re-import numpy and scipy, which costs about as much as
+    tallying a 500k-shot stretch.  Each child starts from this process's
+    memory, copy on write, and ``fn`` and its results travel by pickle.
+    No thread of this package runs at the fork: :func:`_node_sums` joins
+    its threads before it returns, and the pool starts its own thread after
+    the children.  Every part, the first included, sees one available core.
+    With one part, or without ``os.fork``, every part runs here in turn.
+    """
+    if parts == 1 or not hasattr(os, "fork"):
+        return [fn(part, parts) for part in range(parts)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _IN_PART
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(parts - 1, mp_context=fork, initializer=_enter_part) as pool:
+        children = [pool.submit(fn, part, parts) for part in range(1, parts)]
+        was, _IN_PART = _IN_PART, True
+        try:
+            results = [fn(0, parts)]
+        finally:
+            _IN_PART = was
+        return results + [child.result() for child in children]
 
 
 def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
@@ -756,9 +857,9 @@ def _failure_rate_impl(
     if gkp_ec and params.ideal_ancilla:
         cases, pauli_rate = [0.0] * ((size.n + 1) // 2), pauli_rate_ideal(params.delta)
     elif cfg.method == "tensor":
-        engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors)
         if size.n > 5:
             raise ValueError("tensor method is cost-guarded to n <= 5")
+        engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors)
         spacing = max(float(np.max(np.diff(cell.x))) for cell in engine.cells.values())
         if spacing > params.delta_tilde:
             # fixed nodes cannot integrate windows of edge width delta_tilde

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -17,7 +18,7 @@ import pytest
 
 from gkprep import cli, repetition
 from gkprep.analysis import QUANTITIES
-from gkprep.distributions import NoiseParams
+from gkprep.distributions import NoiseParams, pauli_rate_ideal
 from gkprep.repetition import QuadratureConfig
 
 CLI = [sys.executable, "-m", "gkprep.cli"]
@@ -485,6 +486,25 @@ class TestFigures:
                 grid = read_binary_grid(os.path.join(outdir, f"fig1_{tag}.bin"))
                 assert grid.spec.n_q == grid.spec.n_p == 129
 
+    @pytest.mark.parametrize("cores", [{0}, {0, 1}], ids=["1core", "2cores"])
+    @pytest.mark.parametrize("fig_id", sorted(FIGURE_EXPECTATIONS))
+    def test_bytes_do_not_depend_on_the_cores(self, fig_id, cores, monkeypatch, tmp_path):
+        pools = []
+        real_pool = concurrent.futures.ProcessPoolExecutor
+
+        def pool(max_workers, **kwargs):
+            pools.append(max_workers)
+            return real_pool(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        run_cli("figure", "--id", fig_id, "--outdir", str(tmp_path))
+        for name in os.listdir(tmp_path):
+            digest = hashlib.sha256(Path(tmp_path, name).read_bytes()).hexdigest()
+            assert digest == FIGURE_SHA256[name], name
+        forks = len(cores) > 1 and fig_id != "fig1" and hasattr(os, "fork")
+        assert pools == ([1] if forks else [])
+
     def test_unknown_id_is_usage_error(self):
         proc = run_cli("figure", "--id", "fig2", "--outdir", "/tmp/x", check=False)
         assert proc.returncode == 2
@@ -507,6 +527,26 @@ class TestRunFiles:
         lines = Path(out).read_text().splitlines()
         assert lines[0] == "delta,value,std_err,status"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("cores", [{0}, {0, 1}], ids=["1core", "2cores"])
+    def test_failed_cell_stays_in_its_row(self, cores, monkeypatch, tmp_path):
+        # with two parts the second, forked, computes cells 1 and 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        out = tmp_path / "out.csv"
+        spec = {"schema_version": 1, "sweep": {
+            "quantity": "px", "axes": [["delta", [0.3, -0.5, 0.5]]], "output": str(out)}}
+        run_cli("sweep", "--spec", write_run_file(tmp_path, spec))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["status"] for row in rows] == ["ok", "error:ValueError", "ok"]
+        assert [float(row["delta"]) for row in rows] == [0.3, -0.5, 0.5]
+        assert float(rows[2]["value"]) == pauli_rate_ideal(0.5)
+
+    def test_empty_axis_writes_the_header_alone(self, tmp_path):
+        out = tmp_path / "out.csv"
+        spec = {"schema_version": 1, "sweep": {
+            "quantity": "px", "axes": [["delta", []]], "output": str(out)}}
+        run_cli("sweep", "--spec", write_run_file(tmp_path, spec))
+        assert out.read_bytes() == b"delta,value,std_err,status\r\n"
 
     def test_unknown_field_rejected(self, tmp_path):
         spec = {"schema_version": 1, "sweep": {"quantity": "px", "axes": []}, "bogus": 1}
@@ -802,6 +842,19 @@ class TestQuantityRegistry:
                         check=False)
         for proc in (rate, sweep):
             assert (proc.returncode, proc.stderr, proc.stdout) == (2, f"error: {message}\n", "")
+        assert not out.exists()
+
+    def test_pf_refuses_the_tensor_method(self, tmp_path):
+        message = "error: pf has no tensor method; P_F is computed by the factorized method only\n"
+        proc = run_cli("rate", "--quantity", "pf", "--delta", "0.5", "--delta-tilde", "0.3",
+                       "--method", "tensor", check=False)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (2, message, "")
+        out = tmp_path / "out.csv"
+        spec = {"schema_version": 1, "engine": {"method": "tensor"}, "sweep": {
+            "quantity": "pf", "axes": [["delta_tilde", [0.2, 0.3]]], "fixed": {"delta": 0.5},
+            "output": str(out)}}
+        proc = run_cli("sweep", "--spec", write_run_file(tmp_path, spec), check=False)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (2, message, "")
         assert not out.exists()
 
     def test_omitted_optional_parameters_take_the_signature_defaults(self, tmp_path):

@@ -1,8 +1,10 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import functools
 import itertools
 import math
+import os
 import time
 import tracemalloc
 
@@ -187,6 +189,17 @@ class TestFailureRate:
                 QuadratureConfig(method="tensor", nodes_per_dim=64),
             )
 
+    @pytest.mark.parametrize("rate, builder", [
+        (failure_rate, "_residual_engine"), (failure_rate_no_gkp_ec, "_intrinsic_engine"),
+    ])
+    def test_tensor_refuses_n7_before_building_an_engine(self, rate, builder, monkeypatch):
+        built = []
+        monkeypatch.setattr(repetition, builder, lambda *args: built.append(args))
+        cfg = QuadratureConfig(method="tensor", nodes_per_dim=1024)
+        with pytest.raises(ValueError, match="n <= 5"):
+            rate(7, NoiseParams(0.5, 0.3), cfg)
+        assert built == []
+
     def test_tensor_cost_guard_counts_built_nodes(self):
         # the no-EC engine builds 48 nodes per cell at nodes_per_dim = 48
         start = time.perf_counter()
@@ -287,6 +300,25 @@ class TestFailureRateNoGkpEc:
     def test_factorized_matches_tensor(self):
         fact, tens = _both_routes(False, 3, NoiseParams(0.5, 0.25), 48)
         assert math.fsum(fact) == pytest.approx(math.fsum(tens), abs=2e-6)
+
+
+def _cores_here(part, parts):
+    return part, parts, repetition.available_cores()
+
+
+class TestMapParts:
+    def test_parts_come_back_in_order_and_run_serially(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert repetition.available_cores() == 3
+        assert repetition.map_parts(_cores_here, 3) == [(0, 3, 1), (1, 3, 1), (2, 3, 1)]
+        assert repetition.available_cores() == 3
+        assert repetition.map_parts(_cores_here, 1) == [(0, 1, 3)]
+
+    def test_stretches_cover_the_range_in_order(self):
+        for total, parts in itertools.product(range(8), range(1, 5)):
+            spans = [repetition.stretch(total, part, parts) for part in range(parts)]
+            assert [i for span in spans for i in span] == list(range(total))
+            assert max(map(len, spans)) - min(map(len, spans)) <= 1
 
 
 class TestSharedEngines:
@@ -485,18 +517,22 @@ def _full_grid_cases(engine, n):
     return cases
 
 
+# (gkp_ec, n, delta, dt, nodes, neighbors) of the tensor oracle's checks
+TENSOR_GRID = [
+    (True, 3, 0.5, 0.3, 32, 0),
+    (True, 5, 0.5, 0.3, 16, 0),
+    (True, 5, 0.5, 0.3, 24, 0),
+    (True, 5, 0.3, 0.045, 24, 0),  # cases 1e-57 to 1e-62
+    (False, 3, 0.5, 0.3, 32, 0),
+    (True, 5, 0.5, 0.3, 16, 1),
+    (False, 3, 0.5, 0.3, 32, 1),
+]
+
+
 class TestTensorMultisets:
     """The tensor oracle sums each exchangeable group over sorted index multisets."""
 
-    @pytest.mark.parametrize("gkp_ec, n, delta, dt, nodes, neighbors", [
-        (True, 3, 0.5, 0.3, 32, 0),
-        (True, 5, 0.5, 0.3, 16, 0),
-        (True, 5, 0.5, 0.3, 24, 0),
-        (True, 5, 0.3, 0.045, 24, 0),  # cases 1e-57 to 1e-62
-        (False, 3, 0.5, 0.3, 32, 0),
-        (True, 5, 0.5, 0.3, 16, 1),
-        (False, 3, 0.5, 0.3, 32, 1),
-    ])
+    @pytest.mark.parametrize("gkp_ec, n, delta, dt, nodes, neighbors", TENSOR_GRID)
     def test_matches_the_full_grid(self, gkp_ec, n, delta, dt, nodes, neighbors):
         engine = repetition._make_engine(gkp_ec, NoiseParams(delta, dt), nodes, neighbors)
         got = repetition._tensor_cases(engine, CodeSize(n))
@@ -504,6 +540,41 @@ class TestTensorMultisets:
         assert len(got) == len(want)
         for m, (g, w) in enumerate(zip(got, want)):
             assert w > 0.0 and abs(g - w) <= 1e-13 * w, (m, g, w)
+
+    @pytest.mark.parametrize("gkp_ec, n, delta, dt, nodes, neighbors", TENSOR_GRID)
+    def test_threads_keep_every_bit(self, gkp_ec, n, delta, dt, nodes, neighbors, monkeypatch):
+        engine = repetition._make_engine(gkp_ec, NoiseParams(delta, dt), nodes, neighbors)
+        monkeypatch.setattr(repetition, "_IN_PART", True)
+        serial = repetition._tensor_cases(engine, CodeSize(n))
+        monkeypatch.setattr(repetition, "_IN_PART", False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        threaded = [repetition._tensor_cases(engine, CodeSize(n))]
+        # every block on three threads, whatever its grid size
+        monkeypatch.setattr(repetition, "_THREAD_MIN_POINTS", 1)
+        threaded.append(repetition._tensor_cases(engine, CodeSize(n)))
+        bits = [np.array(values).view(np.uint64).tolist() for values in (serial, *threaded)]
+        assert bits[1:] == bits[:1] * 2
+
+    def test_only_large_grids_spread_over_threads(self, monkeypatch):
+        # n = 3 at 64 nodes: every block grid is below the threshold; n = 5
+        # at 24 nodes: some are above it
+        threads = []
+        real_pool = concurrent.futures.ThreadPoolExecutor
+
+        def pool(max_workers, **kwargs):
+            threads.append(max_workers)
+            return real_pool(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        repetition._tensor_cases(
+            repetition._make_engine(True, NoiseParams(0.5, 0.3), 64, 0), CodeSize(3)
+        )
+        assert threads == []
+        repetition._tensor_cases(
+            repetition._make_engine(True, NoiseParams(0.5, 0.3), 24, 0), CodeSize(5)
+        )
+        assert threads and set(threads) == {1}
 
     @pytest.mark.parametrize("n_nodes", [5, 24])
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
