@@ -88,6 +88,7 @@ def _rate_curve(
     size: int | str, delta: float, cfg: QuadratureConfig
 ) -> Callable[[float], float]:
     if size == "single":
+        check_method("pf", cfg)
         return lambda dt: pauli_rate_physical(NoiseParams(delta, dt), cfg)
     return lambda dt: failure_rate(size, NoiseParams(delta, dt), cfg).total
 
@@ -127,7 +128,8 @@ def critical_ancilla_spread(
     right exactly is returned as it is.  ITP interpolates
     :func:`_interpolant`, decides each side by the sign of left - right, and
     makes at most ceil(log2(w / tol)) + 1 evaluations on a scan interval of
-    width w, one more than bisection.
+    width w, one more than bisection.  A ``"single"`` curve by the tensor
+    method raises ``ValueError`` before any rate (:func:`check_method`).
     """
     left = _rate_curve(q.left_size, q.delta, cfg)
     right = _rate_curve(q.right_size, q.delta, cfg)
@@ -318,8 +320,8 @@ def _px(cfg, /, *, delta) -> tuple[float, dict]:
 def check_method(quantity: str, cfg: QuadratureConfig) -> None:
     """Raise ``ValueError`` if ``quantity`` has no route by ``cfg.method``.
 
-    P_F has no tensor route: ``pf`` refuses it rather than answer by the
-    factorized one.
+    P_F has no tensor route: ``pf``, and the ``"single"`` curve of a crossing,
+    refuse it rather than answer by the factorized one.
     """
     if quantity == "pf" and cfg.method == "tensor":
         raise ValueError("pf has no tensor method; P_F is computed by the factorized method only")

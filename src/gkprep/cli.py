@@ -273,6 +273,8 @@ def cmd_sweep(args) -> int:
     for name, block in ((kind, doc[kind]), ("engine", engine)):
         if not isinstance(block, dict):
             raise ValueError(f"run-file {name} must be a JSON object")
+    if kind == "mc" and engine:
+        raise ValueError(f"run-file mc reads no engine block, got engine fields {sorted(engine)}")
     cfg = _from_fields(QuadratureConfig, engine, "engine")
     build, run = RUN_KINDS[kind]
     fields = dict(doc[kind])
@@ -302,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--r", type=float)
     rate.add_argument("--method", choices=["factorized", "tensor"])
     rate.add_argument("--nodes", type=int, dest="nodes_per_dim", metavar="NODES")
-    rate.add_argument("--neighbors", type=int, dest="window_neighbors", metavar="NEIGHBORS")
     rate.add_argument("--out")
     rate.set_defaults(func=cmd_rate)
 

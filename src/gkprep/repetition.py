@@ -193,17 +193,15 @@ class QuadratureConfig:
     move by at most ``_ABS_TOL``.  ``nodes_per_dim`` runs from
     ``MIN_NODES``, where both engines' cells start to grow at that step, to
     ``MAX_NODES``; the no-EC rate refuses any below ``MIN_NOEC_NODES``.
-    ``window_neighbors`` counts the 2*sqrt(pi) translates of each syndrome
-    window on each side.  The integer fields follow :func:`_integral`; any
-    other value raises ``ValueError``.
+    ``nodes_per_dim`` follows :func:`_integral`; any other value raises
+    ``ValueError``.
     """
 
     nodes_per_dim: int = 64
     method: str = "factorized"
-    window_neighbors: int = 0
 
     def __post_init__(self) -> None:
-        _store_integers(self, "nodes_per_dim", "window_neighbors")
+        _store_integers(self, "nodes_per_dim")
         if not (MIN_NODES <= self.nodes_per_dim <= MAX_NODES):
             raise ValueError(
                 f"nodes_per_dim must be from {MIN_NODES} to {MAX_NODES}, "
@@ -211,8 +209,6 @@ class QuadratureConfig:
             )
         if self.method not in ("factorized", "tensor"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.window_neighbors < 0:
-            raise ValueError("window_neighbors must be >= 0")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -243,47 +239,44 @@ def classical_failure(n: int | CodeSize, p: float) -> float:
     return total
 
 
+# Offsets of the 2*sqrt(pi) translates counted with each syndrome window,
+# subtracted in this order.  The decoder reads the syndrome modulo
+# 2*sqrt(pi); empty counts the central window only, and the translates it
+# leaves out move no figure value by more than about 1.2e-5 relative at
+# delta_tilde <= 0.5.  The engine memo of shared_engines() does not key on
+# it, so it must not change while a block is open.
+_TRANSLATES: tuple[float, ...] = ()
+
+
 def _window_complement(
-    y: np.ndarray,
-    window: tuple[float, float],
-    delta_tilde: float,
-    neighbors: int,
+    y: np.ndarray, window: tuple[float, float], delta_tilde: float
 ) -> np.ndarray:
     """Twice the probability that y plus the ancilla displacement misses the window.
 
     The ancilla displacement has spread ``delta_tilde``; the window counts
-    with its ``neighbors`` 2*sqrt(pi) translates on each side.  The central
-    window contributes erfc((hi-y)/dt) + erfc((y-lo)/dt), computed without
-    cancellation; :func:`_less_translates` then subtracts the translates and
-    clips.  The tensor oracle calls it on u1' +/- x directly; the residual
-    engine forms the central part of the same table by reversal instead.
+    with its ``_TRANSLATES``.  The central window contributes
+    erfc((hi-y)/dt) + erfc((y-lo)/dt), computed without cancellation;
+    :func:`_less_translates` then subtracts the translates and clips.  The
+    tensor oracle calls it on u1' +/- x directly; the residual engine forms
+    the central part of the same table by reversal instead.
     """
     lo, hi = window
     y = np.asarray(y, dtype=np.float64)
     central = sp.erfc((hi - y) / delta_tilde) + sp.erfc((y - lo) / delta_tilde)
-    return _less_translates(central, y, window, delta_tilde, neighbors)
-
-
-def _translate_shifts(neighbors: int) -> list[float]:
-    """Offsets 2*sqrt(pi)*t of a window's translates, t = -neighbors..neighbors, t != 0."""
-    return [2.0 * t * SQRT_PI for t in range(-neighbors, neighbors + 1) if t]
+    return _less_translates(central, y, window, delta_tilde)
 
 
 def _less_translates(
-    central: np.ndarray,
-    y: np.ndarray,
-    window: tuple[float, float],
-    delta_tilde: float,
-    neighbors: int,
+    central: np.ndarray, y: np.ndarray, window: tuple[float, float], delta_tilde: float
 ) -> np.ndarray:
     """``central``, the central window's complement at y, less the translates'.
 
     Each translate's erf((hi-y)/dt) - erf((lo-y)/dt) is subtracted in turn,
-    from t = -``neighbors`` up; the result is clipped to [0, 2].
+    in ``_TRANSLATES`` order; the result is clipped to [0, 2].
     """
     lo, hi = window
     out = central
-    for shift in _translate_shifts(neighbors):
+    for shift in _TRANSLATES:
         out = out - (
             sp.erf((hi + shift - y) / delta_tilde) - sp.erf((lo + shift - y) / delta_tilde)
         )
@@ -322,12 +315,9 @@ class _Engine:
     log_keep: dict[tuple, np.ndarray]
     pauli_rate: float
     dt: float
-    neighbors: int
 
 
-def _finish_engine(
-    cells: dict, miss: dict, pauli_rate: float, dt: float, neighbors: int
-) -> _Engine:
+def _finish_engine(cells: dict, miss: dict, pauli_rate: float, dt: float) -> _Engine:
     """The read-only :class:`_Engine` of ``cells`` and ``miss``, every ``log_keep`` derived."""
     log_keep = {}
     with np.errstate(divide="ignore"):
@@ -344,10 +334,10 @@ def _finish_engine(
     cell_arrays = (a for c in cells.values() for a in (c.x, c.w, c.f))
     for a in itertools.chain(miss.values(), log_keep.values(), cell_arrays):
         a.flags.writeable = False
-    return _Engine(cells, miss, log_keep, pauli_rate, dt, neighbors)
+    return _Engine(cells, miss, log_keep, pauli_rate, dt)
 
 
-def _residual_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
+def _residual_engine(params: NoiseParams, n_nodes: int) -> _Engine:
     """Per-cell nodes, densities and inner integrals for the post-EC density.
 
     Both cells share the :func:`peaked_cell_layout` of P panels of half-width
@@ -392,7 +382,7 @@ def _residual_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engi
     # the lower edge's erfc is the upper edge's reversed on all three axes
     upper = sp.erfc((HALF_CELL - offsets) / dt)
     table = _less_translates(
-        upper + upper[::-1, ::-1, ::-1], offsets, (-HALF_CELL, HALF_CELL), dt, neighbors
+        upper + upper[::-1, ::-1, ::-1], offsets, (-HALF_CELL, HALF_CELL), dt
     )
     # outer panel p meets inner panel q at table row p + q
     panels = np.arange(n_panels)
@@ -415,7 +405,7 @@ def _residual_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engi
         cell_rate = 2.0 * float(np.dot(pz_w, f))
         pauli_rate += cell_rate
         if cell_rate < ABS_TAIL_BOUND:
-            return _finish_engine(cells, miss, min(pauli_rate, 1.0), dt, neighbors)
+            return _finish_engine(cells, miss, min(pauli_rate, 1.0), dt)
     raise TruncationError(f"PZ lattice sum did not converge within {MAX_TERMS} cells")
 
 
@@ -446,14 +436,14 @@ def _intrinsic_cell_nodes(
     return np.concatenate(x), np.concatenate(w)
 
 
-def _intrinsic_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
+def _intrinsic_engine(params: NoiseParams, n_nodes: int) -> _Engine:
     """Cells and miss integrals for the raw (no GKP EC) Gaussian data density.
 
     Cell masses are closed-form erf differences and the inner integrals are
     exact bivariate-normal rectangle probabilities, so the sharp syndrome
     windows of small ancilla spreads cost nothing in accuracy.  Each miss is
     the two out-of-window rectangles of the central window, less the
-    overlaps with the ``neighbors`` translates, kept >= 0.  Every side's
+    overlaps with the translates at ``_TRANSLATES``, kept >= 0.  Every side's
     window limits are stacked on its outer nodes, with the inner cell's
     bounds repeated per node, so one call takes all central windows and at
     most one more all translates.  P_F is :func:`pauli_rate_ideal` of the
@@ -480,19 +470,18 @@ def _intrinsic_engine(params: NoiseParams, n_nodes: int, neighbors: int) -> _Eng
         return tuple(np.concatenate(part) for part in zip(*sides))
 
     out = gaussian_window_overlap(bounds, *limits(0.0), delta, dt, outside=True)
-    shifts = _translate_shifts(neighbors)
-    if shifts:
-        lo, hi = zip(*map(limits, shifts))
+    if _TRANSLATES:
+        lo, hi = zip(*map(limits, _TRANSLATES))
         overlap = gaussian_window_overlap(
-            tuple(np.tile(b, len(shifts)) for b in bounds),
+            tuple(np.tile(b, len(_TRANSLATES)) for b in bounds),
             np.concatenate(lo), np.concatenate(hi), delta, dt,
         )
         # subtracted translate by translate, as one call per side would
-        for part in overlap.reshape(len(shifts), -1):
+        for part in overlap.reshape(len(_TRANSLATES), -1):
             out = out - part
     out = np.maximum(out, 0.0)
     miss = dict(zip(_MISS_KEYS, np.split(out, np.cumsum(sizes)[:-1])))
-    return _finish_engine(cells, miss, pauli_rate_ideal(delta), dt, neighbors)
+    return _finish_engine(cells, miss, pauli_rate_ideal(delta), dt)
 
 
 @dataclass(frozen=True)
@@ -694,9 +683,7 @@ def _tensor_cases(engine: _Engine, size: CodeSize) -> list[float]:
                 idx, multiplicity = _multisets(len(cell.x), count)
                 pair = (np.subtract if reflect else np.add).outer(outer.x, cell.x)
                 with np.errstate(divide="ignore"):  # log1p(-1) = -inf is exact
-                    log_keep = np.log1p(-0.5 * _window_complement(
-                        pair, window, engine.dt, engine.neighbors
-                    ))
+                    log_keep = np.log1p(-0.5 * _window_complement(pair, window, engine.dt))
                 groups.append((log_keep, idx))
                 weights.append(multiplicity * (cell.w * cell.f)[idx].prod(axis=1))
             weight_grid = reduce(np.multiply.outer, weights)
@@ -799,17 +786,17 @@ def map_parts(fn: Callable[[int, int], object], parts: int) -> list:
         return results + [child.result() for child in children]
 
 
-def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int, neighbors: int) -> _Engine:
+def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int) -> _Engine:
     """The engine of ``params`` at ``n_nodes``, memoized inside :func:`shared_engines`."""
     build = _residual_engine if gkp_ec else _intrinsic_engine
     memo = _SHARED.get()
     if memo is None:
-        return build(params, n_nodes, neighbors)
-    key = (gkp_ec, params.delta, params.delta_tilde, n_nodes, neighbors)
+        return build(params, n_nodes)
+    key = (gkp_ec, params.delta, params.delta_tilde, n_nodes)
     if key not in memo:
         if len(memo) >= _SHARED_MAX:
             del memo[next(iter(memo))]
-        memo[key] = build(params, n_nodes, neighbors)
+        memo[key] = build(params, n_nodes)
     return memo[key]
 
 
@@ -825,7 +812,7 @@ def _certified(
     accepted ``nodes_per_dim`` gives it more nodes in every cell.
     """
     fine_nodes = 3 * cfg.nodes_per_dim // 2
-    coarse, fine = (values(_make_engine(gkp_ec, params, nodes, cfg.window_neighbors))
+    coarse, fine = (values(_make_engine(gkp_ec, params, nodes))
                     for nodes in (cfg.nodes_per_dim, fine_nodes))
     gap = max(abs(a - b) for a, b in zip(coarse, fine))
     if gap > _ABS_TOL:
@@ -859,7 +846,7 @@ def _failure_rate_impl(
     elif cfg.method == "tensor":
         if size.n > 5:
             raise ValueError("tensor method is cost-guarded to n <= 5")
-        engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim, cfg.window_neighbors)
+        engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim)
         spacing = max(float(np.max(np.diff(cell.x))) for cell in engine.cells.values())
         if spacing > params.delta_tilde:
             # fixed nodes cannot integrate windows of edge width delta_tilde

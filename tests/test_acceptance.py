@@ -65,7 +65,7 @@ def test_criterion_03_dual_oracle_quadrature():
     # both routes on the same 32-node engine, so the gap is the reduction's
     worst = 0.0
     for n, delta, dt in itertools.product((3, 5), (0.4, 0.5), (0.1, 0.3)):
-        engine = repetition._make_engine(True, NoiseParams(delta, dt), 32, 0)
+        engine = repetition._make_engine(True, NoiseParams(delta, dt), 32)
         fact = math.fsum(repetition._factorized_cases(engine, CodeSize(n)))
         tens = math.fsum(repetition._tensor_cases(engine, CodeSize(n)))
         worst = max(worst, abs(fact - tens))

@@ -56,9 +56,9 @@ class TestCriticalAncillaSpread:
             sampled.append(params.delta_tilde)
             return failure_rate(n, params, cfg)
 
-        def counted_build(params, n_nodes, neighbors):
+        def counted_build(params, n_nodes):
             built.setdefault(params.delta_tilde, []).append(n_nodes)
-            return build(params, n_nodes, neighbors)
+            return build(params, n_nodes)
 
         monkeypatch.setattr(analysis, "failure_rate", counted_rate)
         monkeypatch.setattr(repetition, "_residual_engine", counted_build)

@@ -23,6 +23,10 @@ from gkprep.repetition import QuadratureConfig
 
 CLI = [sys.executable, "-m", "gkprep.cli"]
 
+PF_TENSOR_ERROR = (
+    "error: pf has no tensor method; P_F is computed by the factorized method only\n"
+)
+
 
 def run_cli(*args, check=True):
     """``gkprep *args`` through ``cli.main`` in this process; argparse's exit is the code.
@@ -57,6 +61,13 @@ class TestExitCodes:
     def test_usage_error_is_two(self):
         proc = run_cli("rate", "--quantity", "nope", "--delta", "0.5", check=False)
         assert proc.returncode == 2
+
+    def test_neighbors_flag_is_usage_error(self):
+        # the window translates are not an option of the rate
+        proc = run_cli("rate", "--quantity", "pfrep", "--n", "3", "--delta", "0.5",
+                       "--delta-tilde", "0.3", "--neighbors", "1", check=False)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "unrecognized arguments: --neighbors 1" in proc.stderr
 
     def test_validation_error_is_two(self):
         proc = run_cli("rate", "--quantity", "pfrep", "--delta", "0.5", check=False)
@@ -120,8 +131,8 @@ class TestExitCodes:
         # overweight tail of a rate and in pf itself
         build = repetition._residual_engine
 
-        def raised_coarse_pauli_rate(params, n_nodes, neighbors):
-            engine = build(params, n_nodes, neighbors)
+        def raised_coarse_pauli_rate(params, n_nodes):
+            engine = build(params, n_nodes)
             if n_nodes == 64:
                 engine = dataclasses.replace(engine, pauli_rate=engine.pauli_rate + 1e-7)
             return engine
@@ -541,6 +552,32 @@ class TestRunFiles:
         assert [float(row["delta"]) for row in rows] == [0.3, -0.5, 0.5]
         assert float(rows[2]["value"]) == pauli_rate_ideal(0.5)
 
+    def test_tensor_sweep_runs_serially_inside_its_parts(self, monkeypatch, tmp_path):
+        # the n = 5 oracle at 24 nodes spreads over threads when it has the
+        # cores to itself; in a part of a forked sweep the other part keeps
+        # the second core busy, so no thread pool may start there
+        def no_thread_pool(*args, **kwargs):
+            raise AssertionError("a thread pool started inside a sweep part")
+
+        parts = []
+        map_parts = cli.map_parts
+        monkeypatch.setattr(cli, "map_parts", lambda fn, n: parts.append(n) or map_parts(fn, n))
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_thread_pool)
+        outputs = []
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+            out = tmp_path / f"out{len(cores)}.csv"
+            spec = {"schema_version": 1, "engine": {"method": "tensor", "nodes_per_dim": 24},
+                    "sweep": {"quantity": "pfrep",
+                              "axes": [["delta_tilde", [0.26, 0.28, 0.30, 0.32]]],
+                              "fixed": {"delta": 0.5, "n": 5}, "output": str(out)}}
+            run_cli("sweep", "--spec", write_run_file(tmp_path, spec))
+            outputs.append(out.read_bytes())
+        assert parts == [1, 2]
+        assert outputs[1] == outputs[0]
+        rows = list(csv.DictReader(outputs[0].decode().splitlines()))
+        assert [row["status"] for row in rows] == ["ok"] * 4
+
     def test_empty_axis_writes_the_header_alone(self, tmp_path):
         out = tmp_path / "out.csv"
         spec = {"schema_version": 1, "sweep": {
@@ -569,8 +606,9 @@ class TestRunFiles:
 
     def test_refine_engine_field_is_unknown(self, tmp_path):
         # every factorized rate is certified, against a fixed bound; there is
-        # no switch to skip it and no field to loosen it
-        for field, value in (("refine", False), ("abs_tol", 1e-6)):
+        # no switch to skip it and no field to loosen it, and the window
+        # translates are not an engine field either
+        for field, value in (("refine", False), ("abs_tol", 1e-6), ("window_neighbors", 1)):
             spec = {"schema_version": 1,
                     "sweep": {"quantity": "px", "axes": [["delta", [0.5]]]},
                     "engine": {field: value}}
@@ -606,6 +644,28 @@ class TestRunFiles:
         proc = run_cli("sweep", "--spec", path)
         payload = json.loads(proc.stdout)
         assert payload["shots"] == 1000
+
+    @pytest.mark.parametrize("engine", [
+        {"nodes_per_dim": 96, "method": "tensor", "window_neighbors": 3},
+        {"nodes_per_dim": 64},
+    ], ids=["three-fields", "default-nodes"])
+    def test_mc_refuses_engine_fields(self, engine, tmp_path):
+        # the Monte Carlo reads no engine field, so it takes none, not even
+        # a default
+        spec = {"schema_version": 1, "engine": engine,
+                "mc": {"n": 3, "delta": 0.5, "delta_tilde": 0.2, "shots": 1000, "seed": 1}}
+        proc = run_cli("sweep", "--spec", write_run_file(tmp_path, spec), check=False)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: run-file mc reads no engine block, got engine fields {sorted(engine)}\n"
+        )
+
+    def test_mc_takes_an_empty_engine_block(self, tmp_path):
+        mc = {"n": 3, "delta": 0.5, "delta_tilde": 0.2, "shots": 1000, "seed": 1}
+        bare = write_run_file(tmp_path, {"schema_version": 1, "mc": mc})
+        bare_out = run_cli("sweep", "--spec", bare).stdout
+        empty = write_run_file(tmp_path, {"schema_version": 1, "mc": mc, "engine": {}})
+        assert run_cli("sweep", "--spec", empty).stdout == bare_out
 
     def test_crossing_runfile(self, tmp_path):
         spec = {
@@ -682,7 +742,6 @@ class TestRunFiles:
              {"nodes_per_dim": True}),
             ("sweep", {"quantity": "pfrep", "axes": [["delta", [0.5]]],
                        "fixed": {"delta_tilde": 0.2, "n": 3}}, {"nodes_per_dim": "64"}),
-            ("optimal_bias", {"n": 3, "delta": 0.5}, {"window_neighbors": 0.5}),
             ("sweep", {"quantity": "px", "axes": [["delta", [0.5]]]}, {"refine": "no"}),
             ("crossing", {"delta": 0.5, "left_size": "single", "right_size": 3, "tol": True}, {}),
             ("mc", {"n": 3, "delta": True, "shots": 10}, {}),
@@ -702,7 +761,7 @@ class TestRunFiles:
              "r-bracket-int", "mc-list", "output-int", "output-bool", "n-fraction",
              "right-size-fraction", "seed-fraction", "shots-fraction", "shots-bool",
              "seed-bool", "gkp-ec-str", "gkp-ec-int", "nodes-fraction", "nodes-bool",
-             "nodes-str", "neighbors-fraction", "refine-str", "tol-bool", "mc-delta-bool",
+             "nodes-str", "refine-str", "tol-bool", "mc-delta-bool",
              "abs-tol-bool", "bracket-end-bool", "crossing-delta-bool", "r-bracket-end-str",
              "abs-tol-1e999", "tol-1e999"],
     )
@@ -759,12 +818,12 @@ class TestRunFiles:
             "optimal_bias": {"n": 3, "delta": 0.5, "delta_tilde": 0.1, "r_bracket": [1.0, 2.0]},
         }[kind]
         outputs = []
-        for nodes, neighbors in ((64, 1), (64.0, 1.0)):
+        for nodes in (64, 64.0):
             out = tmp_path / f"out_{nodes!r}.txt"
             spec = {
                 "schema_version": 1,
                 kind: {**block, "output": str(out)},
-                "engine": {"nodes_per_dim": nodes, "window_neighbors": neighbors},
+                "engine": {"nodes_per_dim": nodes},
             }
             path = write_run_file(tmp_path, spec)
             run_cli("sweep", "--spec", path)
@@ -845,17 +904,30 @@ class TestQuantityRegistry:
         assert not out.exists()
 
     def test_pf_refuses_the_tensor_method(self, tmp_path):
-        message = "error: pf has no tensor method; P_F is computed by the factorized method only\n"
         proc = run_cli("rate", "--quantity", "pf", "--delta", "0.5", "--delta-tilde", "0.3",
                        "--method", "tensor", check=False)
-        assert (proc.returncode, proc.stderr, proc.stdout) == (2, message, "")
+        assert (proc.returncode, proc.stderr, proc.stdout) == (2, PF_TENSOR_ERROR, "")
         out = tmp_path / "out.csv"
         spec = {"schema_version": 1, "engine": {"method": "tensor"}, "sweep": {
             "quantity": "pf", "axes": [["delta_tilde", [0.2, 0.3]]], "fixed": {"delta": 0.5},
             "output": str(out)}}
         proc = run_cli("sweep", "--spec", write_run_file(tmp_path, spec), check=False)
-        assert (proc.returncode, proc.stderr, proc.stdout) == (2, message, "")
+        assert (proc.returncode, proc.stderr, proc.stdout) == (2, PF_TENSOR_ERROR, "")
         assert not out.exists()
+
+    @pytest.mark.parametrize("left, right", [("single", 3), (3, "single")])
+    def test_single_crossing_curve_refuses_the_tensor_method(self, left, right, tmp_path,
+                                                             monkeypatch):
+        # the "single" curve is P_F, which has no tensor route; the refusal
+        # comes before any engine is built
+        calls = []
+        monkeypatch.setattr(repetition, "_make_engine", lambda *a: calls.append(a))
+        spec = {"schema_version": 1, "engine": {"method": "tensor", "nodes_per_dim": 48},
+                "crossing": {"delta": 0.5, "left_size": left, "right_size": right,
+                             "bracket": [0.15, 0.45]}}
+        proc = run_cli("sweep", "--spec", write_run_file(tmp_path, spec), check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", PF_TENSOR_ERROR)
+        assert calls == []
 
     def test_omitted_optional_parameters_take_the_signature_defaults(self, tmp_path):
         base = ("rate", "--quantity", "pfail", "--n", "3", "--delta", "0.5")

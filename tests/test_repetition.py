@@ -13,7 +13,13 @@ import pytest
 
 from gkprep import repetition
 from gkprep.distributions import NoiseParams, pauli_rate_ideal
-from gkprep.lattice import HALF_CELL, TruncationError
+from gkprep.lattice import (
+    HALF_CELL,
+    SQRT_PI,
+    TruncationError,
+    is_pauli_zone,
+    nearest_multiple_offset_array,
+)
 from gkprep.repetition import (
     CodeSize,
     QuadratureConfig,
@@ -59,18 +65,24 @@ class TestCodeSize:
 
 class TestQuadratureConfig:
     def test_integral_fields_stored_as_int(self):
-        cfg = QuadratureConfig(nodes_per_dim=64.0, window_neighbors=np.int64(1))
-        assert cfg == QuadratureConfig(nodes_per_dim=64, window_neighbors=1)
-        assert type(cfg.nodes_per_dim) is int and type(cfg.window_neighbors) is int
+        for nodes in (64.0, np.int64(64)):
+            cfg = QuadratureConfig(nodes_per_dim=nodes)
+            assert cfg == QuadratureConfig(nodes_per_dim=64)
+            assert type(cfg.nodes_per_dim) is int
 
     @pytest.mark.parametrize(
         "field, value",
-        [("nodes_per_dim", 64.5), ("nodes_per_dim", True), ("nodes_per_dim", "64"),
-         ("window_neighbors", 0.5)],
+        [("nodes_per_dim", 64.5), ("nodes_per_dim", True), ("nodes_per_dim", "64")],
     )
     def test_wrongly_typed_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             QuadratureConfig(**{field: value})
+
+    def test_fields_are_the_node_budget_and_the_method(self):
+        assert [f.name for f in dataclasses.fields(QuadratureConfig)] == [
+            "nodes_per_dim", "method"]
+        with pytest.raises(TypeError, match="window_neighbors"):
+            QuadratureConfig(window_neighbors=1)
 
     def test_nodes_per_dim_range(self):
         # checked when the config is built, before any engine: 100,000 nodes
@@ -216,7 +228,7 @@ class TestFailureRate:
         params = NoiseParams(0.5, 0.3)
         cfg = QuadratureConfig(nodes_per_dim=41, method="tensor")
         tensor = [value for _, value in failure_rate(5, params, cfg).per_case[:-1]]
-        engine = repetition._make_engine(True, params, 41, 0)
+        engine = repetition._make_engine(True, params, 41)
         assert {len(cell.x) for cell in engine.cells.values()} == {40}
         fact = repetition._factorized_cases(engine, CodeSize(5))
         assert fact == pytest.approx(tensor, rel=1e-12, abs=0.0)
@@ -231,11 +243,10 @@ class TestFailureRate:
         with pytest.raises(QuadratureError, match="abs_tol"):
             failure_rate(3, NoiseParams(0.5, 0.3), cfg)
 
-    def test_neighbor_windows_negligible_at_default_params(self):
+    def test_neighbor_windows_negligible_at_default_params(self, monkeypatch):
         base = failure_rate(3, NoiseParams(0.5, 0.2)).total
-        extra = failure_rate(
-            3, NoiseParams(0.5, 0.2), QuadratureConfig(window_neighbors=1)
-        ).total
+        _set_translates(monkeypatch, 1)
+        extra = failure_rate(3, NoiseParams(0.5, 0.2)).total
         assert abs(extra - base) < 1e-8
 
     def test_factorized_n9_under_one_second(self):
@@ -328,9 +339,9 @@ class TestSharedEngines:
         built = []
         build = getattr(repetition, builder)
 
-        def counting_build(params, n_nodes, neighbors):
+        def counting_build(params, n_nodes):
             built.append(n_nodes)
-            return build(params, n_nodes, neighbors)
+            return build(params, n_nodes)
 
         monkeypatch.setattr(repetition, builder, counting_build)
         return built
@@ -397,9 +408,20 @@ class TestSharedEngines:
         assert sorted(built) == [16, 24]
 
 
+def _set_translates(monkeypatch, neighbors):
+    """Count ``neighbors`` 2*sqrt(pi) translates on each side of every window.
+
+    They are taken in the order t = -neighbors .. neighbors, t != 0.  The
+    engine memo does not key on them, so no caller may hold a
+    ``shared_engines`` block open across this call.
+    """
+    shifts = tuple(2.0 * t * SQRT_PI for t in range(-neighbors, neighbors + 1) if t)
+    monkeypatch.setattr(repetition, "_TRANSLATES", shifts)
+
+
 def _both_routes(gkp_ec, n, params, nodes):
     """Factorized and tensor per-flip-count values on the same engine's nodes."""
-    engine = repetition._make_engine(gkp_ec, params, nodes, 0)
+    engine = repetition._make_engine(gkp_ec, params, nodes)
     size = CodeSize(n)
     return repetition._factorized_cases(engine, size), repetition._tensor_cases(engine, size)
 
@@ -437,9 +459,10 @@ def _class_sum_cases(engine, n):
 
 class TestEngineRecord:
     @pytest.mark.parametrize("gkp_ec", [True, False], ids=["ec", "noec"])
-    def test_every_array_is_read_only(self, gkp_ec):
+    def test_every_array_is_read_only(self, gkp_ec, monkeypatch):
         # shared_engines hands one engine to every rate call of a block
-        engine = repetition._make_engine(gkp_ec, NoiseParams(0.5, 0.2), 64, 1)
+        _set_translates(monkeypatch, 1)
+        engine = repetition._make_engine(gkp_ec, NoiseParams(0.5, 0.2), 64)
         arrays = [a for c in engine.cells.values() for a in (c.x, c.w, c.f)]
         arrays += [*engine.miss.values(), *engine.log_keep.values()]
         assert len(arrays) == 6 + len(repetition._MISS_KEYS) + len(repetition._SIDES)
@@ -449,13 +472,22 @@ class TestEngineRecord:
         with pytest.raises(dataclasses.FrozenInstanceError):
             engine.dt = 0.3
 
+    def test_no_engine_carries_a_translate_count(self):
+        fields = [f.name for f in dataclasses.fields(repetition._Engine)]
+        assert fields == ["cells", "miss", "log_keep", "pauli_rate", "dt"]
+        with shared_engines():
+            failure_rate(3, NoiseParams(0.5, 0.2))
+            assert list(repetition._SHARED.get()) == [
+                (True, 0.5, 0.2, 64), (True, 0.5, 0.2, 96)]
+
 
 class TestBinomialContraction:
     @pytest.mark.parametrize("gkp_ec", [True, False], ids=["ec", "noec"])
     @pytest.mark.parametrize("neighbors", [0, 1])
     @pytest.mark.parametrize("delta, dt", [(0.3, 0.045), (0.5, 0.2), (0.12, 0.08), (0.6, 0.45)])
-    def test_matches_the_sign_split_classes(self, gkp_ec, neighbors, delta, dt):
-        engine = repetition._make_engine(gkp_ec, NoiseParams(delta, dt), 64, neighbors)
+    def test_matches_the_sign_split_classes(self, gkp_ec, neighbors, delta, dt, monkeypatch):
+        _set_translates(monkeypatch, neighbors)
+        engine = repetition._make_engine(gkp_ec, NoiseParams(delta, dt), 64)
         for n in (3, 7, 9, 15):
             got = repetition._factorized_cases(engine, CodeSize(n))
             want = _class_sum_cases(engine, n)
@@ -504,8 +536,7 @@ def _full_grid_cases(engine, n):
                 with np.errstate(divide="ignore"):
                     log_keep = functools.reduce(np.add.outer, [
                         np.log1p(-0.5 * repetition._window_complement(
-                            u1 - cell.x if reflect else u1 + cell.x,
-                            window, engine.dt, engine.neighbors,
+                            u1 - cell.x if reflect else u1 + cell.x, window, engine.dt,
                         ))
                         for cell, window, reflect in axes
                     ])
@@ -533,8 +564,9 @@ class TestTensorMultisets:
     """The tensor oracle sums each exchangeable group over sorted index multisets."""
 
     @pytest.mark.parametrize("gkp_ec, n, delta, dt, nodes, neighbors", TENSOR_GRID)
-    def test_matches_the_full_grid(self, gkp_ec, n, delta, dt, nodes, neighbors):
-        engine = repetition._make_engine(gkp_ec, NoiseParams(delta, dt), nodes, neighbors)
+    def test_matches_the_full_grid(self, gkp_ec, n, delta, dt, nodes, neighbors, monkeypatch):
+        _set_translates(monkeypatch, neighbors)
+        engine = repetition._make_engine(gkp_ec, NoiseParams(delta, dt), nodes)
         got = repetition._tensor_cases(engine, CodeSize(n))
         want = _full_grid_cases(engine, n)
         assert len(got) == len(want)
@@ -543,7 +575,8 @@ class TestTensorMultisets:
 
     @pytest.mark.parametrize("gkp_ec, n, delta, dt, nodes, neighbors", TENSOR_GRID)
     def test_threads_keep_every_bit(self, gkp_ec, n, delta, dt, nodes, neighbors, monkeypatch):
-        engine = repetition._make_engine(gkp_ec, NoiseParams(delta, dt), nodes, neighbors)
+        _set_translates(monkeypatch, neighbors)
+        engine = repetition._make_engine(gkp_ec, NoiseParams(delta, dt), nodes)
         monkeypatch.setattr(repetition, "_IN_PART", True)
         serial = repetition._tensor_cases(engine, CodeSize(n))
         monkeypatch.setattr(repetition, "_IN_PART", False)
@@ -568,11 +601,11 @@ class TestTensorMultisets:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         repetition._tensor_cases(
-            repetition._make_engine(True, NoiseParams(0.5, 0.3), 64, 0), CodeSize(3)
+            repetition._make_engine(True, NoiseParams(0.5, 0.3), 64), CodeSize(3)
         )
         assert threads == []
         repetition._tensor_cases(
-            repetition._make_engine(True, NoiseParams(0.5, 0.3), 24, 0), CodeSize(5)
+            repetition._make_engine(True, NoiseParams(0.5, 0.3), 24), CodeSize(5)
         )
         assert threads and set(threads) == {1}
 
@@ -592,7 +625,7 @@ class TestTensorMultisets:
     def test_n5_call_does_not_materialize_the_gather(self):
         # the per-outer-node gather peaks at about 4.3 MB; the full grid took
         # 8.2 MB and an (outer x multisets x count) gather 20.5 MB
-        engine = repetition._make_engine(True, NoiseParams(0.5, 0.3), 24, 0)
+        engine = repetition._make_engine(True, NoiseParams(0.5, 0.3), 24)
         repetition._tensor_cases(engine, CodeSize(5))
         tracemalloc.start()
         try:
@@ -612,16 +645,17 @@ class TestMissTable:
 
     # dt = 0.01-0.08 cut the cells at 8.5 dt, dt = 0.12-0.6 at the cell edge
     @pytest.mark.parametrize("dt", [0.01, 0.03, 0.08, 0.12, 0.35, 0.6])
-    def test_matches_the_direct_outer_by_inner_evaluation(self, dt):
+    def test_matches_the_direct_outer_by_inner_evaluation(self, dt, monkeypatch):
         for delta, nodes, neighbors in itertools.product(
             (0.3, 0.5, 0.8), (8, 16, 24, 64, 96, 128), (0, 1, 2)
         ):
-            engine = repetition._residual_engine(NoiseParams(delta, dt), nodes, neighbors)
+            _set_translates(monkeypatch, neighbors)
+            engine = repetition._residual_engine(NoiseParams(delta, dt), nodes)
             for (outer_cell, cell), sides in repetition._SIDES.items():
                 outer_x, inner = engine.cells[outer_cell].x, engine.cells[cell]
                 for window, reflect in sides:
                     arg = outer_x[:, None] + (-1.0 if reflect else 1.0) * inner.x[None, :]
-                    q = repetition._window_complement(arg, window, dt, neighbors)
+                    q = repetition._window_complement(arg, window, dt)
                     want = 0.5 * (q @ (inner.w * inner.f))
                     got = engine.miss[outer_cell, cell, window, reflect]
                     assert np.array_equal(got == 0.0, want == 0.0)
@@ -649,7 +683,7 @@ class TestMissTable:
     @pytest.mark.parametrize("dt", [0.01, 0.08, 0.35])
     @pytest.mark.parametrize("nodes", [8, 64, 96])
     def test_both_cells_share_one_panel_layout(self, dt, nodes):
-        engine = repetition._residual_engine(NoiseParams(0.5, dt), nodes, 0)
+        engine = repetition._residual_engine(NoiseParams(0.5, dt), nodes)
         reach, n_panels, order = repetition.peaked_cell_layout(repetition.HALF_CELL, dt, nodes)
         hw = reach / n_panels
         t, _ = np.polynomial.legendre.leggauss(order)
@@ -675,17 +709,19 @@ class TestMissTable:
     @pytest.mark.parametrize("delta, dt, nodes", [
         (0.5, 0.01, 64), (0.3, 0.045, 96), (0.5, 0.08, 32), (0.8, 0.35, 128), (0.5, 0.6, 16),
     ])
-    def test_miss_arrays_equal_the_full_table_contraction(self, delta, dt, nodes, neighbors):
+    def test_miss_arrays_equal_the_full_table_contraction(self, delta, dt, nodes, neighbors,
+                                                          monkeypatch):
         # the window complement evaluated on every offset, both edges and all
         # translates, then contracted as the engine does: equal bit for bit
-        engine = repetition._residual_engine(NoiseParams(delta, dt), nodes, neighbors)
+        _set_translates(monkeypatch, neighbors)
+        engine = repetition._residual_engine(NoiseParams(delta, dt), nodes)
         reach, n_panels, order = repetition.peaked_cell_layout(repetition.HALF_CELL, dt, nodes)
         hw = reach / n_panels
         t = repetition._leggauss(order)[0]
         d = np.arange(1 - n_panels, n_panels)
         offsets = 2.0 * hw * d[:, None, None] + hw * (t[:, None] + t[None, :])
         table = repetition._window_complement(
-            offsets, (-repetition.HALF_CELL, repetition.HALF_CELL), dt, neighbors
+            offsets, (-repetition.HALF_CELL, repetition.HALF_CELL), dt
         )
         panels = np.arange(n_panels)
         rows = panels[:, None] + panels[None, :]
@@ -698,11 +734,36 @@ class TestMissTable:
             assert got.tobytes() == want.tobytes(), (outer_cell, bounds, window, reflect)
 
 
-def _per_side_miss(engine, delta, outer_cell, bounds, window, reflect):
+class TestTranslates:
+    """One module-level name holds the window translates; by default there are none."""
+
+    def test_central_window_only_by_default(self):
+        assert repetition._TRANSLATES == ()
+
+    @pytest.mark.parametrize("window", [
+        repetition.WIN_NPZ0, repetition.WIN_PZ1, repetition.WIN_PZ1_NEG, repetition.WIN_NPZ1,
+    ], ids=["npz0", "pz1", "pz1-neg", "npz1"])
+    def test_window_and_its_translates_score_the_decoder(self, window, monkeypatch):
+        # 30 ancilla spreads from every window edge erf and erfc saturate
+        # exactly, so the window and its translates at +-2 and +-4 sqrt(pi)
+        # miss a pair sum exactly where the decoder reads the other zone,
+        # out to 5 sqrt(pi) from the window centre
+        dt = 1e-3
+        _set_translates(monkeypatch, 2)
+        centre = _centre(window)
+        y = np.linspace(centre - 5.0 * SQRT_PI, centre + 5.0 * SQRT_PI, 20001)
+        y = y[HALF_CELL - np.abs(nearest_multiple_offset_array(y)) >= 30.0 * dt]
+        got = 0.5 * repetition._window_complement(y, window, dt)
+        want = (is_pauli_zone(y) != is_pauli_zone(centre)).astype(np.float64)
+        assert np.array_equal(got, want)
+        assert set(got.tolist()) == {0.0, 1.0}
+
+
+def _per_side_miss(engine, delta, neighbors, outer_cell, bounds, window, reflect):
     """A no-EC miss integral from one rectangle call per side and per translate.
 
     The two out-of-window rectangles of the central window, less the
-    overlaps with the ``neighbors`` translates, kept >= 0.
+    overlaps with the ``neighbors`` translates on each side, kept >= 0.
     """
     lo, hi = window
     outer_x = engine.cells[outer_cell].x
@@ -715,7 +776,7 @@ def _per_side_miss(engine, delta, outer_cell, bounds, window, reflect):
     out = repetition.gaussian_window_overlap(
         bounds, *limits(0.0), delta, engine.dt, outside=True
     )
-    for t in range(-engine.neighbors, engine.neighbors + 1):
+    for t in range(-neighbors, neighbors + 1):
         if t:
             out = out - repetition.gaussian_window_overlap(
                 bounds, *limits(2.0 * t * repetition.SQRT_PI), delta, engine.dt
@@ -732,12 +793,13 @@ class TestStackedRectangles:
     @pytest.mark.parametrize("delta, dt", [
         *itertools.product((0.3, 0.5), (1e-9, 0.045, 0.3)), (0.8, 0.6),
     ])
-    def test_matches_one_call_per_side_bit_for_bit(self, delta, dt):
+    def test_matches_one_call_per_side_bit_for_bit(self, delta, dt, monkeypatch):
         for nodes, neighbors in itertools.product((32, 64, 96), (0, 1, 2)):
-            engine = repetition._intrinsic_engine(NoiseParams(delta, dt), nodes, neighbors)
+            _set_translates(monkeypatch, neighbors)
+            engine = repetition._intrinsic_engine(NoiseParams(delta, dt), nodes)
             for key in repetition._MISS_KEYS:
                 got = engine.miss[key]
-                want = _per_side_miss(engine, delta, *key)
+                want = _per_side_miss(engine, delta, neighbors, *key)
                 assert got.shape == engine.cells[key[0]].x.shape
                 assert got.tobytes() == want.tobytes()
 
@@ -749,7 +811,8 @@ class TestStackedRectangles:
             repetition, "gaussian_window_overlap",
             lambda *args, **kwargs: calls.append(args) or overlap(*args, **kwargs),
         )
-        repetition._intrinsic_engine(NoiseParams(0.5, 0.2), 64, neighbors)
+        _set_translates(monkeypatch, neighbors)
+        repetition._intrinsic_engine(NoiseParams(0.5, 0.2), 64)
         assert len(calls) == (2 if neighbors else 1)
 
 
@@ -797,26 +860,21 @@ class TestRefineRung:
     def test_default_refine_returns_the_96_node_values(self, rate):
         params = NoiseParams(0.3, 0.045)
         got = rate(7, params).per_case
-        engine = repetition._make_engine(rate is failure_rate, params, 96, 0)
+        engine = repetition._make_engine(rate is failure_rate, params, 96)
         assert [value for _, value in got[:-1]] == repetition._factorized_cases(
             engine, CodeSize(7)
         )
 
 
 class TestOnePolicyOwner:
-    @pytest.mark.parametrize("neighbors", [0, 1, 2])
-    def test_translate_shifts_keep_the_old_order(self, neighbors):
-        old = [2.0 * t * math.sqrt(math.pi) for t in range(-neighbors, neighbors + 1) if t]
-        assert repetition._translate_shifts(neighbors) == old
-
     def test_pauli_rate_sum_takes_its_limits_from_lattice(self, monkeypatch):
         params = NoiseParams(0.5, 0.2)
         monkeypatch.setattr(repetition, "MAX_TERMS", 1)
         with pytest.raises(TruncationError, match="within 1 cells"):
-            repetition._residual_engine(params, 64, 0)
+            repetition._residual_engine(params, 64)
         # a bound every cell meets stops the sum after the innermost cell pair
         monkeypatch.setattr(repetition, "ABS_TAIL_BOUND", 1.0)
-        engine = repetition._residual_engine(params, 64, 0)
+        engine = repetition._residual_engine(params, 64)
         assert engine.pauli_rate == 2.0 * engine.cells[repetition.PZ_CELL].mass
 
     def test_every_route_leaves_through_one_breakdown(self, monkeypatch):
@@ -838,7 +896,7 @@ class TestOnePolicyOwner:
         params = NoiseParams(0.5, 0.1)
         counts = {}
         for nodes in (16, 24, 47, 48, 53, 54, 64, 96):
-            engine = repetition._intrinsic_engine(params, nodes, 0)
+            engine = repetition._intrinsic_engine(params, nodes)
             for bounds, cell in engine.cells.items():
                 x, w = repetition._intrinsic_cell_nodes(bounds, params, nodes)
                 assert x.tobytes() == cell.x.tobytes() and w.tobytes() == cell.w.tobytes()
