@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -100,13 +101,14 @@ def _shot_config(
     return ShotConfig(n=n, params=params, shots=shots, seed=seed, mode=mode, gkp_ec=gkp_ec)
 
 
-def _mc_payload(cfg: ShotConfig, trace=None, workers: int = 1) -> dict:
+def _mc_payload(cfg: ShotConfig, trace=None, workers: int | None = None) -> dict:
+    # every available core by default; run_tally caps any count at the cores and the chunks
+    workers = available_cores() if workers is None else workers
     return dataclasses.asdict(run_tally(cfg, partitions=workers, trace=trace))
 
 
 def cmd_mc(args) -> int:
-    # run_tally caps this further at the available cores
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     cfg = _from_fields(_shot_config, _given(args), "mc")
     trace_fh = open(args.trace, "w") if args.trace else None
@@ -172,10 +174,11 @@ FIGURES: dict[str, tuple[tuple[str, SweepSpec], ...]] = {
 
 def _sweep_part(
     specs: tuple[SweepSpec, ...], cfg: QuadratureConfig, part: int, parts: int
-) -> list[CurveTable]:
-    """Stretch ``part`` of ``parts`` of every spec's cells, in one engine-sharing block."""
+) -> Iterator[list[CurveTable]]:
+    """As one item, stretch ``part`` of ``parts`` of every spec's cells, sharing engines."""
     with shared_engines():
-        return [run_sweep(spec, cfg, part, parts) for spec in specs]
+        tables = [run_sweep(spec, cfg, part, parts) for spec in specs]
+    yield tables
 
 
 def _run_sweeps(specs: tuple[SweepSpec, ...], cfg: QuadratureConfig) -> list[CurveTable]:
@@ -188,7 +191,8 @@ def _run_sweeps(specs: tuple[SweepSpec, ...], cfg: QuadratureConfig) -> list[Cur
     the same for any number of parts.
     """
     parts = min(available_cores(), max(1, *(spec.size for spec in specs)))
-    per_part = map_parts(functools.partial(_sweep_part, specs, cfg), parts)
+    with map_parts(functools.partial(_sweep_part, specs, cfg), parts) as streams:
+        per_part = [next(stream) for stream in streams]
     return [
         CurveTable(tables[0].columns, tuple(row for table in tables for row in table.rows))
         for tables in zip(*per_part)
@@ -317,14 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--mode", choices=["position", "biased"])
     mc.add_argument("--no-gkp-ec", action="store_const", const=False, dest="gkp_ec")
     mc.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes; min(this, available cores) are used",
+        "--workers", type=int,
+        help="worker processes (default: the available cores); min(this, available "
+             "cores, 8,192-shot chunks) are used",
     )
     mc.add_argument("--out")
     mc.add_argument(
         "--trace",
-        help="write one JSON line per shot to this path; a traced tally runs in one "
-             "process, whatever --workers says",
+        help="write one JSON line per shot to this path, in shot order, whatever "
+             "--workers says",
     )
     mc.set_defaults(func=cmd_mc)
 

@@ -17,20 +17,20 @@ its r must be 1, and its data spread is then delta.
 Each stage draws its slot range as one (shots, slots) counter block, which
 hashes to the same bits as drawing the slots one at a time.
 
-:func:`run_tally` splits the shot range into contiguous stretches, one per
-worker (``partitions``, capped at the available cores).  On POSIX it forks
-a child process for every stretch but the first, which the calling process
-tallies itself, then sums the counts.  The worker count never changes a
-tally.  A traced tally runs in one process, in shot order, whatever
-``partitions`` says; its trace is handed over as JSONL text blocks of 512
-shots each.
+:func:`run_tally` simulates the shots in chunks of ``_CHUNK_SHOTS`` =
+8,192 shots (16 trace blocks) and deals chunk k to part k mod P, with P
+the worker count (``partitions``, capped at the available cores and at the
+chunks).  On POSIX it forks a child process for every part but the first,
+which the calling process simulates itself; each child sends its chunks'
+counts and, for a traced tally, their JSONL text back over a pipe, and the
+caller adds the counts and hands the text over in shot order, in blocks of
+512 shots.  The worker count never changes a tally or a trace byte.
 
-Each stretch is simulated in chunks of ``_CHUNK_SHOTS`` = 8,192 shots (16
-trace blocks).  At n = 9 a chunk's 3n - 1 position-slot draws take 1.7 MB
-and each stage's block a third of that, so the numpy passes over a chunk
-work in a 2 MiB L2 cache instead of streaming through main memory; and the
-memory a process holds is bounded by the chunk, whatever the shot count.
-Chunking never changes a draw, a tally or a trace byte.
+At n = 9 a chunk's 3n - 1 position-slot draws take 1.7 MB and each
+stage's block a third of that, so the numpy passes over a chunk work in a
+2 MiB L2 cache instead of streaming through main memory; and the memory a
+process holds is bounded by the chunk, whatever the shot count.  Chunking
+never changes a draw, a tally or a trace byte.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from scipy import special as sp
 
 from .distributions import GaussianDisplacement, NoiseParams, _integral, _store_integers
 from .lattice import SQRT_PI, is_pauli_zone, nearest_multiple_offset_array
-from .repetition import CodeSize, _as_size, available_cores, map_parts, stretch
+from .repetition import CodeSize, _as_size, available_cores, map_parts
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -423,25 +423,27 @@ def run_shot(
     return json.loads(next(_shot_lines(index, out)))
 
 
-def _tally_range(
-    cfg: ShotConfig,
-    part: int,
-    parts: int,
-    trace: Callable[[Iterator[str]], None] | None = None,
-) -> tuple[int, dict[str, int]]:
-    """Failures and breakdown counts of stretch ``part`` of ``parts`` of the shots, chunk by chunk."""
-    shots = stretch(cfg.shots, part, parts)
-    failures = 0
-    counts = {"overweight": 0, "misidentified": 0, "momentum": 0}
-    for pos in range(shots.start, shots.stop, _CHUNK_SHOTS):
-        out = _simulate(cfg, np.arange(pos, min(pos + _CHUNK_SHOTS, shots.stop), dtype=np.uint64))
-        failures += int(out["failed"].sum())
-        counts["overweight"] += int(out["overweight"].sum())
-        counts["misidentified"] += int(out["misidentified"].sum())
-        counts["momentum"] += int(out["momentum_failed"].sum())
-        if trace is not None:
-            trace(_shot_lines(pos, out))
-    return failures, counts
+# Per-shot outcomes a tally counts: the failures, then the breakdown.
+_COUNTED = ("failed", "overweight", "misidentified", "momentum_failed")
+
+
+def _tally_part(cfg: ShotConfig, traced: bool, part: int, parts: int) -> Iterator:
+    """Chunks ``part``, ``part + parts``, ... of the shots: per chunk its counts, then its text.
+
+    A chunk's counts are the ``_COUNTED`` sums; a traced chunk's
+    ``_shot_lines`` blocks follow them, one item each.  Part 0, which
+    :func:`~gkprep.repetition.map_parts` runs in the calling process,
+    formats its blocks as they are drawn; any other part formats its whole
+    chunk before it sends any item of it, so that it does not wait on a
+    full pipe while the caller formats a chunk of its own.
+    """
+    for pos in range(part * _CHUNK_SHOTS, cfg.shots, parts * _CHUNK_SHOTS):
+        out = _simulate(cfg, np.arange(pos, min(pos + _CHUNK_SHOTS, cfg.shots), dtype=np.uint64))
+        blocks = _shot_lines(pos, out) if traced else ()
+        if part:
+            blocks = list(blocks)
+        yield [int(out[key].sum()) for key in _COUNTED]
+        yield from blocks
 
 
 def run_tally(
@@ -452,25 +454,37 @@ def run_tally(
     """Aggregate ``cfg.shots`` trajectories into a failure tally.
 
     ``partitions`` must be an integer >= 1 (``ValueError`` otherwise).  The
-    tally uses ``min(partitions, shots, available cores)`` workers, each
-    on one contiguous stretch of the shot range: the calling process tallies
-    the first stretch and, on POSIX, a forked child each other one
-    (:func:`~gkprep.repetition.map_parts`).  Each
-    stretch is simulated in chunks of 8,192 shots, so the memory each
-    process holds does not grow with ``cfg.shots``.
-    ``trace`` receives, chunk by chunk in shot order, a lazy iterator over
-    the chunk's trace text: blocks of JSONL lines, one line per shot (see
-    :func:`run_shot`), such as ``file.writelines`` takes.  A traced tally
-    runs serially in this process.  The result is identical for any worker
-    count because the per-shot randomness is stateless.
+    shots are simulated in chunks of 8,192, so the memory each process
+    holds does not grow with ``cfg.shots``, and the tally uses
+    ``min(partitions, chunks, available cores)`` parts: chunk k goes to
+    part k mod parts.  The calling process simulates part 0 and, on POSIX,
+    a forked child each other part (:func:`~gkprep.repetition.map_parts`);
+    the caller adds the chunks' counts in shot order.  ``trace`` receives,
+    chunk by chunk in shot order, a lazy iterator over the chunk's trace
+    text: blocks of JSONL lines, one line per shot (see :func:`run_shot`),
+    such as ``file.writelines`` takes.  The caller holds one of a child's
+    blocks at a time, and drains what ``trace`` leaves unread.  The result
+    and the trace are identical for any worker count because the per-shot
+    randomness is stateless.
     """
     workers = _integral(partitions)
     if workers is None or workers < 1:
         raise ValueError(f"partitions must be an integer >= 1, got {partitions!r}")
-    workers = 1 if trace is not None else min(workers, cfg.shots, available_cores())
-    results = map_parts(functools.partial(_tally_range, cfg, trace=trace), workers)
-    failures = sum(f for f, _ in results)
-    counts = {key: sum(c[key] for _, c in results) for key in results[0][1]}
+    chunks = -(-cfg.shots // _CHUNK_SHOTS)
+    parts = min(workers, chunks, available_cores())
+    totals = [0] * len(_COUNTED)
+    tally = functools.partial(_tally_part, cfg, trace is not None)
+    with map_parts(tally, parts) as streams:
+        for k in range(chunks):
+            stream = streams[k % parts]
+            totals = [a + b for a, b in zip(totals, next(stream))]
+            if trace is not None:
+                shots = min(_CHUNK_SHOTS, cfg.shots - k * _CHUNK_SHOTS)
+                blocks = itertools.islice(stream, -(-shots // _TRACE_BLOCK))
+                trace(blocks)
+                for _ in blocks:  # keep the stream in step past blocks trace left unread
+                    pass
+    failures, *breakdown = totals
 
     rate = failures / cfg.shots
     std_err = math.sqrt(rate * (1.0 - rate) / cfg.shots)
@@ -481,5 +495,5 @@ def run_tally(
         rate=rate,
         std_err=std_err,
         ci95=_wilson_interval(failures, cfg.shots),
-        breakdown=counts,
+        breakdown=dict(zip(("overweight", "misidentified", "momentum"), breakdown)),
     )

@@ -74,11 +74,14 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections.abc import Callable, Iterator
+import pickle
+import signal
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache, reduce
+from typing import BinaryIO
 
 import numpy as np
 from scipy import special as sp
@@ -751,39 +754,94 @@ def stretch(total: int, part: int, parts: int) -> range:
     return range(total * part // parts, total * (part + 1) // parts)
 
 
-def _enter_part() -> None:
-    global _IN_PART
-    _IN_PART = True
+def _send_items(fn: Callable[[int, int], Iterable], part: int, parts: int, out: BinaryIO) -> None:
+    """Pickle each item of ``fn(part, parts)`` onto ``out`` as ``(True, item)``.
 
-
-def map_parts(fn: Callable[[int, int], object], parts: int) -> list:
-    """``[fn(part, parts) for part in range(parts)]``, each part after the first in a forked child.
-
-    The calling process computes part 0 while the children run, then
-    collects theirs in order.  Children are forked, not spawned: a spawned
-    child would re-import numpy and scipy, which costs about as much as
-    tallying a 500k-shot stretch.  Each child starts from this process's
-    memory, copy on write, and ``fn`` and its results travel by pickle.
-    No thread of this package runs at the fork: :func:`_node_sums` joins
-    its threads before it returns, and the pool starts its own thread after
-    the children.  Every part, the first included, sees one available core.
-    With one part, or without ``os.fork``, every part runs here in turn.
+    The last message is ``(False, None)`` at the end of the items, or
+    ``(False, exc)`` for an exception raised on the way.
     """
-    if parts == 1 or not hasattr(os, "fork"):
-        return [fn(part, parts) for part in range(parts)]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    global _IN_PART
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(parts - 1, mp_context=fork, initializer=_enter_part) as pool:
-        children = [pool.submit(fn, part, parts) for part in range(1, parts)]
-        was, _IN_PART = _IN_PART, True
+    try:
+        for item in fn(part, parts):
+            out.write(pickle.dumps((True, item), pickle.HIGHEST_PROTOCOL))
+            out.flush()
+        last = pickle.dumps((False, None))
+    except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
         try:
-            results = [fn(0, parts)]
-        finally:
-            _IN_PART = was
-        return results + [child.result() for child in children]
+            last = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            pickle.loads(last)
+        except Exception:  # noqa: BLE001 - an exception that does not pickle or unpickle
+            last = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+    out.write(last)
+
+
+def _received_items(source: BinaryIO) -> Iterator:
+    """The items :func:`_send_items` wrote to ``source``, raising a sent exception in turn."""
+    while True:
+        try:
+            ok, item = pickle.load(source)
+        except EOFError:
+            raise ChildProcessError("a forked part ended before it sent all its items") from None
+        if ok:
+            yield item
+        elif item is None:
+            return
+        else:
+            raise item
+
+
+@contextmanager
+def map_parts(fn: Callable[[int, int], Iterable], parts: int) -> Iterator[list[Iterator]]:
+    """One iterator per part over the items of ``fn(part, parts)``, all parts but the first forked.
+
+    Part 0 runs here, lazily, as the caller draws its items.  Each other
+    part runs in a child forked on entry, which pickles every item it yields
+    onto a pipe of its own as soon as the item exists; the caller reads each
+    part's items in the order it needs, so a child computes ahead of the
+    caller until its pipe is full.  A child's exception is pickled in turn
+    and raised here when the caller reaches it, with its type.  Children are
+    forked, not spawned: a spawned child would re-import numpy and scipy.
+    No thread of this package runs at the fork (:func:`_node_sums` joins
+    its threads before it returns).  A child never returns into the
+    caller's code and leaves through ``os._exit``, so no inherited stdio or
+    file buffer is flushed twice.  On exit, with or without an exception,
+    the pipes are closed and every child is killed and reaped: by then a
+    child has sent every item the caller drew.  With more than one part
+    every part, the first included, sees one available core.  Without
+    ``os.fork`` every part runs here.
+    """
+    global _IN_PART
+    readers: list[BinaryIO] = []
+    pids: list[int] = []
+    was = _IN_PART
+    local = 1 if hasattr(os, "fork") else parts  # the parts that run here
+    try:
+        for part in range(local, parts):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: send the part, then leave without returning
+                try:
+                    _IN_PART = True
+                    os.close(read_fd)
+                    for reader in readers:
+                        reader.close()
+                    with os.fdopen(write_fd, "wb") as out:
+                        _send_items(fn, part, parts, out)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(write_fd)
+            readers.append(os.fdopen(read_fd, "rb"))
+        _IN_PART = was or parts > 1
+        yield [iter(fn(part, parts)) for part in range(local)] + [
+            _received_items(reader) for reader in readers
+        ]
+    finally:
+        _IN_PART = was
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int) -> _Engine:

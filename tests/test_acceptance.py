@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is fixed here, nothing is calibrated at runtime.
 """
 
+import hashlib
 import itertools
 import math
 import os
@@ -269,18 +270,26 @@ def test_criterion_12_wigner_reproduction():
     )
 
 
-def test_criterion_13_determinism():
+def test_criterion_13_determinism(tmp_path):
     args = [
         sys.executable, "-m", "gkprep.cli", "mc", "--n", "3", "--delta", "0.5",
         "--delta-tilde", "0.2", "--shots", "50000", "--seed", "11",
     ]
-    outputs = set()
-    for workers in ("1", "4", "16"):
-        proc = subprocess.run(
-            args + ["--workers", workers], capture_output=True, check=True
-        )
-        outputs.add(proc.stdout)
-    repeat = subprocess.run(args + ["--workers", "1"], capture_output=True, check=True)
-    outputs.add(repeat.stdout)
-    assert len(outputs) == 1
-    report(13, "byte-identical MC output across reruns and worker counts")
+
+    def run_at_once(argvs):
+        procs = [subprocess.Popen(argv, stdout=subprocess.PIPE) for argv in argvs]
+        stdouts = [proc.communicate()[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0] * len(procs)
+        return stdouts
+
+    # reruns and worker counts, untraced and traced (the default, every
+    # core, too), four runs at a time
+    counts = (["--workers", "1"], ["--workers", "4"], ["--workers", "16"])
+    outputs = run_at_once([args + workers for workers in (*counts, ["--workers", "1"])])
+    traces = [tmp_path / f"trace{i}.jsonl" for i in range(4)]
+    outputs += run_at_once([
+        args + workers + ["--trace", str(trace)] for workers, trace in zip((*counts, []), traces)
+    ])
+    assert len(set(outputs)) == 1
+    assert len({hashlib.sha256(trace.read_bytes()).hexdigest() for trace in traces}) == 1
+    report(13, "byte-identical MC output and trace across reruns and worker counts")

@@ -1,4 +1,4 @@
-import concurrent.futures
+import collections
 import hashlib
 import itertools
 import json
@@ -439,6 +439,60 @@ class TestRunTally:
         assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
         assert max(peaks) < 16e6
 
+    def test_traced_parts_hold_one_chunk(self, monkeypatch):
+        # each process of a traced 2-part tally holds one chunk's arrays and
+        # text, whatever the shot count: the caller its own chunk and one of
+        # the child's blocks, the child (part 1, run here) a whole formatted
+        # chunk; smaller chunks keep the traced formatting quick
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 1_024)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        peaks = {"caller": [], "child": []}
+        for shots in (1_024, 2_048, 8_192):  # the first run fills the caches
+            cfg = ShotConfig(3, NoiseParams(0.5, 0.2), shots=shots, seed=3)
+            runs = {
+                "caller": lambda: run_tally(cfg, 2, trace=collections.deque(maxlen=0).extend),
+                "child": lambda: collections.deque(montecarlo._tally_part(cfg, True, 1, 2), 0),
+            }
+            for side, run in runs.items():
+                tracemalloc.start()
+                try:
+                    run()
+                    peaks[side].append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        for side, (_, small, large) in peaks.items():
+            assert large == pytest.approx(small, rel=0.1), side
+            assert large < 2e6, side
+
+    def test_unread_trace_blocks_keep_the_stream_in_step(self, forked, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 1_000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = ShotConfig(3, NoiseParams(0.5, 0.3), shots=5_500, seed=4)
+        half_read = []
+        assert run_tally(cfg, 2, trace=lambda blocks: None) == run_tally(cfg)
+        assert run_tally(cfg, 2, trace=lambda blocks: half_read.append(next(blocks))) == (
+            run_tally(cfg)
+        )
+        assert len(half_read) == 6 and half_read[1].startswith('{"alpha"')
+        assert len(forked) == (2 if hasattr(os, "fork") else 0)
+
+    def test_a_failed_trace_ends_the_tally_and_its_child(self, forked, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 1_000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = ShotConfig(3, NoiseParams(0.5, 0.3), shots=20_000, seed=4)
+        calls = []
+
+        def trace(blocks):
+            calls.append(blocks)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            run_tally(cfg, 2, trace=trace)
+        assert len(calls) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_worker_count_and_trace_do_not_change_the_tally(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 500)
         cfg = ShotConfig(3, NoiseParams(0.5, 0.3), shots=3_001, seed=11)
@@ -497,24 +551,24 @@ class TestRunTally:
         assert len(texts[0].splitlines()) == cfg.shots
         assert texts[1:] == texts[:1] * 4
 
-    def test_workers_capped_at_available_cores(self, monkeypatch):
-        built = []
-
-        def pool(max_workers, **kwargs):
-            built.append(max_workers)
-            return real_pool(max_workers, **kwargs)
-
-        real_pool = concurrent.futures.ProcessPoolExecutor
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    def test_workers_capped_at_available_cores(self, forked, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 500)
         cfg = ShotConfig(3, NoiseParams(0.5, 0.3), shots=2_000, seed=5)
         serial = run_tally(cfg)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert run_tally(cfg, partitions=64) == serial
-        assert built == []
+        assert len(forked) == 0
         if hasattr(os, "fork"):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
             assert run_tally(cfg, partitions=64) == serial
-            assert built == [1]
+            assert len(forked) == 1
+
+    def test_no_part_without_a_chunk(self, forked, monkeypatch):
+        # one 8,192-shot chunk is one part's work, whatever the cores
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = ShotConfig(3, NoiseParams(0.5, 0.3), shots=8_192, seed=5)
+        assert run_tally(cfg, partitions=2) == run_tally(cfg)
+        assert forked == []
 
     def test_std_err_definition(self):
         tally = run_tally(ShotConfig(3, NoiseParams(0.5, 0.3), shots=10_000, seed=1))

@@ -156,3 +156,29 @@ def test_readme_examples_run(monkeypatch, tmp_path):
     (tmp_path / "run.json").write_text(run_file)
     assert gkprep.cli.main(["sweep", "--spec", "run.json"]) == 0
     assert (tmp_path / json.loads(run_file)["sweep"]["output"]).is_file()
+
+
+def test_one_fork_site_and_no_process_pool():
+    # every forked part goes through repetition.map_parts; a thread pool
+    # (the tensor oracle's) is allowed
+    forks, banned = [], []
+    for path in sorted((ROOT / "src" / "gkprep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "fork"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "os"):
+                forks.append(path.name)
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            banned += [
+                m for m in modules
+                if m.split(".")[0] == "multiprocessing" or m.endswith("ProcessPoolExecutor")
+            ]
+    assert forks == ["repetition.py"]
+    assert banned == []

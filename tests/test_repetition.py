@@ -314,16 +314,76 @@ class TestFailureRateNoGkpEc:
 
 
 def _cores_here(part, parts):
-    return part, parts, repetition.available_cores()
+    yield part, parts, repetition.available_cores()
+
+
+def _first_items(fn, parts):
+    with repetition.map_parts(fn, parts) as streams:
+        return [next(stream) for stream in streams]
+
+
+def _counting(part, parts):
+    for i in range(3):
+        yield part * 10 + i
+    if part == 1:
+        raise ValueError("part 1 failed")
 
 
 class TestMapParts:
-    def test_parts_come_back_in_order_and_run_serially(self, monkeypatch):
+    def test_parts_come_back_in_order_and_run_serially(self, forked, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert repetition.available_cores() == 3
-        assert repetition.map_parts(_cores_here, 3) == [(0, 3, 1), (1, 3, 1), (2, 3, 1)]
+        assert _first_items(_cores_here, 3) == [(0, 3, 1), (1, 3, 1), (2, 3, 1)]
+        assert len(forked) == (2 if hasattr(os, "fork") else 0)
         assert repetition.available_cores() == 3
-        assert repetition.map_parts(_cores_here, 1) == [(0, 1, 3)]
+        assert _first_items(_cores_here, 1) == [(0, 1, 3)]
+        assert len(forked) == (2 if hasattr(os, "fork") else 0)
+
+    def test_items_stream_in_the_order_read(self, forked):
+        with repetition.map_parts(_counting, 3) as streams:
+            assert [next(streams[k % 3]) for k in range(6)] == [0, 10, 20, 1, 11, 21]
+            assert list(streams[2]) == [22]
+            assert next(streams[1]) == 12
+            with pytest.raises(ValueError, match="part 1 failed"):
+                next(streams[1])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failed_part_raises_its_type_here(self, failing, forked):
+        def part_fails(part, parts):
+            if part == failing:
+                raise ValueError(f"bad part {part}")
+            yield from range(1000)  # a child ahead of the caller fills its pipe
+
+        with pytest.raises(ValueError, match=f"bad part {failing}"):
+            _first_items(part_fails, 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_exception_here_ends_every_child(self, forked):
+        def endless(part, parts):
+            yield from itertools.count()
+
+        with pytest.raises(KeyboardInterrupt):
+            with repetition.map_parts(endless, 3) as streams:
+                assert [next(stream) for stream in streams] == [0, 0, 0]
+                raise KeyboardInterrupt
+        assert len(forked) == (2 if hasattr(os, "fork") else 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="parts run in this process")
+    def test_a_child_that_dies_is_an_error(self, forked):
+        def dies(part, parts):
+            yield part
+            if part:
+                os._exit(1)
+
+        with repetition.map_parts(dies, 2) as streams:
+            assert next(streams[1]) == 1
+            with pytest.raises(ChildProcessError, match="ended before it sent all its items"):
+                next(streams[1])
 
     def test_stretches_cover_the_range_in_order(self):
         for total, parts in itertools.product(range(8), range(1, 5)):
