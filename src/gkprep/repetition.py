@@ -758,20 +758,17 @@ def _send_items(fn: Callable[[int, int], Iterable], part: int, parts: int, out: 
     """Pickle each item of ``fn(part, parts)`` onto ``out`` as ``(True, item)``.
 
     The last message is ``(False, None)`` at the end of the items, or
-    ``(False, exc)`` for an exception raised on the way.
+    ``(False, exc)`` for an exception raised on the way.  An exception
+    that does not pickle ends the child without a last message.
     """
     try:
         for item in fn(part, parts):
             out.write(pickle.dumps((True, item), pickle.HIGHEST_PROTOCOL))
             out.flush()
-        last = pickle.dumps((False, None))
-    except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
-        try:
-            last = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
-            pickle.loads(last)
-        except Exception:  # noqa: BLE001 - an exception that does not pickle or unpickle
-            last = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-    out.write(last)
+        last = (False, None)
+    except BaseException as exc:  # noqa: BLE001 - the caller re-raises it
+        last = (False, exc)
+    out.write(pickle.dumps(last, pickle.HIGHEST_PROTOCOL))
 
 
 def _received_items(source: BinaryIO) -> Iterator:
