@@ -301,6 +301,18 @@ class TestMc:
         b = run_cli(*args).stdout
         assert a == b
 
+    def test_workers_default_to_the_available_cores(self, forked, monkeypatch, tmp_path):
+        # two 8,192-shot chunks: the default and an mc run file take both
+        # cores, --workers 1 runs serially
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        fields = {"n": 3, "delta": 0.5, "delta_tilde": 0.2, "shots": 8_193, "seed": 3}
+        serial = run_cli("mc", *cli_flags(fields), "--workers", "1").stdout
+        assert forked == []
+        assert run_cli("mc", *cli_flags(fields)).stdout == serial
+        run_file = write_run_file(tmp_path, {"schema_version": 1, "mc": fields})
+        assert run_cli("sweep", "--spec", run_file).stdout == serial
+        assert len(forked) == (2 if hasattr(os, "fork") else 0)
+
     def test_worker_count_does_not_change_output(self):
         base = (
             "mc", "--n", "3", "--delta", "0.5", "--delta-tilde", "0.2",
