@@ -1,22 +1,18 @@
-"""Wavefunctions and Wigner functions of finite-energy GKP states.
+"""Wigner functions of finite-energy GKP states.
 
-Small-spread closed forms are the primary implementation: combs of
-Gaussians with Gaussian envelopes.  The exact finite-spread corrections
-(slightly shrunk widths and peak positions, controlled by delta^2*kappa^2/4)
-are available behind ``exact=True``; they matter only when the product of
-the spreads is not small.
-
-A :class:`GkpEnvelope` holds the two widths only.  :func:`wavefunction`
-takes the logical state (zero, one or plus) as its ``logical`` argument;
-every Wigner function here is of logical zero.
+Every Wigner function here is of logical zero, in one closed form: a double
+comb of Gaussians with Gaussian envelopes, in its finite-spread form.  With
+x = (delta*kappa)^2/4, both widths shrink by sqrt(1 + x) and the peak
+positions scale by gamma = (1 - x)/(1 + x).  That form is kept because it is
+the Weyl transform of its own position wavefunction (a comb of Gaussians of
+the same widths and centres), within 1e-6 at both fig. 1 envelopes; the
+small-spread form (no shrink, gamma = 1) misses it by up to 4.2e-3.  The
+form needs delta*kappa < 2: gamma is 0 at 2, and past it the form would
+alias a smaller spread, so :class:`GkpEnvelope` raises ``ValueError`` there.
 
 Normalization convention: the Wigner combs carry unit amplitude at the
 origin, so the phase-space integral of a logical-zero grid is pi (divide by
-pi for a unit-mass quasi-distribution).  The position-basis zero/one
-wavefunctions are normalized in the small-spread limit; the momentum-basis
-and plus-state forms keep the same prefactor convention, which puts their
-squared norm at 2 in that limit (their combs are twice as dense).  Grids
-are emitted unnormalized.
+pi for a unit-mass quasi-distribution).  Grids are emitted unnormalized.
 """
 
 from __future__ import annotations
@@ -43,7 +39,8 @@ assert _HEADER.size == 32
 class GkpEnvelope:
     """Finite-energy GKP envelope: position comb width delta, momentum kappa.
 
-    The logical state is an argument of :func:`wavefunction`, its one reader.
+    Both must be positive finite reals with delta*kappa < 2, where the
+    finite-spread form is defined; anything else raises ``ValueError``.
     """
 
     delta: float
@@ -51,18 +48,8 @@ class GkpEnvelope:
 
     def __post_init__(self) -> None:
         _require_positive(delta=self.delta, kappa=self.kappa)
-
-    def widths(self, exact: bool) -> tuple[float, float, float]:
-        """(delta, kappa, gamma) of the exact form if ``exact``, else of the small-spread one.
-
-        The exact form divides both widths by sqrt(1 + x) and scales the peak
-        positions by gamma = (1 - x)/(1 + x), with x = (delta*kappa)^2/4.
-        """
-        if not exact:
-            return self.delta, self.kappa, 1.0
-        x = (self.delta * self.kappa) ** 2 / 4.0
-        shrink = math.sqrt(1.0 + x)
-        return self.delta / shrink, self.kappa / shrink, (1.0 - x) / (1.0 + x)
+        if not self.delta * self.kappa < 2.0:
+            raise ValueError(f"delta*kappa must be below 2, got {self.delta * self.kappa!r}")
 
 
 @dataclass(frozen=True)
@@ -111,77 +98,22 @@ def _indices(max_abs: float) -> np.ndarray:
 _LOG_CUTOFF = -math.log(WEIGHT_CUTOFF)
 
 
-# Peak layout per (logical, basis): spacing and offset of the peak label L
-# (peaks sit at L*sqrt(pi)) and whether the weights alternate in sign.  The
-# envelope weight is exp(-(pi/2) * scale^2 * L^2) in every case, with scale
-# the conjugate-quadrature comb width.
-_COMB_LAYOUT = {
-    ("zero", "position"): (2, 0, False),
-    ("zero", "momentum"): (1, 0, False),
-    ("one", "position"): (2, 1, False),
-    ("one", "momentum"): (1, 0, True),
-    ("plus", "position"): (1, 0, False),
-    ("plus", "momentum"): (2, 0, False),
-}
-
-
-def _wavefunction_comb(
-    env: GkpEnvelope, basis: str, exact: bool, logical: str
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(centers, weights, width, prefactor) of the requested comb."""
-    d, k, gamma = env.widths(exact)
-    if basis == "position":
-        width, envelope_scale = d, k
-        prefactor = (4.0 * env.kappa**2 / (math.pi * env.delta**2)) ** 0.25
-    elif basis == "momentum":
-        width, envelope_scale = k, d
-        prefactor = (4.0 * env.delta**2 / (math.pi * env.kappa**2)) ** 0.25
-    else:
-        raise ValueError(f"basis must be 'position' or 'momentum', got {basis!r}")
-
-    spacing, offset, alternating = _COMB_LAYOUT[(logical, basis)]
-    coeff = 0.5 * math.pi * envelope_scale**2
-    label_max = math.sqrt(_LOG_CUTOFF / coeff)
-    n_max = (label_max + abs(offset)) / spacing + 1.0
-    n = _indices(n_max)
-    label = spacing * n + offset
-    weights = np.exp(-coeff * label.astype(np.float64) ** 2)
-    if alternating:
-        weights = weights * np.where(n % 2 == 0, 1.0, -1.0)
-    centers = label * gamma * SQRT_PI
-    keep = np.abs(weights) >= WEIGHT_CUTOFF
-    return centers[keep], weights[keep], width, prefactor
-
-
-def wavefunction(
-    env: GkpEnvelope, basis: str, x, *, exact: bool = False, logical: str = "zero"
-) -> float | np.ndarray:
-    """Approximate GKP wavefunction of the ``logical`` state at quadrature value(s) ``x``.
-
-    ``logical`` is ``"zero"``, ``"one"`` or ``"plus"``; any other value
-    raises ``ValueError``.  Logical zero peaks at even multiples of sqrt(pi)
-    in position; logical one at odd multiples; in momentum both comb over
-    all multiples with the logical-one peaks alternating in sign.
-    ``exact=True`` applies the finite-spread width/position corrections.
-    """
-    if logical not in ("zero", "one", "plus"):
-        raise ValueError(f"logical must be zero/one/plus, got {logical!r}")
-    centers, weights, width, prefactor = _wavefunction_comb(env, basis, exact, logical)
-    x_arr = np.asarray(x, dtype=np.float64)
-    out = prefactor * _comb(x_arr, centers, weights, width * math.sqrt(2.0))
-    return out if out.ndim else float(out)
-
-
 def _wigner_axes(
-    env: GkpEnvelope,
-    q: np.ndarray,
-    p: np.ndarray,
-    q_width: float,
-    p_width: float,
-    exact: bool,
+    env: GkpEnvelope, q: np.ndarray, p: np.ndarray, channel: tuple[float, float] = (0.0, 0.0)
 ) -> np.ndarray:
-    """Double-comb Wigner evaluation on the outer product of q and p axes."""
-    d_s, k_s, gamma = env.widths(exact)
+    """Wigner values on the outer product of the q and p axes, after the channel.
+
+    A Gaussian displacement channel of spreads (dq, dp) convolves each peak:
+    its widths become sqrt(d_s^2 + dq^2) and sqrt(k_s^2 + dp^2), with d_s and
+    k_s the shrunk widths, and the amplitude d_s*k_s/(q_width*p_width), which
+    is exactly 1.0 for the zero channel.
+    """
+    x = (env.delta * env.kappa) ** 2 / 4.0
+    shrink = math.sqrt(1.0 + x)
+    d_s, k_s, gamma = env.delta / shrink, env.kappa / shrink, (1.0 - x) / (1.0 + x)
+    q_width = math.sqrt(d_s**2 + channel[0] ** 2)
+    p_width = math.sqrt(k_s**2 + channel[1] ** 2)
+
     m_max = math.sqrt(4.0 * _LOG_CUTOFF / math.pi) / d_s + 1.0
     m = _indices(m_max)
     w_m = np.exp(-math.pi * d_s**2 * m**2 / 4.0)
@@ -198,20 +130,17 @@ def _wigner_axes(
     w_odd = np.exp(-math.pi * k_s**2 * odd_idx**2)
     q_odd = _comb(q, odd_idx * gamma * SQRT_PI, w_odd, q_width)
 
-    return np.outer(q_even, p_plus) + np.outer(q_odd, p_minus)
+    amplitude = d_s * k_s / (q_width * p_width)
+    return amplitude * (np.outer(q_even, p_plus) + np.outer(q_odd, p_minus))
 
 
-def wigner_physical_zero(
-    env: GkpEnvelope, spec: GridSpec, *, exact: bool = False
-) -> PhaseSpaceGrid:
+def wigner_physical_zero(env: GkpEnvelope, spec: GridSpec) -> PhaseSpaceGrid:
     """Wigner function of the logical-zero state on a phase-space grid.
 
-    Positive peaks sit at (2n*sqrt(pi), m*sqrt(pi)/2); the peaks at odd
-    multiples of sqrt(pi) in q alternate in sign with m.
+    Positive peaks sit at (2n*gamma*sqrt(pi), m*gamma*sqrt(pi)/2); the peaks
+    at odd multiples of gamma*sqrt(pi) in q alternate in sign with m.
     """
-    d_s, k_s, _ = env.widths(exact)
-    values = _wigner_axes(env, spec.q_axis(), spec.p_axis(), d_s, k_s, exact)
-    return PhaseSpaceGrid(spec=spec, values=values)
+    return PhaseSpaceGrid(spec=spec, values=_wigner_axes(env, spec.q_axis(), spec.p_axis()))
 
 
 def wigner_after_gdc(
@@ -221,31 +150,27 @@ def wigner_after_gdc(
 ) -> PhaseSpaceGrid:
     """Wigner function of logical zero after a Gaussian displacement channel.
 
-    The channel convolves each Gaussian peak, so peak variances add
-    (delta^2 + dq^2 along q, kappa^2 + dp^2 along p) and the amplitude
-    rescales by delta*kappa/sqrt((dq^2+delta^2)(dp^2+kappa^2)); envelope
-    weights are untouched.  Each spread must be a non-negative finite real
-    (``ValueError`` otherwise); zero leaves its quadrature unchanged.
+    The channel convolves each Gaussian peak, so peak variances add along
+    each quadrature and the amplitude rescales (:func:`_wigner_axes`);
+    envelope weights are untouched.  Each spread must be a non-negative
+    finite real (``ValueError`` otherwise); zero leaves its quadrature
+    unchanged, and the zero channel gives :func:`wigner_physical_zero`'s
+    grid bit for bit.
     """
-    dq, dp = channel
-    _require_non_negative(dq=dq, dp=dp)
-    q_width = math.sqrt(env.delta**2 + dq**2)
-    p_width = math.sqrt(env.kappa**2 + dp**2)
-    amplitude = env.delta * env.kappa / (q_width * p_width)
-    values = amplitude * _wigner_axes(
-        env, spec.q_axis(), spec.p_axis(), q_width, p_width, exact=False
+    _require_non_negative(dq=channel[0], dp=channel[1])
+    return PhaseSpaceGrid(
+        spec=spec, values=_wigner_axes(env, spec.q_axis(), spec.p_axis(), channel)
     )
-    return PhaseSpaceGrid(spec=spec, values=values)
 
 
 def wigner_point(env: GkpEnvelope, q: float, p: float) -> float:
-    """W(q, p) of the logical-zero state at a single phase-space point."""
+    """W(q, p) of the logical-zero state at a single phase-space point.
+
+    It equals the cell of :func:`wigner_physical_zero`'s grid at (q, p) bit for bit.
+    """
     _require_real(q=q, p=p)
-    out = _wigner_axes(
-        env, np.asarray([q], dtype=np.float64), np.asarray([p], dtype=np.float64),
-        env.delta, env.kappa, exact=False,
-    )
-    return float(out[0, 0])
+    return float(_wigner_axes(env, np.asarray([q], dtype=np.float64),
+                              np.asarray([p], dtype=np.float64))[0, 0])
 
 
 def grid_to_csv(grid: PhaseSpaceGrid, path: str) -> None:

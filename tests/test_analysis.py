@@ -227,6 +227,22 @@ class TestCriticalAncillaSpread:
         plain = critical_ancilla_spread(CrossingQuery(0.5, "single", 3, (0.15, 0.45)))
         assert (swapped.status, swapped.value) == (plain.status, plain.value)
 
+    @pytest.mark.parametrize("delta", [0.3, 0.5])
+    def test_crossing_law_out_to_fifteen(self, delta):
+        # fig. 9: the n and n - 2 curves cross at an ancilla spread that falls
+        # like 1/sqrt(n - 1), with no positive limit; the heuristic ratio is
+        # sqrt(2/3) = 0.816.  Measured: 0.8643 -> 0.8192 at delta = 0.3 and
+        # 0.8453 -> 0.8370 at delta = 0.5.  A ratio outside [0.80, 0.87] is
+        # a finding, not a reason to widen the band.
+        crossings = []
+        for n in range(5, 16, 2):
+            result = critical_ancilla_spread(CrossingQuery(
+                delta, n, n - 2, bracket=(0.1 * delta, 0.65 * delta), tol=1e-4))
+            assert result.status == "found", n
+            crossings.append(result.value)
+            assert 0.80 <= result.value * math.sqrt(n - 1) / delta <= 0.87, n
+        assert all(a > b for a, b in zip(crossings, crossings[1:]))
+
 
 class TestOptimalBias:
     def test_interior_minimum_for_three_qubit(self):

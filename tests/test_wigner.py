@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gkprep.analysis import SweepSpec, run_sweep
 from gkprep.lattice import SQRT_PI
 from gkprep.wigner import (
     GkpEnvelope,
@@ -14,93 +15,54 @@ from gkprep.wigner import (
     grid_to_binary,
     grid_to_csv,
     read_binary_grid,
-    wavefunction,
     wigner_after_gdc,
     wigner_physical_zero,
     wigner_point,
 )
 
 
+def psi_zero(env, x):
+    """Position wavefunction of logical zero in the finite-spread form, unnormalized.
+
+    A comb of Gaussians exp(-(x - 2n*gamma*sqrt(pi))^2 / (2*d_s^2)) weighted
+    by exp(-(pi/2) * k_s^2 * (2n)^2), with s = (delta*kappa)^2/4 shrinking
+    both widths by sqrt(1 + s) and gamma = (1 - s)/(1 + s).
+    """
+    s = (env.delta * env.kappa) ** 2 / 4.0
+    d_s, k_s = env.delta / math.sqrt(1.0 + s), env.kappa / math.sqrt(1.0 + s)
+    gamma = (1.0 - s) / (1.0 + s)
+    label = 2.0 * np.arange(-40, 41)
+    weights = np.exp(-0.5 * math.pi * k_s**2 * label**2)
+    peaks = np.asarray(x)[..., None] - label * gamma * SQRT_PI
+    return np.exp(-(peaks**2) / (2.0 * d_s**2)) @ weights
+
+
 class TestGkpEnvelope:
     def test_validation(self):
         with pytest.raises(ValueError):
             GkpEnvelope(-0.1, 0.2)
-        with pytest.raises(ValueError, match="logical must be zero/one/plus, got 'minus'"):
-            wavefunction(GkpEnvelope(0.2, 0.2), "position", 0.0, logical="minus")
 
     def test_fields_are_the_two_widths(self):
-        # the logical state is an argument of wavefunction, its only reader
         assert [f.name for f in dataclasses.fields(GkpEnvelope)] == ["delta", "kappa"]
         with pytest.raises(TypeError):
             GkpEnvelope(0.3, 0.3, "one")
         assert not hasattr(GkpEnvelope(0.3, 0.3), "corrected")
-        q = np.linspace(-3.0, 3.0, 7)
-        env = GkpEnvelope(0.3, 0.3)
-        assert np.array_equal(wavefunction(env, "position", q),
-                              wavefunction(env, "position", q, logical="zero"))
 
-    def test_corrections_shrink_widths(self):
-        d_s, k_s, gamma = GkpEnvelope(0.3, 0.3).widths(exact=True)
-        assert d_s < 0.3 and k_s < 0.3 and gamma < 1.0
-        assert GkpEnvelope(0.3, 0.3).widths(exact=False) == (0.3, 0.3, 1.0)
+    @pytest.mark.parametrize("spread", [1.5, 2.0])
+    def test_spread_product_of_two_or_more_rejected(self, spread):
+        # gamma = (1 - x)/(1 + x) is 0 at delta*kappa = 2 and negative past
+        # it, where the form would alias a smaller spread: at the origin,
+        # delta = kappa = 2 would give exactly the value of delta = kappa = 1
+        with pytest.raises(ValueError, match=r"^delta\*kappa must be below 2, got "):
+            GkpEnvelope(spread, spread)
+        table = run_sweep(SweepSpec(
+            "wigner_grid", (("q", (0.0,)),), {"delta": spread, "kappa": spread, "p": 0.0}))
+        assert table.rows[0][-3:] == ("", "", "error:ValueError")
 
-
-class TestWavefunction:
-    def test_zero_position_trough_suppressed(self):
-        env = GkpEnvelope(0.25, 0.25)
-        ratio = wavefunction(env, "position", SQRT_PI) / wavefunction(
-            env, "position", 0.0
-        )
-        assert 0 < ratio < 3.0 * math.exp(-math.pi / (2 * 0.25**2))
-
-    def test_zero_position_normalized_after_numerical_norm(self):
-        env = GkpEnvelope(0.25, 0.25)
-        q = np.linspace(-10 * SQRT_PI, 10 * SQRT_PI, 200_001)
-        psi = wavefunction(env, "position", q)
-        norm_sq = np.trapezoid(psi**2, q)
-        assert math.isfinite(norm_sq)
-        assert norm_sq == pytest.approx(1.0, abs=1e-4)  # small-spread prefactor
-        psi_n = psi / math.sqrt(norm_sq)
-        assert np.trapezoid(psi_n**2, q) == pytest.approx(1.0, abs=1e-6)
-
-    def test_one_momentum_sign_alternation(self):
-        env = GkpEnvelope(0.25, 0.25)
-        vals = wavefunction(env, "momentum", np.array([0.0, SQRT_PI]), logical="one")
-        assert vals[1] / vals[0] < 0.0
-
-    def test_one_position_peaks_at_odd_multiples(self):
-        env = GkpEnvelope(0.2, 0.2)
-        assert wavefunction(env, "position", SQRT_PI, logical="one") > 100.0 * wavefunction(
-            env, "position", 0.0, logical="one"
-        )
-
-    def test_plus_position_peaks_at_all_multiples(self):
-        env = GkpEnvelope(0.2, 0.2)
-        at_zero = wavefunction(env, "position", 0.0, logical="plus")
-        at_one = wavefunction(env, "position", SQRT_PI, logical="plus")
-        assert at_one == pytest.approx(
-            at_zero * math.exp(-math.pi * 0.2**2 / 2), rel=1e-6
-        )
-
-    def test_plus_momentum_peaks_at_even_multiples(self):
-        # conjugate structure of the logical-zero position comb
-        env = GkpEnvelope(0.2, 0.2)
-        peak = wavefunction(env, "momentum", 2 * SQRT_PI, logical="plus")
-        assert peak > 100.0 * wavefunction(env, "momentum", SQRT_PI, logical="plus")
-
-    def test_momentum_forms_squared_norm_is_two(self):
-        # documented prefactor convention for the denser combs
-        env = GkpEnvelope(0.25, 0.25)
-        p = np.linspace(-10 * SQRT_PI, 10 * SQRT_PI, 200_001)
-        psi = wavefunction(env, "momentum", p)
-        assert np.trapezoid(psi**2, p) == pytest.approx(2.0, abs=1e-3)
-
-    def test_exact_flag_shifts_peaks(self):
-        env = GkpEnvelope(0.4, 0.4)
-        _, _, gamma = env.widths(exact=True)
-        approx_peak = wavefunction(env, "position", 2 * SQRT_PI)
-        exact_peak = wavefunction(env, "position", 2 * SQRT_PI * gamma, exact=True)
-        assert exact_peak > approx_peak  # exact peak sits at the shifted centre
+    def test_spread_product_just_below_two_accepted(self):
+        env = GkpEnvelope(1.41, 1.41)
+        value = wigner_point(env, 0.0, 0.0)
+        assert math.isfinite(value) and value > 0.0
 
 
 class TestWignerPhysicalZero:
@@ -129,39 +91,30 @@ class TestWignerPhysicalZero:
         v = self.grid.values
         assert np.allclose(v, v[::-1, ::-1], atol=1e-13)
 
-    def test_wavefunction_transform_consistency(self):
-        # oracle: W(q,p) = (1/pi) * int dy exp(-2ipy) psi(q-y) psi(q+y);
-        # the closed comb carries an extra factor pi relative to the
-        # unit-mass transform.  Exact forms on both sides so the comparison
-        # is limited by quadrature only.
-        env = GkpEnvelope(0.25, 0.25)
-        y = np.linspace(-8 * SQRT_PI, 8 * SQRT_PI, 60_001)
-        q_axis = np.linspace(-1.5 * SQRT_PI, 1.5 * SQRT_PI, 5)
-        p_axis = np.linspace(-1.2 * SQRT_PI, 1.2 * SQRT_PI, 4)
-        psi_norm_sq = np.trapezoid(
-            wavefunction(env, "position", y, exact=True) ** 2, y
-        )
-        spec = GridSpec(
-            (q_axis[0], q_axis[-1]), (p_axis[0], p_axis[-1]), len(q_axis), len(p_axis)
-        )
-        closed = wigner_physical_zero(env, spec, exact=True).values
-        for i, qv in enumerate(q_axis):
-            left = wavefunction(env, "position", qv - y, exact=True)
-            right = wavefunction(env, "position", qv + y, exact=True)
-            for j, pv in enumerate(p_axis):
-                transform = np.trapezoid(
-                    np.cos(2.0 * pv * y) * left * right, y
-                ) / psi_norm_sq
-                assert closed[i, j] == pytest.approx(
-                    math.pi * transform / math.pi, abs=1e-4
-                ), (qv, pv)
+    def test_point_equals_grid_cell(self):
+        qa, pa = self.spec.q_axis(), self.spec.p_axis()
+        for i, j in ((384, 384), (0, 768), (100, 457), (768, 1), (512, 128)):
+            assert wigner_point(self.env, float(qa[i]), float(pa[j])) == self.grid.values[i, j]
 
-    def test_exact_flag_at_moderate_spread(self):
-        env = GkpEnvelope(0.4, 0.4)
-        spec = GridSpec((-SQRT_PI, SQRT_PI), (-SQRT_PI, SQRT_PI), 33, 33)
-        approx = wigner_physical_zero(env, spec).values
-        exact = wigner_physical_zero(env, spec, exact=True).values
-        assert not np.allclose(approx, exact, atol=1e-6)
+    @pytest.mark.parametrize("delta, kappa", [
+        (0.25, 0.25), (0.25 * math.sqrt(2.0), 0.25 / math.sqrt(2.0)),
+    ], ids=["fig1-r1", "fig1-rsqrt2"])
+    def test_weyl_transform_of_the_wavefunction(self, delta, kappa):
+        # oracle: W(q,p) = (1/pi) * int dy cos(2py) psi(q-y) psi(q+y) / |psi|^2;
+        # the closed comb carries an extra factor pi.  The form misses by
+        # 7.8e-7 (r1) and 5.3e-13 (rsqrt2); the small-spread form (no
+        # shrink, gamma = 1) by 4.2e-3 and 9.5e-4, and y over +-8 sqrt(pi)
+        # is too narrow for rsqrt2 (5.3e-4)
+        env = GkpEnvelope(delta, kappa)
+        y = np.linspace(-30 * SQRT_PI, 30 * SQRT_PI, 8_001)
+        spec = GridSpec((-1.5 * SQRT_PI, 1.5 * SQRT_PI), (-1.2 * SQRT_PI, 1.2 * SQRT_PI), 7, 6)
+        closed = wigner_physical_zero(env, spec).values
+        norm_sq = np.trapezoid(psi_zero(env, y) ** 2, y)
+        cosines = np.cos(2.0 * spec.p_axis()[:, None] * y)
+        for i, qv in enumerate(spec.q_axis()):
+            product = psi_zero(env, qv - y) * psi_zero(env, qv + y)
+            transform = np.trapezoid(cosines * product, y, axis=1) / norm_sq
+            assert np.max(np.abs(closed[i] - transform)) < 1e-4, qv
 
 
 class TestWignerAfterGdc:
@@ -170,7 +123,7 @@ class TestWignerAfterGdc:
         spec = GridSpec((-2 * SQRT_PI, 2 * SQRT_PI), (-2 * SQRT_PI, 2 * SQRT_PI), 65, 65)
         base = wigner_physical_zero(env, spec).values
         gdc = wigner_after_gdc(env, (0.0, 0.0), spec).values
-        assert np.max(np.abs(base - gdc)) < 1e-12
+        assert np.array_equal(base, gdc)
 
     def test_negative_channel_rejected(self):
         env = GkpEnvelope(0.25, 0.25)
