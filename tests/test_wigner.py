@@ -37,6 +37,11 @@ def psi_zero(env, x):
     return np.exp(-(peaks**2) / (2.0 * d_s**2)) @ weights
 
 
+FIG1_ENVELOPES = pytest.mark.parametrize("delta, kappa", [
+    (0.25, 0.25), (0.25 * math.sqrt(2.0), 0.25 / math.sqrt(2.0)),
+], ids=["fig1-r1", "fig1-rsqrt2"])
+
+
 class TestGkpEnvelope:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -47,6 +52,19 @@ class TestGkpEnvelope:
         with pytest.raises(TypeError):
             GkpEnvelope(0.3, 0.3, "one")
         assert not hasattr(GkpEnvelope(0.3, 0.3), "corrected")
+
+    def test_corrections_shrink_widths(self):
+        # on p = 0 the even q peak sits at 2*gamma*sqrt(pi), not 2*sqrt(pi),
+        # and falls to 1/e at d_s = delta/sqrt(1 + x) from it; at delta the
+        # ratio would be off by 1.6e-2 (measured within 1.5e-12 at d_s)
+        env = GkpEnvelope(0.25, 1.0)
+        x = (0.25 * 1.0) ** 2 / 4.0
+        d_s, gamma = 0.25 / math.sqrt(1.0 + x), (1.0 - x) / (1.0 + x)
+        centre = 2.0 * gamma * SQRT_PI
+        peak = wigner_point(env, centre, 0.0)
+        assert peak > wigner_point(env, 2.0 * SQRT_PI, 0.0)
+        for q in (centre - d_s, centre + d_s):
+            assert wigner_point(env, q, 0.0) / peak == pytest.approx(math.exp(-1.0), rel=1e-9)
 
     @pytest.mark.parametrize("spread", [1.5, 2.0])
     def test_spread_product_of_two_or_more_rejected(self, spread):
@@ -96,9 +114,7 @@ class TestWignerPhysicalZero:
         for i, j in ((384, 384), (0, 768), (100, 457), (768, 1), (512, 128)):
             assert wigner_point(self.env, float(qa[i]), float(pa[j])) == self.grid.values[i, j]
 
-    @pytest.mark.parametrize("delta, kappa", [
-        (0.25, 0.25), (0.25 * math.sqrt(2.0), 0.25 / math.sqrt(2.0)),
-    ], ids=["fig1-r1", "fig1-rsqrt2"])
+    @FIG1_ENVELOPES
     def test_weyl_transform_of_the_wavefunction(self, delta, kappa):
         # oracle: W(q,p) = (1/pi) * int dy cos(2py) psi(q-y) psi(q+y) / |psi|^2;
         # the closed comb carries an extra factor pi.  The form misses by
@@ -115,6 +131,34 @@ class TestWignerPhysicalZero:
             product = psi_zero(env, qv - y) * psi_zero(env, qv + y)
             transform = np.trapezoid(cosines * product, y, axis=1) / norm_sq
             assert np.max(np.abs(closed[i] - transform)) < 1e-4, qv
+
+    @FIG1_ENVELOPES
+    def test_position_marginal_is_the_density(self, delta, kappa):
+        # int W dp = pi * psi(q)^2 / |psi|^2 on q over +-2 sqrt(pi); measured
+        # 2.4e-5 (r1) and 8.4e-11 (rsqrt2)
+        env = GkpEnvelope(delta, kappa)
+        y = np.linspace(-30 * SQRT_PI, 30 * SQRT_PI, 8_001)
+        spec = GridSpec((-2 * SQRT_PI, 2 * SQRT_PI), (y[0], y[-1]), 9, len(y))
+        marginal = np.trapezoid(wigner_physical_zero(env, spec).values, y, axis=1)
+        norm_sq = np.trapezoid(psi_zero(env, y) ** 2, y)
+        density = math.pi * psi_zero(env, spec.q_axis()) ** 2 / norm_sq
+        assert np.max(np.abs(marginal - density)) < 1e-4
+        # the troughs at +-sqrt(pi): 6e-18 (r1) and 4.3e-11 (rsqrt2) of the peak
+        assert np.all(np.abs(marginal[2::4]) < 1e-10 * marginal[4])
+
+    @FIG1_ENVELOPES
+    def test_momentum_marginal_is_the_density(self, delta, kappa):
+        # int W dq = pi * |phi(p)|^2 / |psi|^2 with phi(p) the unitary Fourier
+        # transform int psi(y) cos(py) dy / sqrt(2 pi) of the even psi;
+        # measured 1.2e-5 (r1) and 1.7e-10 (rsqrt2)
+        env = GkpEnvelope(delta, kappa)
+        y = np.linspace(-30 * SQRT_PI, 30 * SQRT_PI, 8_001)
+        spec = GridSpec((y[0], y[-1]), (-2 * SQRT_PI, 2 * SQRT_PI), len(y), 9)
+        marginal = np.trapezoid(wigner_physical_zero(env, spec).values, y, axis=0)
+        psi = psi_zero(env, y)
+        phi = np.trapezoid(np.cos(spec.p_axis()[:, None] * y) * psi, y, axis=1)
+        density = phi**2 / (2.0 * np.trapezoid(psi**2, y))
+        assert np.max(np.abs(marginal - density)) < 1e-4
 
 
 class TestWignerAfterGdc:
