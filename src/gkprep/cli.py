@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import inspect
 import json
 import math
 import os
 import sys
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -172,27 +170,21 @@ FIGURES: dict[str, tuple[tuple[str, SweepSpec], ...]] = {
 }
 
 
-def _sweep_part(
-    specs: tuple[SweepSpec, ...], cfg: QuadratureConfig, part: int, parts: int
-) -> Iterator[list[CurveTable]]:
-    """As one item, stretch ``part`` of ``parts`` of every spec's cells, sharing engines."""
-    with shared_engines():
-        tables = [run_sweep(spec, cfg, part, parts) for spec in specs]
-    yield tables
-
-
 def _run_sweeps(specs: tuple[SweepSpec, ...], cfg: QuadratureConfig) -> list[CurveTable]:
     """Each spec's table, its cells computed on every available core.
 
     One part per core, at most one per cell of the largest spec: part j
     computes the same stretch of every spec (:func:`~gkprep.repetition.map_parts`
-    forks once for all of them), so the specs of a figure still share each
+    forks once for all of them).  :func:`main` opens the
+    :func:`~gkprep.repetition.shared_engines` block before this forks, so
+    every part inherits it and the specs of a figure still share each
     point's engines.  The rows are joined in part order, so the tables are
     the same for any number of parts.
     """
     parts = min(available_cores(), max(1, *(spec.size for spec in specs)))
-    with map_parts(functools.partial(_sweep_part, specs, cfg), parts) as streams:
-        per_part = [next(stream) for stream in streams]
+    with map_parts(lambda part, count: (run_sweep(spec, cfg, part, count) for spec in specs),
+                   parts) as streams:
+        per_part = [list(stream) for stream in streams]
     return [
         CurveTable(tables[0].columns, tuple(row for table in tables for row in table.rows))
         for tables in zip(*per_part)

@@ -502,47 +502,37 @@ class _BlockSpec:
     factors: tuple[tuple[int, tuple[float, float], tuple[float, float], bool], ...]
 
 
+# The two classes of a flip count m, by the cell of u1': (outer cell, the
+# inner flipped count k as m less this, sign folding, window of a flipped
+# inner qubit on u1's sign, on the opposite sign, window of a clean one).
+# The windows are spelled out rather than read from _SIDES, so that the
+# oracle checks the factorized route's combinatorics on its own.
+_CLASS_TABLE = (
+    (PZ_CELL, 1, 2, WIN_NPZ1, WIN_NPZ0, WIN_PZ1),
+    (NPZ_CELL, 0, 1, WIN_PZ1, WIN_PZ1_NEG, WIN_NPZ0),
+)
+
+
 @cache
 def _case_blocks(m: int, n: int) -> tuple[_BlockSpec, ...]:
     """Pattern classes with exactly m flipped qubits, for the tensor oracle.
 
-    Class A has qubit 1 flipped (C(n-1, m-1) flip sets, overall sign pair
-    folded to u1 in the positive PZ cell, j of the other flipped qubits in
-    the opposite-sign cell); class B has qubit 1 clean (C(n-1, m) flip sets,
-    j of the flipped qubits in the negative cell).
+    Qubit 1 flipped: C(n-1, m-1) flip sets, the overall sign pair folded to
+    u1 in the positive PZ cell.  Qubit 1 clean: C(n-1, m) flip sets, u1 in
+    the NPZ cell.  Each splits by the number j of the k inner flipped
+    qubits on the sign opposite to u1, C(k, j) ways.
     """
-    if m == 0:
-        return (_BlockSpec(1.0, NPZ_CELL, ((n - 1, NPZ_CELL, WIN_NPZ0, False),)),)
     blocks = []
-    for j in range(m):
-        factors = []
-        if m - 1 - j:
-            factors.append((m - 1 - j, PZ_CELL, WIN_NPZ1, False))
-        if j:
-            factors.append((j, PZ_CELL, WIN_NPZ0, True))
-        factors.append((n - m, NPZ_CELL, WIN_PZ1, False))
-        blocks.append(
-            _BlockSpec(
-                2.0 * math.comb(n - 1, m - 1) * math.comb(m - 1, j),
-                PZ_CELL,
-                tuple(factors),
-            )
-        )
-    for j in range(m + 1):
-        factors = []
-        if m - j:
-            factors.append((m - j, PZ_CELL, WIN_PZ1, False))
-        if j:
-            factors.append((j, PZ_CELL, WIN_PZ1_NEG, True))
-        if n - 1 - m:
-            factors.append((n - 1 - m, NPZ_CELL, WIN_NPZ0, False))
-        blocks.append(
-            _BlockSpec(
-                float(math.comb(n - 1, m) * math.comb(m, j)),
-                NPZ_CELL,
-                tuple(factors),
-            )
-        )
+    for outer_cell, first, folding, same, opposite, clean in _CLASS_TABLE:
+        k = m - first
+        for j in range(k + 1):
+            factors = ((k - j, PZ_CELL, same, False), (j, PZ_CELL, opposite, True),
+                       (n - 1 - k, NPZ_CELL, clean, False))
+            blocks.append(_BlockSpec(
+                float(folding * math.comb(n - 1, k) * math.comb(k, j)),
+                outer_cell,
+                tuple(factor for factor in factors if factor[0]),
+            ))
     return tuple(blocks)
 
 
