@@ -112,9 +112,9 @@ class NoiseParams:
     the effective position spread is ``r*delta`` and the effective momentum
     spread ``delta/r``.
 
-    Rate functions take the spreads at face value; bias composition happens
-    only in ``repetition.overall_failure_biased`` and in the biased Monte
-    Carlo mode.
+    Rate functions take the spreads at face value and raise ``ValueError``
+    at r != 1; bias composition happens only in
+    ``repetition.overall_failure_biased`` and in the biased Monte Carlo mode.
     """
 
     delta: float

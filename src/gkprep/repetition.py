@@ -869,6 +869,13 @@ def _certified(
     return fine
 
 
+def _require_unbiased(params: NoiseParams) -> None:
+    """Refuse a bias that a rate of the spreads at face value would drop."""
+    if params.r != 1.0:
+        raise ValueError(f"r applies only to overall_failure_biased; this rate takes r = 1, "
+                         f"got {params.r!r}")
+
+
 def _failure_rate_impl(
     n: int | CodeSize,
     params: NoiseParams,
@@ -881,6 +888,7 @@ def _failure_rate_impl(
     them into the breakdown, with the majority vote of P_F as its tail.
     """
     size = _as_size(n)
+    _require_unbiased(params)
     if not gkp_ec and cfg.nodes_per_dim < MIN_NOEC_NODES:
         raise ValueError(
             f"the no-EC rate needs nodes_per_dim of at least {MIN_NOEC_NODES}, "
@@ -956,6 +964,7 @@ def pauli_rate_physical_report(
     params: NoiseParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> dict[str, float]:
     """P_F, its two-cell approximation (the innermost PZ cell pair) and their gap."""
+    _require_unbiased(params)
     if params.ideal_ancilla:
         full = two_cell = pauli_rate_ideal(params.delta)
     else:

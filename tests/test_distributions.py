@@ -205,6 +205,12 @@ class TestPauliRatePhysical:
     def test_ideal_limit_branch(self):
         assert pauli_rate_physical(NoiseParams(0.5, 1e-7)) == pauli_rate_ideal(0.5)
 
+    @pytest.mark.parametrize("rate", [pauli_rate_physical, pauli_rate_physical_report])
+    @pytest.mark.parametrize("dt", [0.0, 0.2])
+    def test_bias_rejected(self, rate, dt):
+        with pytest.raises(ValueError, match=r"^r applies only to overall_failure_biased; .*got 3\.0$"):
+            rate(NoiseParams(0.5, dt, r=3.0))
+
     @pytest.mark.parametrize("delta", [0.3, 0.4, 0.5, 0.6])
     def test_limit_identity(self, delta):
         gap = abs(

@@ -132,6 +132,12 @@ class TestFailureRate:
         p = pauli_rate_ideal(0.5)
         assert failure_rate(3, NoiseParams(0.5, 0.0)).total == classical_failure(3, p)
 
+    @pytest.mark.parametrize("dt", [0.0, 0.2])
+    def test_bias_rejected(self, dt):
+        # the rate takes the spreads at face value, so r = 2 would be dropped
+        with pytest.raises(ValueError, match=r"^r applies only to overall_failure_biased; .*got 2\.0$"):
+            failure_rate(3, NoiseParams(0.5, dt, r=2.0))
+
     def test_crossing_with_single_qubit_curve(self):
         # the 3-qubit curve crosses P_F close to dt = 0.3 at delta = 0.5
         lo = failure_rate(3, NoiseParams(0.5, 0.28)).total
@@ -266,6 +272,11 @@ class TestFailureRateNoGkpEc:
     def test_worse_than_with_ec(self):
         p = NoiseParams(0.5, 0.2)
         assert failure_rate_no_gkp_ec(3, p).total > failure_rate(3, p).total
+
+    @pytest.mark.parametrize("dt", [0.0, 0.2])
+    def test_bias_rejected(self, dt):
+        with pytest.raises(ValueError, match=r"^r applies only to overall_failure_biased; .*got 3\.0$"):
+            failure_rate_no_gkp_ec(3, NoiseParams(0.5, dt, r=3.0))
 
     @pytest.mark.parametrize("dt", [0.1, 0.2, 0.3])
     def test_increases_with_code_size(self, dt):
@@ -694,6 +705,19 @@ class TestTensorMultisets:
         finally:
             tracemalloc.stop()
         assert peak < 6e6
+
+
+class TestCaseBlocks:
+    @pytest.mark.parametrize("n", range(3, 16, 2))
+    def test_every_signed_flip_pattern_counted_once(self, n):
+        # C(n, m) flip sets, each flipped qubit in either mirror PZ cell;
+        # every class places all n - 1 inner qubits
+        for m in range((n + 1) // 2):
+            blocks = repetition._case_blocks(m, n)
+            assert sum(block.multiplicity for block in blocks) == 2**m * math.comb(n, m)
+            for block in blocks:
+                counts = [count for count, *_ in block.factors]
+                assert sum(counts) == n - 1 and min(counts) >= 1
 
 
 def _centre(bounds):
