@@ -80,19 +80,24 @@ class PhaseSpaceGrid:
     values: np.ndarray
 
 
-def _comb(
-    x: np.ndarray,
-    centers: np.ndarray,
-    weights: np.ndarray,
-    width: float,
-) -> np.ndarray:
-    """sum_k weights[k] * exp(-(x - centers[k])^2 / width^2) (vectorized)."""
-    d = np.minimum(np.abs(x[..., None] - centers), _GAUSS_REACH * width) / width
-    return np.einsum("...k,k->...", np.exp(-d * d), weights)
+def _comb_terms(
+    x: np.ndarray, count: int, spacing: float, width: float, shift: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels n and Gaussians exp(-(x - shift - n*spacing)^2 / width^2) of the peaks near each x.
 
-
-def _indices(max_abs: float) -> np.ndarray:
-    return np.arange(-math.ceil(max_abs), math.ceil(max_abs) + 1)
+    Of the peaks |n| <= ``count``, each x takes a window of 2k + 1 centred
+    on its nearest one (moved inside the cap at the ends), with k the
+    peaks within ``_GAUSS_REACH`` widths, at most ``count``.  A Gaussian
+    clipped at that reach is exactly 0, so every peak outside the window
+    would add 0; and the window depends on x alone, so a point's comb sums
+    the same terms in the same order on any axis.  Both arrays are shaped
+    ``x.shape + (2k + 1,)``.
+    """
+    k = min(math.ceil(_GAUSS_REACH * width / spacing) + 1, count)
+    nearest = np.clip(np.rint((x - shift) / spacing), k - count, count - k)
+    n = nearest[..., None] + np.arange(-k, k + 1)
+    d = np.minimum(np.abs(x[..., None] - (shift + n * spacing)), _GAUSS_REACH * width) / width
+    return n, np.exp(-d * d)
 
 
 _LOG_CUTOFF = -math.log(WEIGHT_CUTOFF)
@@ -106,7 +111,9 @@ def _wigner_axes(
     A Gaussian displacement channel of spreads (dq, dp) convolves each peak:
     its widths become sqrt(d_s^2 + dq^2) and sqrt(k_s^2 + dp^2), with d_s and
     k_s the shrunk widths, and the amplitude d_s*k_s/(q_width*p_width), which
-    is exactly 1.0 for the zero channel.
+    is exactly 1.0 for the zero channel.  Each comb sums, at each point, the
+    peaks within reach of it (:func:`_comb_terms`), so the cost does not
+    grow with 1/delta or 1/kappa.
     """
     x = (env.delta * env.kappa) ** 2 / 4.0
     shrink = math.sqrt(1.0 + x)
@@ -114,21 +121,20 @@ def _wigner_axes(
     q_width = math.sqrt(d_s**2 + channel[0] ** 2)
     p_width = math.sqrt(k_s**2 + channel[1] ** 2)
 
-    m_max = math.sqrt(4.0 * _LOG_CUTOFF / math.pi) / d_s + 1.0
-    m = _indices(m_max)
+    m_count = math.ceil(math.sqrt(4.0 * _LOG_CUTOFF / math.pi) / d_s + 1.0)
+    m, gauss = _comb_terms(p, m_count, gamma * SQRT_PI / 2.0, p_width)
     w_m = np.exp(-math.pi * d_s**2 * m**2 / 4.0)
-    p_centers = m * gamma * SQRT_PI / 2.0
-    p_plus = _comb(p, p_centers, w_m, p_width)
-    p_minus = _comb(p, p_centers, w_m * np.where(m % 2 == 0, 1.0, -1.0), p_width)
+    p_plus = np.einsum("...k,...k->...", gauss, w_m)
+    p_minus = np.einsum("...k,...k->...", gauss, w_m * np.where(m % 2 == 0, 1.0, -1.0))
 
-    n_max = math.sqrt(_LOG_CUTOFF / math.pi) / k_s + 1.0
-    n = _indices(n_max)
-    even_idx = 2 * n
-    w_even = np.exp(-math.pi * k_s**2 * even_idx**2)
-    q_even = _comb(q, even_idx * gamma * SQRT_PI, w_even, q_width)
-    odd_idx = 2 * n + 1
-    w_odd = np.exp(-math.pi * k_s**2 * odd_idx**2)
-    q_odd = _comb(q, odd_idx * gamma * SQRT_PI, w_odd, q_width)
+    n_count = math.ceil(math.sqrt(_LOG_CUTOFF / math.pi) / k_s + 1.0)
+
+    def q_comb(odd: int) -> np.ndarray:
+        """The q comb of the peaks at (2n + odd)*gamma*sqrt(pi)."""
+        n, gauss = _comb_terms(q, n_count, 2.0 * gamma * SQRT_PI, q_width, odd * gamma * SQRT_PI)
+        return np.einsum("...k,...k->...", gauss, np.exp(-math.pi * k_s**2 * (2 * n + odd) ** 2))
+
+    q_even, q_odd = q_comb(0), q_comb(1)
 
     amplitude = d_s * k_s / (q_width * p_width)
     return amplitude * (np.outer(q_even, p_plus) + np.outer(q_odd, p_minus))

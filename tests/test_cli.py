@@ -461,10 +461,10 @@ FIGURE_SHA256 = {
     "fig11_n5.csv": "789cefd166e4488433490b1bf4fd3a767ed42071231b2bd61e7d1f0a0b3fadb5",
     "fig11_n7.csv": "a3a80956415d9273344022d78ea1d653a7a15fd6ffd3460e889839ae22cdfd27",
     "fig11_n9.csv": "c485ae92744e74d71c65a4ce74bb77874e6c1db6cec0223e6d1651685ab516f3",
-    "fig1_r1.bin": "a05f370e1c4ad9f896b133614b897ca353278c7b49db827feb2df86ca42902ff",
-    "fig1_r1.csv": "05738fe06abe57a7378f7ac8d88d58239f3cbd2635517980a8397c58db8afdfa",
-    "fig1_rsqrt2.bin": "379d2d10109b223c1ec330a1607b4ae3e4eb77fb72e17d87ede6e754a8d9a154",
-    "fig1_rsqrt2.csv": "062613018be03cc75ece50f0dfa98ebb228110486368ba6eb4843978d2687d4e",
+    "fig1_r1.bin": "153fc3fb46368b8b143b29717d29e7f8ff81d619c30d73de05dd320edcb11dc9",
+    "fig1_r1.csv": "0fb60506034c65fbdd04b310c01805f1c1468c83ca7e6e160b3ede1ba0375017",
+    "fig1_rsqrt2.bin": "b50b4f8ef21a629742a713e2a9bb132a1f42d7eec7878924bcd3f0548a3f785b",
+    "fig1_rsqrt2.csv": "5fe8da15b02cbb36e70cf782144dbe97a573a994afade2634b09002467b2172a",
     "fig4_px.csv": "a581ae7f4735a6cf5995bdd61c7e7b59f01ad53dbbba3225f40b7cc77e38a667",
     "fig5_delta0.3.csv": "b6eeaac91a225c3ad2f790739c90e3100288c20a5c076b3fdb7e43984b9f6125",
     "fig5_delta0.4.csv": "c8922066cc5ff7e07e609f4e43ec46e501d190867fab10f9ccbe6fd5f71f3866",

@@ -114,6 +114,25 @@ class TestWignerPhysicalZero:
         for i, j in ((384, 384), (0, 768), (100, 457), (768, 1), (512, 128)):
             assert wigner_point(self.env, float(qa[i]), float(pa[j])) == self.grid.values[i, j]
 
+    def test_tiny_spread_sums_only_the_peaks_in_reach(self):
+        # the p comb has about 6.4/delta peaks above the weight cutoff, some
+        # 6.4e9 here; a point sums the few within reach of it (measured
+        # 4 kB and 0.4 ms), and the grid sums the same ones per cell
+        env = GkpEnvelope(1e-9, 0.3)
+        spec = GridSpec((-2 * SQRT_PI, 2 * SQRT_PI), (-2 * SQRT_PI, 2 * SQRT_PI), 9, 9)
+        qa, pa = spec.q_axis(), spec.p_axis()
+        tracemalloc.start()
+        try:
+            value = wigner_point(env, float(qa[4]), float(pa[5]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        grid = wigner_physical_zero(env, spec).values
+        assert value == grid[4, 5] and value > 0.5
+        for i, j in ((4, 4), (0, 8), (3, 2), (8, 0)):
+            assert wigner_point(env, float(qa[i]), float(pa[j])) == grid[i, j]
+
     @FIG1_ENVELOPES
     def test_weyl_transform_of_the_wavefunction(self, delta, kappa):
         # oracle: W(q,p) = (1/pi) * int dy cos(2py) psi(q-y) psi(q+y) / |psi|^2;
