@@ -1,0 +1,56 @@
+"""Derandomized property checks of the analytic rates over the figure range.
+
+Every run draws the same points (``derandomize=True``, no example
+database): delta in [0.1, 0.8], delta_tilde in [0, 0.6] and odd n from 3
+to 15, on both the with-EC and the no-EC rate.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gkprep.distributions import NoiseParams
+from gkprep.lattice import TruncationError
+from gkprep.repetition import _ABS_TOL, QuadratureError, failure_rate, failure_rate_no_gkp_ec
+
+# the failures a rate call may raise over this domain: an unmet
+# tolerance or truncation bound, or a float overflow (the CLI's exit 3)
+NUMERICAL = (QuadratureError, TruncationError, OverflowError)
+
+DERANDOMIZED = settings(derandomize=True, max_examples=80, database=None, deadline=None)
+
+RATES = pytest.mark.parametrize("rate", [failure_rate, failure_rate_no_gkp_ec])
+SPREADS = st.floats(0.1, 0.8)
+ANCILLA_SPREADS = st.floats(0.0, 0.6)
+SIZES = st.sampled_from(range(3, 16, 2))
+
+
+def _total(rate, n, delta, delta_tilde):
+    """The checked breakdown total, or None where the call raised a numerical failure."""
+    try:
+        breakdown = rate(n, NoiseParams(delta, delta_tilde))
+    except NUMERICAL:
+        return None
+    values = [value for _, value in breakdown.per_case]
+    assert min(values) >= 0.0
+    assert math.fsum(values) == breakdown.total
+    assert 0.0 <= breakdown.total <= 1.0
+    return breakdown.total
+
+
+@RATES
+@DERANDOMIZED
+@given(delta=SPREADS, delta_tilde=ANCILLA_SPREADS, n=SIZES)
+def test_breakdown_is_a_probability(rate, delta, delta_tilde, n):
+    _total(rate, n, delta, delta_tilde)
+
+
+@RATES
+@DERANDOMIZED
+@given(delta=SPREADS, spreads=st.tuples(ANCILLA_SPREADS, ANCILLA_SPREADS), n=SIZES)
+def test_total_does_not_fall_as_the_ancilla_spread_grows(rate, delta, spreads, n):
+    low, high = (_total(rate, n, delta, dt) for dt in sorted(spreads))
+    if low is not None and high is not None:
+        assert high >= low - 2.0 * _ABS_TOL
