@@ -5,8 +5,12 @@ a module, class or function docstring; docstrings are found from the AST.
 The files are read as text and parsed, never imported.
 
     python tests/code_lines.py [SRC_DIR]
+    python tests/code_lines.py OLD_DIR NEW_DIR
 
-prints one ``<lines> <module>`` row per module, then ``<lines> total``.
+The first form prints one ``<lines> <module>`` row per module, then
+``<lines> total``.  The second prints ``<old> <new> <difference> <module>``
+for every module of either directory (0 where a directory lacks it), then
+the same row for the totals.
 """
 
 from __future__ import annotations
@@ -40,14 +44,23 @@ def code_lines(path: Path) -> int:
     )
 
 
+def module_lines(src: Path) -> dict[str, int]:
+    return {path.stem: code_lines(path) for path in sorted(src.glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    src = Path(argv[1]) if len(argv) > 1 else SRC
-    total = 0
-    for path in sorted(src.glob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{count:5d} {path.stem}")
-    print(f"{total:5d} total")
+    if len(argv) > 3:
+        print("usage: code_lines.py [SRC_DIR | OLD_DIR NEW_DIR]", file=sys.stderr)
+        return 2
+    tables = [module_lines(Path(arg)) for arg in argv[1:]] or [module_lines(SRC)]
+    rows = [(stem, [table.get(stem, 0) for table in tables])
+            for stem in sorted(set().union(*tables))]
+    rows.append(("total", [sum(table.values()) for table in tables]))
+    for name, counts in rows:
+        fields = [f"{count:5d}" for count in counts]
+        if len(counts) == 2:
+            fields.append(f"{counts[1] - counts[0]:+5d}")
+        print(*fields, name)
     return 0
 
 

@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -182,3 +183,25 @@ def test_one_fork_site_and_no_process_pool():
             ]
     assert forks == ["repetition.py"]
     assert banned == []
+
+
+def _code_lines(*dirs) -> str:
+    command = [sys.executable, str(ROOT / "tests" / "code_lines.py"), *map(str, dirs)]
+    return subprocess.run(command, check=True, capture_output=True, text=True).stdout
+
+
+def test_code_lines_compares_two_trees(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "kept.py").write_text("x = 1\n")
+    (old / "gone.py").write_text('"""Doc."""\n# comment\n\ny = 2\nz = 3\n')
+    (new / "kept.py").write_text('x = 1\ny = 2\n\n\ndef f():\n    """Doc."""\n    return 3\n')
+    (new / "added.py").write_text("w = 0\n")
+    assert _code_lines(old, new) == (
+        "    0     1    +1 added\n"
+        "    2     0    -2 gone\n"
+        "    1     4    +3 kept\n"
+        "    3     5    +2 total\n"
+    )
+    assert _code_lines(new) == "    1 added\n    4 kept\n    5 total\n"
