@@ -502,11 +502,12 @@ class _BlockSpec:
     factors: tuple[tuple[int, tuple[float, float], tuple[float, float], bool], ...]
 
 
-# The two classes of a flip count m, by the cell of u1': (outer cell, the
-# inner flipped count k as m less this, sign folding, window of a flipped
-# inner qubit on u1's sign, on the opposite sign, window of a clean one).
-# The windows are spelled out rather than read from _SIDES, so that the
-# oracle checks the factorized route's combinatorics on its own.
+# The two classes of a flip count m, one row per cell of u1': (outer cell,
+# 1 if qubit 1 is flipped, which leaves k = m - 1 flipped inner qubits, else
+# 0, the sign folding, the window of a flipped inner qubit on u1's sign and
+# on the opposite sign, the window of a clean one).  The windows are spelled
+# out rather than read from _SIDES, so that the oracle checks the factorized
+# route's combinatorics on its own.
 _CLASS_TABLE = (
     (PZ_CELL, 1, 2, WIN_NPZ1, WIN_NPZ0, WIN_PZ1),
     (NPZ_CELL, 0, 1, WIN_PZ1, WIN_PZ1_NEG, WIN_NPZ0),
@@ -523,8 +524,8 @@ def _case_blocks(m: int, n: int) -> tuple[_BlockSpec, ...]:
     qubits on the sign opposite to u1, C(k, j) ways.
     """
     blocks = []
-    for outer_cell, first, folding, same, opposite, clean in _CLASS_TABLE:
-        k = m - first
+    for outer_cell, qubit1_flipped, folding, same, opposite, clean in _CLASS_TABLE:
+        k = m - qubit1_flipped
         for j in range(k + 1):
             factors = ((k - j, PZ_CELL, same, False), (j, PZ_CELL, opposite, True),
                        (n - 1 - k, NPZ_CELL, clean, False))

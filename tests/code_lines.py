@@ -49,8 +49,9 @@ def module_lines(src: Path) -> dict[str, int]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) > 3:
-        print("usage: code_lines.py [SRC_DIR | OLD_DIR NEW_DIR]", file=sys.stderr)
+    if len(argv) > 3 or not all(Path(arg).is_dir() for arg in argv[1:]):
+        print("usage: code_lines.py [SRC_DIR | OLD_DIR NEW_DIR], each an existing directory",
+              file=sys.stderr)
         return 2
     tables = [module_lines(Path(arg)) for arg in argv[1:]] or [module_lines(SRC)]
     rows = [(stem, [table.get(stem, 0) for table in tables])

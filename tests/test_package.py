@@ -185,9 +185,9 @@ def test_one_fork_site_and_no_process_pool():
     assert banned == []
 
 
-def _code_lines(*dirs) -> str:
+def _code_lines(*dirs) -> subprocess.CompletedProcess:
     command = [sys.executable, str(ROOT / "tests" / "code_lines.py"), *map(str, dirs)]
-    return subprocess.run(command, check=True, capture_output=True, text=True).stdout
+    return subprocess.run(command, capture_output=True, text=True)
 
 
 def test_code_lines_compares_two_trees(tmp_path):
@@ -198,10 +198,13 @@ def test_code_lines_compares_two_trees(tmp_path):
     (old / "gone.py").write_text('"""Doc."""\n# comment\n\ny = 2\nz = 3\n')
     (new / "kept.py").write_text('x = 1\ny = 2\n\n\ndef f():\n    """Doc."""\n    return 3\n')
     (new / "added.py").write_text("w = 0\n")
-    assert _code_lines(old, new) == (
+    assert _code_lines(old, new).stdout == (
         "    0     1    +1 added\n"
         "    2     0    -2 gone\n"
         "    1     4    +3 kept\n"
         "    3     5    +2 total\n"
     )
-    assert _code_lines(new) == "    1 added\n    4 kept\n    5 total\n"
+    assert _code_lines(new).stdout == "    1 added\n    4 kept\n    5 total\n"
+    # a mistyped directory would otherwise read as an empty tree
+    missing = _code_lines(old, tmp_path / "none")
+    assert (missing.returncode, missing.stdout) == (2, "")
