@@ -13,6 +13,7 @@ import csv
 import inspect
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -27,6 +28,7 @@ from .repetition import (
     overall_failure_biased,
     pauli_rate_physical,
     pauli_rate_physical_report,
+    prime_engines,
     shared_engines,
     stretch,
 )
@@ -118,10 +120,14 @@ def critical_ancilla_spread(
 ) -> CrossingResult:
     """Ancilla spread where the two curves of ``q`` cross, by ITP after a scan.
 
-    Samples 8 interior points first: no sign change is reported as a
-    no-crossing result, more than one sign change raises
-    :class:`AmbiguousCrossingError` with the samples attached.  Both curves
-    share each sampled point's engines.  ITP (interpolate, truncate, project)
+    Scans 10 evenly spaced points first, both bracket ends included: no sign
+    change is reported as a no-crossing result, more than one sign change
+    raises :class:`AmbiguousCrossingError` with the samples attached.  The
+    scan's coarse and fine engines are built as one batch before its first
+    rate (:func:`~gkprep.repetition.prime_engines`), and each code size's
+    per-case values in one pass over them; each ITP step does the same for
+    its one point.  So both curves share each point's engines, full ones
+    even for a ``"single"`` curve.  ITP (interpolate, truncate, project)
     then narrows the two scan points that straddle the sign change until
     they are at most ``q.tol`` apart, or adjacent floats, and returns their
     midpoint, within ``q.tol / 2`` of the sign change; a point where left ==
@@ -134,8 +140,14 @@ def critical_ancilla_spread(
     left = _rate_curve(q.left_size, q.delta, cfg)
     right = _rate_curve(q.right_size, q.delta, cfg)
 
+    def prime(dts: list[float]) -> None:
+        """Build the engines both curves take at ``dts``, full ones, in one batch."""
+        prime_engines([(NoiseParams(q.delta, dt), None if size == "single" else size)
+                       for dt in dts for size in (q.left_size, q.right_size)], cfg)
+
     lo, hi = q.bracket
     points = [lo + (hi - lo) * i / 9.0 for i in range(10)]
+    prime(points)
     rates = [(left(dt), right(dt)) for dt in points]
     samples = [(dt, l - r) for dt, (l, r) in zip(points, rates)]
     signs = [math.copysign(1.0, d) for _, d in samples if d != 0.0]
@@ -178,6 +190,7 @@ def critical_ancilla_spread(
             x = mid - toward_mid * radius
         if not a < x < b:
             x = mid
+        prime([x])
         lx, rx = left(x), right(x)
         if lx - rx == 0.0:
             return CrossingResult("found", x, tuple(samples))
@@ -196,6 +209,7 @@ _SCAN_POINTS = 20
 _REL_TOL = 1e-3
 
 
+@shared_engines()
 def optimal_bias(
     n: int,
     delta: float,
@@ -209,7 +223,11 @@ def optimal_bias(
     then runs between its two neighbours.  ``unimodal`` is False when the scan
     saw more than one local minimum: the result is then the minimum near the
     best scan point, which another dip between scan points could undercut.
-    ``interior`` is False when the best scan point is a bracket end.
+    ``interior`` is False when the best scan point is a bracket end.  The
+    scan's engines are built as one batch before its first rate
+    (:func:`~gkprep.repetition.prime_engines`): its points differ in the
+    position spread r*delta only, so each rung's points share one panel
+    layout and one complement table.
     """
     lo, hi = r_bracket
     _require_real(r_bracket_low=lo, r_bracket_high=hi)
@@ -220,6 +238,7 @@ def optimal_bias(
         return overall_failure_biased(n, NoiseParams(delta, delta_tilde, r=r), cfg)
 
     rs = [lo + (hi - lo) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
+    prime_engines([(NoiseParams(delta, delta_tilde, r=r).position_noise(), n) for r in rs], cfg)
     vals = [objective(r) for r in rs]
     k = min(range(_SCAN_POINTS), key=vals.__getitem__)
     drops = sum(
@@ -369,6 +388,23 @@ def _wigner_grid(cfg, /, *, delta, kappa, q, p) -> tuple[float, dict]:
     return wigner_point(GkpEnvelope(delta=delta, kappa=kappa), q, p), {}
 
 
+# The engines a sweep cell of these quantities asks for: (with GKP EC,
+# full engines rather than P_F-only ones, the cell's noise point and the
+# code size of its rate, None for P_F alone).  run_sweep builds them ahead.
+_ENGINE_POINTS: dict[str, tuple[bool, bool, Callable[..., tuple[NoiseParams, Any]]]] = {
+    "pf": (True, False, lambda *, delta, delta_tilde: (NoiseParams(delta, delta_tilde), None)),
+    "pfrep": (True, True, lambda *, delta, delta_tilde, n: (NoiseParams(delta, delta_tilde), n)),
+    "pfrep_noec": (False, True,
+                   lambda *, delta, delta_tilde, n: (NoiseParams(delta, delta_tilde), n)),
+    "pfail": (True, True, lambda *, delta, delta_tilde=0.0, n, r=1.0: (
+        NoiseParams(delta, delta_tilde, r=r).position_noise(), n)),
+}
+
+# Cells of one sweep stretch whose engines are built in one batch: their
+# coarse and fine engines fill at most half the shared_engines memo.
+_PRIME_CELLS = 256
+
+
 QUANTITIES: dict[str, Callable[..., tuple[float, dict]]] = {
     "px": _px,
     "pf": _pf,
@@ -391,23 +427,42 @@ def run_sweep(
     without a route by ``cfg.method`` raises ``ValueError`` before any cell
     (:func:`check_method`).  Failed cells are recorded in-row under
     ``status`` and the sweep continues; output is deterministic for a fixed
-    spec.
+    spec.  Inside a :func:`~gkprep.repetition.shared_engines` block the
+    engines of a ``pf``, ``pfrep``, ``pfrep_noec`` or ``pfail`` stretch are
+    built ahead, ``_PRIME_CELLS`` cells to a batch
+    (:func:`~gkprep.repetition.prime_engines`); a cell whose parameters do
+    not make a noise point is left to raise for itself.
     """
     check_method(spec.quantity, cfg)
     axis_names = [name for name, _ in spec.axes]
     fixed_names = sorted(spec.fixed)
     columns = tuple(axis_names + fixed_names + ["value", "std_err", "status"])
     span = stretch(spec.size, part, parts)
-    rows = []
-    for combo in itertools.islice(
+    combos = itertools.islice(
         itertools.product(*(values for _, values in spec.axes)), span.start, span.stop
-    ):
-        point = dict(zip(axis_names, combo))
-        point.update(spec.fixed)
-        try:
-            value, _ = QUANTITIES[spec.quantity](cfg, **point)
-            cells = (value, "", "ok")
-        except Exception as exc:  # noqa: BLE001 - cell failures stay in-row
-            cells = ("", "", f"error:{type(exc).__name__}")
-        rows.append((*combo, *(spec.fixed[k] for k in fixed_names), *cells))
+    )
+    rows = []
+    for batch in iter(lambda: list(itertools.islice(combos, _PRIME_CELLS)), []):
+        points = [{**dict(zip(axis_names, combo)), **spec.fixed} for combo in batch]
+        if spec.quantity in _ENGINE_POINTS:
+            gkp_ec, full, engine_point = _ENGINE_POINTS[spec.quantity]
+            prime_engines(_engine_points(engine_point, points), cfg, gkp_ec, full)
+        for combo, point in zip(batch, points):
+            try:
+                value, _ = QUANTITIES[spec.quantity](cfg, **point)
+                cells = (value, "", "ok")
+            except Exception as exc:  # noqa: BLE001 - cell failures stay in-row
+                cells = ("", "", f"error:{type(exc).__name__}")
+            rows.append((*combo, *(spec.fixed[k] for k in fixed_names), *cells))
     return CurveTable(columns=columns, rows=tuple(rows))
+
+
+def _engine_points(
+    engine_point: Callable[..., tuple[NoiseParams, Any]], points: list[dict]
+) -> Iterator[tuple[NoiseParams, Any]]:
+    """``engine_point`` of each cell's parameters, skipping cells where it raises."""
+    for point in points:
+        try:
+            yield engine_point(**point)
+        except Exception:  # noqa: BLE001 - the cell's own call raises it in-row
+            continue

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -30,6 +31,7 @@ from .lattice import (
     MAX_TERMS,
     SQRT_PI,
     TruncationError,
+    _comb_term_count,
     gaussian_comb_array,
 )
 
@@ -137,6 +139,10 @@ class NoiseParams:
     def ideal_ancilla(self) -> bool:
         return self.delta_tilde < IDEAL_ANCILLA_CUTOFF
 
+    def position_noise(self) -> NoiseParams:
+        """The position quadrature's spreads at face value: (r*delta, delta_tilde) at r = 1."""
+        return NoiseParams(delta=self.position_spread, delta_tilde=self.delta_tilde)
+
     def biased_momentum_spreads(self, n: int) -> tuple[float, float]:
         """Momentum spreads of qubit 1 and of every other qubit of an n-qubit code.
 
@@ -220,15 +226,53 @@ class ResidualDistribution:
 
     def modulating(self, u) -> np.ndarray:
         """erf((u+h)/delta) - erf((u-h)/delta), as an erfc difference accurate in the PZ cells."""
-        a = np.abs(np.asarray(u, dtype=np.float64))
-        return sp.erfc((a - HALF_CELL) / self.delta) - sp.erfc((a + HALF_CELL) / self.delta)
+        return _modulating(np.asarray(u, dtype=np.float64), self.delta)
 
     def density(self, u) -> float | np.ndarray:
         """F(u'), the residual displacement density (even, unit mass)."""
         u_arr = np.asarray(u, dtype=np.float64)
-        comb = gaussian_comb_array(u_arr, SQRT_PI, self.delta_tilde**2)
-        out = self.modulating(u_arr) * comb / (2.0 * SQRT_PI * self.delta_tilde)
-        return out if out.ndim else float(out)
+        out = density(u_arr.ravel(), [self.delta], [self.delta_tilde], [u_arr.size])
+        return out.reshape(u_arr.shape) if u_arr.ndim else float(out[0])
+
+
+def _modulating(u: np.ndarray, delta: float | np.ndarray) -> np.ndarray:
+    a = np.abs(u)
+    return sp.erfc((a - HALF_CELL) / delta) - sp.erfc((a + HALF_CELL) / delta)
+
+
+def density(
+    u: np.ndarray, delta: Sequence[float], delta_tilde: Sequence[float], sizes: Sequence[int]
+) -> np.ndarray:
+    """F(u') of many residual densities in one pass.
+
+    ``u`` is 1-D: one stretch of ``sizes[i]`` points per density
+    (``delta[i]``, ``delta_tilde[i]``), one after the other.  The spreads are
+    taken as given; :class:`ResidualDistribution` checks them.  Each comb
+    variance is the float power ``delta_tilde[i]**2``, never numpy's square,
+    which rounds differently on about one input in a thousand, and every
+    element goes through the same float operations whatever else the call
+    holds: each stretch has the bits of a call of its own.
+    """
+    sigma_sq, n_terms = [], []
+    for dt in delta_tilde:
+        sigma_sq.append(dt**2)
+        if not sigma_sq[-1] > 0.0:
+            raise ValueError("sigma_sq must be positive")
+        n_terms.append(_comb_term_count(SQRT_PI, sigma_sq[-1]))
+    comb = gaussian_comb_array(
+        u, SQRT_PI, _per_element(sigma_sq, sizes), _per_element(n_terms, sizes)
+    )
+    return (
+        _modulating(u, _per_element(delta, sizes))
+        * comb
+        / (2.0 * SQRT_PI * _per_element(delta_tilde, sizes))
+    )
+
+
+def _per_element(values: Sequence, sizes: Sequence[int]) -> Any:
+    """``values[i]`` repeated over stretch i, or the one value they all share."""
+    first = values[0]
+    return first if all(v == first for v in values) else np.repeat(values, sizes)
 
 
 def residual_cdf(dist: ResidualDistribution, x: float) -> float:

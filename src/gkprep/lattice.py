@@ -12,6 +12,7 @@ here once: every cell is half-open, [lo, hi).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +49,7 @@ def is_pauli_zone(x: np.ndarray) -> np.ndarray:
     return (j & 1) == 1
 
 
+@lru_cache(maxsize=256)
 def _comb_term_count(spacing: float, sigma_sq: float) -> int:
     """Smallest half-width K with a certified comb tail below ABS_TAIL_BOUND.
 
@@ -69,25 +71,38 @@ def _comb_term_count(spacing: float, sigma_sq: float) -> int:
     )
 
 
-def gaussian_comb_array(x: np.ndarray, spacing: float, sigma_sq: float) -> np.ndarray:
+def gaussian_comb_array(
+    x: np.ndarray, spacing: float, sigma_sq: float | np.ndarray, n_terms: np.ndarray | None = None
+) -> np.ndarray:
     """Sum_t exp(-(x - t*spacing)^2 / sigma_sq) at each ``x``, with a certified tail.
 
     The sum is truncated symmetrically around the lattice index nearest to
     ``x`` so accuracy is uniform in ``x``.  All 2K + 1 terms come from one
-    ``exp`` over a (2K + 1, *x.shape) array; they are then added one at a
+    ``exp`` over a (2K + 1, *x.shape) term array; they are then added one at a
     time from t = -K up to t = K, never by ``ndarray.sum``, whose pairwise
     summation would regroup the additions from 8 terms on.
+
+    Many combs can share one call: ``sigma_sq`` may be an array that
+    broadcasts with ``x``, with ``n_terms`` each element's K
+    (:func:`_comb_term_count` of its own ``sigma_sq``), one array or one K
+    for all.  The terms then run to the largest K, and an element's terms
+    beyond its own K are exact zeros, so each element keeps the bits of a
+    call with its scalar ``sigma_sq``.
     """
     if not spacing > 0.0:
         raise ValueError("spacing must be positive")
-    if not sigma_sq > 0.0:
-        raise ValueError("sigma_sq must be positive")
     x = np.asarray(x, dtype=np.float64)
-    n_terms = _comb_term_count(spacing, sigma_sq)
+    if n_terms is None:
+        if not sigma_sq > 0.0:
+            raise ValueError("sigma_sq must be positive")
+        n_terms = _comb_term_count(spacing, sigma_sq)
+    most = int(np.max(n_terms)) if np.ndim(n_terms) else n_terms
     t0 = np.round(x / spacing)
-    steps = np.arange(-n_terms, n_terms + 1).reshape((-1,) + (1,) * x.ndim)
+    steps = np.arange(-most, most + 1).reshape((-1,) + (1,) * x.ndim)
     d = x - (t0 + steps) * spacing
     terms = np.exp(-np.minimum(d * d / sigma_sq, 745.0))
+    if np.ndim(n_terms):
+        terms = np.where(np.abs(steps) <= n_terms, terms, 0.0)
     total = np.zeros_like(x)
     for term in terms:
         total += term

@@ -13,6 +13,7 @@ a Gauss-Legendre rule on each panel.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -28,14 +29,21 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def panel_nodes(lo: float, hi: float, n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule: ``n_panels`` equal panels on [lo, hi]."""
+def panel_nodes(
+    lo: float | np.ndarray, hi: float | np.ndarray, n_panels: int, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule: ``n_panels`` equal panels on [lo, hi].
+
+    ``lo`` and ``hi`` may be arrays of one shape S; the nodes and weights
+    then have shape S + (n_panels * order,), each row that of its own call.
+    """
     base_x, base_w = _leggauss(order)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    w = (half[:, None] * base_w[None, :]).ravel()
+    edges = np.linspace(lo, hi, n_panels + 1, axis=-1 if np.ndim(lo) else 0)
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    shape = (*np.shape(lo), n_panels * order)
+    x = (mid[..., None] + half[..., None] * base_x).reshape(shape)
+    w = (half[..., None] * base_w).reshape(shape)
     return x, w
 
 
@@ -107,17 +115,18 @@ def _std_normal_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * sp.erfc(-x / math.sqrt(2.0))
 
 
-def _bvn_cdf(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
+def _bvn_cdf(h: np.ndarray, k: np.ndarray, rho: float | np.ndarray) -> np.ndarray:
     """P(X <= h, Y <= k) for standard bivariate normals with correlation rho.
 
     Owen's T-function formulation; requires |rho| < 1 (the rho -> 1 limit is
-    handled by the callers analytically).
+    handled by the callers analytically).  ``rho`` may be an array that
+    broadcasts with h and k.
     """
     h = np.asarray(h, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     h, k = np.broadcast_arrays(h, k)
-    s = math.sqrt(max(1.0 - rho * rho, 0.0))
-    if s == 0.0:
+    s = np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
+    if np.any(s == 0.0):
         raise ValueError("_bvn_cdf requires |rho| < 1")
 
     eps = 1e-300
@@ -137,9 +146,10 @@ def gaussian_window_overlap(
     cell: tuple[float | np.ndarray, float | np.ndarray],
     window_lo: np.ndarray,
     window_hi: np.ndarray,
-    spread_x: float,
-    spread_y: float,
+    spread_x: float | Sequence[float],
+    spread_y: float | Sequence[float],
     outside: bool = False,
+    sizes: Sequence[int] | None = None,
 ) -> np.ndarray:
     """P(cell_lo < X < cell_hi, window_lo < X + Y < window_hi).
 
@@ -153,6 +163,13 @@ def gaussian_window_overlap(
     so small next to ``spread_x`` that 1 - rho^2 is 0 in floating point), the
     exact interval-overlap limit is returned.
 
+    With ``sizes``, the windows and any array cell bound are 1-D stretches
+    of ``sizes[i]`` elements, one per spread pair (``spread_x[i]``,
+    ``spread_y[i]``): one call then covers many spread pairs, and each
+    stretch equals the call with its own pair bit for bit.  Each pair's
+    standard deviations and correlation are float operations on that pair, as
+    in a call of its own, repeated over its stretch.
+
     ``outside=True`` returns the complement within the cell instead,
     P(cell_lo < X < cell_hi, X + Y outside the window), as the sum of the
     two out-of-window rectangles rather than as cell mass minus overlap, so
@@ -161,9 +178,32 @@ def gaussian_window_overlap(
     a, b = cell
     window_lo = np.asarray(window_lo, dtype=np.float64)
     window_hi = np.asarray(window_hi, dtype=np.float64)
-    sx = spread_x / math.sqrt(2.0)
-    rho = spread_x / math.sqrt(spread_x**2 + spread_y**2)
-    if rho * rho >= 1.0:
+    pairs = []
+    for x, y in zip(spread_x, spread_y) if sizes is not None else [(spread_x, spread_y)]:
+        # the standard deviations of X and of X + Y, and their correlation
+        pairs.append((x / math.sqrt(2.0), x / math.sqrt(x**2 + y**2),
+                      math.sqrt(x**2 + y**2) / math.sqrt(2.0)))
+    limits = [rho * rho >= 1.0 for _, rho, _ in pairs]
+    if sizes is None:
+        (sx, rho, sz), = pairs
+    elif any(limits) and not all(limits):
+        # each branch on its own stretches, put back in place
+        mask = np.repeat(limits, sizes)
+        out = np.empty(mask.shape)
+        for branch in (True, False):
+            keep = [i for i, flag in enumerate(limits) if flag == branch]
+            where = mask if branch else ~mask
+            out[where] = gaussian_window_overlap(
+                tuple(bound if np.ndim(bound) == 0 else bound[where] for bound in cell),
+                window_lo[where], window_hi[where],
+                [spread_x[i] for i in keep], [spread_y[i] for i in keep],
+                outside, [sizes[i] for i in keep],
+            )
+        return out
+    else:
+        spread_x = np.repeat(spread_x, sizes)
+        sx, rho, sz = (np.repeat(values, sizes) for values in zip(*pairs))
+    if limits[0]:
 
         def interval(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             mass = 0.5 * (sp.erf(hi / spread_x) - sp.erf(lo / spread_x))
@@ -172,7 +212,6 @@ def gaussian_window_overlap(
         if outside:
             return interval(a, np.minimum(window_lo, b)) + interval(np.maximum(window_hi, a), b)
         return interval(np.maximum(window_lo, a), np.minimum(window_hi, b))
-    sz = math.sqrt(spread_x**2 + spread_y**2) / math.sqrt(2.0)
     a_std, b_std = a / sx, b / sx
 
     def below(upper: np.ndarray) -> np.ndarray:

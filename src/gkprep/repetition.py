@@ -59,14 +59,21 @@ engine's three miss arrays.  The residual density comes from one call on
 the two cells' nodes stacked with the first shifted PZ cell of P_F.  The
 no-EC engine takes exact bivariate-normal rectangles instead, stacked over
 all six sides: one call for the central windows and one for all their
-translates.  Each engine is one frozen, read-only :class:`_Engine` record
-that its builder fills in one pass: cells, miss arrays, the log(1 - M/a)
-they give and P_F, the flip rate whose majority vote is the overweight
-tail.  Inside
-:func:`shared_engines` (one ``gkprep`` command, one crossing search) the
-engines of a noise point are built once and reused by P_F, by every code
-size and by both sides of a crossing.  Every call still checks the refine
-certificate (:func:`_certified`) on the per-case values and P_F.
+translates.  Each engine is one frozen, read-only :class:`_Engine` record:
+cells, miss arrays, the log(1 - M/a) they give and P_F, the flip rate
+whose majority vote is the overweight tail.
+
+Both builders take a batch of (params, node count) points and build them
+in stacked passes, each element through the float operations of a
+one-point build, so every engine is bit-identical to its batch of one;
+the per-case values of many engines likewise come from one array pass
+(:func:`_stacked_cases`).  Inside :func:`shared_engines` (one ``gkprep``
+command, one crossing search) the engines of a noise point are built once
+and reused by P_F, by every code size and by both sides of a crossing, and
+callers that know their points in advance build them as whole batches
+first (:func:`prime_engines`).  A P_F-only call builds engines without
+miss arrays, and a rate call never takes one.  Every call still checks the
+refine certificate (:func:`_certified`) on the per-case values and P_F.
 """
 
 from __future__ import annotations
@@ -76,11 +83,11 @@ import math
 import os
 import pickle
 import signal
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from functools import cache, reduce
+from dataclasses import dataclass, field
+from functools import cache, lru_cache, reduce
 from typing import BinaryIO
 
 import numpy as np
@@ -91,18 +98,23 @@ from .distributions import (
     NoiseParams,
     ResidualDistribution,
     _integral,
+    _per_element,
     _require_real,
     _store_integers,
+    density,
     pauli_rate_ideal,
 )
 from .lattice import ABS_TAIL_BOUND, HALF_CELL, MAX_TERMS, SQRT_PI, TruncationError
 from .quadrature import (
     _leggauss,
     gaussian_window_overlap,
+    panel_nodes,
     peaked_cell_layout,
-    peaked_cell_nodes,
     smooth_cell_nodes,
 )
+
+# Not called here; bound so that perfbench/tracing.py can wrap this lookup site.
+from .quadrature import peaked_cell_nodes  # noqa: F401
 
 NPZ_CELL = (-HALF_CELL, HALF_CELL)
 PZ_CELL = (HALF_CELL, 3.0 * HALF_CELL)
@@ -306,110 +318,266 @@ class _Engine:
     translates) on the outer nodes u1; ``reflect`` puts the window at u1 - x,
     the even-density image of the mirrored cell.  ``log_keep`` maps each
     ``_SIDES`` key to log(1 - M/a), -inf where the cell misses entirely, with
-    the side ratios clipped to [0, 1] before they are averaged.
+    the side ratios clipped to [0, 1] before they are averaged.  Both are
+    None on a P_F-only engine, which only P_F calls take.
     ``pauli_rate`` is P_F of the density.  None of it depends on the code
-    size.  :func:`_residual_engine` and
-    :func:`_intrinsic_engine` build it in one pass; its arrays are read-only,
-    because :func:`shared_engines` hands one engine to many rate calls.
+    size.  :func:`_residual_engine` and :func:`_intrinsic_engine` build
+    engines in batches; the arrays are read-only, because
+    :func:`shared_engines` hands one engine to many rate calls.  ``cases``
+    keeps the per-case values of each code size once computed
+    (:func:`_stacked_cases`); a copy made by ``dataclasses.replace`` starts
+    it empty.
     """
 
     cells: dict[tuple[float, float], _Cell]
-    miss: dict[tuple, np.ndarray]
-    log_keep: dict[tuple, np.ndarray]
+    miss: dict[tuple, np.ndarray] | None
+    log_keep: dict[tuple, np.ndarray] | None
     pauli_rate: float
     dt: float
+    cases: dict[int, list[float]] = field(default_factory=dict, init=False, repr=False,
+                                          compare=False)
 
 
-def _finish_engine(cells: dict, miss: dict, pauli_rate: float, dt: float) -> _Engine:
-    """The read-only :class:`_Engine` of ``cells`` and ``miss``, every ``log_keep`` derived."""
-    log_keep = {}
-    with np.errstate(divide="ignore"):
-        for (outer_cell, cell), sides in _SIDES.items():
-            mass = cells[cell].mass
-            if mass > 0.0:
-                ratio = sum(
-                    np.clip(miss[outer_cell, cell, window, reflect] / mass, 0.0, 1.0)
-                    for window, reflect in sides
-                ) / len(sides)
-            else:
-                ratio = np.zeros_like(cells[outer_cell].x)
-            log_keep[outer_cell, cell] = np.log1p(-ratio)
-    cell_arrays = (a for c in cells.values() for a in (c.x, c.w, c.f))
-    for a in itertools.chain(miss.values(), log_keep.values(), cell_arrays):
-        a.flags.writeable = False
-    return _Engine(cells, miss, log_keep, pauli_rate, dt)
+def _finish_engines(
+    cells: list[dict], miss: dict[tuple, np.ndarray] | None, pauli_rates: list[float],
+    dts: list[float],
+) -> list[_Engine]:
+    """The read-only engines of a batch, every ``log_keep`` derived in one pass.
 
-
-def _residual_engine(params: NoiseParams, n_nodes: int) -> _Engine:
-    """Per-cell nodes, densities and inner integrals for the post-EC density.
-
-    Both cells share the :func:`peaked_cell_layout` of P panels of half-width
-    hw, each carrying the order-k Gauss-Legendre nodes t, and every window
-    of ``_SIDES`` is HALF_CELL wide on each side of the pair's nominal sum,
-    c_outer + c_inner (c_outer - c_inner when reflected).  Outer node (p, i)
-    and inner node (q, j) therefore put u1 + x at 2*hw*(p + q + 1 - P) +
-    hw*(t_i + t_j) from the window centre, and t_{k-1-j} = -t_j makes the
-    reflected u1 - x the same offset with the inner nodes reversed.  The
-    complement window is evaluated once on those (2P - 1)*k*k offsets and
-    contracted into the only three distinct miss arrays, one per inner cell
-    and ``reflect``; each side's miss is the cell mass less its in-window
-    part, taken from the complement window directly.  Reversing the offset
-    table along all three axes maps p + q + 1 - P and each t to their exact
-    negatives, so it maps every offset y to exactly -y: the central window's
-    erfc((y + HALF_CELL)/dt) is its erfc((HALF_CELL - y)/dt) reversed, and
-    only the latter is evaluated.  The translates go through
-    :func:`_less_translates`, as in :func:`_window_complement`, so each
-    table element equals that function's value bit for bit.  P_F sums
-    twice the masses of the PZ cells at (2m + 1)*sqrt(pi): m = 0 is
-    ``cells[PZ_CELL]``, and cell m >= 1 reuses its nodes shifted by
-    2m*sqrt(pi).  One ``density`` call covers the NPZ nodes, the PZ nodes
-    and the m = 1 cell, stacked; cells m >= 2 take one call each.  The sum
-    stops at the first cell below ``ABS_TAIL_BOUND`` and raises
-    :class:`TruncationError` if none of the first ``MAX_TERMS`` is.
+    Entry i has ``cells[i]``, ``pauli_rates[i]`` and ``dts[i]``.  ``miss``
+    maps each ``_MISS_KEYS`` key to the entries' miss arrays concatenated in
+    entry order, each as long as its outer cell; None gives P_F-only
+    engines.  Each log_keep is one elementwise pass over the batch, with each
+    entry's cell mass repeated over its stretch, so every element keeps the
+    bits of a one-entry pass.  Sides that read the same miss arrays (the
+    with-EC engine's PZ inner cell from either outer cell, and likewise its
+    NPZ inner cell) share one log_keep, computed once.  Each engine's arrays
+    are views of the batch's.
     """
-    dt = params.delta_tilde
-    dist = ResidualDistribution(params.delta, dt)
-    (npz_x, npz_w), (pz_x, pz_w) = (
-        peaked_cell_nodes(center, HALF_CELL, dt, n_nodes) for center in (0.0, SQRT_PI)
+    for entry in cells:
+        for c in entry.values():
+            c.x.flags.writeable = c.w.flags.writeable = c.f.flags.writeable = False
+    if miss is None:
+        return [_Engine(c, None, None, rate, dt) for c, rate, dt in zip(cells, pauli_rates, dts)]
+    lengths = {outer: [len(c[outer].x) for c in cells] for outer in (NPZ_CELL, PZ_CELL)}
+    log_keep, by_arrays = {}, {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (outer_cell, cell), sides in _SIDES.items():
+            arrays = [miss[outer_cell, cell, window, reflect] for window, reflect in sides]
+            key = (cell, *map(id, arrays))
+            if key not in by_arrays:
+                masses = [c[cell].mass for c in cells]
+                mass = _per_element(masses, lengths[outer_cell])
+                ratio = sum(np.clip(a / mass, 0.0, 1.0) for a in arrays) / len(arrays)
+                if not min(masses) > 0.0:  # a cell with no mass is never missed
+                    ratio = np.where(mass > 0.0, ratio, 0.0)
+                by_arrays[key] = np.log1p(-ratio)
+            log_keep[outer_cell, cell] = by_arrays[key]
+    for a in itertools.chain(miss.values(), by_arrays.values()):
+        a.flags.writeable = False
+    starts = {outer: list(itertools.accumulate(sizes, initial=0)) for outer, sizes in lengths.items()}
+    engines = []
+    for i, (c, rate, dt) in enumerate(zip(cells, pauli_rates, dts)):
+        span = {outer: slice(at[i], at[i + 1]) for outer, at in starts.items()}
+        engines.append(_Engine(
+            c,
+            {key: a[span[key[0]]] for key, a in miss.items()},
+            {key: a[span[key[0]]] for key, a in log_keep.items()},
+            rate, dt,
+        ))
+    return engines
+
+
+# The NPZ_CELL and PZ_CELL centres, one row of nodes each.
+_CENTRES = np.array([0.0, SQRT_PI])
+
+
+@lru_cache(maxsize=32)
+def _layout_nodes(n_panels: int, order: int, reaches: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """Nodes x, weights w and density abscissae u of the points of one panel layout, read-only.
+
+    x and w are (G, 2, N): the NPZ_CELL and PZ_CELL rows of each reach, laid
+    as :func:`peaked_cell_nodes` lays them, from one :func:`panel_nodes`
+    call; u is (G, 3, N), each point's NPZ and PZ nodes and its PZ nodes
+    shifted by 2*sqrt(pi), where P_F's first shifted cell lies.
+    """
+    reach = np.array(reaches)[:, None]
+    x, w = panel_nodes(_CENTRES - reach, _CENTRES + reach, n_panels, order)
+    u = np.concatenate((x, x[:, 1:] + 2 * SQRT_PI), axis=1)
+    for a in (x, w, u):
+        a.flags.writeable = False
+    return x, w, u
+
+
+def _residual_engine(
+    points: Sequence[tuple[NoiseParams, int]], full: bool = True
+) -> list[_Engine]:
+    """Per-cell nodes, densities and inner integrals for the post-EC density, one engine per point.
+
+    Each point is (params, node count).  Both cells of an engine share the
+    :func:`peaked_cell_layout` of P panels of half-width hw, each carrying
+    the order-k Gauss-Legendre nodes t, and every window of ``_SIDES`` is
+    HALF_CELL wide on each side of the pair's nominal sum, c_outer + c_inner
+    (c_outer - c_inner when reflected).  Outer node (p, i) and inner node
+    (q, j) therefore put u1 + x at 2*hw*(p + q + 1 - P) + hw*(t_i + t_j)
+    from the window centre, and t_{k-1-j} = -t_j makes the reflected u1 - x
+    the same offset with the inner nodes reversed.  The complement window is
+    evaluated once on those (2P - 1)*k*k offsets and contracted into the only
+    three distinct miss arrays, one per inner cell and ``reflect``; each
+    side's miss is the cell mass less its in-window part, taken from the
+    complement window directly.  Reversing the offset table along all three
+    axes maps p + q + 1 - P and each t to their exact negatives, so it maps
+    every offset y to exactly -y: the central window's erfc((y + HALF_CELL)/dt)
+    is its erfc((HALF_CELL - y)/dt) reversed, and only the latter is
+    evaluated.  The translates go through :func:`_less_translates`, as in
+    :func:`_window_complement`, so each table element equals that function's
+    value bit for bit.
+
+    The batch is built in stacked passes.  The points of one panel layout
+    (P, k) take their nodes from one call (:func:`_layout_nodes`), each with
+    its own reach, and their offsets from one array pass;
+    points that also share reach and dt share their table.  One ``density``
+    call covers every point's NPZ nodes, PZ nodes and first shifted PZ cell;
+    one ``erfc`` covers every table; each panel layout contracts its points'
+    three weighted density rows against their tables in one ``matmul`` whose
+    slices have the one-engine shapes; one pass derives every log_keep
+    (:func:`_finish_engines`).  Every element goes through the float
+    operations of a one-point build, and each mass and P_F term is its own
+    ``np.dot``, so each engine is bit-identical to its batch of one.
+
+    P_F sums twice the masses of the PZ cells at (2m + 1)*sqrt(pi): m = 0 is
+    ``cells[PZ_CELL]``, and cell m >= 1 reuses its nodes shifted by
+    2m*sqrt(pi) (:func:`_pz_lattice_sum`).  A point's sum stops at its first
+    cell below ``ABS_TAIL_BOUND``, and the batch raises
+    :class:`TruncationError` if any point has none among the first
+    ``MAX_TERMS``.  With ``full`` False the engines are P_F-only: no table,
+    contraction or log_keep.
+    """
+    dists = [ResidualDistribution(params.delta, params.delta_tilde) for params, _ in points]
+    reaches, groups = [], {}
+    for i, (dist, (_, n_nodes)) in enumerate(zip(dists, points)):
+        reach, n_panels, order = peaked_cell_layout(HALF_CELL, dist.delta_tilde, n_nodes)
+        reaches.append(reach)
+        groups.setdefault((n_panels, order), []).append(i)
+    # every stacked array below runs through the points group by group
+    order = [i for members in groups.values() for i in members]
+    nodes = {key: _layout_nodes(*key, tuple(reaches[i] for i in members))
+             for key, members in groups.items()}
+    f = density(
+        np.concatenate([nodes[key][2].ravel() for key in groups]),
+        [dists[i].delta for i in order], [dists[i].delta_tilde for i in order],
+        [nodes[key][2][0].size for key, members in groups.items() for _ in members],
     )
-    npz_f, pz_f, next_pz_f = dist.density(np.stack([npz_x, pz_x, pz_x + 2 * SQRT_PI]))
-    cells = {
-        NPZ_CELL: _Cell(npz_x, npz_w, npz_f, float(np.dot(npz_w, npz_f))),
-        PZ_CELL: _Cell(pz_x, pz_w, pz_f, float(np.dot(pz_w, pz_f))),
-    }
-    reach, n_panels, order = peaked_cell_layout(HALF_CELL, dt, n_nodes)
-    hw = reach / n_panels
+    cells, pauli_rates, rows, start = {}, {}, {}, 0
+    for key, members in groups.items():
+        x, w, u = nodes[key]
+        rows[key] = f[start:start + u.size].reshape(u.shape)
+        start += u.size
+        for (npz_x, pz_x), (npz_w, pz_w), (npz_f, pz_f, next_f), i in zip(x, w, rows[key], members):
+            cells[i] = {
+                NPZ_CELL: _Cell(npz_x, npz_w, npz_f, float(np.dot(npz_w, npz_f))),
+                PZ_CELL: _Cell(pz_x, pz_w, pz_f, float(np.dot(pz_w, pz_f))),
+            }
+            pauli_rates[i] = _pz_lattice_sum(dists[i], cells[i][PZ_CELL], next_f)
+    miss = _contracted_misses(groups, nodes, rows, dists, reaches) if full else None
+    engines = _finish_engines(
+        [cells[i] for i in order], miss, [pauli_rates[i] for i in order],
+        [dists[i].delta_tilde for i in order],
+    )
+    place = dict(zip(order, engines))
+    return [place[i] for i in range(len(points))]
+
+
+def _pz_lattice_sum(dist: ResidualDistribution, pz: _Cell, first_shifted: np.ndarray) -> float:
+    """P_F: twice the PZ cell masses, summed outward until a cell is negligible.
+
+    Cell m = 0 is ``pz`` and cell m = 1 its ``first_shifted`` density row;
+    cells m >= 2 take one ``density`` call each.
+    """
+    total = 0.0
+    for m in range(MAX_TERMS):
+        if m < 2:
+            f = (pz.f, first_shifted)[m]
+        else:
+            f = density(pz.x + 2 * m * SQRT_PI, [dist.delta], [dist.delta_tilde], [len(pz.x)])
+        cell_rate = 2.0 * float(np.dot(pz.w, f))
+        total += cell_rate
+        if cell_rate < ABS_TAIL_BOUND:
+            return min(total, 1.0)
+    raise TruncationError(f"PZ lattice sum did not converge within {MAX_TERMS} cells")
+
+
+@lru_cache(maxsize=64)
+def _offset_pattern(n_panels: int, order: int) -> tuple[np.ndarray, ...]:
+    """The reach-free parts of a with-EC panel layout's offsets, read-only.
+
+    An offset 2*hw*d + hw*(t_i + t_j) is the same float at (i, j) and
+    (j, i), since float addition commutes, so the complement table is
+    symmetric in i and j and only i <= j is evaluated.  Returns the panel
+    steps d as a (2P - 1, 1) column; t_i + t_j on that triangle,
+    k(k + 1)/2 long; the flat index of each (d, i, j) element's mirror image
+    (-d, k-1-j, k-1-i), whose offset is its exact negative; and the triangle
+    index of each (i, j), which expands a triangle table to the full
+    (2P - 1, k, k) one.
+    """
     t = _leggauss(order)[0]
     d = np.arange(1 - n_panels, n_panels)
-    offsets = 2.0 * hw * d[:, None, None] + hw * (t[:, None] + t[None, :])
-    # the lower edge's erfc is the upper edge's reversed on all three axes
-    upper = sp.erfc((HALF_CELL - offsets) / dt)
-    table = _less_translates(
-        upper + upper[::-1, ::-1, ::-1], offsets, (-HALF_CELL, HALF_CELL), dt
-    )
-    # outer panel p meets inner panel q at table row p + q
-    panels = np.arange(n_panels)
-    rows = panels[:, None] + panels[None, :]
+    i, j = np.triu_indices(order)
+    position = np.empty((order, order), dtype=np.intp)
+    position[i, j] = position[j, i] = np.arange(len(i))
+    rows = np.arange(len(d))[::-1, None] * len(i)
+    mirror = (rows + position[order - 1 - j, order - 1 - i]).ravel()
+    arrays = (d[:, None], t[i] + t[j], mirror, position)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    def contract(g: np.ndarray) -> np.ndarray:
-        by_panel = table @ g.reshape(n_panels, order).T
-        return 0.5 * by_panel[rows, :, panels].sum(axis=1).ravel()
 
-    npz, pz = npz_w * npz_f, pz_w * pz_f
-    contracted = {
-        (NPZ_CELL, False): contract(npz),
-        (PZ_CELL, False): contract(pz),
-        (PZ_CELL, True): contract(pz[::-1]),
-    }
-    miss = {key: contracted[key[1], key[3]] for key in _MISS_KEYS}
-    pauli_rate = 0.0
-    for m in range(MAX_TERMS):
-        f = (pz_f, next_pz_f)[m] if m < 2 else dist.density(pz_x + 2 * m * SQRT_PI)
-        cell_rate = 2.0 * float(np.dot(pz_w, f))
-        pauli_rate += cell_rate
-        if cell_rate < ABS_TAIL_BOUND:
-            return _finish_engine(cells, miss, min(pauli_rate, 1.0), dt)
-    raise TruncationError(f"PZ lattice sum did not converge within {MAX_TERMS} cells")
+def _contracted_misses(
+    groups: dict[tuple, list[int]], nodes: dict, rows: dict,
+    dists: list[ResidualDistribution], reaches: list[float],
+) -> dict[tuple, np.ndarray]:
+    """Every point's three miss arrays, concatenated group by group, keyed by ``_MISS_KEYS``.
+
+    Per panel layout, the offsets of each distinct (reach, dt) on the
+    triangle of :func:`_offset_pattern`, with hw = reach / P, and their
+    complement tables, all from one ``erfc`` and each expanded to its full
+    (2P - 1, k, k) table; then one ``matmul`` of the points' tables with
+    their weighted NPZ, PZ and reversed PZ density rows.
+    """
+    args, tables = [], []
+    for (n_panels, order), members in groups.items():
+        pairs = list(dict.fromkeys((reaches[i], dists[i].delta_tilde) for i in members))
+        hw = np.array([reach / n_panels for reach, _ in pairs])[:, None, None]
+        dt = np.array([dt for _, dt in pairs])[:, None, None]
+        steps, sums, _, _ = _offset_pattern(n_panels, order)
+        offsets = 2.0 * hw * steps + hw * sums
+        tables.append((pairs, offsets, dt))
+        args.append((HALF_CELL - offsets) / dt)
+    upper_all = sp.erfc(np.concatenate([a.ravel() for a in args]) if len(args) > 1 else args[0])
+    parts, start = [], 0
+    for (key, members), (pairs, offsets, dt) in zip(groups.items(), tables):
+        n_panels, order = key
+        _, _, mirror, position = _offset_pattern(n_panels, order)
+        # the lower edge's erfc is the upper edge's at the mirror image
+        upper = upper_all.ravel()[start:start + offsets.size].reshape(len(pairs), -1)
+        start += offsets.size
+        table = _less_translates(
+            (upper + upper[:, mirror]).reshape(offsets.shape), offsets, (-HALF_CELL, HALF_CELL), dt,
+        )[:, :, position]
+        if len(pairs) < len(members):
+            table = table[[pairs.index((reaches[i], dists[i].delta_tilde)) for i in members]]
+        weighted = nodes[key][1] * rows[key][:, :2]
+        stacked = np.concatenate((weighted, weighted[:, 1:, ::-1]), axis=1)
+        by_panel = table[:, None] @ stacked.reshape(
+            len(members), 3, n_panels, order).swapaxes(-1, -2)[:, :, None]
+        # outer panel p meets inner panel q at table row p + q
+        panels = np.arange(n_panels)
+        summed = 0.5 * by_panel[..., panels[:, None] + panels[None, :], :, panels].sum(axis=1)
+        parts.append(summed.transpose(2, 1, 0, 3).reshape(3, -1))
+    contracted = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    by_side = dict(zip(((NPZ_CELL, False), (PZ_CELL, False), (PZ_CELL, True)), contracted))
+    return {key: by_side[key[1], key[3]] for key in _MISS_KEYS}
 
 
 def _intrinsic_cell_nodes(
@@ -439,52 +607,68 @@ def _intrinsic_cell_nodes(
     return np.concatenate(x), np.concatenate(w)
 
 
-def _intrinsic_engine(params: NoiseParams, n_nodes: int) -> _Engine:
-    """Cells and miss integrals for the raw (no GKP EC) Gaussian data density.
+def _intrinsic_engine(
+    points: Sequence[tuple[NoiseParams, int]], full: bool = True
+) -> list[_Engine]:
+    """Cells and miss integrals for the raw (no GKP EC) Gaussian data density, one engine per point.
 
     Cell masses are closed-form erf differences and the inner integrals are
     exact bivariate-normal rectangle probabilities, so the sharp syndrome
     windows of small ancilla spreads cost nothing in accuracy.  Each miss is
     the two out-of-window rectangles of the central window, less the
     overlaps with the translates at ``_TRANSLATES``, kept >= 0.  Every side's
-    window limits are stacked on its outer nodes, with the inner cell's
-    bounds repeated per node, so one call takes all central windows and at
-    most one more all translates.  P_F is :func:`pauli_rate_ideal` of the
-    raw density.
+    window limits are stacked on the outer nodes of every point, side by side
+    and point by point within a side, with the inner cell's bounds repeated
+    per node and each point's spreads over its stretch
+    (:func:`gaussian_window_overlap`'s ``sizes``), so one call takes all
+    central windows of the batch and at most one more all translates.  Each
+    element goes through the float operations of a one-point build.  P_F is
+    :func:`pauli_rate_ideal` of the raw density.  With ``full`` False the
+    engines are P_F-only: no window integrals or log_keep.
     """
-    delta, dt = params.delta, params.delta_tilde
-    gauss = GaussianDisplacement(delta)
-    cells = {}
-    for lo, hi in (NPZ_CELL, PZ_CELL):
-        x, w = _intrinsic_cell_nodes((lo, hi), params, n_nodes)
-        mass = 0.5 * (math.erf(hi / delta) - math.erf(lo / delta))
-        cells[lo, hi] = _Cell(x, w, gauss.pdf(x), mass)
-    outer_x = [cells[key[0]].x for key in _MISS_KEYS]
-    sizes = [len(x) for x in outer_x]
-    bounds = tuple(np.repeat([key[1][i] for key in _MISS_KEYS], sizes) for i in (0, 1))
+    cells = []
+    for params, n_nodes in points:
+        gauss = GaussianDisplacement(params.delta)
+        cells.append({})
+        for lo, hi in (NPZ_CELL, PZ_CELL):
+            x, w = _intrinsic_cell_nodes((lo, hi), params, n_nodes)
+            mass = 0.5 * (math.erf(hi / params.delta) - math.erf(lo / params.delta))
+            cells[-1][lo, hi] = _Cell(x, w, gauss.pdf(x), mass)
+    miss = None
+    if full:
+        outer_x = {outer: np.concatenate([c[outer].x for c in cells]) for outer in (NPZ_CELL, PZ_CELL)}
+        lengths = {outer: [len(c[outer].x) for c in cells] for outer in (NPZ_CELL, PZ_CELL)}
+        sizes = [length for key in _MISS_KEYS for length in lengths[key[0]]]
+        spreads = [[params.delta for params, _ in points] * len(_MISS_KEYS),
+                   [params.delta_tilde for params, _ in points] * len(_MISS_KEYS)]
+        key_sizes = [len(outer_x[key[0]]) for key in _MISS_KEYS]
+        bounds = tuple(np.repeat([key[1][i] for key in _MISS_KEYS], key_sizes) for i in (0, 1))
 
-    def limits(shift: float) -> tuple[np.ndarray, np.ndarray]:
-        """Each side's window on inner coordinate plus ancilla at ``shift``, stacked."""
-        sides = [
-            (x - (w_hi + shift), x - (w_lo + shift)) if reflect
-            else (w_lo + shift - x, w_hi + shift - x)
-            for x, (_, _, (w_lo, w_hi), reflect) in zip(outer_x, _MISS_KEYS)
-        ]
-        return tuple(np.concatenate(part) for part in zip(*sides))
+        def limits(shift: float) -> tuple[np.ndarray, np.ndarray]:
+            """Each side's window on inner coordinate plus ancilla at ``shift``, stacked."""
+            sides = [
+                (x - (w_hi + shift), x - (w_lo + shift)) if reflect
+                else (w_lo + shift - x, w_hi + shift - x)
+                for x, (_, _, (w_lo, w_hi), reflect) in zip(
+                    (outer_x[key[0]] for key in _MISS_KEYS), _MISS_KEYS)
+            ]
+            return tuple(np.concatenate(part) for part in zip(*sides))
 
-    out = gaussian_window_overlap(bounds, *limits(0.0), delta, dt, outside=True)
-    if _TRANSLATES:
-        lo, hi = zip(*map(limits, _TRANSLATES))
-        overlap = gaussian_window_overlap(
-            tuple(np.tile(b, len(_TRANSLATES)) for b in bounds),
-            np.concatenate(lo), np.concatenate(hi), delta, dt,
-        )
-        # subtracted translate by translate, as one call per side would
-        for part in overlap.reshape(len(_TRANSLATES), -1):
-            out = out - part
-    out = np.maximum(out, 0.0)
-    miss = dict(zip(_MISS_KEYS, np.split(out, np.cumsum(sizes)[:-1])))
-    return _finish_engine(cells, miss, pauli_rate_ideal(delta), dt)
+        out = gaussian_window_overlap(bounds, *limits(0.0), *spreads, outside=True, sizes=sizes)
+        if _TRANSLATES:
+            lo, hi = zip(*map(limits, _TRANSLATES))
+            count = len(_TRANSLATES)
+            overlap = gaussian_window_overlap(
+                tuple(np.tile(b, count) for b in bounds), np.concatenate(lo), np.concatenate(hi),
+                *(spread * count for spread in spreads), sizes=sizes * count,
+            )
+            # subtracted translate by translate, as one call per side would
+            for part in overlap.reshape(count, -1):
+                out = out - part
+        out = np.maximum(out, 0.0)
+        miss = dict(zip(_MISS_KEYS, np.split(out, np.cumsum(key_sizes)[:-1])))
+    pauli_rates = [pauli_rate_ideal(params.delta) for params, _ in points]
+    return _finish_engines(cells, miss, pauli_rates, [params.delta_tilde for params, _ in points])
 
 
 @dataclass(frozen=True)
@@ -548,34 +732,71 @@ def _factorized_cases(engine: _Engine, size: CodeSize) -> list[float]:
     the mass product and B = (s*a*(1 - r))^c to the success product.  The
     block integrand prod(A) - prod(B) is telescoped as
     sum_g (A_g - B_g) * prod_{h<g} B_h * prod_{h>g} A_h, a sum of
-    non-negative terms with A - B = -(s*a)^c * expm1(c * log1p(-r)).
+    non-negative terms with A - B = -(s*a)^c * expm1(c * log1p(-r)).  The
+    values come from :func:`_stacked_cases`, once per engine and code size.
+    """
+    return _stacked_cases([engine], size)[0]
+
+
+def _stacked_cases(engines: list[_Engine], size: CodeSize) -> list[list[float]]:
+    """:func:`_factorized_cases` of every engine, in one array pass per outer cell.
+
+    An engine that already holds its values for ``size`` (``engine.cases``)
+    keeps them; the others are computed together and stored there.  Every
+    block of one outer cell is a row of one (blocks, nodes) pass, the
+    engines' nodes side by side, with each engine's scalars (the float
+    powers (s*a)^c) repeated over its stretch: every element takes the float
+    operations of a one-engine, one-block pass.  Each block's integral over
+    u1' is each engine's own ``np.dot`` over its stretch, so engines of any
+    node counts can share a pass.
     """
     n = size.n
-    weighted = {key: c.w * c.f for key, c in engine.cells.items()}
+    todo = list({id(e): e for e in engines if n not in e.cases}.values())
+    if todo:
+        flipped = _block_integrals(todo, PZ_CELL, [(m - 1, n - m) for m in range(1, (n + 1) // 2)])
+        clean = _block_integrals(todo, NPZ_CELL, [(m, n - 1 - m) for m in range((n + 1) // 2)])
+        for engine, f, c in zip(todo, flipped, clean):
+            engine.cases[n] = [
+                (2.0 * math.comb(n - 1, m - 1) * f[m - 1] if m else 0.0) + math.comb(n - 1, m) * c[m]
+                for m in range((n + 1) // 2)
+            ]
+    return [list(e.cases[n]) for e in engines]
 
-    def block(outer_cell: tuple[float, float], pz_count: int, npz_count: int) -> float:
-        """Integral over u1' of prod(A) - prod(B) for the two groups."""
-        groups = [
-            ((len(_SIDES[outer_cell, cell]) * engine.cells[cell].mass) ** count,
-             count * engine.log_keep[outer_cell, cell])
-            for count, cell in ((pz_count, PZ_CELL), (npz_count, NPZ_CELL))
-            if count
-        ]
-        # the telescoped sum, accumulated from the last group down; it never
-        # reads the last group's B
-        full, log_b = groups[-1]
-        value = -full * np.expm1(log_b)
-        for a, log_b in reversed(groups[:-1]):
-            value = -a * np.expm1(log_b) * full + a * np.exp(log_b) * value
-            full *= a
-        return float(np.dot(weighted[outer_cell], value))
 
-    cases = []
-    for m in range((n + 1) // 2):
-        total = 2.0 * math.comb(n - 1, m - 1) * block(PZ_CELL, m - 1, n - m) if m else 0.0
-        total += math.comb(n - 1, m) * block(NPZ_CELL, m, n - 1 - m)
-        cases.append(total)
-    return cases
+def _block_integrals(
+    engines: list[_Engine], outer_cell: tuple[float, float], counts: list[tuple[int, int]]
+) -> list[list[float]]:
+    """Each engine's integral over u1' of prod(A) - prod(B), one per block of (PZ, NPZ) counts.
+
+    The telescoped sum is accumulated from the NPZ group, which every block
+    has and which comes last, down to the PZ group, which every block but
+    the first has (``counts`` runs up in the PZ count from 0); it never
+    reads the last group's B.
+    """
+    lengths = [len(e.cells[outer_cell].x) for e in engines]
+
+    def scalars(cell: tuple[float, float], rows: list[int]) -> np.ndarray:
+        """(s*a)^c of each block row and engine, repeated over the engine's nodes."""
+        sides = len(_SIDES[outer_cell, cell])
+        a = np.array([[(sides * e.cells[cell].mass) ** c for e in engines] for c in rows])
+        return a if len(engines) == 1 else a.repeat(lengths, axis=1)
+
+    def joined(arrays: list[np.ndarray]) -> np.ndarray:
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    pz_counts, npz_counts = ([c[i] for c in counts] for i in (0, 1))
+    full = scalars(NPZ_CELL, npz_counts)
+    log_b = np.array(npz_counts)[:, None] * joined([e.log_keep[outer_cell, NPZ_CELL] for e in engines])
+    value = -full * np.expm1(log_b)
+    if len(counts) > 1:
+        a = scalars(PZ_CELL, pz_counts[1:])
+        log_b = np.array(pz_counts[1:])[:, None] * joined(
+            [e.log_keep[outer_cell, PZ_CELL] for e in engines])
+        value[1:] = -a * np.expm1(log_b) * full[1:] + a * np.exp(log_b) * value[1:]
+    weighted = joined([e.cells[outer_cell].w * e.cells[outer_cell].f for e in engines])
+    ends = list(itertools.accumulate(lengths, initial=0))
+    return [[float(np.dot(weighted[lo:hi], row[lo:hi])) for row in value]
+            for lo, hi in zip(ends, ends[1:])]
 
 
 @cache
@@ -703,8 +924,18 @@ _SHARED: ContextVar[dict[tuple, _Engine] | None] = ContextVar("gkprep_shared_eng
 # Engines (P_F among their fields) one block keeps, oldest dropped first.  A
 # fine engine's arrays (cells, miss integrals and miss ratios) take about
 # 10 kB, so a sweep over any number of noise points holds at most about
-# 10 MB here.
+# 10 MB here.  A batch's engines are views of the batch's arrays, which stay
+# alive until its last engine is dropped.  Callers prime at most half this
+# many engines at a time (prime_engines), so no batch drops its own.
 _SHARED_MAX = 1024
+
+# The squared node counts of one build batch add up to about this at most;
+# a longer run of points is split into even batches.  A with-EC complement
+# table has (2P - 1)*k^2 <= 3N^2/4 elements, and a stacked build holds the
+# equivalent of about three such tables at once, about 20 MB; measured with
+# tracemalloc, a batch of 80 engines at 64 and 96 nodes (half this budget)
+# peaked at 7.4 MB.
+_BATCH_SQUARES = 1 << 20
 
 
 @contextmanager
@@ -713,8 +944,10 @@ def shared_engines() -> Iterator[None]:
 
     Rate and P_F calls in the block reuse the cell engines (nodes,
     densities, miss integrals, P_F) of any noise point an earlier call
-    built.  A nested block joins the outer one; the memo is dropped when
-    the outermost block exits.
+    built.  Callers that know their points in advance fill the memo with
+    whole batches first (:func:`prime_engines`): the crossing scan, the
+    optimal-bias scan and each sweep stretch.  A nested block joins the
+    outer one; the memo is dropped when the outermost block exits.
     """
     if _SHARED.get() is not None:
         yield
@@ -832,34 +1065,136 @@ def map_parts(fn: Callable[[int, int], Iterable], parts: int) -> Iterator[list[I
             os.waitpid(pid, 0)
 
 
-def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int) -> _Engine:
-    """The engine of ``params`` at ``n_nodes``, memoized inside :func:`shared_engines`."""
-    build = _residual_engine if gkp_ec else _intrinsic_engine
+def _built(
+    build: Callable[..., list[_Engine]], points: list[tuple[NoiseParams, int]], full: bool
+) -> list[_Engine | Exception]:
+    """``build``'s engine of each point, in as few even batches as ``_BATCH_SQUARES`` allows.
+
+    A batch that raises is built again point by point, and a point whose own
+    build raises gets the exception in place of its engine.
+    """
+    count = -(-sum(n_nodes**2 for _, n_nodes in points) // _BATCH_SQUARES)
+    out: list[_Engine | Exception] = []
+    for span in (stretch(len(points), part, count) for part in range(count)):
+        batch = points[span.start:span.stop]
+        try:
+            out += build(batch, full)
+        except Exception as exc:  # noqa: BLE001 - each point raises for itself
+            out += [exc] if len(batch) == 1 else [
+                item for point in batch for item in _built(build, [point], full)]
+    return out
+
+
+def _make_engines(
+    gkp_ec: bool, points: Sequence[tuple[NoiseParams, int]], full: bool = True
+) -> list[_Engine | Exception]:
+    """The engine of each (params, node count) point, memoized inside :func:`shared_engines`.
+
+    The memo is first in, first out, as if the points were asked for one at
+    a time: a point it holds is a hit, and a point it lacks takes the newest
+    place, dropping the oldest engine at ``_SHARED_MAX``.  The points it
+    lacks are then built together (:func:`_built`); a point whose build
+    raises gets its exception instead of an engine and leaves no entry.  A
+    P_F-only request (``full`` False) takes any engine of its point, a full
+    one never a P_F-only engine.
+    """
     memo = _SHARED.get()
-    if memo is None:
-        return build(params, n_nodes)
-    key = (gkp_ec, params.delta, params.delta_tilde, n_nodes)
-    if key not in memo:
-        if len(memo) >= _SHARED_MAX:
-            del memo[next(iter(memo))]
-        memo[key] = build(params, n_nodes)
-    return memo[key]
+    keys = [(gkp_ec, params.delta, params.delta_tilde, n_nodes) for params, n_nodes in points]
+    found: dict[tuple, _Engine | Exception | None] = {}
+    for key in keys:
+        engine = memo.get(key) if memo is not None else None
+        if engine is not None and (engine.miss is not None or not full):
+            found.setdefault(key, engine)
+        elif key not in found:
+            found[key] = None
+            if memo is not None:
+                memo.pop(key, None)
+                while len(memo) >= _SHARED_MAX:
+                    del memo[next(iter(memo))]
+                memo[key] = None
+    todo = {key: point for key, point in zip(keys, points) if found[key] is None}
+    build = _residual_engine if gkp_ec else _intrinsic_engine
+    for key, engine in zip(todo, _built(build, list(todo.values()), full)):
+        found[key] = engine
+        if memo is not None and key in memo:
+            if isinstance(engine, _Engine):
+                memo[key] = engine
+            else:
+                del memo[key]
+    return [found[key] for key in keys]
+
+
+def _raised(engine: _Engine | Exception) -> _Engine:
+    """``engine``, or its build's exception raised."""
+    if isinstance(engine, Exception):
+        raise engine
+    return engine
+
+
+def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int) -> _Engine:
+    """The engine of ``params`` at ``n_nodes``: :func:`_make_engines`' batch of one."""
+    return _raised(_make_engines(gkp_ec, [(params, n_nodes)])[0])
+
+
+def prime_engines(
+    points: Iterable[tuple[NoiseParams, int | None]],
+    cfg: QuadratureConfig,
+    gkp_ec: bool = True,
+    full: bool = True,
+) -> None:
+    """Fill the open :func:`shared_engines` memo for the rate calls to come.
+
+    Each point is a noise point and the code size whose rate will be asked
+    there, or None where only P_F will be (``full`` False gives P_F-only
+    engines).  The coarse and fine engines of every point are built as one
+    batch (:func:`_make_engines`), then each code size's per-case values in
+    one stacked pass over its points' engines (:func:`_stacked_cases`).
+    Outside a block, or by the tensor method, this does nothing.  Points that
+    no rate call builds engines for are skipped: an invalid code size, the
+    ideal ancilla with EC, a bias, the no-EC rate below ``MIN_NOEC_NODES``.
+    So are points whose build raises: their rate calls raise for themselves.
+    The memo keeps the last ``_SHARED_MAX`` engines, so a caller primes at
+    most ``_SHARED_MAX // 4`` points, half the memo, before it asks for
+    their rates.
+    """
+    if _SHARED.get() is None or cfg.method != "factorized":
+        return
+    if not gkp_ec and cfg.nodes_per_dim < MIN_NOEC_NODES:
+        return
+    by_size: dict[int | None, dict[NoiseParams, None]] = {}
+    for params, n in points:
+        if n is not None and _integral(n) not in range(3, 16, 2):
+            continue
+        if params.r == 1.0 and not (gkp_ec and params.ideal_ancilla):
+            by_size.setdefault(n if n is None else _integral(n), {})[params] = None
+    rungs = (cfg.nodes_per_dim, 3 * cfg.nodes_per_dim // 2)
+    unique = dict.fromkeys(params for members in by_size.values() for params in members)
+    batch = [(params, n_nodes) for n_nodes in rungs for params in unique]
+    engines = dict(zip(batch, _make_engines(gkp_ec, batch, full)))
+    for n, members in by_size.items():
+        if n is not None:
+            _stacked_cases([engines[params, r] for params in members for r in rungs
+                            if isinstance(engines[params, r], _Engine)], CodeSize(n))
 
 
 def _certified(
     gkp_ec: bool,
     params: NoiseParams,
     cfg: QuadratureConfig,
-    values: Callable[[_Engine], list[float]],
+    values: Callable[[list[_Engine]], list[list[float]]],
+    full: bool = True,
 ) -> list[float]:
-    """``values`` of the refine engine, each within ``_ABS_TOL`` of the coarse engine's.
+    """The refine engine's ``values``, each within ``_ABS_TOL`` of the coarse engine's.
 
     The refine engine has ``3 * cfg.nodes_per_dim // 2`` nodes; every
-    accepted ``nodes_per_dim`` gives it more nodes in every cell.
+    accepted ``nodes_per_dim`` gives it more nodes in every cell.  Both rungs
+    come from one batch (:func:`_make_engines`), P_F-only ones when ``full``
+    is False, and ``values`` maps the two to their lists at once; a rung
+    whose build raised raises here, the coarse one first.
     """
     fine_nodes = 3 * cfg.nodes_per_dim // 2
-    coarse, fine = (values(_make_engine(gkp_ec, params, nodes))
-                    for nodes in (cfg.nodes_per_dim, fine_nodes))
+    rungs = _make_engines(gkp_ec, [(params, cfg.nodes_per_dim), (params, fine_nodes)], full)
+    coarse, fine = values([_raised(engine) for engine in rungs])
     gap = max(abs(a - b) for a, b in zip(coarse, fine))
     if gap > _ABS_TOL:
         raise QuadratureError(
@@ -914,9 +1249,9 @@ def _failure_rate_impl(
             raise ValueError("tensor with n=5 allows at most 40 nodes per cell")
         cases, pauli_rate = _tensor_cases(engine, size), engine.pauli_rate
     else:
-        *cases, pauli_rate = _certified(
-            gkp_ec, params, cfg, lambda e: [*_factorized_cases(e, size), e.pauli_rate]
-        )
+        *cases, pauli_rate = _certified(gkp_ec, params, cfg, lambda rungs: [
+            [*cases, e.pauli_rate] for e, cases in zip(rungs, _stacked_cases(rungs, size))
+        ])
     return _breakdown(cases, classical_failure(size, pauli_rate), size)
 
 
@@ -969,9 +1304,9 @@ def pauli_rate_physical_report(
     if params.ideal_ancilla:
         full = two_cell = pauli_rate_ideal(params.delta)
     else:
-        full, two_cell = _certified(
-            True, params, cfg, lambda e: [e.pauli_rate, 2.0 * e.cells[PZ_CELL].mass]
-        )
+        full, two_cell = _certified(True, params, cfg, lambda rungs: [
+            [e.pauli_rate, 2.0 * e.cells[PZ_CELL].mass] for e in rungs
+        ], full=False)
     return {"value": full, "two_cell": two_cell, "difference": full - two_cell}
 
 
@@ -990,8 +1325,7 @@ def overall_failure_biased(
     """
     size = _as_size(n)
     mom_first, mom_rest = params.biased_momentum_spreads(size.n)
-    pos_params = NoiseParams(delta=params.position_spread, delta_tilde=params.delta_tilde)
-    p_rep = failure_rate(size, pos_params, cfg).total
+    p_rep = failure_rate(size, params.position_noise(), cfg).total
     return -math.expm1(
         (size.n - 1) * math.log1p(-pauli_rate_ideal(mom_rest))
         + math.log1p(-pauli_rate_ideal(mom_first))

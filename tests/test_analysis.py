@@ -24,6 +24,46 @@ from gkprep.repetition import (
 )
 
 
+def _record_batches(monkeypatch):
+    """Record each with-EC build batch as its (delta, delta_tilde, nodes) points."""
+    import gkprep.repetition as repetition
+
+    batches = []
+    build = repetition._residual_engine
+
+    def recording_build(points, full=True):
+        batches.append([(params.delta, params.delta_tilde, nodes) for params, nodes in points])
+        return build(points, full)
+
+    monkeypatch.setattr(repetition, "_residual_engine", recording_build)
+    return batches
+
+
+class TestPrimedScans:
+    """A scan builds its points' coarse and fine engines in one batch, and no engine twice."""
+
+    def test_crossing_scan_is_one_batch(self, monkeypatch):
+        batches = _record_batches(monkeypatch)
+        q = CrossingQuery(delta=0.5, left_size=5, right_size=3, bracket=(0.075, 0.325))
+        assert critical_ancilla_spread(q).status == "found"
+        built = [point for batch in batches for point in batch]
+        assert len(built) == len(set(built))
+        lo, hi = q.bracket
+        scan = [(0.5, lo + (hi - lo) * i / 9.0, nodes) for nodes in (64, 96) for i in range(10)]
+        assert sorted(batches[0]) == sorted(scan)
+        # each ITP step builds its own point's pair
+        assert len(batches) > 1 and all(len(batch) == 2 for batch in batches[1:])
+
+    def test_optimal_bias_scan_is_one_batch(self, monkeypatch):
+        batches = _record_batches(monkeypatch)
+        optimal_bias(5, 0.5, 0.1)
+        built = [point for batch in batches for point in batch]
+        assert len(built) == len(set(built))
+        rs = [1.0 + 5.0 * i / 19 for i in range(20)]
+        assert sorted(batches[0]) == sorted((r * 0.5, 0.1, nodes) for nodes in (64, 96) for r in rs)
+        assert all(len(batch) == 2 for batch in batches[1:])
+
+
 class TestCriticalAncillaSpread:
     def test_single_vs_three_qubit_crossing(self):
         q = CrossingQuery(delta=0.5, left_size="single", right_size=3, bracket=(0.15, 0.45))
@@ -56,9 +96,10 @@ class TestCriticalAncillaSpread:
             sampled.append(params.delta_tilde)
             return failure_rate(n, params, cfg)
 
-        def counted_build(params, n_nodes):
-            built.setdefault(params.delta_tilde, []).append(n_nodes)
-            return build(params, n_nodes)
+        def counted_build(points, full=True):
+            for params, n_nodes in points:
+                built.setdefault(params.delta_tilde, []).append(n_nodes)
+            return build(points, full)
 
         monkeypatch.setattr(analysis, "failure_rate", counted_rate)
         monkeypatch.setattr(repetition, "_residual_engine", counted_build)

@@ -131,11 +131,12 @@ class TestExitCodes:
         # overweight tail of a rate and in pf itself
         build = repetition._residual_engine
 
-        def raised_coarse_pauli_rate(params, n_nodes):
-            engine = build(params, n_nodes)
-            if n_nodes == 64:
-                engine = dataclasses.replace(engine, pauli_rate=engine.pauli_rate + 1e-7)
-            return engine
+        def raised_coarse_pauli_rate(points, full=True):
+            return [
+                dataclasses.replace(engine, pauli_rate=engine.pauli_rate + 1e-7)
+                if n_nodes == 64 else engine
+                for engine, (_, n_nodes) in zip(build(points, full), points)
+            ]
 
         monkeypatch.setattr(repetition, "_residual_engine", raised_coarse_pauli_rate)
         with pytest.raises(repetition.QuadratureError, match="abs_tol"):
@@ -159,10 +160,10 @@ class TestEngineLifetime:
         engines = []
         build = repetition._residual_engine
 
-        def recording_build(*args):
-            engine = build(*args)
-            engines.append(weakref.ref(engine))
-            return engine
+        def recording_build(points, full=True):
+            built = build(points, full)
+            engines.extend(weakref.ref(engine) for engine in built)
+            return built
 
         monkeypatch.setattr(repetition, "_residual_engine", recording_build)
         argv = [
@@ -790,7 +791,7 @@ class TestRunFiles:
     def test_crossing_curves_checked_before_any_rate(self, left, right, message, tmp_path,
                                                      monkeypatch):
         calls = []
-        monkeypatch.setattr(repetition, "_make_engine", lambda *a: calls.append(a))
+        monkeypatch.setattr(repetition, "_make_engines", lambda *a: calls.append(a))
         run_file = write_run_file(tmp_path, {
             "schema_version": 1,
             "crossing": {"delta": 0.5, "left_size": left, "right_size": right},
@@ -927,7 +928,7 @@ class TestQuantityRegistry:
         # the "single" curve is P_F, which has no tensor route; the refusal
         # comes before any engine is built
         calls = []
-        monkeypatch.setattr(repetition, "_make_engine", lambda *a: calls.append(a))
+        monkeypatch.setattr(repetition, "_make_engines", lambda *a: calls.append(a))
         spec = {"schema_version": 1, "engine": {"method": "tensor", "nodes_per_dim": 48},
                 "crossing": {"delta": 0.5, "left_size": left, "right_size": right,
                              "bracket": [0.15, 0.45]}}

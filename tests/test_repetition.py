@@ -11,7 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gkprep import repetition
+from gkprep import lattice, repetition
+from gkprep.analysis import SweepSpec, run_sweep
 from gkprep.distributions import NoiseParams, pauli_rate_ideal
 from gkprep.lattice import (
     HALF_CELL,
@@ -410,9 +411,9 @@ class TestSharedEngines:
         built = []
         build = getattr(repetition, builder)
 
-        def counting_build(params, n_nodes):
-            built.append(n_nodes)
-            return build(params, n_nodes)
+        def counting_build(points, full=True):
+            built.extend(n_nodes for _, n_nodes in points)
+            return build(points, full)
 
         monkeypatch.setattr(repetition, builder, counting_build)
         return built
@@ -437,11 +438,12 @@ class TestSharedEngines:
 
     def test_one_engine_pair_per_noise_point(self, monkeypatch):
         # P_F and every code size's rate and overweight tail share the pair
+        # (P_F asked first builds P_F-only engines; see TestPauliRateOnly)
         built = self._count_engines(monkeypatch)
         with shared_engines():
-            pauli_rate_physical(NoiseParams(0.5, 0.2))
             for n in (3, 5, 7, 9):
                 failure_rate(n, NoiseParams(0.5, 0.2))
+            pauli_rate_physical(NoiseParams(0.5, 0.2))
         assert sorted(built) == [64, 96]
 
     def test_nested_scope_joins_the_outer_one(self, monkeypatch):
@@ -545,11 +547,147 @@ class TestEngineRecord:
 
     def test_no_engine_carries_a_translate_count(self):
         fields = [f.name for f in dataclasses.fields(repetition._Engine)]
-        assert fields == ["cells", "miss", "log_keep", "pauli_rate", "dt"]
+        assert fields == ["cells", "miss", "log_keep", "pauli_rate", "dt", "cases"]
         with shared_engines():
             failure_rate(3, NoiseParams(0.5, 0.2))
             assert list(repetition._SHARED.get()) == [
                 (True, 0.5, 0.2, 64), (True, 0.5, 0.2, 96)]
+
+
+def _engine_bytes(engine):
+    """Every array, mass and rate of an engine, as bytes and hex floats."""
+    def arrays(table):
+        return None if table is None else {key: a.tobytes() for key, a in table.items()}
+
+    cells = {key: (c.x.tobytes(), c.w.tobytes(), c.f.tobytes(), c.mass.hex())
+             for key, c in engine.cells.items()}
+    return cells, arrays(engine.miss), arrays(engine.log_keep), engine.pauli_rate.hex(), engine.dt
+
+
+def _switch_spreads(nodes):
+    """Ancilla spreads just below and above every with-EC layout and comb-term-count switch.
+
+    A switch is a change of the panel count or order, of the reach reaching
+    the cell edge, or of the comb's term count K, on a fine grid of dt.
+    """
+    def marks(dt):
+        reach, n_panels, order = repetition.peaked_cell_layout(HALF_CELL, dt, nodes)
+        return reach == HALF_CELL, n_panels, order, lattice._comb_term_count(SQRT_PI, dt**2)
+
+    grid = np.geomspace(0.01, 0.6, 240).tolist()
+    return sorted({dt for a, b in zip(grid, grid[1:]) if marks(a) != marks(b) for dt in (a, b)})
+
+
+class TestStackedBuilds:
+    """A batch build equals the one-at-a-time builds of its points, bit for bit."""
+
+    NODES = (16, 48, 64, 96, 144)
+
+    def test_spreads_cross_every_switch(self):
+        for nodes in self.NODES:
+            spreads = _switch_spreads(nodes)
+            every = {repetition.peaked_cell_layout(HALF_CELL, dt, nodes)[1:]
+                     for dt in np.geomspace(0.01, 0.6, 240).tolist()}
+            layouts = {repetition.peaked_cell_layout(HALF_CELL, dt, nodes)[1:] for dt in spreads}
+            terms = {lattice._comb_term_count(SQRT_PI, dt**2) for dt in spreads}
+            assert layouts == every and terms == {1, 2, 3}, nodes
+
+    @pytest.mark.parametrize("gkp_ec", [True, False], ids=["ec", "noec"])
+    def test_mixed_batches_equal_batches_of_one(self, gkp_ec):
+        build = repetition._residual_engine if gkp_ec else repetition._intrinsic_engine
+        points = [(NoiseParams(delta, dt), nodes)
+                  for nodes in self.NODES for dt in _switch_spreads(nodes)
+                  for delta in (0.1, 0.3, 0.5, 0.8)]
+        order = np.random.default_rng(34).permutation(len(points))
+        for chunk in np.array_split(order, 8):
+            batch = [points[i] for i in chunk]
+            for point, engine in zip(batch, build(batch)):
+                assert _engine_bytes(engine) == _engine_bytes(build([point])[0]), point
+
+    def test_batch_of_one_is_the_memo_entry(self):
+        with shared_engines():
+            for gkp_ec in (True, False):
+                batch = [(NoiseParams(0.5, 0.2), 64), (NoiseParams(0.3, 0.045), 96)]
+                for (params, nodes), engine in zip(batch, repetition._make_engines(gkp_ec, batch)):
+                    assert repetition._make_engine(gkp_ec, params, nodes) is engine
+
+    def test_a_raising_point_raises_for_itself(self):
+        good = [(NoiseParams(0.5, 0.2), 64), (NoiseParams(0.3, 0.1), 96)]
+        batch = [good[0], (NoiseParams(100.0, 0.2), 64), good[1]]
+        first, failed, last = repetition._make_engines(True, batch)
+        assert isinstance(failed, TruncationError)
+        for (params, nodes), engine in zip(good, (first, last)):
+            want = repetition._make_engine(True, params, nodes)
+            assert _engine_bytes(engine) == _engine_bytes(want)
+        spec = SweepSpec("pfrep", (("delta", (0.5, 100.0, 0.3)),), {"delta_tilde": 0.2, "n": 3})
+        with shared_engines():
+            statuses = [row[-1] for row in run_sweep(spec).rows]
+        assert statuses == ["ok", "error:TruncationError", "ok"]
+
+    @pytest.mark.parametrize("gkp_ec", [True, False], ids=["ec", "noec"])
+    def test_stacked_cases_equal_one_engine_passes(self, gkp_ec):
+        points = [(NoiseParams(delta, dt), nodes) for delta, dt, nodes in itertools.product(
+            (0.1, 0.3, 0.5, 0.8), (0.045, 0.2, 0.45), (48, 64, 96))]
+        engines = repetition._make_engines(gkp_ec, points)
+        for n in (3, 9, 15):
+            stacked = repetition._stacked_cases(engines, CodeSize(n))
+            for engine, cases in zip(engines, stacked):
+                fresh = dataclasses.replace(engine)
+                assert not fresh.cases
+                assert cases == repetition._factorized_cases(fresh, CodeSize(n))
+                assert engine.cases[n] == cases
+
+    def test_pauli_rate_only_engines_keep_the_cells_and_pauli_rate(self):
+        points = [(NoiseParams(delta, dt), nodes) for delta, dt, nodes in itertools.product(
+            (0.1, 0.5), (0.02, 0.2, 0.6), (64, 96))]
+        for partial, full in zip(repetition._residual_engine(points, full=False),
+                                 repetition._residual_engine(points)):
+            assert partial.miss is None and partial.log_keep is None
+            assert _engine_bytes(partial)[0::3] == _engine_bytes(full)[0::3]
+
+    def test_a_rate_after_pf_gets_the_full_engine(self, monkeypatch):
+        calls = []
+        build = repetition._residual_engine
+
+        def recording_build(points, full=True):
+            calls.extend((nodes, full) for _, nodes in points)
+            return build(points, full)
+
+        monkeypatch.setattr(repetition, "_residual_engine", recording_build)
+        params = NoiseParams(0.5, 0.2)
+        with shared_engines():
+            first_pf = pauli_rate_physical(params)
+            rate = failure_rate(3, params)
+            second_pf = pauli_rate_physical(params)
+            assert all(engine.miss is not None for engine in repetition._SHARED.get().values())
+        assert calls == [(64, False), (96, False), (64, True), (96, True)]
+        calls.clear()
+        assert first_pf == second_pf == pauli_rate_physical(params)
+        assert rate == failure_rate(3, params)
+
+    def test_pf_sweep_builds_pauli_rate_only_engines(self, monkeypatch):
+        calls = []
+        build = repetition._residual_engine
+
+        def recording_build(points, full=True):
+            calls.append((len(points), full))
+            return build(points, full)
+
+        monkeypatch.setattr(repetition, "_residual_engine", recording_build)
+        spec = SweepSpec("pf", (("delta_tilde", tuple(np.linspace(0.02, 0.6, 40))),),
+                         {"delta": 0.5})
+        fresh = run_sweep(spec)
+        calls.clear()
+        with shared_engines():
+            assert run_sweep(spec) == fresh
+        assert calls == [(80, False)]
+        # a 256-cell stretch takes even batches of at most about _BATCH_SQUARES
+        calls.clear()
+        spec = SweepSpec("pf", (("delta_tilde", tuple(np.linspace(0.02, 0.6, 300))),),
+                         {"delta": 0.5})
+        with shared_engines():
+            run_sweep(spec)
+        assert calls == [(128, False)] * 4 + [(88, False)]
 
 
 class TestBinomialContraction:
@@ -734,7 +872,7 @@ class TestMissTable:
             (0.3, 0.5, 0.8), (8, 16, 24, 64, 96, 128), (0, 1, 2)
         ):
             _set_translates(monkeypatch, neighbors)
-            engine = repetition._residual_engine(NoiseParams(delta, dt), nodes)
+            engine = repetition._make_engine(True, NoiseParams(delta, dt), nodes)
             for (outer_cell, cell), sides in repetition._SIDES.items():
                 outer_x, inner = engine.cells[outer_cell].x, engine.cells[cell]
                 for window, reflect in sides:
@@ -767,7 +905,7 @@ class TestMissTable:
     @pytest.mark.parametrize("dt", [0.01, 0.08, 0.35])
     @pytest.mark.parametrize("nodes", [8, 64, 96])
     def test_both_cells_share_one_panel_layout(self, dt, nodes):
-        engine = repetition._residual_engine(NoiseParams(0.5, dt), nodes)
+        engine = repetition._make_engine(True, NoiseParams(0.5, dt), nodes)
         reach, n_panels, order = repetition.peaked_cell_layout(repetition.HALF_CELL, dt, nodes)
         hw = reach / n_panels
         t, _ = np.polynomial.legendre.leggauss(order)
@@ -798,7 +936,7 @@ class TestMissTable:
         # the window complement evaluated on every offset, both edges and all
         # translates, then contracted as the engine does: equal bit for bit
         _set_translates(monkeypatch, neighbors)
-        engine = repetition._residual_engine(NoiseParams(delta, dt), nodes)
+        engine = repetition._make_engine(True, NoiseParams(delta, dt), nodes)
         reach, n_panels, order = repetition.peaked_cell_layout(repetition.HALF_CELL, dt, nodes)
         hw = reach / n_panels
         t = repetition._leggauss(order)[0]
@@ -880,7 +1018,7 @@ class TestStackedRectangles:
     def test_matches_one_call_per_side_bit_for_bit(self, delta, dt, monkeypatch):
         for nodes, neighbors in itertools.product((32, 64, 96), (0, 1, 2)):
             _set_translates(monkeypatch, neighbors)
-            engine = repetition._intrinsic_engine(NoiseParams(delta, dt), nodes)
+            engine = repetition._make_engine(False, NoiseParams(delta, dt), nodes)
             for key in repetition._MISS_KEYS:
                 got = engine.miss[key]
                 want = _per_side_miss(engine, delta, neighbors, *key)
@@ -896,7 +1034,7 @@ class TestStackedRectangles:
             lambda *args, **kwargs: calls.append(args) or overlap(*args, **kwargs),
         )
         _set_translates(monkeypatch, neighbors)
-        repetition._intrinsic_engine(NoiseParams(0.5, 0.2), 64)
+        repetition._make_engine(False, NoiseParams(0.5, 0.2), 64)
         assert len(calls) == (2 if neighbors else 1)
 
 
@@ -955,10 +1093,10 @@ class TestOnePolicyOwner:
         params = NoiseParams(0.5, 0.2)
         monkeypatch.setattr(repetition, "MAX_TERMS", 1)
         with pytest.raises(TruncationError, match="within 1 cells"):
-            repetition._residual_engine(params, 64)
+            repetition._make_engine(True, params, 64)
         # a bound every cell meets stops the sum after the innermost cell pair
         monkeypatch.setattr(repetition, "ABS_TAIL_BOUND", 1.0)
-        engine = repetition._residual_engine(params, 64)
+        engine = repetition._make_engine(True, params, 64)
         assert engine.pauli_rate == 2.0 * engine.cells[repetition.PZ_CELL].mass
 
     def test_every_route_leaves_through_one_breakdown(self, monkeypatch):
@@ -980,7 +1118,7 @@ class TestOnePolicyOwner:
         params = NoiseParams(0.5, 0.1)
         counts = {}
         for nodes in (16, 24, 47, 48, 53, 54, 64, 96):
-            engine = repetition._intrinsic_engine(params, nodes)
+            engine = repetition._make_engine(False, params, nodes)
             for bounds, cell in engine.cells.items():
                 x, w = repetition._intrinsic_cell_nodes(bounds, params, nodes)
                 assert x.tobytes() == cell.x.tobytes() and w.tobytes() == cell.w.tobytes()
