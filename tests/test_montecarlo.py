@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -538,6 +539,41 @@ class TestRunTally:
         run_tally(cfg, trace=blocks.extend)
         assert len(blocks) > 1  # the shot count crosses a text-block edge
         assert hashlib.sha256("".join(blocks).encode()).hexdigest() == digest
+
+    # sha256 of json.dumps(asdict(tally), sort_keys=True) of a 2-part tally,
+    # recorded from the row-major draw blocks that the column-major ones
+    # replaced; delta is 0.8 at delta_tilde = 0, 0.6 otherwise
+    @pytest.mark.parametrize("n, mode, gkp_ec, delta_tilde, digest", [
+        (3, "position", True, 0.3,
+         "35fbed25a725787d5c6d5d6de4ed4076dc2838a5b17b6bdb5b77c8109ef25af8"),
+        (3, "biased", True, 0.3,
+         "0abaec7ed0786180fd91ee384bb8af165aaaf0471d03d6fe2a74f526fedc7f4f"),
+        (3, "position", False, 0.0,
+         "c58579371f0158fa70814dbafeb18393696df2b26cae809204881cd21e44d941"),
+        (9, "position", True, 0.3,
+         "5b7b43d686808197fe9438cfb8cc4b6cf2d44bb10576e24e5edb708b51168b15"),
+        (9, "biased", True, 0.3,
+         "959134b32ab5d6d2a7df0c35c26431107b1c64f684aa35f1a52556b060551acb"),
+        (9, "position", False, 0.0,
+         "cffc343aefd0160edb215ee6ece028a098a97b071d35e6f019bf82c5036a443e"),
+        (9, "biased", False, 0.3,
+         "e362458eeb8183d2a9c4f0770661ab50543d7d616c5c8c64be14288a339bc400"),
+        (15, "position", True, 0.3,
+         "9b3f818fe09c5efe560cdfab6d2c76522ea79a17919c333a61f3acfdfe419241"),
+        (15, "biased", True, 0.0,
+         "aab739fab22ddf94893901ff67397a9ccf5cc3fcf5b7db21e0d177428ccb83bd"),
+        (15, "position", False, 0.3,
+         "7d9c27690b1805074a267cfb0740e03c365b40ea187fbbefb3e0bf7537c30e1b"),
+    ])
+    def test_tally_bytes_are_pinned(self, n, mode, gkp_ec, delta_tilde, digest):
+        r = 1.5 if mode == "biased" else 1.0
+        params = NoiseParams(0.6 if delta_tilde else 0.8, delta_tilde, r=r)
+        cfg = ShotConfig(n, params, shots=20_003, seed=35, mode=Mode(mode), gkp_ec=gkp_ec)
+        assert cfg.shots > 2 * montecarlo._CHUNK_SHOTS  # at least three chunks
+        tally = run_tally(cfg, 2)
+        assert tally.failures > 0
+        text = json.dumps(dataclasses.asdict(tally), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_trace_does_not_depend_on_chunk_size(self, monkeypatch):
         cfg = ShotConfig(5, NoiseParams(0.5, 0.3, r=1.5), shots=2_500, seed=9,
