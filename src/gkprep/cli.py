@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument(
         "--workers", type=int,
         help="worker processes (default: the available cores); min(this, available "
-             "cores, 8,192-shot chunks) are used",
+             "cores, 4,096-shot chunks) are used",
     )
     mc.add_argument("--out")
     mc.add_argument(

@@ -117,6 +117,12 @@ class TestCounterRng:
         first[:] = 0.0
         assert normal_draws(3, idx, range(2), 0.5).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("spread", [0.0, 0.37])
+    def test_slot_blocks_are_column_major(self, spread):
+        # each slot's shots are contiguous, so every pass runs along a column
+        block = normal_draws(3, np.arange(50, dtype=np.uint64), range(4, 9), spread)
+        assert block.shape == (50, 5) and block.flags.f_contiguous
+
     def test_largest_code_fits_the_slots_of_one_shot(self):
         # biased mode draws slots 0 .. 4n-2 of each shot
         ShotConfig(15, NoiseParams(0.5, 0.2), shots=10, mode=Mode.BIASED_FULL)
@@ -155,6 +161,13 @@ class TestDecoder:
         want = np.array(list(table.values()), dtype=bool)
         got = decode_syndrome_bits(syndromes)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_column_major_syndromes_decode_alike(self, n):
+        syndromes = np.array(list(decoder_table(n)), dtype=bool)
+        by_columns = decode_syndrome_bits(np.asfortranarray(syndromes))
+        assert by_columns.flags.f_contiguous
+        assert np.array_equal(by_columns, decode_syndrome_bits(syndromes))
 
     def test_all_pz_means_first_qubit(self):
         got = decode_syndrome_bits(np.ones((1, 4), dtype=bool))[0]
@@ -406,6 +419,23 @@ class TestRunTally:
         want = normal_draws(5, shots, range(3), params.position_spread)
         assert np.array_equal(montecarlo._simulate(cfg, shots)["u"], want)
 
+    @pytest.mark.parametrize("mode, gkp_ec, overrides", [
+        ("position", True, None),
+        ("position", False, None),
+        ("biased", True, None),
+        ("position", True, ShotOverrides(raw_data=np.ones(5), raw_ancilla=np.zeros(5))),
+        ("position", True, ShotOverrides(residuals=np.zeros((40, 5)), alphas=np.ones(4))),
+    ])
+    def test_chunk_arrays_are_column_major(self, mode, gkp_ec, overrides):
+        r = 1.5 if mode == "biased" else 1.0
+        cfg = ShotConfig(5, NoiseParams(0.5, 0.3, r=r), shots=40, seed=2, mode=mode,
+                         gkp_ec=gkp_ec)
+        out = montecarlo._simulate(cfg, np.arange(40, dtype=np.uint64), overrides)
+        shapes = {"u": (40, 5), "u_resid": (40, 5), "alpha": (40, 4), "syndromes": (40, 4),
+                  "true_pattern": (40, 5), "inferred_pattern": (40, 5)}
+        for name, shape in shapes.items():
+            assert out[name].shape == shape and out[name].flags.f_contiguous, name
+
     def test_mode_value_selects_the_mode(self):
         params = NoiseParams(0.6, 0.3, r=1.5)
         by_value = ShotConfig(3, params, shots=3_000, seed=3, mode="biased")
@@ -420,7 +450,7 @@ class TestRunTally:
         cfg = ShotConfig(5, NoiseParams(0.5, 0.3), shots=100_001, seed=7)
         results = [run_tally(cfg, partitions=p) for p in (1, 2, 8)]
         assert results[0] == results[1] == results[2]
-        for chunk_size in (1000, 1 << 13, 1 << 16):
+        for chunk_size in (1000, 1 << 12, 1 << 13, 1 << 16):
             monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk_size)
             assert run_tally(cfg) == results[0]
 
@@ -579,13 +609,13 @@ class TestRunTally:
         cfg = ShotConfig(5, NoiseParams(0.5, 0.3, r=1.5), shots=2_500, seed=9,
                          mode=Mode.BIASED_FULL)
         texts = []
-        for chunk_size in (1, 7, 1000, 1 << 13, 1 << 16):
+        for chunk_size in (1, 7, 1000, 1 << 12, 1 << 13, 1 << 16):
             monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk_size)
             blocks = []
             run_tally(cfg, trace=blocks.extend)
             texts.append("".join(blocks))
         assert len(texts[0].splitlines()) == cfg.shots
-        assert texts[1:] == texts[:1] * 4
+        assert texts[1:] == texts[:1] * 5
 
     def test_workers_capped_at_available_cores(self, forked, monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 500)
@@ -600,9 +630,9 @@ class TestRunTally:
             assert len(forked) == 1
 
     def test_no_part_without_a_chunk(self, forked, monkeypatch):
-        # one 8,192-shot chunk is one part's work, whatever the cores
+        # one chunk is one part's work, whatever the cores
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        cfg = ShotConfig(3, NoiseParams(0.5, 0.3), shots=8_192, seed=5)
+        cfg = ShotConfig(3, NoiseParams(0.5, 0.3), shots=montecarlo._CHUNK_SHOTS, seed=5)
         assert run_tally(cfg, partitions=2) == run_tally(cfg)
         assert forked == []
 

@@ -2,7 +2,8 @@
 
 Every run draws the same points (``derandomize=True``, no example
 database): delta in [0.1, 0.8], delta_tilde in [0, 0.6] and odd n from 3
-to 15, on both the with-EC and the no-EC rate.
+to 15, on both the with-EC and the no-EC rate, and on the one-qubit
+rates P_F (noisy ancilla) and p_x (ideal ancilla).
 """
 
 import math
@@ -11,9 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkprep.distributions import NoiseParams
+from gkprep.distributions import NoiseParams, pauli_rate_ideal
 from gkprep.lattice import TruncationError
-from gkprep.repetition import _ABS_TOL, QuadratureError, failure_rate, failure_rate_no_gkp_ec
+from gkprep.repetition import (
+    _ABS_TOL,
+    QuadratureError,
+    failure_rate,
+    failure_rate_no_gkp_ec,
+    pauli_rate_physical,
+)
 
 # the failures a rate call may raise over this domain: an unmet
 # tolerance or truncation bound, or a float overflow (the CLI's exit 3)
@@ -54,3 +61,28 @@ def test_total_does_not_fall_as_the_ancilla_spread_grows(rate, delta, spreads, n
     low, high = (_total(rate, n, delta, dt) for dt in sorted(spreads))
     if low is not None and high is not None:
         assert high >= low - 2.0 * _ABS_TOL
+
+
+def _pauli_rate_physical(delta, delta_tilde):
+    """P_F, checked to be a probability, or None where the call raised a numerical failure."""
+    try:
+        value = pauli_rate_physical(NoiseParams(delta, delta_tilde))
+    except NUMERICAL:
+        return None
+    assert 0.0 <= value <= 1.0
+    return value
+
+
+@DERANDOMIZED
+@given(delta=SPREADS, spreads=st.tuples(ANCILLA_SPREADS, ANCILLA_SPREADS))
+def test_pf_does_not_fall_as_the_ancilla_spread_grows(delta, spreads):
+    low, high = (_pauli_rate_physical(delta, dt) for dt in sorted(spreads))
+    if low is not None and high is not None:
+        assert high >= low - 2.0 * _ABS_TOL
+
+
+@DERANDOMIZED
+@given(spreads=st.tuples(SPREADS, SPREADS))
+def test_px_does_not_fall_as_the_spread_grows(spreads):
+    low, high = (pauli_rate_ideal(delta) for delta in sorted(spreads))
+    assert 0.0 <= low <= high <= 1.0
