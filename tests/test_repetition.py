@@ -768,6 +768,25 @@ TENSOR_GRID = [
     (False, 3, 0.5, 0.3, 32, 1),
 ]
 
+# float.hex of every _tensor_cases value at the TENSOR_GRID points and at
+# the benchmark's two tensor points (n = 3 at 64 nodes and n = 5 at 24
+# nodes, the latter also a TENSOR_GRID point), recorded before the group
+# sums became column folds
+TENSOR_HEX = {
+    (True, 3, 0.5, 0.3, 32, 0): ["0x1.9b80cf5788b2dp-6", "0x1.61349109644d6p-8"],
+    (True, 5, 0.5, 0.3, 16, 0): [
+        "0x1.6fd356cee7611p-5", "0x1.942d8131bef00p-7", "0x1.3248774799464p-10"],
+    (True, 5, 0.5, 0.3, 24, 0): [
+        "0x1.6fd2cb46d0eb7p-5", "0x1.942da87ac717ap-7", "0x1.324919c5a380cp-10"],
+    (True, 5, 0.3, 0.045, 24, 0): [
+        "0x1.17a3c65ec3e09p-189", "0x1.a85723a5890ebp-197", "0x1.3871642622ecbp-206"],
+    (False, 3, 0.5, 0.3, 32, 0): ["0x1.44d4c9057e415p-3", "0x1.271e0a5a4db1ap-6"],
+    (True, 5, 0.5, 0.3, 16, 1): [
+        "0x1.6fd356cee65ffp-5", "0x1.942d8131b9799p-7", "0x1.3248774788e3dp-10"],
+    (False, 3, 0.5, 0.3, 32, 1): ["0x1.44d4c8fb179a3p-3", "0x1.271e09ffb590ep-6"],
+    (True, 3, 0.5, 0.3, 64, 0): ["0x1.9b80cf5788b17p-6", "0x1.61349109644ddp-8"],
+}
+
 
 class TestTensorMultisets:
     """The tensor oracle sums each exchangeable group over sorted index multisets."""
@@ -796,6 +815,14 @@ class TestTensorMultisets:
         threaded.append(repetition._tensor_cases(engine, CodeSize(n)))
         bits = [np.array(values).view(np.uint64).tolist() for values in (serial, *threaded)]
         assert bits[1:] == bits[:1] * 2
+
+    @pytest.mark.parametrize("gkp_ec, n, delta, dt, nodes, neighbors", list(TENSOR_HEX))
+    def test_values_are_pinned(self, gkp_ec, n, delta, dt, nodes, neighbors, monkeypatch):
+        _set_translates(monkeypatch, neighbors)
+        engine = repetition._make_engine(gkp_ec, NoiseParams(delta, dt), nodes)
+        got = repetition._tensor_cases(engine, CodeSize(n))
+        want = TENSOR_HEX[gkp_ec, n, delta, dt, nodes, neighbors]
+        assert [value.hex() for value in got] == want
 
     def test_only_large_grids_spread_over_threads(self, monkeypatch):
         # n = 3 at 64 nodes: every block grid is below the threshold; n = 5
