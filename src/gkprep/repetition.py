@@ -805,7 +805,9 @@ def _multisets(n_nodes: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 
     Each of the C(n_nodes + count - 1, count) rows stands for the
     count! / prod(run length!) ordered tuples that sort to it, so the
-    multiplicities sum to n_nodes**count.  Both arrays are read-only.
+    multiplicities sum to n_nodes**count.  The (rows, count) table is
+    stored column-major, so that :func:`_fold` gathers each sorted column
+    contiguously.  Both arrays are read-only.
     """
     rows = math.comb(n_nodes + count - 1, count)
     idx = np.fromiter(
@@ -814,7 +816,7 @@ def _multisets(n_nodes: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         ),
         dtype=np.intp,
         count=rows * count,
-    ).reshape(rows, count)
+    ).reshape(rows, count).copy(order="F")
     # position of each index within its run of equal indices: the product
     # of the positions along a row is the product of its run-length factorials
     position = np.ones_like(idx)
@@ -823,6 +825,20 @@ def _multisets(n_nodes: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     multiplicity = math.factorial(count) / position.prod(axis=1)
     idx.flags.writeable = multiplicity.flags.writeable = False
     return idx, multiplicity
+
+
+def _fold(ufunc: np.ufunc, row: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``ufunc`` of ``row`` over each multiset, folded left to right over the sorted columns.
+
+    ((r[i_1] + r[i_2]) + r[i_3]) + ... is the order in which numpy reduces
+    ``row[idx]`` along a last axis shorter than 8 (the oracle's is at most
+    4), so the fold keeps the bits of ``ufunc.reduce(row[idx], axis=1)``
+    without gathering the 2-D block.
+    """
+    out = row[idx[:, 0]]
+    for column in idx.T[1:]:
+        ufunc(out, row[column], out=out)
+    return out
 
 
 # A block whose grid holds at least this many points per outer node spreads
@@ -838,8 +854,8 @@ def _node_sums(
     """sum(weight_grid * expm1(log_keep)) at each of the ``nodes`` outer nodes.
 
     log_keep at node i is the outer sum, over the ``groups`` (log_keep
-    table, multiset indices), of each table's row i summed along the
-    multisets.  A grid of at least ``_THREAD_MIN_POINTS`` points spreads
+    table, multiset indices), of each table's row i summed over each
+    multiset, left to right along its sorted columns (:func:`_fold`).  A grid of at least ``_THREAD_MIN_POINTS`` points spreads
     the nodes over :func:`available_cores` threads in contiguous stretches.
     Each thread reuses one buffer shaped like the grid, and every node's
     sum takes the same float operations on any thread count.
@@ -850,7 +866,7 @@ def _node_sums(
     def run(part: int) -> None:
         buf = np.empty_like(weight_grid)
         for i in stretch(nodes, part, threads):
-            *head, last = [lk[i][idx].sum(axis=1) for lk, idx in groups]
+            *head, last = [_fold(np.add, lk[i], idx) for lk, idx in groups]
             if head:
                 np.add.outer(reduce(np.add.outer, head), last, out=buf)
             else:
@@ -882,7 +898,9 @@ def _tensor_cases(engine: _Engine, size: CodeSize) -> list[float]:
     window and a side, so the integrand and the weight are symmetric under
     permutations of them: each such group is summed over its sorted index
     multisets (:func:`_multisets`), each weighted by its multinomial count,
-    which visits every distinct grid point once.  A large block spreads its
+    which visits every distinct grid point once.  A multiset's log_keep sum
+    and weight product fold left to right over its sorted columns
+    (:func:`_fold`).  A large block spreads its
     outer nodes over threads (:func:`_node_sums`); the node terms are added
     up in node order, so the values keep their bits on any thread count.
     """
@@ -900,7 +918,7 @@ def _tensor_cases(engine: _Engine, size: CodeSize) -> list[float]:
                 with np.errstate(divide="ignore"):  # log1p(-1) = -inf is exact
                     log_keep = np.log1p(-0.5 * _window_complement(pair, window, engine.dt))
                 groups.append((log_keep, idx))
-                weights.append(multiplicity * (cell.w * cell.f)[idx].prod(axis=1))
+                weights.append(multiplicity * _fold(np.multiply, cell.w * cell.f, idx))
             weight_grid = reduce(np.multiply.outer, weights)
             block_total = 0.0
             for i, node_sum in enumerate(_node_sums(groups, weight_grid, len(outer.x))):
