@@ -303,7 +303,7 @@ class TestMc:
         assert a == b
 
     def test_workers_default_to_the_available_cores(self, forked, monkeypatch, tmp_path):
-        # two 8,192-shot chunks: the default and an mc run file take both
+        # three 4,096-shot chunks: the default and an mc run file take both
         # cores, --workers 1 runs serially
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         fields = {"n": 3, "delta": 0.5, "delta_tilde": 0.2, "shots": 8_193, "seed": 3}

@@ -148,7 +148,7 @@ def decoder_table(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
 
 
 class TestDecoder:
-    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    @pytest.mark.parametrize("n", range(3, 16, 2))
     def test_rule_matches_generated_table(self, n):
         table = decoder_table(n)
         assert len(table) == 2 ** (n - 1)

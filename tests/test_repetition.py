@@ -770,8 +770,9 @@ TENSOR_GRID = [
 
 # float.hex of every _tensor_cases value at the TENSOR_GRID points and at
 # the benchmark's two tensor points (n = 3 at 64 nodes and n = 5 at 24
-# nodes, the latter also a TENSOR_GRID point), recorded before the group
-# sums became column folds
+# nodes, the latter also a TENSOR_GRID point), recorded with group sums
+# that gathered each multiset row and reduced it: any faster group sum
+# must keep these bits
 TENSOR_HEX = {
     (True, 3, 0.5, 0.3, 32, 0): ["0x1.9b80cf5788b2dp-6", "0x1.61349109644d6p-8"],
     (True, 5, 0.5, 0.3, 16, 0): [
@@ -857,10 +858,17 @@ class TestTensorMultisets:
         wf = w * np.exp(-x * x)
         got = float(np.dot(multiplicity, wf[idx].prod(axis=1)))
         assert got == pytest.approx(wf.sum() ** count, rel=1e-14, abs=0.0)
+        # the column folds keep the bits of reducing the row-major gather
+        assert idx.flags.f_contiguous
+        log_keep = np.log1p(-0.5 * np.random.default_rng(count).random(n_nodes))
+        for ufunc, values in ((np.add, log_keep), (np.multiply, wf)):
+            folded = repetition._fold(ufunc, values, idx)
+            gathered = ufunc.reduce(np.ascontiguousarray(values[idx]), axis=1)
+            assert np.array_equal(folded.view(np.uint64), gathered.view(np.uint64))
 
     def test_n5_call_does_not_materialize_the_gather(self):
-        # the per-outer-node gather peaks at about 4.3 MB; the full grid took
-        # 8.2 MB and an (outer x multisets x count) gather 20.5 MB
+        # the per-outer-node column folds peak at about 4.3 MB; the full grid
+        # took 8.2 MB and an (outer x multisets x count) gather 20.5 MB
         engine = repetition._make_engine(True, NoiseParams(0.5, 0.3), 24)
         repetition._tensor_cases(engine, CodeSize(5))
         tracemalloc.start()
