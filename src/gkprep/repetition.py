@@ -844,7 +844,7 @@ def _fold(ufunc: np.ufunc, row: np.ndarray, idx: np.ndarray) -> np.ndarray:
 # A block whose grid holds at least this many points per outer node spreads
 # its outer nodes over threads: the expm1, multiply and sum passes over
 # such a grid release the GIL long enough to pay for a thread.  At n = 3
-# with 64 nodes threads made the oracle 1.4x slower.
+# with 64 nodes threads made the oracle 1.6x slower.
 _THREAD_MIN_POINTS = 1 << 14
 
 
@@ -855,10 +855,11 @@ def _node_sums(
 
     log_keep at node i is the outer sum, over the ``groups`` (log_keep
     table, multiset indices), of each table's row i summed over each
-    multiset, left to right along its sorted columns (:func:`_fold`).  A grid of at least ``_THREAD_MIN_POINTS`` points spreads
-    the nodes over :func:`available_cores` threads in contiguous stretches.
-    Each thread reuses one buffer shaped like the grid, and every node's
-    sum takes the same float operations on any thread count.
+    multiset, left to right along its sorted columns (:func:`_fold`).  A
+    grid of at least ``_THREAD_MIN_POINTS`` points spreads the nodes over
+    :func:`available_cores` threads in contiguous stretches.  Each thread
+    reuses one buffer shaped like the grid, and every node's sum takes the
+    same float operations on any thread count.
     """
     threads = min(available_cores(), nodes) if weight_grid.size >= _THREAD_MIN_POINTS else 1
     sums = [0.0] * nodes
@@ -900,9 +901,9 @@ def _tensor_cases(engine: _Engine, size: CodeSize) -> list[float]:
     multisets (:func:`_multisets`), each weighted by its multinomial count,
     which visits every distinct grid point once.  A multiset's log_keep sum
     and weight product fold left to right over its sorted columns
-    (:func:`_fold`).  A large block spreads its
-    outer nodes over threads (:func:`_node_sums`); the node terms are added
-    up in node order, so the values keep their bits on any thread count.
+    (:func:`_fold`).  A large block spreads its outer nodes over threads
+    (:func:`_node_sums`); the node terms are added up in node order, so the
+    values keep their bits on any thread count.
     """
     n = size.n
     cases = []
