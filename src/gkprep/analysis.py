@@ -22,6 +22,7 @@ from .repetition import (
     DEFAULT_QUADRATURE,
     FailureBreakdown,
     QuadratureConfig,
+    _SHARED_MAX,
     _as_size,
     failure_rate,
     failure_rate_no_gkp_ec,
@@ -142,7 +143,7 @@ def critical_ancilla_spread(
 
     def prime(dts: list[float]) -> None:
         """Build the engines both curves take at ``dts``, full ones, in one batch."""
-        prime_engines([(NoiseParams(q.delta, dt), None if size == "single" else size)
+        prime_engines([(True, NoiseParams(q.delta, dt), None if size == "single" else size)
                        for dt in dts for size in (q.left_size, q.right_size)], cfg)
 
     lo, hi = q.bracket
@@ -238,7 +239,8 @@ def optimal_bias(
         return overall_failure_biased(n, NoiseParams(delta, delta_tilde, r=r), cfg)
 
     rs = [lo + (hi - lo) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
-    prime_engines([(NoiseParams(delta, delta_tilde, r=r).position_noise(), n) for r in rs], cfg)
+    prime_engines([(True, NoiseParams(delta, delta_tilde, r=r).position_noise(), n)
+                   for r in rs], cfg)
     vals = [objective(r) for r in rs]
     k = min(range(_SCAN_POINTS), key=vals.__getitem__)
     drops = sum(
@@ -388,21 +390,20 @@ def _wigner_grid(cfg, /, *, delta, kappa, q, p) -> tuple[float, dict]:
     return wigner_point(GkpEnvelope(delta=delta, kappa=kappa), q, p), {}
 
 
-# The engines a sweep cell of these quantities asks for: (with GKP EC,
-# full engines rather than P_F-only ones, the cell's noise point and the
-# code size of its rate, None for P_F alone).  run_sweep builds them ahead.
-_ENGINE_POINTS: dict[str, tuple[bool, bool, Callable[..., tuple[NoiseParams, Any]]]] = {
-    "pf": (True, False, lambda *, delta, delta_tilde: (NoiseParams(delta, delta_tilde), None)),
-    "pfrep": (True, True, lambda *, delta, delta_tilde, n: (NoiseParams(delta, delta_tilde), n)),
-    "pfrep_noec": (False, True,
-                   lambda *, delta, delta_tilde, n: (NoiseParams(delta, delta_tilde), n)),
-    "pfail": (True, True, lambda *, delta, delta_tilde=0.0, n, r=1.0: (
-        NoiseParams(delta, delta_tilde, r=r).position_noise(), n)),
+# The rate request of a sweep cell of these quantities: (with GKP EC, the
+# cell's noise point, the code size of its rate or None for P_F alone).
+# run_sweep builds their engines ahead (prime_engines).
+_ENGINE_POINTS: dict[str, Callable[..., tuple[bool, NoiseParams, Any]]] = {
+    "pf": lambda *, delta, delta_tilde: (True, NoiseParams(delta, delta_tilde), None),
+    "pfrep": lambda *, delta, delta_tilde, n: (True, NoiseParams(delta, delta_tilde), n),
+    "pfrep_noec": lambda *, delta, delta_tilde, n: (False, NoiseParams(delta, delta_tilde), n),
+    "pfail": lambda *, delta, delta_tilde=0.0, n, r=1.0: (
+        True, NoiseParams(delta, delta_tilde, r=r).position_noise(), n),
 }
 
 # Cells of one sweep stretch whose engines are built in one batch: their
 # coarse and fine engines fill at most half the shared_engines memo.
-_PRIME_CELLS = 256
+_PRIME_CELLS = _SHARED_MAX // 4
 
 
 QUANTITIES: dict[str, Callable[..., tuple[float, dict]]] = {
@@ -444,9 +445,7 @@ def run_sweep(
     rows = []
     for batch in iter(lambda: list(itertools.islice(combos, _PRIME_CELLS)), []):
         points = [{**dict(zip(axis_names, combo)), **spec.fixed} for combo in batch]
-        if spec.quantity in _ENGINE_POINTS:
-            gkp_ec, full, engine_point = _ENGINE_POINTS[spec.quantity]
-            prime_engines(_engine_points(engine_point, points), cfg, gkp_ec, full)
+        prime_engines(_engine_points(spec.quantity, points), cfg)
         for combo, point in zip(batch, points):
             try:
                 value, _ = QUANTITIES[spec.quantity](cfg, **point)
@@ -457,12 +456,13 @@ def run_sweep(
     return CurveTable(columns=columns, rows=tuple(rows))
 
 
-def _engine_points(
-    engine_point: Callable[..., tuple[NoiseParams, Any]], points: list[dict]
-) -> Iterator[tuple[NoiseParams, Any]]:
-    """``engine_point`` of each cell's parameters, skipping cells where it raises."""
-    for point in points:
+def _engine_points(quantity: str, points: list[dict]) -> Iterator[tuple[bool, NoiseParams, Any]]:
+    """The rate request (``_ENGINE_POINTS``) of each cell of ``quantity``.
+
+    Cells where it raises are skipped, and a quantity without one gives none.
+    """
+    for point in points if quantity in _ENGINE_POINTS else ():
         try:
-            yield engine_point(**point)
+            yield _ENGINE_POINTS[quantity](**point)
         except Exception:  # noqa: BLE001 - the cell's own call raises it in-row
             continue

@@ -224,10 +224,6 @@ class ResidualDistribution:
                 "code path instead"
             )
 
-    def modulating(self, u) -> np.ndarray:
-        """erf((u+h)/delta) - erf((u-h)/delta), as an erfc difference accurate in the PZ cells."""
-        return _modulating(np.asarray(u, dtype=np.float64), self.delta)
-
     def density(self, u) -> float | np.ndarray:
         """F(u'), the residual displacement density (even, unit mass)."""
         u_arr = np.asarray(u, dtype=np.float64)

@@ -258,7 +258,7 @@ def decode_syndrome_bits(syndromes: np.ndarray) -> np.ndarray:
     on {1} + {i+2 : s_i = 0}; exactly one of the two has correctable weight
     for odd n, and the decoder picks it.  This is the lookup table that runs
     every correctable pattern through the syndrome map, which
-    ``tests/test_montecarlo.py`` enumerates for n <= 9.
+    ``tests/test_montecarlo.py`` enumerates for every odd n from 3 to 15.
     """
     syndromes = np.atleast_2d(np.asarray(syndromes, dtype=bool))
     shots, n_minus_1 = syndromes.shape

@@ -779,21 +779,21 @@ def _block_integrals(
         """(s*a)^c of each block row and engine, repeated over the engine's nodes."""
         sides = len(_SIDES[outer_cell, cell])
         a = np.array([[(sides * e.cells[cell].mass) ** c for e in engines] for c in rows])
-        return a if len(engines) == 1 else a.repeat(lengths, axis=1)
+        return a.repeat(lengths, axis=1)
 
-    def joined(arrays: list[np.ndarray]) -> np.ndarray:
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    def log_keep(cell: tuple[float, float], rows: list[int]) -> np.ndarray:
+        """c times each engine's log(1 - M/a) of ``cell``, the engines' nodes side by side."""
+        return np.array(rows)[:, None] * np.concatenate(
+            [e.log_keep[outer_cell, cell] for e in engines])
 
     pz_counts, npz_counts = ([c[i] for c in counts] for i in (0, 1))
     full = scalars(NPZ_CELL, npz_counts)
-    log_b = np.array(npz_counts)[:, None] * joined([e.log_keep[outer_cell, NPZ_CELL] for e in engines])
+    log_b = log_keep(NPZ_CELL, npz_counts)
     value = -full * np.expm1(log_b)
     if len(counts) > 1:
-        a = scalars(PZ_CELL, pz_counts[1:])
-        log_b = np.array(pz_counts[1:])[:, None] * joined(
-            [e.log_keep[outer_cell, PZ_CELL] for e in engines])
+        a, log_b = scalars(PZ_CELL, pz_counts[1:]), log_keep(PZ_CELL, pz_counts[1:])
         value[1:] = -a * np.expm1(log_b) * full[1:] + a * np.exp(log_b) * value[1:]
-    weighted = joined([e.cells[outer_cell].w * e.cells[outer_cell].f for e in engines])
+    weighted = np.concatenate([e.cells[outer_cell].w * e.cells[outer_cell].f for e in engines])
     ends = list(itertools.accumulate(lengths, initial=0))
     return [[float(np.dot(weighted[lo:hi], row[lo:hi])) for row in value]
             for lo, hi in zip(ends, ends[1:])]
@@ -1109,37 +1109,31 @@ def _make_engines(
 ) -> list[_Engine | Exception]:
     """The engine of each (params, node count) point, memoized inside :func:`shared_engines`.
 
-    The memo is first in, first out, as if the points were asked for one at
-    a time: a point it holds is a hit, and a point it lacks takes the newest
-    place, dropping the oldest engine at ``_SHARED_MAX``.  The points it
-    lacks are then built together (:func:`_built`); a point whose build
-    raises gets its exception instead of an engine and leaves no entry.  A
-    P_F-only request (``full`` False) takes any engine of its point, a full
-    one never a P_F-only engine.
+    Every hit is taken first: a P_F-only request (``full`` False) takes any
+    engine of its point, a full one never a P_F-only engine.  The misses are
+    then built as one batch (:func:`_built`), so a batch never rebuilds an
+    engine it found.  Each new engine enters the memo, first in, first out,
+    in the order of its first point, dropping the oldest engine at
+    ``_SHARED_MAX`` (and the P_F-only engine it replaces); a point whose
+    build raises gets its exception instead of an engine and no entry.
     """
     memo = _SHARED.get()
+    if memo is None:
+        memo = {}
     keys = [(gkp_ec, params.delta, params.delta_tilde, n_nodes) for params, n_nodes in points]
-    found: dict[tuple, _Engine | Exception | None] = {}
-    for key in keys:
-        engine = memo.get(key) if memo is not None else None
-        if engine is not None and (engine.miss is not None or not full):
-            found.setdefault(key, engine)
-        elif key not in found:
-            found[key] = None
-            if memo is not None:
-                memo.pop(key, None)
-                while len(memo) >= _SHARED_MAX:
-                    del memo[next(iter(memo))]
-                memo[key] = None
-    todo = {key: point for key, point in zip(keys, points) if found[key] is None}
+    found: dict[tuple, _Engine | Exception] = {
+        key: memo[key] for key in keys
+        if key in memo and (memo[key].miss is not None or not full)
+    }
+    todo = {key: point for key, point in zip(keys, points) if key not in found}
     build = _residual_engine if gkp_ec else _intrinsic_engine
     for key, engine in zip(todo, _built(build, list(todo.values()), full)):
         found[key] = engine
-        if memo is not None and key in memo:
-            if isinstance(engine, _Engine):
-                memo[key] = engine
-            else:
-                del memo[key]
+        if isinstance(engine, _Engine):
+            memo.pop(key, None)
+            while len(memo) >= _SHARED_MAX:
+                del memo[next(iter(memo))]
+            memo[key] = engine
     return [found[key] for key in keys]
 
 
@@ -1155,80 +1149,103 @@ def _make_engine(gkp_ec: bool, params: NoiseParams, n_nodes: int) -> _Engine:
     return _raised(_make_engines(gkp_ec, [(params, n_nodes)])[0])
 
 
-def prime_engines(
-    points: Iterable[tuple[NoiseParams, int | None]],
-    cfg: QuadratureConfig,
-    gkp_ec: bool = True,
-    full: bool = True,
-) -> None:
-    """Fill the open :func:`shared_engines` memo for the rate calls to come.
+def _rungs(cfg: QuadratureConfig) -> tuple[int, int]:
+    """The refine certificate's (coarse, fine) node counts.
 
-    Each point is a noise point and the code size whose rate will be asked
-    there, or None where only P_F will be (``full`` False gives P_F-only
-    engines).  The coarse and fine engines of every point are built as one
-    batch (:func:`_make_engines`), then each code size's per-case values in
-    one stacked pass over its points' engines (:func:`_stacked_cases`).
-    Outside a block, or by the tensor method, this does nothing.  Points that
-    no rate call builds engines for are skipped: an invalid code size, the
-    ideal ancilla with EC, a bias, the no-EC rate below ``MIN_NOEC_NODES``.
-    So are points whose build raises: their rate calls raise for themselves.
-    The memo keeps the last ``_SHARED_MAX`` engines, so a caller primes at
-    most ``_SHARED_MAX // 4`` points, half the memo, before it asks for
-    their rates.
+    The fine count, ``3 * nodes_per_dim // 2``, adds nodes to every cell of
+    both engines at every accepted ``nodes_per_dim``.
     """
-    if _SHARED.get() is None or cfg.method != "factorized":
-        return
-    if not gkp_ec and cfg.nodes_per_dim < MIN_NOEC_NODES:
-        return
-    by_size: dict[int | None, dict[NoiseParams, None]] = {}
-    for params, n in points:
-        if n is not None and _integral(n) not in range(3, 16, 2):
-            continue
-        if params.r == 1.0 and not (gkp_ec and params.ideal_ancilla):
-            by_size.setdefault(n if n is None else _integral(n), {})[params] = None
-    rungs = (cfg.nodes_per_dim, 3 * cfg.nodes_per_dim // 2)
-    unique = dict.fromkeys(params for members in by_size.values() for params in members)
-    batch = [(params, n_nodes) for n_nodes in rungs for params in unique]
-    engines = dict(zip(batch, _make_engines(gkp_ec, batch, full)))
-    for n, members in by_size.items():
-        if n is not None:
-            _stacked_cases([engines[params, r] for params in members for r in rungs
-                            if isinstance(engines[params, r], _Engine)], CodeSize(n))
+    return cfg.nodes_per_dim, 3 * cfg.nodes_per_dim // 2
 
 
-def _certified(
-    gkp_ec: bool,
-    params: NoiseParams,
-    cfg: QuadratureConfig,
-    values: Callable[[list[_Engine]], list[list[float]]],
-    full: bool = True,
-) -> list[float]:
-    """The refine engine's ``values``, each within ``_ABS_TOL`` of the coarse engine's.
+def _route(gkp_ec: bool, params: NoiseParams, cfg: QuadratureConfig,
+           n: int | CodeSize | None) -> tuple[CodeSize | None, str]:
+    """A rate request's code size (None for P_F) and its route.
 
-    The refine engine has ``3 * cfg.nodes_per_dim // 2`` nodes; every
-    accepted ``nodes_per_dim`` gives it more nodes in every cell.  Both rungs
-    come from one batch (:func:`_make_engines`), P_F-only ones when ``full``
-    is False, and ``values`` maps the two to their lists at once; a rung
-    whose build raised raises here, the coarse one first.
+    Raises the rates' ``ValueError`` for, in this order, an invalid code
+    size, a bias that a rate of the spreads at face value would drop
+    (r != 1), and the no-EC rate below ``MIN_NOEC_NODES``.  The route is
+    ``"ideal"`` for the ideal ancilla with EC, else ``"tensor"`` by the
+    tensor method, else ``"certified"``.  P_F takes the certificate on the
+    tensor route too; :func:`prime_engines` primes the ``"certified"``
+    requests only.
     """
-    fine_nodes = 3 * cfg.nodes_per_dim // 2
-    rungs = _make_engines(gkp_ec, [(params, cfg.nodes_per_dim), (params, fine_nodes)], full)
-    coarse, fine = values([_raised(engine) for engine in rungs])
-    gap = max(abs(a - b) for a, b in zip(coarse, fine))
-    if gap > _ABS_TOL:
-        raise QuadratureError(
-            f"engine values changed by {gap:.3e} from {cfg.nodes_per_dim} to "
-            f"{fine_nodes} nodes per dimension (abs_tol={_ABS_TOL:g}); "
-            f"increase nodes_per_dim"
-        )
-    return fine
-
-
-def _require_unbiased(params: NoiseParams) -> None:
-    """Refuse a bias that a rate of the spreads at face value would drop."""
+    size = None if n is None else _as_size(n)
     if params.r != 1.0:
         raise ValueError(f"r applies only to overall_failure_biased; this rate takes r = 1, "
                          f"got {params.r!r}")
+    if not gkp_ec and cfg.nodes_per_dim < MIN_NOEC_NODES:
+        raise ValueError(f"the no-EC rate needs nodes_per_dim of at least {MIN_NOEC_NODES}, "
+                         f"got {cfg.nodes_per_dim}")
+    if gkp_ec and params.ideal_ancilla:
+        return size, "ideal"
+    return size, "tensor" if cfg.method == "tensor" else "certified"
+
+
+def prime_engines(requests: Iterable[tuple[bool, NoiseParams, int | None]],
+                  cfg: QuadratureConfig) -> None:
+    """Fill the open :func:`shared_engines` memo for the rate calls to come.
+
+    Each request is (with GKP EC, noise point, code size), the code size
+    None where only P_F will be asked.  Exactly the requests that
+    :func:`_route` sends to ``"certified"`` are primed; the others, refused
+    ones included, are left to their rate calls.  The coarse and fine
+    engines (:func:`_rungs`) of every primed point are built as one batch
+    per value of ``gkp_ec`` (:func:`_make_engines`): full engines if any
+    primed request has a code size, P_F-only ones otherwise.  Then each
+    code size's per-case values come from one stacked pass over its
+    points' engines (:func:`_stacked_cases`).  Points whose build raises
+    are skipped: their rate calls raise for themselves.  Outside a block
+    this does nothing.  The memo keeps the last ``_SHARED_MAX`` engines, so
+    a caller primes at most ``_SHARED_MAX // 4`` points, half the memo,
+    before it asks for their rates.
+    """
+    if _SHARED.get() is None:
+        return
+    by_ec: dict[bool, dict[NoiseParams, None]] = {}
+    by_size: dict[CodeSize, dict[tuple[bool, NoiseParams], None]] = {}
+    for gkp_ec, params, n in requests:
+        try:
+            size, route = _route(gkp_ec, params, cfg, n)
+        except ValueError:
+            continue
+        if route == "certified":
+            by_ec.setdefault(gkp_ec, {})[params] = None
+            if size is not None:
+                by_size.setdefault(size, {})[gkp_ec, params] = None
+    rungs, engines = _rungs(cfg), {}
+    for gkp_ec, members in by_ec.items():
+        batch = [(params, n_nodes) for n_nodes in rungs for params in members]
+        built = _make_engines(gkp_ec, batch, bool(by_size))
+        engines.update(zip([((gkp_ec, params), n_nodes) for params, n_nodes in batch], built))
+    for size, members in by_size.items():
+        _stacked_cases([engines[key, r] for key in members for r in rungs
+                        if isinstance(engines[key, r], _Engine)], size)
+
+
+def _certified(gkp_ec: bool, params: NoiseParams, cfg: QuadratureConfig,
+               size: CodeSize | None) -> list[float]:
+    """The fine rung's values, each within ``_ABS_TOL`` of the coarse rung's.
+
+    With a code size the values are its per-case values and P_F; with
+    ``size`` None, P_F and its two-cell approximation (twice the innermost
+    PZ cell's mass), from P_F-only engines.  Both rungs (:func:`_rungs`)
+    come from one batch (:func:`_make_engines`); a rung whose build raised
+    raises here, the coarse one first.
+    """
+    coarse_nodes, fine_nodes = _rungs(cfg)
+    rungs = [_raised(engine) for engine in _make_engines(
+        gkp_ec, [(params, coarse_nodes), (params, fine_nodes)], size is not None)]
+    if size is None:
+        coarse, fine = ([e.pauli_rate, 2.0 * e.cells[PZ_CELL].mass] for e in rungs)
+    else:
+        coarse, fine = ([*cases, e.pauli_rate] for e, cases in zip(rungs, _stacked_cases(rungs, size)))
+    gap = max(abs(a - b) for a, b in zip(coarse, fine))
+    if gap > _ABS_TOL:
+        raise QuadratureError(f"engine values changed by {gap:.3e} from {coarse_nodes} to "
+                              f"{fine_nodes} nodes per dimension (abs_tol={_ABS_TOL:g}); "
+                              f"increase nodes_per_dim")
+    return fine
 
 
 def _failure_rate_impl(
@@ -1237,21 +1254,15 @@ def _failure_rate_impl(
     cfg: QuadratureConfig,
     gkp_ec: bool,
 ) -> FailureBreakdown:
-    """The breakdown of one of three routes: ideal ancilla, tensor oracle or certified factorized.
+    """The breakdown by the request's :func:`_route`: ideal ancilla, tensor oracle or certified.
 
     Each route gives the per-case values and P_F; the one exit below turns
     them into the breakdown, with the majority vote of P_F as its tail.
     """
-    size = _as_size(n)
-    _require_unbiased(params)
-    if not gkp_ec and cfg.nodes_per_dim < MIN_NOEC_NODES:
-        raise ValueError(
-            f"the no-EC rate needs nodes_per_dim of at least {MIN_NOEC_NODES}, "
-            f"got {cfg.nodes_per_dim}"
-        )
-    if gkp_ec and params.ideal_ancilla:
+    size, route = _route(gkp_ec, params, cfg, n)
+    if route == "ideal":
         cases, pauli_rate = [0.0] * ((size.n + 1) // 2), pauli_rate_ideal(params.delta)
-    elif cfg.method == "tensor":
+    elif route == "tensor":
         if size.n > 5:
             raise ValueError("tensor method is cost-guarded to n <= 5")
         engine = _make_engine(gkp_ec, params, cfg.nodes_per_dim)
@@ -1268,9 +1279,7 @@ def _failure_rate_impl(
             raise ValueError("tensor with n=5 allows at most 40 nodes per cell")
         cases, pauli_rate = _tensor_cases(engine, size), engine.pauli_rate
     else:
-        *cases, pauli_rate = _certified(gkp_ec, params, cfg, lambda rungs: [
-            [*cases, e.pauli_rate] for e, cases in zip(rungs, _stacked_cases(rungs, size))
-        ])
+        *cases, pauli_rate = _certified(gkp_ec, params, cfg, size)
     return _breakdown(cases, classical_failure(size, pauli_rate), size)
 
 
@@ -1319,13 +1328,10 @@ def pauli_rate_physical_report(
     params: NoiseParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> dict[str, float]:
     """P_F, its two-cell approximation (the innermost PZ cell pair) and their gap."""
-    _require_unbiased(params)
-    if params.ideal_ancilla:
+    if _route(True, params, cfg, None)[1] == "ideal":
         full = two_cell = pauli_rate_ideal(params.delta)
     else:
-        full, two_cell = _certified(True, params, cfg, lambda rungs: [
-            [e.pauli_rate, 2.0 * e.cells[PZ_CELL].mass] for e in rungs
-        ], full=False)
+        full, two_cell = _certified(True, params, cfg, None)
     return {"value": full, "two_cell": two_cell, "difference": full - two_cell}
 
 

@@ -16,6 +16,7 @@ from gkprep.analysis import (
     run_sweep,
 )
 from gkprep.distributions import NoiseParams
+from gkprep.montecarlo import ShotConfig, run_tally
 from gkprep.repetition import (
     CodeSize,
     failure_rate,
@@ -283,6 +284,30 @@ class TestCriticalAncillaSpread:
             crossings.append(result.value)
             assert 0.80 <= result.value * math.sqrt(n - 1) / delta <= 0.87, n
         assert all(a > b for a, b in zip(crossings, crossings[1:]))
+
+    @pytest.mark.parametrize("n, m, delta, shots", [
+        (5, 3, 0.5, 200_000), (5, 3, 0.6, 100_000), (7, 5, 0.5, 1_000_000),
+    ])
+    def test_monte_carlo_confirms_both_sides_of_the_crossing(self, n, m, delta, shots):
+        # fig. 9's claim checked by the other route: at 0.8 and 1.2 times the
+        # analytic crossing, independent position-mode tallies (seed 31 for
+        # the larger code, 32 for the smaller, both fixed before any run)
+        # must differ with the analytic sign and within 4 SE of the analytic
+        # difference.  Measured: z = -12.3 / +15.7, -18.2 / +19.6 and
+        # -5.5 / +12.2, at -1.02 / -1.84, -1.45 / +0.43 and +0.19 / +0.40 SE
+        # from the analytic difference.  A failure is a finding: do not re-seed.
+        crossing = critical_ancilla_spread(CrossingQuery(
+            delta, n, m, bracket=(0.15 * delta, 0.65 * delta), tol=1e-6)).value
+        for side in (0.8, 1.2):
+            params = NoiseParams(delta, side * crossing)
+            analytic = failure_rate(n, params).total - failure_rate(m, params).total
+            larger, smaller = (run_tally(ShotConfig(size, params, shots=shots, seed=seed),
+                                         partitions=2)
+                               for size, seed in ((n, 31), (m, 32)))
+            difference = larger.rate - smaller.rate
+            se = math.hypot(larger.std_err, smaller.std_err)
+            assert math.copysign(1.0, difference) == math.copysign(1.0, analytic), side
+            assert abs(difference - analytic) <= 4.0 * se, (side, difference, analytic, se)
 
 
 class TestOptimalBias:

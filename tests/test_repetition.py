@@ -468,7 +468,53 @@ class TestSharedEngines:
             # each point holds a coarse and a fine engine
             for dt in (0.2, 0.3, 0.3, 0.2):
                 failure_rate(3, NoiseParams(0.5, dt))
-        assert built == [64, 96, 64, 96, 64, 96]
+        # the last call finds the 96-node engine of dt = 0.2 before its
+        # 64-node rebuild drops it, so it builds that one engine only
+        assert built == [64, 96, 64, 96, 64]
+
+    def test_primed_requests_leave_no_build_to_their_calls(self, monkeypatch):
+        # prime_engines primes exactly what _route sends to "certified": one
+        # mixed request list under the default, a 32-node and a tensor cfg
+        ec, noec = NoiseParams(0.5, 0.2), NoiseParams(0.3, 0.1)
+        requests = [
+            (True, ec, 3), (True, ec, None), (False, noec, 5),  # valid
+            (True, NoiseParams(0.5, 0.2, r=2.0), 3),  # a bias
+            (True, ec, 4), (False, noec, 17),  # no code size
+            (True, NoiseParams(0.5, 0.0), 5),  # the ideal ancilla with EC
+        ]
+        cfgs = [repetition.DEFAULT_QUADRATURE, QuadratureConfig(nodes_per_dim=32),
+                QuadratureConfig(method="tensor")]
+
+        def outcomes():
+            """Each request's value under each cfg, or its exception's type and message."""
+            out = []
+            for cfg, (gkp_ec, params, n) in itertools.product(cfgs, requests):
+                try:
+                    if n is None:
+                        out.append(repetition.pauli_rate_physical_report(params, cfg))
+                    else:
+                        rate = failure_rate if gkp_ec else failure_rate_no_gkp_ec
+                        out.append(rate(n, params, cfg))
+                except Exception as exc:  # noqa: BLE001 - compared with the unprimed call
+                    out.append((type(exc), str(exc)))
+            return out
+
+        unprimed = outcomes()
+        # ten refusals by _route, and the no-EC tensor rate's 40-node guard
+        assert [o[0] for o in unprimed if isinstance(o, tuple)] == [ValueError] * 11
+        built = self._count_engines(monkeypatch)
+        built_noec = self._count_engines(monkeypatch, "_intrinsic_engine")
+        with shared_engines():
+            for cfg in cfgs:
+                repetition.prime_engines(requests, cfg)
+            assert sorted(repetition._SHARED.get()) == [
+                (False, 0.3, 0.1, 64), (False, 0.3, 0.1, 96),
+                (True, 0.5, 0.2, 32), (True, 0.5, 0.2, 48),
+                (True, 0.5, 0.2, 64), (True, 0.5, 0.2, 96),
+            ]
+            primed = (list(built), list(built_noec))
+            assert outcomes() == unprimed
+            assert (built, built_noec) == primed
 
     def test_certificate_checked_on_a_memo_hit(self, monkeypatch):
         # 16 nodes per cell cannot certify 1e-8 at dt = 0.3
