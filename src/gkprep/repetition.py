@@ -1112,10 +1112,11 @@ def _make_engines(
     Every hit is taken first: a P_F-only request (``full`` False) takes any
     engine of its point, a full one never a P_F-only engine.  The misses are
     then built as one batch (:func:`_built`), so a batch never rebuilds an
-    engine it found.  Each new engine enters the memo, first in, first out,
-    in the order of its first point, dropping the oldest engine at
-    ``_SHARED_MAX`` (and the P_F-only engine it replaces); a point whose
-    build raises gets its exception instead of an engine and no entry.
+    engine it found.  Each new engine then enters the memo as its newest
+    entry, in the order of its first point: it replaces a P_F-only engine of
+    its point, and the oldest entries are dropped (first in, first out) to
+    keep at most ``_SHARED_MAX``.  A point whose build raises gets its
+    exception instead of an engine and no entry.
     """
     memo = _SHARED.get()
     if memo is None:
